@@ -409,7 +409,9 @@ func BenchmarkAblationCompaction(b *testing.B) {
 	faults := sr.Netlist.Faults()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		compacted = atpg.Compact(sr.Netlist, raw.Patterns, faults)
+		if compacted, err = atpg.Compact(sr.Netlist, raw.Patterns, faults); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(len(raw.Patterns)), "raw-vectors")
 	b.ReportMetric(float64(len(compacted)), "compacted-vectors")

@@ -7,6 +7,8 @@
 package atpg
 
 import (
+	"fmt"
+
 	"repro/internal/fsim"
 	"repro/internal/gate"
 	"repro/internal/obs"
@@ -94,8 +96,17 @@ func GenerateFor(n *gate.Netlist, faults []gate.Fault, opts *Options) (*Result, 
 	if err != nil {
 		return nil, err
 	}
+	sim, err := fsim.NewSimulator(n)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{Stats: Stats{Faults: len(faults)}}
-	detected := make([]bool, len(faults))
+	// by[i] >= 0 once faults[i] is detected. Only the random pre-pass
+	// reads the value: the index of its pattern that detected the fault.
+	by := make([]int, len(faults))
+	for i := range by {
+		by[i] = -1
+	}
 	rng := splitMix{o.FillSeed}
 
 	// Phase 1: random-pattern pre-pass with fault dropping. Patterns that
@@ -117,16 +128,15 @@ func GenerateFor(n *gate.Netlist, faults []gate.Fault, opts *Options) (*Result, 
 			}
 			rpats[i] = p
 		}
-		fr, err := fsim.Combinational(n, rpats, faults)
+		found, err := sim.Detect(rpats, faults, by)
 		if err != nil {
 			return nil, err
 		}
+		res.Stats.Detected += found
 		used := make([]bool, len(rpats))
-		for fi, by := range fr.DetectedBy {
-			if by >= 0 {
-				detected[fi] = true
-				res.Stats.Detected++
-				used[by] = true
+		for _, b := range by {
+			if b >= 0 {
+				used[b] = true
 			}
 		}
 		for i, u := range used {
@@ -138,7 +148,7 @@ func GenerateFor(n *gate.Netlist, faults []gate.Fault, opts *Options) (*Result, 
 
 	// Phase 2: deterministic PODEM on the survivors.
 	for fi, f := range faults {
-		if detected[fi] {
+		if by[fi] >= 0 {
 			continue
 		}
 		outcome := eng.podem(f, o.BacktrackLimit)
@@ -146,29 +156,14 @@ func GenerateFor(n *gate.Netlist, faults []gate.Fault, opts *Options) (*Result, 
 		case outDetected:
 			pat := eng.extractPattern(&rng)
 			res.Patterns = append(res.Patterns, pat)
-			detected[fi] = true
+			by[fi] = len(res.Patterns) - 1
 			res.Stats.Detected++
 			// Drop other faults caught by this pattern.
-			rem := make([]gate.Fault, 0, 32)
-			remIdx := make([]int, 0, 32)
-			for fj := fi + 1; fj < len(faults); fj++ {
-				if !detected[fj] {
-					rem = append(rem, faults[fj])
-					remIdx = append(remIdx, fj)
-				}
+			found, err := sim.Detect([]gate.Pattern{pat}, faults[fi+1:], by[fi+1:])
+			if err != nil {
+				return nil, err
 			}
-			if len(rem) > 0 {
-				fr, err := fsim.Combinational(n, []gate.Pattern{pat}, rem)
-				if err != nil {
-					return nil, err
-				}
-				for k, by := range fr.DetectedBy {
-					if by >= 0 {
-						detected[remIdx[k]] = true
-						res.Stats.Detected++
-					}
-				}
-			}
+			res.Stats.Detected += found
 		case outUntestable:
 			res.Stats.Untestable++
 		case outAborted:
@@ -176,7 +171,9 @@ func GenerateFor(n *gate.Netlist, faults []gate.Fault, opts *Options) (*Result, 
 		}
 	}
 	if o.Compact && len(res.Patterns) > 1 {
-		res.Patterns = Compact(n, res.Patterns, faults)
+		if res.Patterns, err = compact(sim, res.Patterns, faults); err != nil {
+			return nil, err
+		}
 	}
 	res.Stats.Vectors = len(res.Patterns)
 	obs.C("atpg.faults").Add(int64(res.Stats.Faults))
@@ -189,44 +186,48 @@ func GenerateFor(n *gate.Netlist, faults []gate.Fault, opts *Options) (*Result, 
 
 // Compact keeps only patterns that detect new faults when the set is
 // fault-simulated in reverse order (classic reverse-order compaction).
-func Compact(n *gate.Netlist, pats []gate.Pattern, faults []gate.Fault) []gate.Pattern {
+// It fails when the patterns cannot be simulated on n, for example when
+// a pattern's PI or State width does not match the netlist.
+func Compact(n *gate.Netlist, pats []gate.Pattern, faults []gate.Fault) ([]gate.Pattern, error) {
+	sim, err := fsim.NewSimulator(n)
+	if err != nil {
+		return nil, err
+	}
+	return compact(sim, pats, faults)
+}
+
+// compact simulates the reversed list in one run with fault dropping and
+// keeps each pattern that is the first detector of some fault: exactly
+// the patterns that detect a fault none of their predecessors in reverse
+// order detects. A set that detects nothing is returned unchanged.
+func compact(sim *fsim.Simulator, pats []gate.Pattern, faults []gate.Fault) ([]gate.Pattern, error) {
 	rev := make([]gate.Pattern, len(pats))
 	for i, p := range pats {
 		rev[len(pats)-1-i] = p
 	}
-	covered := make([]bool, len(faults))
-	var kept []gate.Pattern
-	remaining := faults
-	remIdx := make([]int, len(faults))
-	for i := range remIdx {
-		remIdx[i] = i
+	by := make([]int, len(faults))
+	for i := range by {
+		by[i] = -1
 	}
-	for _, p := range rev {
-		fr, err := fsim.Combinational(n, []gate.Pattern{p}, remaining)
-		if err != nil {
-			return pats
+	if _, err := sim.Detect(rev, faults, by); err != nil {
+		return nil, fmt.Errorf("atpg: compact: %w", err)
+	}
+	first := make([]bool, len(rev))
+	for _, b := range by {
+		if b >= 0 {
+			first[b] = true
 		}
-		hit := false
-		nextRem := remaining[:0:0]
-		nextIdx := remIdx[:0:0]
-		for k, by := range fr.DetectedBy {
-			if by >= 0 {
-				covered[remIdx[k]] = true
-				hit = true
-			} else {
-				nextRem = append(nextRem, remaining[k])
-				nextIdx = append(nextIdx, remIdx[k])
-			}
-		}
-		if hit {
+	}
+	var kept []gate.Pattern
+	for i, p := range rev {
+		if first[i] {
 			kept = append(kept, p)
 		}
-		remaining, remIdx = nextRem, nextIdx
 	}
 	if len(kept) == 0 {
-		return pats
+		return pats, nil
 	}
-	return kept
+	return kept, nil
 }
 
 type splitMix struct{ state uint64 }

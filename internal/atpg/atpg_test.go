@@ -170,7 +170,10 @@ func TestCompactionKeepsCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults := n.Faults()
-	compacted := Compact(n, resFull.Patterns, faults)
+	compacted, err := Compact(n, resFull.Patterns, faults)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(compacted) > len(resFull.Patterns) {
 		t.Errorf("compaction grew the set: %d -> %d", len(resFull.Patterns), len(compacted))
 	}
@@ -178,6 +181,77 @@ func TestCompactionKeepsCoverage(t *testing.T) {
 	fr2, _ := fsim.Combinational(n, compacted, faults)
 	if fr2.Detected < fr1.Detected {
 		t.Errorf("compaction lost coverage: %d -> %d", fr1.Detected, fr2.Detected)
+	}
+}
+
+func TestCompactRejectsWrongWidthPattern(t *testing.T) {
+	n := fullAdder()
+	good := []gate.Pattern{{PI: []byte{0, 1, 1}}, {PI: []byte{1, 1, 0}}}
+	for _, bad := range []gate.Pattern{
+		{PI: []byte{1, 0}},                      // too few PI values
+		{PI: []byte{1, 0, 1}, State: []byte{1}}, // state for a netlist without DFFs
+	} {
+		pats := append(append([]gate.Pattern(nil), good...), bad)
+		got, err := Compact(n, pats, n.Faults())
+		if err == nil {
+			t.Errorf("pattern %+v: Compact returned %d patterns and no error", bad, len(got))
+		}
+	}
+}
+
+func TestGenerateRejectsCyclicNetlist(t *testing.T) {
+	n := &gate.Netlist{Name: "cyc"}
+	a := n.Add(gate.Input)
+	g1 := n.Add(gate.And, a, a)
+	g2 := n.Add(gate.Or, g1, a)
+	n.Gates[g1].Fanin[1] = g2
+	n.MarkPO(g2, "z")
+	if _, err := Generate(n, nil); err == nil {
+		t.Error("Generate accepted a combinational cycle")
+	}
+	if _, err := Compact(n, nil, nil); err == nil {
+		t.Error("Compact accepted a combinational cycle")
+	}
+}
+
+func TestCompactKeepsSetThatDetectsNothing(t *testing.T) {
+	n := fullAdder()
+	pats := []gate.Pattern{{PI: []byte{0, 1, 1}}, {PI: []byte{1, 1, 0}}}
+	got, err := Compact(n, pats, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(pats) {
+		t.Errorf("Compact with no faults kept %d of %d patterns, want all", len(got), len(pats))
+	}
+}
+
+func TestEngineSurvivesStampWrap(t *testing.T) {
+	// The cone and X-path stamps wrap around after 2^32 faults; an engine
+	// just below the wrap must search exactly like a fresh one.
+	sr, err := synth.Synthesize(must(rtl.NewCore("muxy").
+		In("a", 2).In("b", 2).In("s", 1).Out("z", 2).
+		Mux("m", 2, 2).
+		Wire("a", "m.in0").Wire("b", "m.in1").Wire("s", "m.sel").Wire("m.out", "z").
+		Build()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := sr.Netlist
+	fresh, err := newEngine(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := newEngine(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.coneEp, old.seenEp = ^uint32(0)-2, ^uint32(0)-2
+	for _, f := range n.Faults() {
+		a, b := fresh.podem(f, 16), old.podem(f, 16)
+		if a != b || string(fresh.assign) != string(old.assign) {
+			t.Fatalf("fault %v: outcome %v assign %v after the wrap, want %v %v", f, b, old.assign, a, fresh.assign)
+		}
 	}
 }
 

@@ -1,0 +1,81 @@
+package atpg
+
+import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/soc"
+	"repro/internal/synth"
+	"repro/internal/systems"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/golden.txt with the current output")
+
+// TestGoldenTestSets pins the precomputed test set of every logic core of
+// both example systems: the Stats, a SHA-256 over the pattern bytes, and
+// the search-effort counters. The PODEM search and the fault simulator
+// are deterministic, so any diff is a behavior change that must be
+// reviewed (and blessed with -update).
+func TestGoldenTestSets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs ATPG on every System 1 and System 2 core")
+	}
+	var b strings.Builder
+	for _, ch := range []*soc.Chip{systems.System1(), systems.System2()} {
+		for _, c := range ch.Cores {
+			if c.Memory {
+				continue
+			}
+			b.WriteString(goldenLine(t, c))
+		}
+	}
+	golden := filepath.Join("testdata", "golden.txt")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("test sets differ from %s (re-bless with -update if intended)\n--- got ---\n%s--- want ---\n%s",
+			golden, got, want)
+	}
+}
+
+// goldenLine runs default ATPG on one core with a fresh metrics registry
+// and formats its fingerprint.
+func goldenLine(t *testing.T, c *soc.Core) string {
+	t.Helper()
+	sr, err := synth.Synthesize(c.RTL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, m := obs.Enable(0)
+	defer obs.Disable()
+	res, err := Generate(sr.Netlist, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", c.Name, err)
+	}
+	h := sha256.New()
+	for _, p := range res.Patterns {
+		h.Write(p.PI)
+		h.Write(p.State)
+	}
+	s := res.Stats
+	return fmt.Sprintf("%s faults=%d detected=%d untestable=%d aborted=%d vectors=%d backtracks=%d implications=%d sha256=%x\n",
+		c.Name, s.Faults, s.Detected, s.Untestable, s.Aborted, s.Vectors,
+		m.Counter("atpg.backtracks").Value(), m.Counter("atpg.implications").Value(), h.Sum(nil))
+}

@@ -1,6 +1,8 @@
 package atpg
 
 import (
+	"slices"
+
 	"repro/internal/gate"
 	"repro/internal/obs"
 )
@@ -15,28 +17,64 @@ const (
 )
 
 // engine holds per-netlist PODEM state, reused across faults.
+//
+// Implication is incremental. Each fault starts from the all-X good state
+// (every controllable line unassigned), precomputed once. Assigning,
+// flipping or unassigning a controllable line queues its fanouts, and
+// imply re-evaluates, level by level, only gates with a fanin that
+// changed. Faulty values differ from good ones only inside the fault's
+// forward cone, so they are computed only there; everywhere else fv
+// mirrors gv.
 type engine struct {
-	n     *gate.Netlist
-	order []int
-	// good and faulty three-valued line values.
-	gv, fv []byte
-	// controllable lines (PIs and DFF outputs under full scan) and their
-	// index in the assignment vector.
+	n       *gate.Netlist
+	order   []int
+	topoPos []int32 // position in order; -1 for sources
+	level   []int32
+	fo      [][]int // combinational fanouts
+	// good and faulty three-valued line values, and the all-X good state.
+	gv, fv, gvX []byte
+	// controllable lines (PIs, then DFF outputs under full scan), each
+	// line's index among them (-1 if not controllable), and the current
+	// assignment.
 	ctl    []int
-	ctlIdx map[int]int
+	ctlIdx []int32
 	assign []byte
 	// observable lines: POs plus DFF data inputs (scan capture).
-	obs     map[int]bool
+	isObs   []bool
 	obsDist []int // min fanout hops from each line to an observable
-	fanouts [][]int
 	// SCOAP-style controllability costs.
 	cc0, cc1 []int
 	// constant source lines (not in the evaluation order).
 	consts []int
+
 	// current fault under test.
 	f         gate.Fault
 	site      int
 	victimDFF bool
+	stem      int // line forced to f.Stuck in the faulty circuit, or -1
+	victim    int // gate whose fanin f.Branch reads f.Stuck, or -1
+	// the fault's forward cone in topological order: the injection site
+	// first, then its combinational successors from cone[coneGates:] on.
+	// inCone[i] == coneEp marks the members.
+	cone      []int
+	coneGates int
+	coneObs   []int // observable cone members
+	inCone    []uint32
+	coneEp    uint32
+
+	// levelized event queue: gates of level l waiting for evaluation,
+	// none outside levels lo..hi.
+	buckets [][]int32
+	queued  []bool
+	lo, hi  int
+
+	// search buffers, reused across decisions and faults.
+	stack    []decision
+	frontier []int
+	dfs      []int
+	seen     []uint32
+	seenEp   uint32
+
 	// observability hooks (nil when obs is disabled; Add on nil is a
 	// no-op, so the search pays one pointer check per podem run).
 	cBacktracks, cImplications *obs.Counter
@@ -47,29 +85,52 @@ func newEngine(n *gate.Netlist) (*engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	lv, err := n.Levels()
+	if err != nil {
+		return nil, err
+	}
+	ng := len(n.Gates)
 	e := &engine{
 		n:       n,
 		order:   order,
-		gv:      make([]byte, len(n.Gates)),
-		fv:      make([]byte, len(n.Gates)),
-		ctlIdx:  make(map[int]int),
-		obs:     make(map[int]bool),
-		fanouts: n.Fanouts(),
+		topoPos: make([]int32, ng),
+		level:   make([]int32, ng),
+		fo:      n.CombFanouts(),
+		gv:      make([]byte, ng),
+		fv:      make([]byte, ng),
+		gvX:     make([]byte, ng),
+		ctlIdx:  make([]int32, ng),
+		isObs:   make([]bool, ng),
+		inCone:  make([]uint32, ng),
+		queued:  make([]bool, ng),
+		seen:    make([]uint32, ng),
 	}
+	top := 0
+	for i := range e.topoPos {
+		e.topoPos[i] = -1
+		e.ctlIdx[i] = -1
+		e.level[i] = int32(lv[i])
+		top = max(top, lv[i])
+	}
+	for pos, id := range order {
+		e.topoPos[id] = int32(pos)
+	}
+	e.buckets = make([][]int32, top+1)
+	e.lo, e.hi = len(e.buckets), -1
 	for _, pi := range n.PIs() {
-		e.ctlIdx[pi] = len(e.ctl)
+		e.ctlIdx[pi] = int32(len(e.ctl))
 		e.ctl = append(e.ctl, pi)
 	}
 	for _, d := range n.DFFs() {
-		e.ctlIdx[d] = len(e.ctl)
+		e.ctlIdx[d] = int32(len(e.ctl))
 		e.ctl = append(e.ctl, d)
 	}
 	e.assign = make([]byte, len(e.ctl))
 	for _, po := range n.POs {
-		e.obs[po] = true
+		e.isObs[po] = true
 	}
 	for _, d := range n.DFFs() {
-		e.obs[n.Gates[d].Fanin[0]] = true
+		e.isObs[n.Gates[d].Fanin[0]] = true
 	}
 	for i, g := range n.Gates {
 		if g.Type == gate.Const0 || g.Type == gate.Const1 {
@@ -78,6 +139,7 @@ func newEngine(n *gate.Netlist) (*engine, error) {
 	}
 	e.computeObsDist()
 	e.computeControllability()
+	e.computeAllX()
 	e.cBacktracks = obs.C("atpg.backtracks")
 	e.cImplications = obs.C("atpg.implications")
 	return e, nil
@@ -86,15 +148,15 @@ func newEngine(n *gate.Netlist) (*engine, error) {
 func (e *engine) computeObsDist() {
 	const inf = 1 << 30
 	e.obsDist = make([]int, len(e.n.Gates))
-	for i := range e.obsDist {
-		e.obsDist[i] = inf
+	var queue []int
+	for line, o := range e.isObs {
+		if o {
+			queue = append(queue, line)
+		} else {
+			e.obsDist[line] = inf
+		}
 	}
 	// BFS backwards from observables over fanin edges.
-	var queue []int
-	for line := range e.obs {
-		e.obsDist[line] = 0
-		queue = append(queue, line)
-	}
 	for len(queue) > 0 {
 		line := queue[0]
 		queue = queue[1:]
@@ -126,12 +188,6 @@ func (e *engine) computeControllability() {
 		} else {
 			e.cc0[id] = 0
 		}
-	}
-	min := func(a, b int) int {
-		if a < b {
-			return a
-		}
-		return b
 	}
 	for _, id := range e.order {
 		g := &e.n.Gates[id]
@@ -174,6 +230,35 @@ func (e *engine) computeControllability() {
 		case gate.Const1:
 			e.cc1[id] = 0
 		}
+	}
+}
+
+// computeAllX evaluates the good circuit with every controllable line
+// unassigned: constants still decide some gates.
+func (e *engine) computeAllX() {
+	for i := range e.gvX {
+		e.gvX[i] = xx
+	}
+	for _, id := range e.consts {
+		e.gvX[id] = lo
+		if e.n.Gates[id].Type == gate.Const1 {
+			e.gvX[id] = hi
+		}
+	}
+	for _, id := range e.order {
+		g := &e.n.Gates[id]
+		var a, b, c byte
+		switch len(g.Fanin) {
+		case 3:
+			c = e.gvX[g.Fanin[2]]
+			fallthrough
+		case 2:
+			b = e.gvX[g.Fanin[1]]
+			fallthrough
+		case 1:
+			a = e.gvX[g.Fanin[0]]
+		}
+		e.gvX[id] = eval3(g.Type, a, b, c)
 	}
 }
 
@@ -256,74 +341,199 @@ func eval3(t gate.Type, a, b, c byte) byte {
 	return xx
 }
 
-// imply performs full forward implication of good and faulty circuits from
-// the current assignment.
+// reset starts fault f from the all-X state: no controllable line is
+// assigned, and the fault is injected into the faulty circuit.
+//
+// A stem fault is injected on a controllable line or a combinational
+// gate; a constant line keeps its value. A branch fault is injected at
+// its victim gate, except when the victim is a DFF: the corrupted capture
+// is then observed directly (see detected) and no line diverges.
+func (e *engine) reset(f gate.Fault) {
+	e.f = f
+	e.site = e.n.FaultSite(f)
+	e.victimDFF = f.Branch >= 0 && e.n.Gates[f.Line].Type == gate.DFF
+	for i := range e.assign {
+		e.assign[i] = xx
+	}
+	// A search that ends in a backtrack leaves its last changes queued.
+	for l := e.lo; l <= e.hi; l++ {
+		for _, id := range e.buckets[l] {
+			e.queued[id] = false
+		}
+		e.buckets[l] = e.buckets[l][:0]
+	}
+	e.lo, e.hi = len(e.buckets), -1
+	copy(e.gv, e.gvX)
+	copy(e.fv, e.gvX)
+	e.stem, e.victim = -1, -1
+	switch comb := e.topoPos[f.Line] >= 0; {
+	case f.Branch < 0 && (comb || e.ctlIdx[f.Line] >= 0):
+		e.stem = f.Line
+	case f.Branch >= 0 && comb:
+		e.victim = f.Line
+	}
+	e.buildCone()
+	if e.stem >= 0 && e.fv[e.stem] != f.Stuck {
+		e.fv[e.stem] = f.Stuck
+		e.queueFanouts(e.stem)
+	}
+	if e.victim >= 0 {
+		e.queue(e.victim)
+	}
+}
+
+// buildCone collects the forward cone of the injected line, sorted into
+// the evaluation order so that D-frontier scans list gates exactly as a
+// scan of the whole netlist would.
+func (e *engine) buildCone() {
+	e.coneEp++
+	if e.coneEp == 0 { // the stamps wrapped: forget every old one
+		clear(e.inCone)
+		e.coneEp = 1
+	}
+	e.cone, e.coneObs = e.cone[:0], e.coneObs[:0]
+	root := e.stem
+	if root < 0 {
+		root = e.victim
+	}
+	if root < 0 {
+		e.coneGates = 0
+		return
+	}
+	e.inCone[root] = e.coneEp
+	e.cone = append(e.cone, root)
+	for i := 0; i < len(e.cone); i++ {
+		for _, s := range e.fo[e.cone[i]] {
+			if e.inCone[s] != e.coneEp {
+				e.inCone[s] = e.coneEp
+				e.cone = append(e.cone, s)
+			}
+		}
+	}
+	// Sort the successors by evaluation-order position (the root precedes
+	// all of them).
+	rest := e.cone[1:]
+	for i, id := range rest {
+		rest[i] = int(e.topoPos[id])
+	}
+	slices.Sort(rest)
+	for i, pos := range rest {
+		rest[i] = e.order[pos]
+	}
+	e.coneGates = 0
+	if e.topoPos[root] < 0 {
+		e.coneGates = 1 // a source root is never on the D-frontier
+	}
+	for _, id := range e.cone {
+		if e.isObs[id] {
+			e.coneObs = append(e.coneObs, id)
+		}
+	}
+}
+
+// set assigns value v (lo, hi or xx) to controllable line ci and queues
+// the change; imply propagates it.
+func (e *engine) set(ci int, v byte) {
+	e.assign[ci] = v
+	c := e.ctl[ci]
+	e.gv[c] = v
+	if c != e.stem {
+		e.fv[c] = v
+	}
+	e.queueFanouts(c)
+}
+
+func (e *engine) queue(id int) {
+	if e.queued[id] {
+		return
+	}
+	e.queued[id] = true
+	l := int(e.level[id])
+	e.buckets[l] = append(e.buckets[l], int32(id))
+	e.lo, e.hi = min(e.lo, l), max(e.hi, l)
+}
+
+func (e *engine) queueFanouts(line int) {
+	for _, s := range e.fo[line] {
+		e.queue(s)
+	}
+}
+
+// imply brings good and faulty values up to date with the assignment by
+// re-evaluating queued gates in level order. A gate only queues fanouts
+// of a higher level, so each bucket is complete when its level is
+// reached.
 func (e *engine) imply() {
-	for i, c := range e.ctl {
-		e.gv[c] = e.assign[i]
-		e.fv[c] = e.assign[i]
-	}
-	// Constant lines are sources outside the evaluation order; their
-	// values must be pinned every pass (the arrays are reused).
-	for _, id := range e.consts {
-		v := lo
-		if e.n.Gates[id].Type == gate.Const1 {
-			v = hi
+	for l := e.lo; l <= e.hi; l++ {
+		for _, id := range e.buckets[l] {
+			e.queued[id] = false
+			e.evalGate(int(id))
 		}
-		e.gv[id] = v
-		e.fv[id] = v
+		e.buckets[l] = e.buckets[l][:0]
 	}
-	// Stem fault on a controllable line: faulty value forced.
-	if e.f.Branch < 0 {
-		if _, isCtl := e.ctlIdx[e.f.Line]; isCtl {
-			e.fv[e.f.Line] = e.f.Stuck
-		}
+	e.lo, e.hi = len(e.buckets), -1
+}
+
+// evalGate recomputes gate id and queues its fanouts if it changed.
+func (e *engine) evalGate(id int) {
+	g := &e.n.Gates[id]
+	in := g.Fanin
+	var a, b, c byte
+	switch len(in) {
+	case 3:
+		c = e.gv[in[2]]
+		fallthrough
+	case 2:
+		b = e.gv[in[1]]
+		fallthrough
+	case 1:
+		a = e.gv[in[0]]
 	}
-	for _, id := range e.order {
-		g := &e.n.Gates[id]
-		var ga, gb, gc, fa, fb, fc byte
-		switch len(g.Fanin) {
+	gv := eval3(g.Type, a, b, c)
+	fv := gv
+	if e.inCone[id] == e.coneEp {
+		switch len(in) {
 		case 3:
-			gc, fc = e.gv[g.Fanin[2]], e.faninFv(id, 2)
+			c = e.faninFv(id, 2)
 			fallthrough
 		case 2:
-			gb, fb = e.gv[g.Fanin[1]], e.faninFv(id, 1)
+			b = e.faninFv(id, 1)
 			fallthrough
 		case 1:
-			ga, fa = e.gv[g.Fanin[0]], e.faninFv(id, 0)
+			a = e.faninFv(id, 0)
 		}
-		e.gv[id] = eval3(g.Type, ga, gb, gc)
-		e.fv[id] = eval3(g.Type, fa, fb, fc)
-		if e.f.Branch < 0 && id == e.f.Line {
-			e.fv[id] = e.f.Stuck
+		fv = eval3(g.Type, a, b, c)
+		if id == e.stem {
+			fv = e.f.Stuck
 		}
+	}
+	if gv != e.gv[id] || fv != e.fv[id] {
+		e.gv[id], e.fv[id] = gv, fv
+		e.queueFanouts(id)
 	}
 }
 
 // faninFv returns the faulty value of a fanin as seen by gate id (with
 // branch-fault corruption).
 func (e *engine) faninFv(id, branch int) byte {
-	if e.f.Branch == branch && e.f.Line == id {
+	if id == e.victim && branch == e.f.Branch {
 		return e.f.Stuck
 	}
 	return e.fv[e.n.Gates[id].Fanin[branch]]
 }
 
 // detected reports whether a D or D' has reached an observable line.
+// Outside the cone the faulty circuit equals the good one, so only the
+// cone's observables can show a difference.
 func (e *engine) detected() bool {
-	for line := range e.obs {
+	for _, line := range e.coneObs {
 		if e.gv[line] != xx && e.fv[line] != xx && e.gv[line] != e.fv[line] {
 			return true
 		}
 	}
 	// Branch fault victimizing a DFF: the corrupted capture is directly
 	// observable through the scan chain.
-	if e.victimDFF {
-		if g := e.gv[e.site]; g != xx && g != e.f.Stuck {
-			return true
-		}
-	}
-	return false
+	return e.victimDFF && e.activated()
 }
 
 // activated reports whether the fault site carries a definite discrepancy.
@@ -338,16 +548,16 @@ func (e *engine) activationImpossible() bool {
 	return e.gv[e.site] == e.f.Stuck
 }
 
-// dFrontier lists gates with an undetermined output and a D on some fanin.
+// dFrontier lists gates with an undetermined output and a D on some
+// fanin, in evaluation order. A gate with a D on a fanin is in the cone.
 func (e *engine) dFrontier() []int {
-	var out []int
-	for _, id := range e.order {
+	out := e.frontier[:0]
+	for _, id := range e.cone[e.coneGates:] {
 		if e.gv[id] != xx && e.fv[id] != xx {
 			continue
 		}
-		g := &e.n.Gates[id]
-		for b := range g.Fanin {
-			fg := e.gv[g.Fanin[b]]
+		for b, in := range e.n.Gates[id].Fanin {
+			fg := e.gv[in]
 			ff := e.faninFv(id, b)
 			if fg != xx && ff != xx && fg != ff {
 				out = append(out, id)
@@ -355,46 +565,52 @@ func (e *engine) dFrontier() []int {
 			}
 		}
 	}
+	e.frontier = out
 	return out
 }
 
 // xPathExists checks whether an X-path leads from any frontier gate to an
-// observable line.
+// observable line. The walk stays inside the cone: it leaves a gate only
+// through its combinational fanouts, and a line feeding a DFF is itself
+// observable.
 func (e *engine) xPathExists(frontier []int) bool {
-	seen := make(map[int]bool)
-	var stack []int
-	for _, id := range frontier {
-		stack = append(stack, id)
+	e.seenEp++
+	if e.seenEp == 0 { // the stamps wrapped: forget every old one
+		clear(e.seen)
+		e.seenEp = 1
 	}
+	stack := append(e.dfs[:0], frontier...)
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[id] {
+		if e.seen[id] == e.seenEp {
 			continue
 		}
-		seen[id] = true
-		if e.obs[id] {
+		e.seen[id] = e.seenEp
+		if e.isObs[id] {
+			e.dfs = stack
 			return true
 		}
-		for _, fo := range e.fanouts[id] {
-			if e.gv[fo] == xx || e.fv[fo] == xx {
-				stack = append(stack, fo)
+		for _, s := range e.fo[id] {
+			if e.gv[s] == xx || e.fv[s] == xx {
+				stack = append(stack, s)
 			}
 		}
 	}
+	e.dfs = stack
 	return false
 }
 
 // objective returns the next (line, value) goal, or ok=false when no useful
-// objective exists (dead end).
-func (e *engine) objective() (line int, val byte, ok bool) {
+// objective exists (dead end). frontier is the current D-frontier; it is
+// only consulted once the fault is activated.
+func (e *engine) objective(frontier []int) (line int, val byte, ok bool) {
 	if !e.activated() {
 		if e.gv[e.site] == xx {
 			return e.site, inv3(e.f.Stuck), true // want complement of stuck
 		}
 		return 0, 0, false
 	}
-	frontier := e.dFrontier()
 	if len(frontier) == 0 {
 		return 0, 0, false
 	}
@@ -409,7 +625,7 @@ func (e *engine) objective() (line int, val byte, ok bool) {
 	// Set an X fanin to the non-controlling value.
 	pick := func(want byte) (int, byte, bool) {
 		for b, f := range g.Fanin {
-			if e.gv[f] == xx && !(e.f.Branch == b && e.f.Line == best) {
+			if e.gv[f] == xx && !(b == e.f.Branch && best == e.victim) {
 				return f, want, true
 			}
 		}
@@ -450,7 +666,7 @@ func (e *engine) objective() (line int, val byte, ok bool) {
 // backtrace walks an objective back to an unassigned controllable line.
 func (e *engine) backtrace(line int, val byte) (ctlLine int, ctlVal byte, ok bool) {
 	for steps := 0; steps < 4*len(e.n.Gates)+8; steps++ {
-		if _, isCtl := e.ctlIdx[line]; isCtl {
+		if e.ctlIdx[line] >= 0 {
 			if e.gv[line] != xx {
 				return 0, 0, false // already assigned: conflict
 			}
@@ -548,13 +764,8 @@ type decision struct {
 
 // podem runs the PODEM search for fault f.
 func (e *engine) podem(f gate.Fault, backtrackLimit int) outcome {
-	e.f = f
-	e.site = e.n.FaultSite(f)
-	e.victimDFF = f.Branch >= 0 && e.n.Gates[f.Line].Type == gate.DFF
-	for i := range e.assign {
-		e.assign[i] = xx
-	}
-	var stack []decision
+	e.reset(f)
+	e.stack = e.stack[:0]
 	backtracks, implications := 0, 0
 	defer func() {
 		e.cBacktracks.Add(int64(backtracks))
@@ -566,11 +777,14 @@ func (e *engine) podem(f gate.Fault, backtrackLimit int) outcome {
 		if e.detected() {
 			return outDetected
 		}
+		// A DFF victim is detected as soon as it is activated, so past
+		// this point an activated fault has a D-frontier to work on.
+		var frontier []int
 		fail := false
 		if e.activationImpossible() {
 			fail = true
 		} else if e.activated() && !e.victimDFF {
-			frontier := e.dFrontier()
+			frontier = e.dFrontier()
 			if len(frontier) == 0 || !e.xPathExists(frontier) {
 				fail = true
 			}
@@ -579,7 +793,7 @@ func (e *engine) podem(f gate.Fault, backtrackLimit int) outcome {
 		var objVal byte
 		if !fail {
 			var ok bool
-			objLine, objVal, ok = e.objective()
+			objLine, objVal, ok = e.objective(frontier)
 			if !ok {
 				fail = true
 			}
@@ -596,17 +810,17 @@ func (e *engine) podem(f gate.Fault, backtrackLimit int) outcome {
 		if fail {
 			// Backtrack: flip the most recent unflipped decision.
 			flipped := false
-			for len(stack) > 0 {
-				top := &stack[len(stack)-1]
+			for len(e.stack) > 0 {
+				top := &e.stack[len(e.stack)-1]
 				if !top.flipped {
 					top.flipped = true
-					e.assign[top.ctl] ^= 1
+					e.set(top.ctl, e.assign[top.ctl]^1)
 					flipped = true
 					backtracks++
 					break
 				}
-				e.assign[top.ctl] = xx
-				stack = stack[:len(stack)-1]
+				e.set(top.ctl, xx)
+				e.stack = e.stack[:len(e.stack)-1]
 			}
 			if !flipped {
 				return outUntestable
@@ -616,34 +830,30 @@ func (e *engine) podem(f gate.Fault, backtrackLimit int) outcome {
 			}
 			continue
 		}
-		ci := e.ctlIdx[ctlLine]
-		e.assign[ci] = ctlVal
-		stack = append(stack, decision{ctl: ci})
+		ci := int(e.ctlIdx[ctlLine])
+		e.set(ci, ctlVal)
+		e.stack = append(e.stack, decision{ctl: ci})
 	}
 }
 
 // extractPattern converts the current assignment into a concrete pattern,
-// randomly filling don't-cares.
+// randomly filling don't-cares. The assignment lists PIs first, then DFF
+// outputs, in the pattern's own order.
 func (e *engine) extractPattern(rng *splitMix) gate.Pattern {
-	pis := e.n.PIs()
-	dffs := e.n.DFFs()
-	p := gate.Pattern{PI: make([]byte, len(pis))}
-	if len(dffs) > 0 {
-		p.State = make([]byte, len(dffs))
+	nPI := len(e.n.PIs())
+	p := gate.Pattern{PI: make([]byte, nPI)}
+	if nFF := len(e.ctl) - nPI; nFF > 0 {
+		p.State = make([]byte, nFF)
 	}
-	for i, line := range pis {
-		v := e.assign[e.ctlIdx[line]]
+	for i, v := range e.assign {
 		if v == xx {
 			v = byte(rng.next() & 1)
 		}
-		p.PI[i] = v
-	}
-	for i, line := range dffs {
-		v := e.assign[e.ctlIdx[line]]
-		if v == xx {
-			v = byte(rng.next() & 1)
+		if i < nPI {
+			p.PI[i] = v
+		} else {
+			p.State[i-nPI] = v
 		}
-		p.State[i] = v
 	}
 	return p
 }

@@ -1,13 +1,13 @@
 // Package fsim performs single-stuck-at fault simulation on gate-level
 // netlists: combinational (full-scan, parallel-pattern serial-fault with
-// fault dropping and fanout-cone-limited evaluation) and sequential
+// fault dropping and event-driven evaluation) and sequential
 // (parallel-fault, time-frame) modes. It supplies the fault coverage and
 // test efficiency numbers of the paper's Table 3.
 package fsim
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"repro/internal/gate"
 )
@@ -177,106 +177,147 @@ func (r *Result) Coverage() float64 {
 	return 100 * float64(r.Detected) / float64(r.Total)
 }
 
-// coneSim holds the cone-limited serial-fault evaluator state shared
-// across faults within one pattern batch.
-type coneSim struct {
-	n       *gate.Netlist
-	order   []int
-	topoPos []int
-	fanouts [][]int
-	isObs   []bool // POs and DFF data inputs
-	good    []uint64
-	fv      []uint64
-	epoch   []uint32
-	curEp   uint32
-	cones   map[int][]int // root line -> cone in topological order
+// Simulator fault-simulates full-scan patterns on one netlist. It is
+// built once per netlist and reused across calls: the good-machine
+// simulator, the levelized event queue and the faulty-value buffers
+// persist, and every call leaves them ready for the next. A Simulator
+// is not safe for concurrent use.
+//
+// Faults are simulated serially against 64 pattern lanes. A fault's
+// divergence from the good machine propagates by events, level by level,
+// and only while it differs from the good value in a lane that can still
+// change the answer: a lane loaded with a pattern and below the lowest
+// lane already known to detect the fault. Gates the divergence never
+// reaches keep their good value, so no per-fault cone is built.
+type Simulator struct {
+	n     *gate.Netlist
+	good  *gate.Sim
+	level []int32
+	// Combinational fanouts: a DFF's corrupted data input is already an
+	// observation point, so propagation stops there.
+	fo    [][]int
+	isObs []bool // POs and DFF data inputs (scan capture)
+	// fv[i] is line i's faulty value while epoch[i] == cur; any other
+	// line reads its good value.
+	fv     []uint64
+	epoch  []uint32
+	queued []uint32 // gate i is in buckets[level[i]] while queued[i] == cur
+	cur    uint32
+	// buckets[l] holds the gates of level l waiting for evaluation, none
+	// above level hi; all are empty between faults.
+	buckets [][]int32
+	hi      int
+	pending []int // fault indices still undetected (reused by Detect)
 }
 
-func newConeSim(n *gate.Netlist) (*coneSim, error) {
-	order, err := n.Order()
+// NewSimulator builds a simulator for n.
+func NewSimulator(n *gate.Netlist) (*Simulator, error) {
+	good, err := gate.NewSim(n)
 	if err != nil {
 		return nil, err
 	}
-	cs := &coneSim{
-		n:       n,
-		order:   order,
-		topoPos: make([]int, len(n.Gates)),
-		fanouts: n.Fanouts(),
-		isObs:   make([]bool, len(n.Gates)),
-		fv:      make([]uint64, len(n.Gates)),
-		epoch:   make([]uint32, len(n.Gates)),
-		cones:   make(map[int][]int),
+	lv, err := n.Levels()
+	if err != nil {
+		return nil, err
 	}
-	for i := range cs.topoPos {
-		cs.topoPos[i] = -1
+	s := &Simulator{
+		n:      n,
+		good:   good,
+		level:  make([]int32, len(n.Gates)),
+		fo:     n.CombFanouts(),
+		isObs:  make([]bool, len(n.Gates)),
+		fv:     make([]uint64, len(n.Gates)),
+		epoch:  make([]uint32, len(n.Gates)),
+		queued: make([]uint32, len(n.Gates)),
 	}
-	for pos, id := range order {
-		cs.topoPos[id] = pos
+	top := 0
+	for i, l := range lv {
+		s.level[i] = int32(l)
+		top = max(top, l)
 	}
+	s.buckets = make([][]int32, top+1)
 	for _, po := range n.POs {
-		cs.isObs[po] = true
+		s.isObs[po] = true
 	}
 	for _, d := range n.DFFs() {
-		cs.isObs[n.Gates[d].Fanin[0]] = true
+		s.isObs[n.Gates[d].Fanin[0]] = true
 	}
-	return cs, nil
+	return s, nil
 }
 
-// cone returns the forward cone of root (root first, then topologically
-// ordered combinational successors). Propagation stops at DFFs: their
-// corrupted data input is already an observation point.
-func (cs *coneSim) cone(root int) []int {
-	if c, ok := cs.cones[root]; ok {
-		return c
+// Detect fault-simulates pats against every fault i with by[i] < 0, with
+// fault dropping, and sets by[i] to the index of the first pattern that
+// detects faults[i]. Entries already >= 0 are skipped. It returns the
+// number of faults newly detected. by must have one entry per fault.
+//
+// Pattern PI values drive the Input lines and State values the DFF
+// outputs (scan-in); detection is observed on POs and on DFF data inputs
+// (scan capture).
+func (s *Simulator) Detect(pats []gate.Pattern, faults []gate.Fault, by []int) (int, error) {
+	if len(by) != len(faults) {
+		panic(fmt.Sprintf("fsim: Detect got %d result slots for %d faults", len(by), len(faults)))
 	}
-	seen := map[int]bool{root: true}
-	stack := []int{root}
-	var members []int
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		members = append(members, id)
-		for _, fo := range cs.fanouts[id] {
-			if seen[fo] || cs.n.Gates[fo].Type == gate.DFF {
-				continue
-			}
-			seen[fo] = true
-			stack = append(stack, fo)
+	pending := s.pending[:0]
+	for i, b := range by {
+		if b < 0 {
+			pending = append(pending, i)
 		}
 	}
-	// Topological order (root may be a source with pos -1; keep it first).
-	rest := members[1:]
-	sort.Slice(rest, func(i, j int) bool { return cs.topoPos[rest[i]] < cs.topoPos[rest[j]] })
-	cs.cones[root] = members
-	return members
-}
-
-// value reads the faulty value of a line under the current epoch.
-func (cs *coneSim) value(line int) uint64 {
-	if cs.epoch[line] == cs.curEp {
-		return cs.fv[line]
+	s.pending = pending // dropping filters in place; keep the buffer
+	found := 0
+	for base := 0; base < len(pats) && len(pending) > 0; base += 64 {
+		k, err := s.good.ApplyPatterns(pats[base:min(base+64, len(pats))])
+		if err != nil {
+			return found, err
+		}
+		lanes := ^uint64(0)
+		if k < 64 {
+			lanes = uint64(1)<<uint(k) - 1
+		}
+		s.good.Eval()
+		still := pending[:0]
+		for _, fi := range pending {
+			if diff := s.simulate(faults[fi], lanes); diff != 0 {
+				by[fi] = base + bits.TrailingZeros64(diff)
+				found++
+			} else {
+				still = append(still, fi)
+			}
+		}
+		pending = still
 	}
-	return cs.good[line]
+	return found, nil
 }
 
-func (cs *coneSim) set(line int, v uint64) {
-	cs.fv[line] = v
-	cs.epoch[line] = cs.curEp
+// stuckWord is the value of a line stuck at v in every lane.
+func stuckWord(v byte) uint64 {
+	if v == 0 {
+		return 0
+	}
+	return ^uint64(0)
 }
 
-// evalFaulty evaluates one gate using faulty-aware fanin values.
-func (cs *coneSim) evalFaulty(id int) uint64 {
-	g := &cs.n.Gates[id]
+// value reads the faulty value of a line for the current fault.
+func (s *Simulator) value(line int) uint64 {
+	if s.epoch[line] == s.cur {
+		return s.fv[line]
+	}
+	return s.good.Val[line]
+}
+
+// eval evaluates combinational gate id on faulty fanin values.
+func (s *Simulator) eval(id int) uint64 {
+	g := &s.n.Gates[id]
 	var a, b, c uint64
 	switch len(g.Fanin) {
 	case 3:
-		c = cs.value(g.Fanin[2])
+		c = s.value(g.Fanin[2])
 		fallthrough
 	case 2:
-		b = cs.value(g.Fanin[1])
+		b = s.value(g.Fanin[1])
 		fallthrough
 	case 1:
-		a = cs.value(g.Fanin[0])
+		a = s.value(g.Fanin[0])
 	}
 	switch g.Type {
 	case gate.Buf:
@@ -298,126 +339,108 @@ func (cs *coneSim) evalFaulty(id int) uint64 {
 	case gate.Mux:
 		return (a &^ c) | (b & c)
 	default:
-		return cs.good[id]
+		return s.good.Val[id]
 	}
 }
 
-func force(v uint64, stuck byte) uint64 {
-	if stuck == 0 {
+// diverge records faulty value v on line id and queues its fanouts.
+func (s *Simulator) diverge(id int, v uint64) {
+	s.fv[id], s.epoch[id] = v, s.cur
+	for _, f := range s.fo[id] {
+		if s.queued[f] != s.cur {
+			s.queued[f] = s.cur
+			l := int(s.level[f])
+			s.buckets[l] = append(s.buckets[l], int32(f))
+			s.hi = max(s.hi, l)
+		}
+	}
+}
+
+// simulate evaluates fault f against the current good values and returns
+// the lanes of mask in which it is detected, down to the lowest one:
+// lanes above a detecting lane stop being tracked.
+func (s *Simulator) simulate(f gate.Fault, mask uint64) uint64 {
+	s.cur++
+	if s.cur == 0 { // the stamps wrapped: forget every old one
+		clear(s.epoch)
+		clear(s.queued)
+		s.cur = 1
+	}
+	good := s.good.Val
+	root := f.Line
+	var v uint64
+	if f.Branch < 0 {
+		v = stuckWord(f.Stuck)
+	} else {
+		g := &s.n.Gates[root]
+		if g.Type == gate.DFF {
+			// Corrupted scan capture, observed directly.
+			return (good[g.Fanin[0]] ^ stuckWord(f.Stuck)) & mask
+		}
+		// The victim gate sees a corrupted fanin.
+		fan := g.Fanin[f.Branch]
+		saved := good[fan]
+		good[fan] = stuckWord(f.Stuck)
+		v = s.eval(root)
+		good[fan] = saved
+	}
+	d := (v ^ good[root]) & mask
+	if d == 0 {
 		return 0
 	}
-	_ = v
-	return ^uint64(0)
-}
-
-// simulate evaluates fault f against the current good values, returning
-// the lanes in which it is detected.
-func (cs *coneSim) simulate(f gate.Fault) uint64 {
-	cs.curEp++
-	var root int
 	var diff uint64
-	if f.Branch < 0 {
-		root = f.Line
-		faulty := force(cs.good[root], f.Stuck)
-		if faulty == cs.good[root] {
-			return 0 // never excited in any lane? (only when good is constant)
+	if s.isObs[root] {
+		diff = d
+		if mask &= lowBelow(d); mask == 0 {
+			return diff
 		}
-		cs.set(root, faulty)
-	} else {
-		// Branch fault: the victim gate sees a corrupted fanin.
-		root = f.Line
-		if cs.n.Gates[root].Type == gate.DFF {
-			// Corrupted scan capture, observed directly.
-			goodCap := cs.good[cs.n.Gates[root].Fanin[0]]
-			return goodCap ^ force(goodCap, f.Stuck)
-		}
-		g := &cs.n.Gates[root]
-		fan := g.Fanin[f.Branch]
-		saved := cs.good[fan]
-		cs.good[fan] = force(saved, f.Stuck)
-		v := cs.evalFaulty(root)
-		cs.good[fan] = saved
-		if v == cs.good[root] {
-			return 0
-		}
-		cs.set(root, v)
 	}
-	members := cs.cone(root)
-	if cs.isObs[root] {
-		diff |= cs.value(root) ^ cs.good[root]
-	}
-	for _, id := range members[1:] {
-		v := cs.evalFaulty(id)
-		if v == cs.good[id] {
-			continue // no divergence; downstream reads good value anyway
+	s.hi = 0
+	s.diverge(root, v)
+	for l := int(s.level[root]) + 1; l <= s.hi; l++ {
+		for _, id := range s.buckets[l] {
+			v := s.eval(int(id))
+			d := (v ^ good[id]) & mask
+			if d == 0 {
+				continue
+			}
+			if s.isObs[id] {
+				diff |= d
+				if mask &= lowBelow(d); mask == 0 {
+					break
+				}
+			}
+			s.diverge(int(id), v)
 		}
-		cs.set(id, v)
-		if cs.isObs[id] {
-			diff |= v ^ cs.good[id]
+		s.buckets[l] = s.buckets[l][:0]
+		if mask == 0 {
+			for l++; l <= s.hi; l++ {
+				s.buckets[l] = s.buckets[l][:0]
+			}
 		}
 	}
 	return diff
 }
 
-// Combinational fault-simulates full-scan patterns: pattern PI values
-// drive the Input lines, pattern State values drive DFF outputs (scan-in),
-// and detection is observed on POs and on DFF data inputs (scan capture).
-// Patterns run in 64-lane batches; faults are simulated serially with
-// dropping, each evaluating only its fanout cone.
+// lowBelow returns the lanes below the lowest set lane of d.
+func lowBelow(d uint64) uint64 { return d&-d - 1 }
+
+// Combinational fault-simulates full-scan patterns on a fresh Simulator
+// (see Simulator.Detect for the observation model). Patterns run in
+// 64-lane batches; faults are simulated serially with dropping.
 func Combinational(n *gate.Netlist, pats []gate.Pattern, faults []gate.Fault) (*Result, error) {
+	s, err := NewSimulator(n)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{Total: len(faults), DetectedBy: make([]int, len(faults))}
 	for i := range res.DetectedBy {
 		res.DetectedBy[i] = -1
 	}
-	good, err := gate.NewSim(n)
-	if err != nil {
+	if res.Detected, err = s.Detect(pats, faults, res.DetectedBy); err != nil {
 		return nil, err
-	}
-	cs, err := newConeSim(n)
-	if err != nil {
-		return nil, err
-	}
-	remaining := make([]int, 0, len(faults))
-	for i := range faults {
-		remaining = append(remaining, i)
-	}
-	for base := 0; base < len(pats) && len(remaining) > 0; base += 64 {
-		batch := pats[base:]
-		if len(batch) > 64 {
-			batch = batch[:64]
-		}
-		k, err := good.ApplyPatterns(batch)
-		if err != nil {
-			return nil, err
-		}
-		laneMask := ^uint64(0)
-		if k < 64 {
-			laneMask = (uint64(1) << uint(k)) - 1
-		}
-		good.Eval()
-		cs.good = good.Val
-		cs.curEp++ // invalidate any faulty values from the prior batch
-		still := remaining[:0]
-		for _, fi := range remaining {
-			if diff := cs.simulate(faults[fi]) & laneMask; diff != 0 {
-				res.Detected++
-				res.DetectedBy[fi] = base + lowestLane(diff)
-			} else {
-				still = append(still, fi)
-			}
-		}
-		remaining = still
 	}
 	return res, nil
-}
-
-func lowestLane(w uint64) int {
-	for i := 0; i < 64; i++ {
-		if w&(1<<uint(i)) != 0 {
-			return i
-		}
-	}
-	return 0
 }
 
 // Stimulus is a sequential input stream: Cycles[c][i] is the value (0/1)

@@ -216,3 +216,54 @@ func TestBranchFaultLaneIsolation(t *testing.T) {
 		t.Errorf("fault 1 detected at cycle %d, want 0", res.DetectedBy[1])
 	}
 }
+
+func TestCombinationalRejectsBadInput(t *testing.T) {
+	n := xorChain()
+	if _, err := Combinational(n, []gate.Pattern{{PI: []byte{1}}}, n.Faults()); err == nil {
+		t.Error("pattern with 1 PI value accepted for a 3-PI netlist")
+	}
+	cyc := &gate.Netlist{Name: "cyc"}
+	a := cyc.Add(gate.Input)
+	g1 := cyc.Add(gate.And, a, a)
+	g2 := cyc.Add(gate.Or, g1, a)
+	cyc.Gates[g1].Fanin[1] = g2
+	cyc.MarkPO(g2, "z")
+	if _, err := Combinational(cyc, nil, cyc.Faults()); err == nil {
+		t.Error("combinational cycle accepted")
+	}
+}
+
+func TestSimulatorSurvivesStampWrap(t *testing.T) {
+	// The per-fault stamps wrap around after 2^32 faults. Start fresh
+	// simulators just below the wrap so that it lands on each fault in
+	// turn; every one must agree with a simulator far from it.
+	n := xorChain()
+	var pats []gate.Pattern
+	for v := 0; v < 8; v++ {
+		pats = append(pats, gate.Pattern{PI: []byte{byte(v & 1), byte(v >> 1 & 1), byte(v >> 2 & 1)}})
+	}
+	faults := n.Faults()
+	want, err := Combinational(n, pats, faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off <= len(faults); off++ {
+		s, err := NewSimulator(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.cur = ^uint32(0) - uint32(off)
+		by := make([]int, len(faults))
+		for i := range by {
+			by[i] = -1
+		}
+		if _, err := s.Detect(pats, faults, by); err != nil {
+			t.Fatal(err)
+		}
+		for i := range by {
+			if by[i] != want.DetectedBy[i] {
+				t.Fatalf("wrap at fault %d: fault %v first detected by %d, want %d", off, faults[i], by[i], want.DetectedBy[i])
+			}
+		}
+	}
+}

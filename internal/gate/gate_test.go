@@ -292,6 +292,26 @@ func TestLevels(t *testing.T) {
 	}
 }
 
+func TestCombFanoutsSkipDFFs(t *testing.T) {
+	// a feeds an inverter and a DFF; only the inverter is a
+	// combinational fanout.
+	n := &Netlist{Name: "fo"}
+	a := n.Add(Input)
+	inv := n.Add(Inv, a)
+	d := n.Add(DFF, a)
+	and := n.Add(And, inv, d)
+	fo := n.CombFanouts()
+	if len(fo[a]) != 1 || fo[a][0] != inv {
+		t.Errorf("fanouts of a = %v, want [%d]", fo[a], inv)
+	}
+	if len(fo[d]) != 1 || fo[d][0] != and {
+		t.Errorf("fanouts of the DFF = %v, want [%d]", fo[d], and)
+	}
+	if all := n.Fanouts(); len(all[a]) != 2 {
+		t.Errorf("Fanouts of a = %v, want the inverter and the DFF", all[a])
+	}
+}
+
 func TestStatsAndArea(t *testing.T) {
 	n, _, _ := fullAdder()
 	st := n.Stats()

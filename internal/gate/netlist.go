@@ -289,6 +289,21 @@ func (n *Netlist) Fanouts() [][]int {
 	return fo
 }
 
+// CombFanouts returns, for each line, the combinational gates it feeds:
+// Fanouts without the DFFs, whose data input belongs to the next cycle.
+func (n *Netlist) CombFanouts() [][]int {
+	fo := make([][]int, len(n.Gates))
+	for i, g := range n.Gates {
+		if g.Type == DFF {
+			continue
+		}
+		for _, f := range g.Fanin {
+			fo[f] = append(fo[f], i)
+		}
+	}
+	return fo
+}
+
 // Area returns the library-cell area of the netlist.
 func (n *Netlist) Area() cell.Area {
 	var a cell.Area

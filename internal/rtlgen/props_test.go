@@ -1,6 +1,7 @@
 package rtlgen
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/atpg"
@@ -269,8 +270,12 @@ func TestPODEMSoundAndComplete(t *testing.T) {
 	t.Logf("cross-checked PODEM against exhaustive simulation on %d cores", checked)
 }
 
-// Property: the cone-limited combinational fault simulator agrees with a
-// brute-force full-evaluation reference on random circuits and patterns.
+// Property: the event-driven combinational fault simulator agrees with a
+// brute-force full-evaluation reference on random circuits and patterns,
+// down to the first detecting pattern of every fault. Pattern counts of
+// 1, 24, 64 and 100 cover partial, full and multi-batch lane masks; one
+// simulator serves every run on a netlist, so state leaking from one call
+// into the next fails the comparison.
 func TestFaultSimAgreesWithBruteForce(t *testing.T) {
 	for _, c := range Many(8, 600) {
 		sr, err := synth.Synthesize(c)
@@ -281,7 +286,7 @@ func TestFaultSimAgreesWithBruteForce(t *testing.T) {
 		// Random patterns.
 		r := rng{s: 31}
 		var pats []gate.Pattern
-		for k := 0; k < 24; k++ {
+		for k := 0; k < 100; k++ {
 			p := gate.Pattern{PI: make([]byte, len(n.PIs()))}
 			if len(n.DFFs()) > 0 {
 				p.State = make([]byte, len(n.DFFs()))
@@ -295,29 +300,50 @@ func TestFaultSimAgreesWithBruteForce(t *testing.T) {
 			pats = append(pats, p)
 		}
 		faults := n.Faults()
-		fast, err := fsim.Combinational(n, pats, faults)
+		sim, err := fsim.NewSimulator(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow := bruteForce(t, n, pats, faults)
-		for i := range faults {
-			if (fast.DetectedBy[i] >= 0) != slow[i] {
-				t.Errorf("%s: fault %v: cone-sim detected=%v, brute-force=%v",
-					c.Name, faults[i], fast.DetectedBy[i] >= 0, slow[i])
+		for _, k := range []int{100, 1, 64, 24, 1} {
+			by := make([]int, len(faults))
+			for i := range by {
+				by[i] = -1
+			}
+			found, err := sim.Detect(pats[:k], faults, by)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := bruteForce(t, n, pats[:k], faults)
+			detected := 0
+			for i := range faults {
+				if by[i] != want[i] {
+					t.Errorf("%s, %d patterns: fault %v: first detected by pattern %d, brute force says %d",
+						c.Name, k, faults[i], by[i], want[i])
+				}
+				if want[i] >= 0 {
+					detected++
+				}
+			}
+			if found != detected {
+				t.Errorf("%s, %d patterns: Detect reports %d new detections, brute force %d", c.Name, k, found, detected)
 			}
 		}
 	}
 }
 
-// bruteForce detects faults by full netlist evaluation per fault/pattern
-// using gate.InjectedSim (a third, independent evaluator).
-func bruteForce(t *testing.T, n *gate.Netlist, pats []gate.Pattern, faults []gate.Fault) []bool {
+// bruteForce finds each fault's first detecting pattern (-1 if none) by
+// full netlist evaluation per fault and pattern batch using
+// gate.InjectedSim (a third, independent evaluator).
+func bruteForce(t *testing.T, n *gate.Netlist, pats []gate.Pattern, faults []gate.Fault) []int {
 	t.Helper()
 	good, err := gate.NewSim(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	det := make([]bool, len(faults))
+	det := make([]int, len(faults))
+	for i := range det {
+		det[i] = -1
+	}
 	dffs := n.DFFs()
 	for base := 0; base < len(pats); base += 64 {
 		batch := pats[base:]
@@ -339,7 +365,7 @@ func bruteForce(t *testing.T, n *gate.Netlist, pats []gate.Pattern, faults []gat
 			goodCap[i] = good.Val[n.Gates[d].Fanin[0]]
 		}
 		for fi, f := range faults {
-			if det[fi] {
+			if det[fi] >= 0 {
 				continue
 			}
 			bad, err := gate.NewInjectedSim(n, f, ^uint64(0))
@@ -367,7 +393,7 @@ func bruteForce(t *testing.T, n *gate.Netlist, pats []gate.Pattern, faults []gat
 				diff |= (cap ^ goodCap[i]) & mask
 			}
 			if diff != 0 {
-				det[fi] = true
+				det[fi] = base + bits.TrailingZeros64(diff)
 			}
 		}
 	}

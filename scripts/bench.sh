@@ -44,11 +44,12 @@ fi
 
 # The tracked suite: the enumeration benches (serial/parallel/cached),
 # the generated-chip scaling ladder, the wrapped-core/TAM evaluator, the
-# degradation campaign, and the obs overhead micro-benches. One raw
+# degradation campaign, ATPG (GCD), fault simulation (CPU) and
+# reverse-order compaction, and the obs overhead micro-benches. One raw
 # stream; pkg: headers keep names unambiguous.
 echo "==> bench suite (-benchtime $BT)"
 go test -run '^$' -bench 'BenchmarkEnumerate' -benchmem -benchtime "$BT" ./internal/explore/ | tee "$RAW"
-go test -run '^$' -bench 'BenchmarkGeneratedChip|BenchmarkWrappedChip|BenchmarkDegradationCampaign' -benchmem -benchtime "$BT" . | tee -a "$RAW"
+go test -run '^$' -bench 'BenchmarkGeneratedChip|BenchmarkWrappedChip|BenchmarkDegradationCampaign|BenchmarkATPGGCD|BenchmarkFaultSimCPU|BenchmarkAblationCompaction' -benchmem -benchtime "$BT" . | tee -a "$RAW"
 go test -run '^$' -bench '.' -benchmem -benchtime "$BT" ./internal/obs/ | tee -a "$RAW"
 
 # Latest committed snapshot, if any (BENCH_10 sorts after BENCH_9).

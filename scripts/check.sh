@@ -44,6 +44,9 @@ go test -fuzz=FuzzJobSpec -fuzztime=10s -run '^$' ./internal/serve/job/
 echo "==> go test -fuzz=FuzzTAMAssign (10s smoke)"
 go test -fuzz=FuzzTAMAssign -fuzztime=10s -run '^$' ./internal/wrap/
 
+echo "==> go test -fuzz=FuzzImply (10s smoke)"
+go test -fuzz=FuzzImply -fuzztime=10s -run '^$' ./internal/atpg/
+
 echo "==> crash-resume smoke (scripts/crashsmoke.sh)"
 sh scripts/crashsmoke.sh
 
