@@ -285,6 +285,16 @@ func (g *Graph) rebuildOut() {
 	}
 }
 
+// InEdges returns, per node, the IDs of the edges entering it in ID
+// order: the reverse of Out, built on each call.
+func (g *Graph) InEdges() [][]int {
+	in := make([][]int, len(g.Nodes))
+	for _, e := range g.Edges {
+		in[e.To] = append(in[e.To], e.ID)
+	}
+	return in
+}
+
 // AddTestMux inserts a system-level test multiplexer edge (PI -> core
 // input, or core output -> PO) and returns it.
 func (g *Graph) AddTestMux(from, to int) *Edge {
@@ -376,28 +386,61 @@ type pqItem struct {
 	time int
 }
 
-// pq orders heap entries by (arrival time, node index). The node
+// less orders heap entries by (arrival time, node index). The node
 // tie-break matters: it makes the settle order of equal-arrival nodes a
 // pure function of their distances rather than of heap layout, which is
 // what keeps search results over unmutated graph regions bit-identical
 // across an incremental version splice (see Finder).
+func (a pqItem) less(b pqItem) bool {
+	if a.time != b.time {
+		return a.time < b.time
+	}
+	return a.node < b.node
+}
+
+// pq is a binary min-heap of pqItems. push and pop sift exactly as
+// container/heap's Push and Pop do, so the heap layout and pop order are
+// the same, without boxing every entry in an interface.
 type pq []pqItem
 
-func (p pq) Len() int { return len(p) }
-func (p pq) Less(i, j int) bool {
-	if p[i].time != p[j].time {
-		return p[i].time < p[j].time
+func (p *pq) push(it pqItem) {
+	h := append(*p, it)
+	j := len(h) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !it.less(h[i]) {
+			break
+		}
+		h[j] = h[i]
+		j = i
 	}
-	return p[i].node < p[j].node
+	h[j] = it
+	*p = h
 }
-func (p pq) Swap(i, j int)       { p[i], p[j] = p[j], p[i] }
-func (p *pq) Push(x interface{}) { *p = append(*p, x.(pqItem)) }
-func (p *pq) Pop() interface{} {
-	old := *p
-	n := len(old)
-	it := old[n-1]
-	*p = old[:n-1]
-	return it
+
+// pop removes and returns the minimum entry; the heap must be non-empty.
+func (p *pq) pop() pqItem {
+	h := *p
+	n := len(h) - 1
+	top, it := h[0], h[n]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].less(h[j]) {
+			j = j2
+		}
+		if !h[j].less(it) {
+			break
+		}
+		h[i] = h[j]
+		i = j
+	}
+	h[i] = it
+	*p = h[:n]
+	return top
 }
 
 // ReservePath books every step of the path.

@@ -1,7 +1,6 @@
 package ccg
 
 import (
-	"container/heap"
 	"sync"
 
 	"repro/internal/obs"
@@ -122,12 +121,12 @@ func (f *Finder) search(g *Graph, sources []int, targets []int, resv Reservation
 	for _, s := range sources {
 		if f.distAt(s) > 0 {
 			f.setDist(s, 0, -1, 0)
-			heap.Push(&f.h, pqItem{s, 0})
+			f.h.push(pqItem{s, 0})
 		}
 	}
 	relaxations := int64(0)
-	for f.h.Len() > 0 && remaining > 0 {
-		it := heap.Pop(&f.h).(pqItem)
+	for len(f.h) > 0 && remaining > 0 {
+		it := f.h.pop()
 		if it.time > f.dist[it.node] || f.stamp[it.node] != f.epoch {
 			continue // stale heap entry
 		}
@@ -148,7 +147,7 @@ func (f *Finder) search(g *Graph, sources []int, targets []int, resv Reservation
 			arr := start + e.Latency
 			if arr < f.distAt(e.To) {
 				f.setDist(e.To, arr, eid, start)
-				heap.Push(&f.h, pqItem{e.To, arr})
+				f.h.push(pqItem{e.To, arr})
 			}
 		}
 	}
@@ -207,4 +206,66 @@ func (g *Graph) ShortestPathMulti(sources []int, targets []int, resv Reservation
 	ps := f.ShortestPathMulti(g, sources, targets, resv)
 	finderPool.Put(f)
 	return ps
+}
+
+// DistancesFrom returns, per node, the earliest arrival from the nearest
+// node in sources when no edge is reserved — the Arrival a search from
+// sources with empty Reservations finds for that node — or -1 where no
+// path exists. One Dijkstra sweep covers every node, so callers that need
+// a reservation-free distance to many targets pay for one search, not one
+// per target.
+func (g *Graph) DistancesFrom(sources []int) []int { return g.sweep(sources, false) }
+
+// DistancesTo is DistancesFrom against the edge direction: per node, the
+// earliest arrival at the nearest node in targets (the smallest Arrival
+// of a reservation-free search from that node to any target), or -1.
+func (g *Graph) DistancesTo(targets []int) []int { return g.sweep(targets, true) }
+
+// sweep is a reservation-free multi-source Dijkstra over the whole graph,
+// relaxing out-edges, or in-edges when reverse is set. With no
+// reservations an edge entered at t always arrives at t+Latency, so the
+// distances are the ones Finder.search computes.
+func (g *Graph) sweep(seeds []int, reverse bool) []int {
+	adj := g.Out
+	if reverse {
+		adj = g.InEdges()
+	}
+	dist := make([]int, len(g.Nodes))
+	for i := range dist {
+		dist[i] = inf
+	}
+	var h pq
+	for _, s := range seeds {
+		if dist[s] > 0 {
+			dist[s] = 0
+			h.push(pqItem{s, 0})
+		}
+	}
+	relaxations := int64(0)
+	for len(h) > 0 {
+		it := h.pop()
+		if it.time > dist[it.node] {
+			continue // stale heap entry
+		}
+		for _, eid := range adj[it.node] {
+			e := g.Edges[eid]
+			v := e.To
+			if reverse {
+				v = e.From
+			}
+			relaxations++
+			if d := it.time + e.Latency; d < dist[v] {
+				dist[v] = d
+				h.push(pqItem{v, d})
+			}
+		}
+	}
+	obs.C("ccg.relaxations").Add(relaxations)
+	obs.C("ccg.searches").Inc()
+	for i, d := range dist {
+		if d == inf {
+			dist[i] = -1
+		}
+	}
+	return dist
 }

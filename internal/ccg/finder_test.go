@@ -239,3 +239,63 @@ func TestCloneWithVersionMatchesRebuild(t *testing.T) {
 		t.Error("past-the-end pristine cursor accepted")
 	}
 }
+
+// TestDistancesMatchSearch requires the whole-graph sweeps to give every
+// node the arrival of a reservation-free search: DistancesFrom(PIs)
+// against a search from the PIs to the node, DistancesTo(POs) against the
+// earliest PO a search from the node reaches, -1 where the search finds
+// nothing.
+func TestDistancesMatchSearch(t *testing.T) {
+	arrival := func(p *ccg.PathResult) int {
+		if p == nil {
+			return -1
+		}
+		return p.Arrival
+	}
+	unreached := 0
+	for _, p := range []socgen.Params{
+		{Seed: 61, Cores: 8, Topology: socgen.Chain, Memories: 1},
+		{Seed: 62, Cores: 9, Topology: socgen.Mesh},
+		{Seed: 63, Cores: 10, Topology: socgen.RandomDAG, Memories: 1},
+		{Seed: 64, Cores: 8, Topology: socgen.Hub},
+	} {
+		ch, err := socgen.Generate(p)
+		if err != nil {
+			t.Fatalf("socgen: %v", err)
+		}
+		vecs := map[string]int{}
+		for _, c := range ch.Cores {
+			vecs[c.Name] = 10
+		}
+		if _, err := core.Prepare(ch, &core.Options{VectorOverride: vecs}); err != nil {
+			t.Fatalf("prepare: %v", err)
+		}
+		g, err := ccg.Build(ch)
+		if err != nil {
+			t.Fatalf("ccg.Build: %v", err)
+		}
+		pis, pos := g.PINodes(), g.PONodes()
+		from, to := g.DistancesFrom(pis), g.DistancesTo(pos)
+		fi := ccg.NewFinder()
+		for v := range g.Nodes {
+			if want := arrival(fi.ShortestPath(g, pis, v, ccg.Reservations{})); from[v] != want {
+				t.Fatalf("%v: DistancesFrom at %s = %d, search arrives at %d", p.Topology, g.Nodes[v].Name(), from[v], want)
+			}
+			want := -1
+			for _, q := range fi.ShortestPathMulti(g, []int{v}, pos, ccg.Reservations{}) {
+				if a := arrival(q); a >= 0 && (want < 0 || a < want) {
+					want = a
+				}
+			}
+			if to[v] != want {
+				t.Fatalf("%v: DistancesTo at %s = %d, nearest PO at %d", p.Topology, g.Nodes[v].Name(), to[v], want)
+			}
+			if from[v] < 0 || to[v] < 0 {
+				unreached++
+			}
+		}
+	}
+	if unreached == 0 {
+		t.Fatal("every node reachable both ways; the -1 case is not exercised")
+	}
+}

@@ -323,7 +323,7 @@ func (f *Flow) evaluateDegraded(ctx context.Context, sel map[string]int) (*Degra
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	e, err := f.finishEvaluation(root, best.sel, best.g, best.s, best.forced, nil)
+	e, err := f.finishEvaluation(root, best.sel, best.g, best.s, best.forced)
 	if err != nil {
 		return nil, err
 	}

@@ -17,15 +17,16 @@
 //     (X.out -> POs) can only change if its source is bwd-marked.
 //
 // A core is affected when any of its inputs is fwd-marked or any of its
-// outputs is bwd-marked; an interconnect net when its driver is
-// fwd-marked or its sink is bwd-marked. Affected cores and nets are
-// recomputed exactly; unaffected ones reuse the base schedule and replay
-// their recorded test muxes so the graph evolves edge-for-edge as a full
-// run would. The Finder's (arrival, node) settle order makes search
-// results over unmutated regions bit-identical across the splice, so a
-// delta evaluation returns the same numbers AND the same schedule
-// signature as Flow.EvaluateSelection — a property the proptest
-// differential harness checks across the whole socgen corpus.
+// outputs is bwd-marked. Affected cores are recomputed exactly;
+// unaffected ones reuse the base schedule and replay their recorded test
+// muxes so the graph evolves edge-for-edge as a full run would. The
+// interconnect plan is not reused: its two whole-graph sweeps cost less
+// than working out which nets a flip could affect. The Finder's
+// (arrival, node) settle order makes search results over unmutated
+// regions bit-identical across the splice, so a delta evaluation returns
+// the same numbers AND the same schedule signature as
+// Flow.EvaluateSelection — a property the proptest differential harness
+// checks across the whole socgen corpus.
 //
 // Anything that threatens that guarantee (a recomputed core inserting
 // different muxes than the base did, a disabled core, a stale forced-mux
@@ -40,7 +41,6 @@ import (
 	"repro/internal/cell"
 	"repro/internal/obs"
 	"repro/internal/sched"
-	"repro/internal/soc"
 )
 
 // DeltaEvaluator evaluates selections against a small registry of cached
@@ -276,22 +276,7 @@ func (d *DeltaEvaluator) deltaEvaluate(ctx context.Context, b *deltaBase, change
 		return nil, 0, err
 	}
 
-	ir, err := sched.ScheduleInterconnectDelta(ch, ng, b.eval.Interconnect, func(n soc.Net) bool {
-		if d.crippleInvalidation {
-			return n.FromCore == changed || n.ToCore == changed
-		}
-		src, ok1 := ng.NodeIndex(n.FromCore + "." + n.FromPort)
-		sink, ok2 := ng.NodeIndex(n.ToCore + "." + n.ToPort)
-		if !ok1 || !ok2 {
-			return true
-		}
-		return fwd[src] || bwd[sink]
-	})
-	if err != nil {
-		return nil, 0, nil
-	}
-
-	e, err := f.finishEvaluation(root, sel, ng, s, b.forced, ir)
+	e, err := f.finishEvaluation(root, sel, ng, s, b.forced)
 	if err != nil {
 		return nil, 0, nil
 	}
@@ -327,15 +312,12 @@ func markReach(g *ccg.Graph, fwd, bwd []bool, core string) {
 			}
 		}
 	}
-	rev := make([][]int, len(g.Nodes))
-	for _, e := range g.Edges {
-		rev[e.To] = append(rev[e.To], e.From)
-	}
+	in := g.InEdges()
 	for len(bstack) > 0 {
 		u := bstack[len(bstack)-1]
 		bstack = bstack[:len(bstack)-1]
-		for _, v := range rev[u] {
-			if !bwd[v] {
+		for _, eid := range in[u] {
+			if v := g.Edges[eid].From; !bwd[v] {
 				bwd[v] = true
 				bstack = append(bstack, v)
 			}

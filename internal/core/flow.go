@@ -339,7 +339,7 @@ func (f *Flow) evaluateFull(ctx context.Context, sel map[string]int) (*Evaluatio
 	if err := ctx.Err(); err != nil {
 		return nil, 0, noArea, err
 	}
-	e, err := f.finishEvaluation(root, sel, g, s, forcedArea, nil)
+	e, err := f.finishEvaluation(root, sel, g, s, forcedArea)
 	return e, pristine, forcedArea, err
 }
 
@@ -366,10 +366,8 @@ func (f *Flow) buildGraph(root *obs.Span, ch *soc.Chip, sel map[string]int) (*cc
 // finishEvaluation replays the schedule for physical consistency and fills
 // in the controller, areas, interconnect plan and bottom line. It is
 // shared by the full, degraded and delta evaluation paths; for the
-// degraded path, s covers only the testable subset. ir, when non-nil, is
-// a precomputed interconnect plan (the delta evaluator reuses unaffected
-// nets); nil schedules the interconnect from scratch.
-func (f *Flow) finishEvaluation(root *obs.Span, sel map[string]int, g *ccg.Graph, s *sched.Result, forcedArea cell.Area, ir *sched.InterconnectResult) (*Evaluation, error) {
+// degraded path, s covers only the testable subset.
+func (f *Flow) finishEvaluation(root *obs.Span, sel map[string]int, g *ccg.Graph, s *sched.Result, forcedArea cell.Area) (*Evaluation, error) {
 	if err := sched.Validate(s); err != nil {
 		return nil, fmt.Errorf("core: schedule failed replay validation: %w", err)
 	}
@@ -388,14 +386,11 @@ func (f *Flow) finishEvaluation(root *obs.Span, sel map[string]int, g *ccg.Graph
 	e.TransCells = e.TransArea.Cells()
 	e.MuxCells = e.MuxArea.Cells()
 	e.CtrlCells = e.CtrlArea.Cells()
-	if ir == nil {
-		sp = obs.Start(root, "interconnect/sched")
-		var err error
-		ir, err = sched.ScheduleInterconnect(f.Chip, g)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
+	sp = obs.Start(root, "interconnect/sched")
+	ir, err := sched.ScheduleInterconnect(f.Chip, g)
+	sp.End()
+	if err != nil {
+		return nil, err
 	}
 	e.Interconnect = ir
 	_, bistCycles, _ := bist.PlanChip(f.Chip)

@@ -725,7 +725,9 @@ func ImproveCtx(ctx context.Context, f *core.Flow, obj Objective, budget int, o 
 		}
 		return true, nil
 	}
-	for iter := 0; iter < 64; iter++ {
+	// Unbounded on purpose: every accepted move strictly lowers the TAT,
+	// a non-negative integer, so the walk ends on its own.
+	for {
 		if ctx.Err() != nil {
 			break
 		}

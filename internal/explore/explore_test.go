@@ -5,9 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/flowcmd"
 	"repro/internal/obs"
 	"repro/internal/rtl"
 	"repro/internal/soc"
+	"repro/internal/socgen"
 	"repro/internal/systems"
 	"repro/internal/trans"
 )
@@ -229,6 +231,36 @@ func TestImproveNeverAcceptsWorseningMove(t *testing.T) {
 	}
 	if res.Final.TAT > e0.TAT {
 		t.Errorf("walk worsened TAT: %d -> %d", e0.TAT, res.Final.TAT)
+	}
+}
+
+// TestImproveRunsToConvergence walks a chip that needs more than 64
+// accepted moves (71 on the 144-core socgen chain of seed 1998) and
+// requires the walk to end only when no move improves the TAT: a second
+// walk from where the first stopped accepts nothing.
+func TestImproveRunsToConvergence(t *testing.T) {
+	ch, err := socgen.Generate(socgen.Params{Seed: 1998, Cores: 144, Topology: socgen.Chain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := core.Prepare(ch, flowcmd.GenVectorOverride(ch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Improve(f, MinimizeTAT, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Steps) <= 64 {
+		t.Errorf("walk stopped after %d moves at TAT %d; this chip needs more than 64", len(res.Steps), res.Final.TAT)
+	}
+	again, err := Improve(f, MinimizeTAT, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again.Steps) != 0 {
+		t.Errorf("walk stopped before converging: %d more moves lower the TAT from %d to %d",
+			len(again.Steps), res.Final.TAT, again.Final.TAT)
 	}
 }
 

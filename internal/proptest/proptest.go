@@ -171,8 +171,9 @@ func checkDeltaEquivalence(f *core.Flow, ch *soc.Chip) error {
 }
 
 // EqualEvaluations compares two evaluations of the same selection for
-// bit-identity: every reported number and the canonical schedule
-// signature. A non-nil error names the first difference.
+// bit-identity: every reported number, every interconnect net, tested or
+// untestable, and the canonical schedule signature. A non-nil error names
+// the first difference.
 func EqualEvaluations(a, b *core.Evaluation) error {
 	type num struct {
 		name string
@@ -202,6 +203,11 @@ func EqualEvaluations(a, b *core.Evaluation) error {
 		o := b.Interconnect.Nets[i]
 		if nt != o {
 			return fmt.Errorf("interconnect net %d differs: %+v vs %+v", i, nt, o)
+		}
+	}
+	for i, n := range a.Interconnect.Untestable {
+		if o := b.Interconnect.Untestable[i]; n != o {
+			return fmt.Errorf("untestable net %d differs: %v vs %v", i, n, o)
 		}
 	}
 	if sa, sb := Signature(a), Signature(b); sa != sb {

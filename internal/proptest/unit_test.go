@@ -6,9 +6,13 @@ import (
 
 	"repro/internal/ccg"
 	"repro/internal/core"
+	"repro/internal/flowcmd"
+	"repro/internal/resil"
 	"repro/internal/rtl"
 	"repro/internal/sched"
+	"repro/internal/soc"
 	"repro/internal/socgen"
+	"repro/internal/systems"
 )
 
 func TestMaskWidths(t *testing.T) {
@@ -97,6 +101,46 @@ func TestCheckScheduleRejectsTampering(t *testing.T) {
 		t.Fatal("missing core schedule not caught")
 	}
 	e.Sched.Cores = saved
+}
+
+// TestEqualEvaluationsComparesUntestableNets replaces one untestable net
+// of an evaluation with another net, keeping the count, and requires
+// EqualEvaluations to report the difference.
+func TestEqualEvaluationsComparesUntestableNets(t *testing.T) {
+	s1 := systems.System1()
+	f, err := core.Prepare(s1, flowcmd.GenVectorOverride(s1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fch, err := resil.Inject(s1, resil.CutEdge{FromPort: "NUM", ToCore: "PREPROCESSOR", ToPort: "NUM"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	de, err := f.Fork(fch).EvaluateDegraded()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := de.Evaluation
+	un := e.Interconnect.Untestable
+	if len(un) == 0 {
+		t.Fatal("the cut left no untestable net to tamper with")
+	}
+	if err := EqualEvaluations(e, e); err != nil {
+		t.Fatalf("evaluation differs from itself: %v", err)
+	}
+	ir := *e.Interconnect
+	ir.Untestable = append([]soc.Net(nil), un...)
+	for _, n := range fch.Nets {
+		if n != un[0] {
+			ir.Untestable[0] = n
+			break
+		}
+	}
+	tampered := *e
+	tampered.Interconnect = &ir
+	if err := EqualEvaluations(e, &tampered); err == nil {
+		t.Fatalf("untestable net %v swapped for %v went unnoticed", un[0], ir.Untestable[0])
+	}
 }
 
 func TestCheckLaddersRejectsDisorder(t *testing.T) {

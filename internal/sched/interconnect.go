@@ -44,24 +44,16 @@ func wirePatterns(w int) int {
 // shortest reservation-free path from the chip PIs through the net to a
 // PO determines the per-pattern period. Nets touching memory cores are
 // skipped (their cores are absent from the CCG).
+//
+// Without reservations a path's arrival is the sum of its edge latencies,
+// so a net's period is the distance from the nearest PI to its driver
+// plus the distance from its sink to the nearest PO. One sweep from the
+// PIs and one against the edges from the POs give both distances for
+// every net at once.
 func ScheduleInterconnect(ch *soc.Chip, g *ccg.Graph) (*InterconnectResult, error) {
-	return ScheduleInterconnectDelta(ch, g, nil, nil)
-}
-
-// ScheduleInterconnectDelta is ScheduleInterconnect with incremental
-// reuse: nets for which affected reports false copy their base plan
-// instead of re-running pathfinding. Both res.Nets and res.Untestable are
-// produced in ch.Nets order, so the reuse walks base with two cursors.
-// Every net is still classified exactly as a full run would — an
-// unaffected net's routing cannot have changed, the over-approximating
-// affected predicate is supplied by the caller (core.DeltaEvaluator).
-// base == nil or affected == nil computes every net from scratch.
-func ScheduleInterconnectDelta(ch *soc.Chip, g *ccg.Graph, base *InterconnectResult, affected func(n soc.Net) bool) (*InterconnectResult, error) {
 	res := &InterconnectResult{}
-	pis := g.PINodes()
-	pos := g.PONodes()
-	fi := ccg.NewFinder()
-	baseNet, baseUn := 0, 0
+	head := g.DistancesFrom(g.PINodes())
+	tail := g.DistancesTo(g.PONodes())
 	for _, n := range ch.Nets {
 		if n.FromCore == "" || n.ToCore == "" {
 			continue // chip-pin nets are tested by the pin itself
@@ -71,53 +63,19 @@ func ScheduleInterconnectDelta(ch *soc.Chip, g *ccg.Graph, base *InterconnectRes
 		if !ok1 || !ok2 || fromC.Memory || toC.Memory {
 			continue
 		}
-		if base != nil && affected != nil && !affected(n) {
-			// Copy the base classification of this net; the cursors stay
-			// aligned because both runs consume ch.Nets in order.
-			switch {
-			case baseNet < len(base.Nets) && base.Nets[baseNet].Net == n:
-				nt := base.Nets[baseNet]
-				baseNet++
-				res.Nets = append(res.Nets, nt)
-				res.TotalTAT += nt.TAT
-			case baseUn < len(base.Untestable) && base.Untestable[baseUn] == n:
-				baseUn++
-				res.Untestable = append(res.Untestable, n)
-			default:
-				return nil, fmt.Errorf("sched: interconnect delta: base plan misaligned at net %s.%s", n.FromCore, n.FromPort)
-			}
-			continue
-		}
-		// Advance cursors past this net in the base so later copies align.
-		if base != nil {
-			if baseNet < len(base.Nets) && base.Nets[baseNet].Net == n {
-				baseNet++
-			} else if baseUn < len(base.Untestable) && base.Untestable[baseUn] == n {
-				baseUn++
-			}
-		}
 		width := 1
 		if p, ok := fromC.RTL.PortByName(n.FromPort); ok {
 			width = p.Width
 		}
-		// Earliest arrival at the net's driver...
 		src, ok := g.NodeIndex(n.FromCore + "." + n.FromPort)
 		if !ok {
 			return nil, fmt.Errorf("sched: interconnect: missing node %s.%s", n.FromCore, n.FromPort)
 		}
-		head := fi.ShortestPath(g, pis, src, ccg.Reservations{})
-		// ...then across the wire and onward to any PO, all in one search.
 		sink, ok := g.NodeIndex(n.ToCore + "." + n.ToPort)
 		if !ok {
 			return nil, fmt.Errorf("sched: interconnect: missing node %s.%s", n.ToCore, n.ToPort)
 		}
-		var tail *ccg.PathResult
-		for _, p := range fi.ShortestPathMulti(g, []int{sink}, pos, ccg.Reservations{}) {
-			if p != nil && (tail == nil || p.Arrival < tail.Arrival) {
-				tail = p
-			}
-		}
-		if head == nil || tail == nil {
+		if head[src] < 0 || tail[sink] < 0 {
 			res.Untestable = append(res.Untestable, n)
 			continue
 		}
@@ -125,7 +83,7 @@ func ScheduleInterconnectDelta(ch *soc.Chip, g *ccg.Graph, base *InterconnectRes
 			Net:      n,
 			Width:    width,
 			Patterns: wirePatterns(width),
-			Period:   head.Arrival + tail.Arrival,
+			Period:   head[src] + tail[sink],
 		}
 		if nt.Period < 1 {
 			nt.Period = 1
