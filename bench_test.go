@@ -484,20 +484,48 @@ func BenchmarkHSCANInsertCPU(b *testing.B) {
 	}
 }
 
+// BenchmarkCCGShortestPath times one justification search from the chip
+// PIs on a held Finder, as the scheduler runs it: to DISPLAY.ALo on
+// System 1, and on the 256-core generated chip to its deepest core
+// input, the one a reservation-free search reaches last.
 func BenchmarkCCGShortestPath(b *testing.B) {
-	f1, _, _, _ := flows(b)
-	g, err := ccg.Build(f1.Chip)
-	if err != nil {
-		b.Fatal(err)
-	}
-	target, _ := g.NodeIndex("DISPLAY.ALo")
+	b.Run("system1", func(b *testing.B) {
+		f1, _, _, _ := flows(b)
+		g, err := ccg.Build(f1.Chip)
+		if err != nil {
+			b.Fatal(err)
+		}
+		target, _ := g.NodeIndex("DISPLAY.ALo")
+		benchShortestPath(b, g, target)
+	})
+	b.Run("cores=256", func(b *testing.B) {
+		g, err := ccg.Build(generatedFlow(b, 256).Chip)
+		if err != nil {
+			b.Fatal(err)
+		}
+		depth := g.DistancesFrom(g.PINodes())
+		target := -1
+		for v, n := range g.Nodes {
+			if n.Kind == ccg.CoreIn && (target < 0 || depth[v] > depth[target]) {
+				target = v
+			}
+		}
+		benchShortestPath(b, g, target)
+	})
+}
+
+func benchShortestPath(b *testing.B, g *ccg.Graph, target int) {
 	pis := g.PINodes()
+	fi := ccg.NewFinder()
+	var p *ccg.PathResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if p := g.ShortestPath(pis, target, ccg.Reservations{}); p == nil {
+		if p = fi.ShortestPath(g, pis, target, ccg.Reservations{}); p == nil {
 			b.Fatal("no path")
 		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(p.Arrival), "arrival-cycles")
 }
 
 func BenchmarkEvaluateSystem1(b *testing.B) {

@@ -83,6 +83,9 @@ type Graph struct {
 	// core's edges contiguously, which is what lets CloneWithVersion
 	// splice a single core's version swap without rebuilding the graph.
 	transRange map[string][2]int
+	// pis and pos are the chip pin nodes in index order, computed once
+	// per node set and shared with clones like the nodes themselves.
+	pis, pos []int
 }
 
 // NodeIndex looks a node up by display name.
@@ -142,6 +145,14 @@ func BuildSelection(ch *soc.Chip, sel map[string]int) (*Graph, error) {
 				k = CoreOut
 			}
 			add(Node{Kind: k, Core: c.Name, Port: p.Name})
+		}
+	}
+	for i, n := range g.Nodes {
+		switch n.Kind {
+		case ChipPI:
+			g.pis = append(g.pis, i)
+		case ChipPO:
+			g.pos = append(g.pos, i)
 		}
 	}
 	addEdge := func(e Edge) *Edge {
@@ -249,6 +260,8 @@ func (g *Graph) CloneWithVersion(pristine int, c *soc.Core, v *trans.Version) *G
 		Nodes:      g.Nodes,
 		idx:        g.idx,
 		transRange: make(map[string][2]int, len(g.transRange)),
+		pis:        g.pis,
+		pos:        g.pos,
 	}
 	ng.Edges = append(make([]*Edge, 0, pristine+8), g.Edges[:lo]...)
 	appendCoreTrans(ng, c, v, func(e Edge) {
@@ -450,24 +463,11 @@ func (g *Graph) ReservePath(p *PathResult, resv Reservations) {
 	}
 }
 
-// PINodes returns all chip PI node indices.
-func (g *Graph) PINodes() []int {
-	var out []int
-	for i, n := range g.Nodes {
-		if n.Kind == ChipPI {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+// PINodes returns all chip PI node indices. The slice is shared by every
+// call; its capacity is capped at its length, so appending to it copies
+// rather than writing into the shared list.
+func (g *Graph) PINodes() []int { return g.pis[:len(g.pis):len(g.pis)] }
 
-// PONodes returns all chip PO node indices.
-func (g *Graph) PONodes() []int {
-	var out []int
-	for i, n := range g.Nodes {
-		if n.Kind == ChipPO {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+// PONodes returns all chip PO node indices, shared and capped like
+// PINodes.
+func (g *Graph) PONodes() []int { return g.pos[:len(g.pos):len(g.pos)] }

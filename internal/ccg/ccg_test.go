@@ -1,6 +1,7 @@
 package ccg_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/ccg"
@@ -126,5 +127,45 @@ func TestShortestPathUnreachable(t *testing.T) {
 	pi := g.PINodes()[0]
 	if p := g.ShortestPath([]int{po}, pi, ccg.Reservations{}); p != nil {
 		t.Error("found impossible path PO -> PI")
+	}
+}
+
+// TestPinListsAreSharedAndCapped requires PINodes and PONodes to list
+// exactly the chip pin nodes in index order, on a built graph and on a
+// clone sharing its nodes, and to hand out slices whose capacity ends at
+// their length: two callers appending to the shared list must each get a
+// copy instead of writing into the same spare slot.
+func TestPinListsAreSharedAndCapped(t *testing.T) {
+	g, f := system1Graph(t)
+	c := f.Chip.TestableCores()[0]
+	clone := g.CloneWithVersion(g.EdgeCount(), c, c.Version())
+	if clone == nil {
+		t.Fatal("CloneWithVersion refused the current version")
+	}
+	for _, pins := range []struct {
+		kind ccg.NodeKind
+		list func(*ccg.Graph) []int
+	}{{ccg.ChipPI, (*ccg.Graph).PINodes}, {ccg.ChipPO, (*ccg.Graph).PONodes}} {
+		kind, list := pins.kind, pins.list
+		var want []int
+		for i, n := range g.Nodes {
+			if n.Kind == kind {
+				want = append(want, i)
+			}
+		}
+		for _, gr := range []*ccg.Graph{g, clone} {
+			got := list(gr)
+			if !slices.Equal(got, want) {
+				t.Fatalf("kind %d: pin list %v, want %v", kind, got, want)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("kind %d: pin list has capacity %d past its length %d", kind, cap(got), len(got))
+			}
+			a := append(list(gr), -1)
+			b := append(list(gr), -2)
+			if a[len(a)-1] != -1 || b[len(b)-1] != -2 || !slices.Equal(list(gr), want) {
+				t.Fatalf("kind %d: appending to the returned list changed shared state", kind)
+			}
+		}
 	}
 }

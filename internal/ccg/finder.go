@@ -1,6 +1,7 @@
 package ccg
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/obs"
@@ -12,7 +13,8 @@ import (
 // performs hundreds of searches over graphs of identical node count, and
 // the per-search allocations used to dominate the enumerate loop's
 // profile. A Finder is not safe for concurrent use; create one per
-// goroutine (sched.Schedule threads one through a whole schedule build).
+// goroutine, or take one from GetFinder (sched.Schedule threads one
+// through a whole schedule build).
 //
 // Determinism contract: searches settle nodes in (arrival, node index)
 // order and keep the first predecessor that achieves a node's final
@@ -22,20 +24,60 @@ import (
 // for incremental re-evaluation, the distance/predecessor assignment of
 // every node NOT reachable from a mutated region is identical before and
 // after the mutation (see DESIGN.md on the delta invalidation model).
+//
+// A single-target search expands only the target's ancestor cone: the
+// nodes with a path to the target. Sources outside it are not seeded and
+// no edge into a node outside it is relaxed. This keeps every settle and
+// predecessor decision: the cone is closed under predecessors, so no
+// edge enters it from outside, and a node outside it can neither lower a
+// cone node's arrival nor push a cone entry. The cone's heap entries
+// therefore pop in the same order with the same arrivals and
+// predecessors as in a search of the whole graph, and the returned path
+// is identical. A search from the chip PIs otherwise settles about half
+// of the graph before it reaches a deep core input. Multi-target searches
+// stay unrestricted: the union of the POs' cones is nearly the whole
+// graph. The Finder keeps the reverse adjacency the cones are marked
+// from, extends it as edges are appended (AddTestMux) and rebuilds it
+// for a different graph or after TruncateEdges.
 type Finder struct {
 	dist      []int
 	predEdge  []int
 	predStart []int
 	stamp     []uint32
+	cone      []uint32 // node is in the current target's ancestor cone, stamped
 	epoch     uint32
 	h         pq
 	// per-query target bookkeeping
 	tpos   []int // node -> index into the targets slice, stamped
 	tstamp []uint32
+
+	// Reverse adjacency of g: preds[v] lists the tail of every edge of
+	// g.Edges[:nIn] that enters v. last is g.Edges[nIn-1], which tells an
+	// append from a truncation that was followed by appends.
+	g     *Graph
+	preds [][]int
+	nIn   int
+	last  *Edge
+	stack []int
 }
 
 // NewFinder returns an empty Finder; buffers grow on first use.
 func NewFinder() *Finder { return &Finder{} }
+
+// finderPool lets evaluations and the convenience wrappers on Graph reuse
+// Finders, buffers and all.
+var finderPool = sync.Pool{New: func() interface{} { return NewFinder() }}
+
+// GetFinder returns a Finder from a process-wide pool. Hand it back with
+// PutFinder once the searches are done.
+func GetFinder() *Finder { return finderPool.Get().(*Finder) }
+
+// PutFinder returns f to the pool. f drops its graph first, so a pooled
+// Finder never keeps a graph alive; f must not be used afterwards.
+func PutFinder(f *Finder) {
+	f.g, f.last = nil, nil
+	finderPool.Put(f)
+}
 
 const inf = int(^uint(0) >> 1)
 
@@ -48,18 +90,21 @@ func (f *Finder) grow(n int) {
 	f.predEdge = append(f.predEdge, make([]int, n-len(f.predEdge))...)
 	f.predStart = append(f.predStart, make([]int, n-len(f.predStart))...)
 	f.stamp = append(f.stamp, make([]uint32, n-len(f.stamp))...)
+	f.cone = append(f.cone, make([]uint32, n-len(f.cone))...)
 	f.tpos = append(f.tpos, make([]int, n-len(f.tpos))...)
 	f.tstamp = append(f.tstamp, make([]uint32, n-len(f.tstamp))...)
 }
 
-// begin starts a query epoch: every node's distance reads as inf until
-// touched. Epoch 0 is never used so zeroed stamps read as stale.
+// begin starts a query epoch: every node's distance reads as inf and no
+// node is in the cone until touched. Epoch 0 is never used so zeroed
+// stamps read as stale.
 func (f *Finder) begin(n int) {
 	f.grow(n)
 	f.epoch++
 	if f.epoch == 0 { // wrapped: hard-reset stamps once every 2^32 queries
 		for i := range f.stamp {
 			f.stamp[i] = 0
+			f.cone[i] = 0
 			f.tstamp[i] = 0
 		}
 		f.epoch = 1
@@ -79,6 +124,44 @@ func (f *Finder) setDist(n, d, pe, ps int) {
 	f.dist[n] = d
 	f.predEdge[n] = pe
 	f.predStart[n] = ps
+}
+
+// syncPreds brings the reverse adjacency up to date with g: edges
+// appended since the last search are added, and a different graph or a
+// truncated edge list (even one grown back to its old length) is indexed
+// anew.
+func (f *Finder) syncPreds(g *Graph) {
+	if g != f.g || len(g.Edges) < f.nIn || (f.nIn > 0 && g.Edges[f.nIn-1] != f.last) {
+		f.g, f.nIn = g, 0
+		f.preds = slices.Grow(f.preds[:0], len(g.Nodes))[:len(g.Nodes)]
+		for v := range f.preds {
+			f.preds[v] = f.preds[v][:0]
+		}
+	}
+	for _, e := range g.Edges[f.nIn:] {
+		f.preds[e.To] = append(f.preds[e.To], e.From)
+	}
+	f.nIn, f.last = len(g.Edges), nil
+	if f.nIn > 0 {
+		f.last = g.Edges[f.nIn-1]
+	}
+}
+
+// markCone stamps target and every node with a path to it.
+func (f *Finder) markCone(target int) {
+	f.cone[target] = f.epoch
+	stack := append(f.stack[:0], target)
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, u := range f.preds[v] {
+			if f.cone[u] != f.epoch {
+				f.cone[u] = f.epoch
+				stack = append(stack, u)
+			}
+		}
+	}
+	f.stack = stack
 }
 
 // ShortestPath finds the earliest-arrival path from any node in sources
@@ -106,6 +189,13 @@ func (f *Finder) ShortestPathMulti(g *Graph, sources []int, targets []int, resv 
 
 func (f *Finder) search(g *Graph, sources []int, targets []int, resv Reservations, out []*PathResult) {
 	f.begin(len(g.Nodes))
+	// A single target confines the search to its ancestor cone (see
+	// Finder).
+	coned := len(targets) == 1
+	if coned {
+		f.syncPreds(g)
+		f.markCone(targets[0])
+	}
 	// Mark targets; duplicates resolve to the first position and are
 	// copied across at the end.
 	remaining := 0
@@ -119,6 +209,9 @@ func (f *Finder) search(g *Graph, sources []int, targets []int, resv Reservation
 	// Seed the sources. A repeated source is seeded exactly once: the
 	// second occurrence already reads distance 0.
 	for _, s := range sources {
+		if coned && f.cone[s] != f.epoch {
+			continue
+		}
 		if f.distAt(s) > 0 {
 			f.setDist(s, 0, -1, 0)
 			f.h.push(pqItem{s, 0})
@@ -142,6 +235,9 @@ func (f *Finder) search(g *Graph, sources []int, targets []int, resv Reservation
 		}
 		for _, eid := range g.Out[it.node] {
 			e := g.Edges[eid]
+			if coned && f.cone[e.To] != f.epoch {
+				continue
+			}
 			relaxations++
 			start := resv.earliestFree(e.Res, it.time, e.Latency)
 			arr := start + e.Latency
@@ -184,9 +280,6 @@ func (f *Finder) reconstruct(g *Graph, t int) *PathResult {
 	return &PathResult{Steps: steps, Arrival: f.dist[t]}
 }
 
-// finderPool backs the allocation-free convenience wrappers on Graph.
-var finderPool = sync.Pool{New: func() interface{} { return NewFinder() }}
-
 // ShortestPath finds the earliest-arrival path from any node in sources
 // (available from cycle 0) to target, honoring reservations: a reserved
 // edge can only be entered once its busy windows have passed (the paper's
@@ -194,17 +287,17 @@ var finderPool = sync.Pool{New: func() interface{} { return NewFinder() }}
 // The search runs on a pooled Finder; for many searches over one graph,
 // hold an explicit Finder instead.
 func (g *Graph) ShortestPath(sources []int, target int, resv Reservations) *PathResult {
-	f := finderPool.Get().(*Finder)
+	f := GetFinder()
 	p := f.ShortestPath(g, sources, target, resv)
-	finderPool.Put(f)
+	PutFinder(f)
 	return p
 }
 
 // ShortestPathMulti is Finder.ShortestPathMulti on a pooled Finder.
 func (g *Graph) ShortestPathMulti(sources []int, targets []int, resv Reservations) []*PathResult {
-	f := finderPool.Get().(*Finder)
+	f := GetFinder()
 	ps := f.ShortestPathMulti(g, sources, targets, resv)
-	finderPool.Put(f)
+	PutFinder(f)
 	return ps
 }
 

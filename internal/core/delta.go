@@ -239,7 +239,8 @@ func (d *DeltaEvaluator) deltaEvaluate(ctx context.Context, b *deltaBase, change
 	}
 
 	s := &sched.Result{}
-	fi := ccg.NewFinder()
+	fi := ccg.GetFinder()
+	defer ccg.PutFinder(fi)
 	for _, cc := range ch.TestableCores() {
 		if cc.Disabled != "" {
 			return nil, 0, nil // full Schedule reports this properly

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -24,13 +25,16 @@ import (
 // change so Diff can refuse to compare apples to oranges.
 const SchemaVersion = 1
 
-// Result is one benchmark line. NsPerOp is always present; BytesPerOp and
+// Result is one benchmark line. Name is the benchmark's name without the
+// -N suffix go test appends when GOMAXPROCS is not 1; Procs holds that N
+// (1 for an unsuffixed name). NsPerOp is always present; BytesPerOp and
 // AllocsPerOp only when the run used -benchmem (pointers distinguish
 // "absent" from a true zero). Metrics holds every custom unit reported
 // via b.ReportMetric (TAT-cycles, design-points, ...).
 type Result struct {
 	Pkg         string             `json:"pkg,omitempty"`
 	Name        string             `json:"name"`
+	Procs       int                `json:"procs,omitempty"`
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
 	BytesPerOp  *float64           `json:"bytes_per_op,omitempty"`
@@ -39,8 +43,9 @@ type Result struct {
 }
 
 // Key identifies a benchmark across snapshots: package plus full sub-test
-// name (the -cpu suffix included, so GOMAXPROCS changes read as different
-// series rather than silent regressions).
+// name, without the GOMAXPROCS suffix, so snapshots captured on hosts
+// with different CPU counts still compare (DiffReport notes the
+// difference).
 func (r Result) Key() string {
 	if r.Pkg == "" {
 		return r.Name
@@ -84,6 +89,7 @@ func Parse(r io.Reader) (*Snapshot, error) {
 			}
 			if ok {
 				res.Pkg = pkg
+				res.Name, res.Procs = splitProcs(res.Name)
 				snap.Results = append(snap.Results, res)
 			}
 		}
@@ -92,6 +98,18 @@ func Parse(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("benchjson: %w", err)
 	}
 	return snap, nil
+}
+
+// splitProcs splits go test's -N GOMAXPROCS suffix off a benchmark name.
+// go test prints no suffix at GOMAXPROCS 1, so an unsuffixed name ran
+// at 1. A sub-benchmark whose own name ends in -<digits> is read as
+// suffixed too; the tracked suite has none.
+func splitProcs(name string) (string, int) {
+	i := strings.LastIndexByte(name, '-')
+	if n, err := strconv.Atoi(name[i+1:]); i >= 0 && err == nil && n > 0 {
+		return name[:i], n
+	}
+	return name, 1
 }
 
 // parseLine splits one result line. The shape is
@@ -180,13 +198,33 @@ func (s *Snapshot) Encode(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// Decode reads a snapshot written by Encode.
+// Decode reads a snapshot written by Encode. Results without a procs
+// field predate it and kept the GOMAXPROCS suffix in their name; Decode
+// splits it off as Parse does.
 func Decode(r io.Reader) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("benchjson: decode: %w", err)
 	}
+	for i := range s.Results {
+		if res := &s.Results[i]; res.Procs == 0 {
+			res.Name, res.Procs = splitProcs(res.Name)
+		}
+	}
 	return &s, nil
+}
+
+// procs lists the distinct GOMAXPROCS values of the snapshot's results,
+// ascending.
+func (s *Snapshot) procs() []int {
+	var out []int
+	for _, r := range s.Results {
+		if !slices.Contains(out, r.Procs) {
+			out = append(out, r.Procs)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // Delta is one benchmark's movement between two snapshots. Ratio is
@@ -206,12 +244,17 @@ type DiffReport struct {
 	OnlyOld     []string `json:"only_old,omitempty"` // benchmarks that disappeared
 	OnlyNew     []string `json:"only_new,omitempty"` // benchmarks that appeared
 	Skipped     []string `json:"skipped,omitempty"`  // below the noise floor
+	// OldProcs and NewProcs are the GOMAXPROCS values each snapshot's
+	// benchmarks ran at.
+	OldProcs []int `json:"old_procs,omitempty"`
+	NewProcs []int `json:"new_procs,omitempty"`
 }
 
 // Diff compares old and new ns/op per benchmark. threshold is the
 // allowed fractional slowdown: 0.25 flags anything more than 25% slower.
 // Benchmarks present on only one side are reported, not failed — adding a
-// benchmark must never fail the gate.
+// benchmark must never fail the gate — but two non-empty snapshots that
+// share no benchmark at all are an error: such a diff checks nothing.
 func Diff(old, new *Snapshot, threshold float64) (*DiffReport, error) {
 	return DiffFloor(old, new, threshold, 0)
 }
@@ -233,7 +276,7 @@ func DiffFloor(old, new *Snapshot, threshold, floorNs float64) (*DiffReport, err
 	for _, r := range old.Results {
 		oldBy[r.Key()] = r
 	}
-	rep := &DiffReport{}
+	rep := &DiffReport{OldProcs: old.procs(), NewProcs: new.procs()}
 	newSeen := map[string]bool{}
 	for _, nr := range new.Results {
 		newSeen[nr.Key()] = true
@@ -259,6 +302,10 @@ func DiffFloor(old, new *Snapshot, threshold, floorNs float64) (*DiffReport, err
 		if d.Regessed {
 			rep.Regressions = append(rep.Regressions, d)
 		}
+	}
+	if len(old.Results) > 0 && len(new.Results) > 0 && len(rep.Deltas)+len(rep.Skipped) == 0 {
+		return nil, fmt.Errorf("benchjson: the snapshots share no benchmark (%d old, %d new); nothing to compare",
+			len(old.Results), len(new.Results))
 	}
 	for key := range oldBy {
 		if !newSeen[key] {
@@ -289,6 +336,10 @@ func (r *DiffReport) Format(threshold float64) string {
 	}
 	for _, k := range r.Skipped {
 		fmt.Fprintf(&b, "note: %s below the noise floor, not compared\n", k)
+	}
+	if !slices.Equal(r.OldProcs, r.NewProcs) {
+		fmt.Fprintf(&b, "note: GOMAXPROCS differs: old snapshot ran at %v, new at %v; parallel benchmarks are not like for like\n",
+			r.OldProcs, r.NewProcs)
 	}
 	fmt.Fprintf(&b, "%d benchmarks compared, %d regressions (threshold %.0f%%)\n",
 		len(r.Deltas), len(r.Regressions), threshold*100)

@@ -46,11 +46,11 @@ func TestParseFixture(t *testing.T) {
 	for _, r := range snap.Results {
 		byKey[r.Key()] = r
 	}
-	fig, ok := byKey["repro.BenchmarkFig10Tradeoff-16"]
+	fig, ok := byKey["repro.BenchmarkFig10Tradeoff"]
 	if !ok {
 		t.Fatalf("Fig10 result missing; have %v", keys(byKey))
 	}
-	if fig.Iterations != 151 || fig.NsPerOp != 7403551 {
+	if fig.Procs != 16 || fig.Iterations != 151 || fig.NsPerOp != 7403551 {
 		t.Fatalf("Fig10 parsed wrong: %+v", fig)
 	}
 	if fig.BytesPerOp == nil || *fig.BytesPerOp != 2112256 || fig.AllocsPerOp == nil || *fig.AllocsPerOp != 24196 {
@@ -59,11 +59,11 @@ func TestParseFixture(t *testing.T) {
 	if fig.Metrics["design-points"] != 24 || fig.Metrics["min-area-TAT-cycles"] != 17387 {
 		t.Fatalf("Fig10 custom metrics wrong: %+v", fig.Metrics)
 	}
-	gen, ok := byKey["repro.BenchmarkGeneratedChip/cores=64-16"]
+	gen, ok := byKey["repro.BenchmarkGeneratedChip/cores=64"]
 	if !ok || gen.Metrics["TAT-cycles"] != 33280 {
 		t.Fatalf("sub-benchmark wrong: %+v", gen)
 	}
-	ser, ok := byKey["repro/internal/explore.BenchmarkEnumerateSerial-16"]
+	ser, ok := byKey["repro/internal/explore.BenchmarkEnumerateSerial"]
 	if !ok {
 		t.Fatal("second pkg's benchmark missing")
 	}
@@ -182,10 +182,10 @@ func TestDiffFlagsSlowdownAboveThreshold(t *testing.T) {
 	old, _ := Parse(strings.NewReader(fixture))
 	newer, _ := Parse(strings.NewReader(fixture))
 	for i := range newer.Results {
-		if newer.Results[i].Name == "BenchmarkEnumerateSerial-16" {
+		if newer.Results[i].Name == "BenchmarkEnumerateSerial" {
 			newer.Results[i].NsPerOp *= 2 // 100% slower
 		}
-		if newer.Results[i].Name == "BenchmarkEnumerateCached-16" {
+		if newer.Results[i].Name == "BenchmarkEnumerateCached" {
 			newer.Results[i].NsPerOp *= 1.10 // within a 25% threshold
 		}
 	}
@@ -209,7 +209,7 @@ func TestDiffAddedAndRemovedBenchmarksAreNotes(t *testing.T) {
 	newer, _ := Parse(strings.NewReader(fixture))
 	newer.Results = newer.Results[:len(newer.Results)-1] // one disappears
 	extra := old.Results[0]
-	extra.Name = "BenchmarkBrandNew-16"
+	extra.Name = "BenchmarkBrandNew"
 	newer.Results = append(newer.Results, extra) // one appears
 	rep, err := Diff(old, newer, 0.25)
 	if err != nil {
@@ -246,12 +246,12 @@ func keys(m map[string]Result) []string {
 
 func TestDiffFloorSkipsNoiseBaselines(t *testing.T) {
 	oldSnap := &Snapshot{Schema: SchemaVersion, Rev: "a", Date: "d", Results: []Result{
-		{Pkg: "p", Name: "BenchmarkTiny-8", Iterations: 1000000000, NsPerOp: 1.1},
-		{Pkg: "p", Name: "BenchmarkBig-8", Iterations: 100, NsPerOp: 50000},
+		{Pkg: "p", Name: "BenchmarkTiny", Procs: 8, Iterations: 1000000000, NsPerOp: 1.1},
+		{Pkg: "p", Name: "BenchmarkBig", Procs: 8, Iterations: 100, NsPerOp: 50000},
 	}}
 	newSnap := &Snapshot{Schema: SchemaVersion, Rev: "b", Date: "d", Results: []Result{
-		{Pkg: "p", Name: "BenchmarkTiny-8", Iterations: 1, NsPerOp: 512}, // 1x harness overhead, ~465x
-		{Pkg: "p", Name: "BenchmarkBig-8", Iterations: 1, NsPerOp: 52000},
+		{Pkg: "p", Name: "BenchmarkTiny", Procs: 8, Iterations: 1, NsPerOp: 512}, // 1x harness overhead, ~465x
+		{Pkg: "p", Name: "BenchmarkBig", Procs: 8, Iterations: 1, NsPerOp: 52000},
 	}}
 	rep, err := DiffFloor(oldSnap, newSnap, 0.25, 10000)
 	if err != nil {
@@ -260,10 +260,10 @@ func TestDiffFloorSkipsNoiseBaselines(t *testing.T) {
 	if len(rep.Regressions) != 0 {
 		t.Fatalf("noise baseline flagged as regression: %+v", rep.Regressions)
 	}
-	if len(rep.Skipped) != 1 || rep.Skipped[0] != "p.BenchmarkTiny-8" {
-		t.Fatalf("Skipped = %v, want [p.BenchmarkTiny-8]", rep.Skipped)
+	if len(rep.Skipped) != 1 || rep.Skipped[0] != "p.BenchmarkTiny" {
+		t.Fatalf("Skipped = %v, want [p.BenchmarkTiny]", rep.Skipped)
 	}
-	if len(rep.Deltas) != 1 || rep.Deltas[0].Key != "p.BenchmarkBig-8" {
+	if len(rep.Deltas) != 1 || rep.Deltas[0].Key != "p.BenchmarkBig" {
 		t.Fatalf("Deltas = %+v", rep.Deltas)
 	}
 	if !strings.Contains(rep.Format(0.25), "below the noise floor") {
@@ -277,5 +277,78 @@ func TestDiffFloorSkipsNoiseBaselines(t *testing.T) {
 	}
 	if len(rep0.Regressions) != 1 {
 		t.Fatalf("floor 0 regressions = %+v, want the tiny bench flagged", rep0.Regressions)
+	}
+}
+
+// TestProcsSuffixIsNotPartOfTheKey requires a benchmark captured at
+// GOMAXPROCS 2 (go test prints BenchmarkX-2) and one captured at 1 (go
+// test prints BenchmarkX) to be one series: the diff compares them and
+// notes the CPU counts differ.
+func TestProcsSuffixIsNotPartOfTheKey(t *testing.T) {
+	two, err := Parse(strings.NewReader("pkg: p\nBenchmarkX-2\t10\t200 ns/op\nBenchmarkY/w=4-2\t10\t300 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := Parse(strings.NewReader("pkg: p\nBenchmarkX\t10\t100 ns/op\nBenchmarkY/w=4\t10\t300 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"p.BenchmarkX", "p.BenchmarkY/w=4"} {
+		if two.Results[i].Key() != want || one.Results[i].Key() != want {
+			t.Fatalf("keys %q and %q, want %q", two.Results[i].Key(), one.Results[i].Key(), want)
+		}
+		if two.Results[i].Procs != 2 || one.Results[i].Procs != 1 {
+			t.Fatalf("procs %d and %d, want 2 and 1", two.Results[i].Procs, one.Results[i].Procs)
+		}
+	}
+	rep, err := Diff(one, two, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Deltas) != 2 || len(rep.Regressions) != 1 || rep.Regressions[0].Key != "p.BenchmarkX" {
+		t.Fatalf("deltas %+v, regressions %+v", rep.Deltas, rep.Regressions)
+	}
+	if out := rep.Format(0.25); !strings.Contains(out, "GOMAXPROCS differs: old snapshot ran at [1], new at [2]") {
+		t.Fatalf("Format does not note the CPU counts:\n%s", out)
+	}
+	if out := (&DiffReport{OldProcs: []int{2}, NewProcs: []int{2}}).Format(0.25); strings.Contains(out, "GOMAXPROCS") {
+		t.Fatalf("equal CPU counts noted:\n%s", out)
+	}
+}
+
+// TestDecodeSplitsLegacySuffix reads a snapshot written before results
+// had a procs field: the suffix still in the name is split off.
+func TestDecodeSplitsLegacySuffix(t *testing.T) {
+	snap, err := Decode(strings.NewReader(`{"schema":1,"rev":"r","date":"d","results":[
+		{"pkg":"p","name":"BenchmarkX-16","iterations":1,"ns_per_op":5},
+		{"pkg":"p","name":"BenchmarkY/cores=8","iterations":1,"ns_per_op":5}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := snap.Results[0]; r.Key() != "p.BenchmarkX" || r.Procs != 16 {
+		t.Fatalf("suffixed legacy result decoded as %+v", r)
+	}
+	if r := snap.Results[1]; r.Key() != "p.BenchmarkY/cores=8" || r.Procs != 1 {
+		t.Fatalf("unsuffixed legacy result decoded as %+v", r)
+	}
+}
+
+// TestDiffDisjointSnapshotsError requires a diff of two non-empty
+// snapshots with no benchmark in common to fail rather than report
+// "0 benchmarks compared, 0 regressions".
+func TestDiffDisjointSnapshotsError(t *testing.T) {
+	a := &Snapshot{Schema: SchemaVersion, Results: []Result{{Pkg: "p", Name: "BenchmarkA", Procs: 1, Iterations: 1, NsPerOp: 5}}}
+	b := &Snapshot{Schema: SchemaVersion, Results: []Result{{Pkg: "p", Name: "BenchmarkB", Procs: 1, Iterations: 1, NsPerOp: 5}}}
+	if _, err := Diff(a, b, 0.25); err == nil || !strings.Contains(err.Error(), "share no benchmark") {
+		t.Fatalf("disjoint diff: err = %v", err)
+	}
+	// A benchmark skipped below the noise floor is still shared.
+	b.Results = append(b.Results, a.Results[0])
+	if _, err := DiffFloor(a, b, 0.25, 100); err != nil {
+		t.Fatalf("diff sharing one skipped benchmark: %v", err)
+	}
+	// An empty side has nothing to share and is not an error.
+	if _, err := Diff(a, &Snapshot{Schema: SchemaVersion}, 0.25); err != nil {
+		t.Fatalf("diff against an empty snapshot: %v", err)
 	}
 }

@@ -94,7 +94,8 @@ func BuildPartial(ch *soc.Chip, g *ccg.Graph, opts *PartialOptions) (*Result, *D
 		res.MuxArea = opts.PreMuxArea
 	}
 	deg := &Degradation{}
-	fi := ccg.NewFinder()
+	fi := ccg.GetFinder()
+	defer ccg.PutFinder(fi)
 	skip := func(c *soc.Core, pf PortFailure) {
 		deg.Failures = append(deg.Failures, pf)
 		deg.Skipped = append(deg.Skipped, c.Name)

@@ -81,7 +81,8 @@ func Schedule(ch *soc.Chip, g *ccg.Graph) (*Result, error) {
 	root := obs.Start(nil, "sched")
 	defer root.End()
 	res := &Result{}
-	fi := ccg.NewFinder()
+	fi := ccg.GetFinder()
+	defer ccg.PutFinder(fi)
 	for _, c := range ch.TestableCores() {
 		if c.Disabled != "" {
 			return nil, fmt.Errorf("sched: core %s disabled: %s", c.Name, c.Disabled)

@@ -45,12 +45,12 @@ fi
 # The tracked suite: the enumeration benches (serial/parallel/cached),
 # the generated-chip scaling ladder, the wrapped-core/TAM evaluator, the
 # degradation campaign, ATPG (GCD), fault simulation (CPU) and
-# reverse-order compaction, the interconnect plan (System 1 and 256
-# generated cores), and the obs overhead micro-benches. One raw stream;
-# pkg: headers keep names unambiguous.
+# reverse-order compaction, the interconnect plan and one justification
+# search (System 1 and 256 generated cores each), and the obs overhead
+# micro-benches. One raw stream; pkg: headers keep names unambiguous.
 echo "==> bench suite (-benchtime $BT)"
 go test -run '^$' -bench 'BenchmarkEnumerate' -benchmem -benchtime "$BT" ./internal/explore/ | tee "$RAW"
-go test -run '^$' -bench 'BenchmarkGeneratedChip|BenchmarkWrappedChip|BenchmarkDegradationCampaign|BenchmarkATPGGCD|BenchmarkFaultSimCPU|BenchmarkAblationCompaction|BenchmarkInterconnectPlan' -benchmem -benchtime "$BT" . | tee -a "$RAW"
+go test -run '^$' -bench 'BenchmarkGeneratedChip|BenchmarkWrappedChip|BenchmarkDegradationCampaign|BenchmarkATPGGCD|BenchmarkFaultSimCPU|BenchmarkAblationCompaction|BenchmarkInterconnectPlan|BenchmarkCCGShortestPath' -benchmem -benchtime "$BT" . | tee -a "$RAW"
 go test -run '^$' -bench '.' -benchmem -benchtime "$BT" ./internal/obs/ | tee -a "$RAW"
 
 # Latest committed snapshot, if any (BENCH_10 sorts after BENCH_9).

@@ -20,7 +20,7 @@ echo "==> go test -race (parallel enumeration)"
 go test -race -run 'TestEnumerateParallel|TestCacheShared' ./internal/explore/
 
 echo "==> go test -race (delta-vs-full equivalence)"
-go test -race -count=1 -run 'TestDelta|TestMultiMatchesSingle|TestMultiDuplicate|TestMultiUnreachable|TestFinderReuse|TestCloneWithVersion|TestCacheRejects|TestCacheAccepts|TestHeapMatchesContainerHeap|TestDistancesMatchSearch|TestInterconnectMatchesPerNetSearch|TestEqualEvaluationsComparesUntestableNets' \
+go test -race -count=1 -run 'TestDelta|TestMultiMatchesSingle|TestMultiDuplicate|TestMultiUnreachable|TestFinderReuse|TestCloneWithVersion|TestCacheRejects|TestCacheAccepts|TestHeapMatchesContainerHeap|TestDistancesMatchSearch|TestInterconnectMatchesPerNetSearch|TestEqualEvaluationsComparesUntestableNets|TestConeSearchMatchesUnrestricted|TestFinderSurvivesEpochWrap|TestPutFinderDropsGraph|TestPinListsAreSharedAndCapped' \
     ./internal/core/ ./internal/ccg/ ./internal/explore/ ./internal/sched/ ./internal/proptest/
 
 echo "==> go test -race (wrapper corpus smoke: replay + tamper detection)"
