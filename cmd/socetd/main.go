@@ -10,11 +10,14 @@
 //	       [-checkpoint-every 5s]
 //	       [-trace out.ndjson] [-metrics out.json] [-obs 127.0.0.1:0]
 //
-// The state directory holds the job journal and every running job's
-// shard checkpoints. Kill the daemon however you like — SIGKILL
+// The state directory holds the job journal, every running job's shard
+// checkpoints and, under testsets/, the ATPG test set of every core the
+// daemon has prepared. Kill the daemon however you like — SIGKILL
 // included — and the next start recovers every unfinished job from the
 // journal and re-runs it incrementally from its checkpoints, converging
-// on the byte-identical result an uninterrupted run produces.
+// on the byte-identical result an uninterrupted run produces. A core
+// whose test set is already stored, from before a restart or from an
+// earlier chip that shares it, is not run through ATPG again.
 //
 // SIGTERM (or SIGINT) drains gracefully: admission stops (readyz flips
 // to 503, new submissions get 503 + Retry-After), in-flight jobs get
@@ -45,7 +48,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("socetd: ")
 	addr := flag.String("addr", "127.0.0.1:0", "address to serve the API on (port 0 picks a free port)")
-	dir := flag.String("dir", "", "state directory for the job journal and shard checkpoints (required)")
+	dir := flag.String("dir", "", "state directory for the job journal, shard checkpoints and stored test sets (required)")
 	workers := flag.Int("workers", 0, "worker pool width (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 8, "max unfinished jobs before submissions get 429")
 	lease := flag.Duration("lease", 30*time.Second, "heartbeat lease TTL for shard work units")

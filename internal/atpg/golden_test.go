@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -21,18 +22,21 @@ var update = flag.Bool("update", false, "rewrite testdata/golden.txt with the cu
 // both example systems: the Stats, a SHA-256 over the pattern bytes, and
 // the search-effort counters. The PODEM search and the fault simulator
 // are deterministic, so any diff is a behavior change that must be
-// reviewed (and blessed with -update).
+// reviewed (and blessed with -update, which also means bumping
+// storeVersion). Each test set also goes through a Store and must load
+// back identical.
 func TestGoldenTestSets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs ATPG on every System 1 and System 2 core")
 	}
+	store := NewStore(t.TempDir())
 	var b strings.Builder
 	for _, ch := range []*soc.Chip{systems.System1(), systems.System2()} {
 		for _, c := range ch.Cores {
 			if c.Memory {
 				continue
 			}
-			b.WriteString(goldenLine(t, c))
+			b.WriteString(goldenLine(t, c, store))
 		}
 	}
 	golden := filepath.Join("testdata", "golden.txt")
@@ -56,8 +60,9 @@ func TestGoldenTestSets(t *testing.T) {
 }
 
 // goldenLine runs default ATPG on one core with a fresh metrics registry
-// and formats its fingerprint.
-func goldenLine(t *testing.T, c *soc.Core) string {
+// and formats its fingerprint, after round-tripping the result through
+// store.
+func goldenLine(t *testing.T, c *soc.Core, store *Store) string {
 	t.Helper()
 	sr, err := synth.Synthesize(c.RTL)
 	if err != nil {
@@ -68,6 +73,10 @@ func goldenLine(t *testing.T, c *soc.Core) string {
 	res, err := Generate(sr.Netlist, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", c.Name, err)
+	}
+	store.Put(sr.Netlist, nil, res)
+	if got, ok := store.Get(sr.Netlist, nil); !ok || !reflect.DeepEqual(got, res) {
+		t.Errorf("%s: stored test set loads back as hit=%v, equal=%v", c.Name, ok, reflect.DeepEqual(got, res))
 	}
 	h := sha256.New()
 	for _, p := range res.Patterns {

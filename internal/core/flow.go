@@ -35,6 +35,9 @@ type Options struct {
 	// instead of running ATPG (used by the worked-example benchmarks that
 	// reproduce Section 3's arithmetic with the paper's 105 vectors).
 	VectorOverride map[string]int
+	// TestSets, when non-nil, serves each logic core's test set from this
+	// store instead of running ATPG, and records the ones ATPG generates.
+	TestSets *atpg.Store
 }
 
 // Artifacts collects per-core flow products.
@@ -93,8 +96,9 @@ func (f *Flow) Fork(ch *soc.Chip) *Flow {
 
 // Prepare runs the core-level phase on every core: synthesis (area),
 // HSCAN insertion, transparency version ladder, and combinational ATPG
-// for the precomputed test set. Memory cores get synthesis plus a BIST
-// plan. Every testable core starts at its minimum-area version.
+// for the precomputed test set (or its Options.TestSets entry). Memory
+// cores get synthesis plus a BIST plan. Every testable core starts at
+// its minimum-area version.
 func Prepare(ch *soc.Chip, opts *Options) (*Flow, error) {
 	if err := ch.Validate(); err != nil {
 		return nil, err
@@ -146,11 +150,15 @@ func Prepare(ch *soc.Chip, opts *Options) (*Flow, error) {
 				continue
 			}
 		}
-		sp = obs.Start(root, "atpg/"+c.Name)
-		res, err := atpg.Generate(sr.Netlist, f.Opts.ATPG)
-		sp.End()
-		if err != nil {
-			return nil, fmt.Errorf("core: atpg %s: %w", c.Name, err)
+		res, ok := f.Opts.TestSets.Get(sr.Netlist, f.Opts.ATPG)
+		if !ok {
+			sp = obs.Start(root, "atpg/"+c.Name)
+			res, err = atpg.Generate(sr.Netlist, f.Opts.ATPG)
+			sp.End()
+			if err != nil {
+				return nil, fmt.Errorf("core: atpg %s: %w", c.Name, err)
+			}
+			f.Opts.TestSets.Put(sr.Netlist, f.Opts.ATPG, res)
 		}
 		art.ATPG = res
 		c.Vectors = res.Stats.Vectors

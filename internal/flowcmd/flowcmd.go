@@ -16,9 +16,10 @@ package flowcmd
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"repro/internal/core"
@@ -110,7 +111,8 @@ func (s ChipSpec) Build() (*soc.Chip, *core.Options, error) {
 
 // Key is the spec's canonical identity string — the flow-cache key the
 // daemon shares prepared flows and evaluation caches under. Scripts are
-// collapsed to a hash so keys stay short.
+// collapsed to their SHA-256 so keys stay short; a collision-resistant
+// hash keeps two different scripts from sharing one prepared flow.
 func (s ChipSpec) Key() string {
 	switch {
 	case s.System != 0:
@@ -118,9 +120,8 @@ func (s ChipSpec) Key() string {
 	case s.Gen != nil:
 		return fmt.Sprintf("gen:seed=%d,cores=%d,topology=%s", s.Gen.Seed, s.Gen.Cores, topologyOrAuto(s.Gen.Topology))
 	default:
-		h := fnv.New64a()
-		h.Write([]byte(s.Script))
-		return fmt.Sprintf("script:%016x", h.Sum64())
+		sum := sha256.Sum256([]byte(s.Script))
+		return "script:" + hex.EncodeToString(sum[:])
 	}
 }
 

@@ -1,6 +1,8 @@
 package flowcmd
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 	"time"
@@ -60,6 +62,22 @@ func TestChipSpecKeyDistinguishes(t *testing.T) {
 	b := ChipSpec{Gen: &GenSpec{Seed: 7, Topology: "auto"}}.Key()
 	if a != b {
 		t.Fatalf("topology %q vs %q should share a key", a, b)
+	}
+}
+
+// TestScriptKeyIsSHA256 pins script keys to the script's SHA-256: a
+// 64-bit non-cryptographic hash would let two different scripts share one
+// prepared flow and its evaluation caches in socetd.
+func TestScriptKeyIsSHA256(t *testing.T) {
+	script := "chip x\ncore a\n"
+	sum := sha256.Sum256([]byte(script))
+	if got, want := (ChipSpec{Script: script}).Key(), "script:"+hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("Key() = %q, want %q", got, want)
+	}
+	other := []byte(script)
+	other[len(other)-2] ^= 1
+	if a, b := (ChipSpec{Script: script}).Key(), (ChipSpec{Script: string(other)}).Key(); a == b {
+		t.Fatalf("scripts differing in one byte share key %q", a)
 	}
 }
 

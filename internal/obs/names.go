@@ -16,6 +16,9 @@ var KnownCounters = []string{
 	"atpg.detected",                    // faults detected by generated or simulated vectors
 	"atpg.faults",                      // faults targeted by ATPG
 	"atpg.implications",                // PODEM implication steps
+	"atpg.store_errors",                // test-set store reads or writes that failed with an I/O error
+	"atpg.store_hits",                  // test sets served from the test-set store instead of ATPG
+	"atpg.store_rejects",               // test-set store entries that did not check out and were regenerated
 	"atpg.untestable",                  // faults proven untestable
 	"atpg.vectors",                     // test vectors kept after generation
 	"ccg.builds",                       // core connectivity graphs constructed

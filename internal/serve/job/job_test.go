@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/flowcmd"
+	"repro/internal/obs"
 	"repro/internal/resil"
 	"repro/internal/shard"
 )
@@ -152,6 +153,28 @@ func TestExploreJobMatchesDirect(t *testing.T) {
 	}
 }
 
+// closeAfterCheckpoint lets job id make real progress, then pulls the
+// plug: it waits up to wait for at least one shard checkpoint frame to
+// land and closes m.
+func closeAfterCheckpoint(t *testing.T, m *Manager, dir, id string, wait time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(wait)
+	prefix := filepath.Join(dir, "job-"+id)
+	for {
+		if files, _ := filepath.Glob(prefix + ".shard*"); len(files) > 0 {
+			break
+		}
+		if done, _ := m.Get(id); done.State.Terminal() {
+			break // finished before we could interrupt; recovery is vacuous but the bytes still must match
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no checkpoint appeared within %v", wait)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	m.Close()
+}
+
 // TestCrashRecoveryByteIdentical is the tentpole gate at the job layer:
 // kill a manager mid-campaign (Close cancels everything in flight after
 // checkpoints exist), reopen the same directory, and require the
@@ -172,23 +195,7 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := mustSubmit(t, m1, spec)
-	// Let the job make real progress, then pull the plug: wait for at
-	// least one shard checkpoint frame to land.
-	deadline := time.Now().Add(time.Minute)
-	prefix := filepath.Join(dir, "job-"+rec.ID)
-	for {
-		if files, _ := filepath.Glob(prefix + ".shard*"); len(files) > 0 {
-			break
-		}
-		if done, _ := m1.Get(rec.ID); done.State.Terminal() {
-			break // finished before we could interrupt; recovery is vacuous but the bytes still must match
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint appeared within a minute")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	m1.Close()
+	closeAfterCheckpoint(t, m1, dir, rec.ID, time.Minute)
 
 	after, ok := m1.Get(rec.ID)
 	if !ok {
@@ -214,6 +221,69 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 	final := waitDone(t, m2, rec.ID)
 	if final.Result != want {
 		t.Fatalf("recovered result differs from uninterrupted run:\n got:\n%s\nwant:\n%s", final.Result, want)
+	}
+}
+
+// system1 is the paper's System 1: three logic cores whose test sets
+// come from real ATPG, unlike the generated chips' fixed vector counts.
+func system1() flowcmd.ChipSpec { return flowcmd.ChipSpec{System: 1} }
+
+// storeCounts reports the test-set store hits and PODEM backtracks that
+// metrics recorded.
+func storeCounts(metrics *obs.Metrics) (hits, backtracks int64) {
+	return metrics.Counter("atpg.store_hits").Value(), metrics.Counter("atpg.backtracks").Value()
+}
+
+// TestRestartReusesTestSets evaluates System 1, closes the manager and
+// reopens it on the same directory: the second evaluation must print
+// the same bytes while taking all three logic cores' test sets from the
+// store, without a single PODEM backtrack.
+func TestRestartReusesTestSets(t *testing.T) {
+	dir := t.TempDir()
+	spec := Spec{Type: TypeEvaluate, Chip: system1()}
+	m1 := newManager(t, testOptions(dir))
+	first := waitDone(t, m1, mustSubmit(t, m1, spec).ID)
+	m1.Close()
+
+	_, metrics := obs.Enable(0)
+	defer obs.Disable()
+	m2 := newManager(t, testOptions(dir))
+	second := waitDone(t, m2, mustSubmit(t, m2, spec).ID)
+	if second.Result != first.Result {
+		t.Fatalf("result after restart differs:\n got:\n%s\nwant:\n%s", second.Result, first.Result)
+	}
+	if hits, backtracks := storeCounts(metrics); hits != 3 || backtracks != 0 {
+		t.Fatalf("reopened manager: %d store hits, %d backtracks; want 3 and 0", hits, backtracks)
+	}
+}
+
+// TestCrashRecoveryReusesTestSets kills a manager mid-campaign on System
+// 1, whose prepare ran ATPG, and reopens it. The recovered job prepares
+// from the store, and its shard checkpoints still resume: the flow
+// fingerprint hashes each core's vector count, which a stored test set
+// reproduces. The result must equal an uninterrupted run of the same
+// spec.
+func TestCrashRecoveryReusesTestSets(t *testing.T) {
+	spec := Spec{
+		Type: TypeCampaign, Chip: system1(),
+		Shards: 4, Runs: 24, SetSize: 2, Seed: 5,
+	}
+	dir := t.TempDir()
+	m1 := newManager(t, testOptions(dir))
+	rec := mustSubmit(t, m1, spec)
+	closeAfterCheckpoint(t, m1, dir, rec.ID, 3*time.Minute)
+
+	_, metrics := obs.Enable(0)
+	defer obs.Disable()
+	m2 := newManager(t, testOptions(dir))
+	got := waitDone(t, m2, rec.ID).Result
+	t.Logf("resumed %d completed ranges from checkpoints", metrics.Counter("shard.resumed_ranges").Value())
+	want := waitDone(t, m2, mustSubmit(t, m2, spec).ID).Result
+	if got != want {
+		t.Fatalf("recovered result differs from uninterrupted run:\n got:\n%s\nwant:\n%s", got, want)
+	}
+	if hits, backtracks := storeCounts(metrics); hits != 3 || backtracks != 0 {
+		t.Fatalf("reopened manager: %d store hits, %d backtracks; want 3 and 0", hits, backtracks)
 	}
 }
 

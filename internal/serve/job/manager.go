@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/atpg"
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/flowcmd"
@@ -30,7 +31,8 @@ var ErrDraining = errors.New("job: draining, not accepting jobs")
 
 // Options configures a Manager.
 type Options struct {
-	// Dir holds the journal and every job's shard checkpoints.
+	// Dir holds the journal, every job's shard checkpoints and, under
+	// testsets/, the ATPG test-set store every prepared flow shares.
 	Dir string
 	// Workers bounds the lease pool (default GOMAXPROCS).
 	Workers int
@@ -348,7 +350,9 @@ func (m *Manager) run(e *jobEntry) {
 }
 
 // flow returns the shared prepared flow (and caches) for a chip spec,
-// preparing it at most once across all jobs.
+// preparing it at most once across all jobs. Preparation takes each
+// core's test set from the store when an earlier flow, before or after
+// a restart, already generated it.
 func (m *Manager) flow(spec flowcmd.ChipSpec) (*flowEntry, error) {
 	key := spec.Key()
 	m.flowMu.Lock()
@@ -364,7 +368,12 @@ func (m *Manager) flow(spec flowcmd.ChipSpec) (*flowEntry, error) {
 			fe.err = err
 			return
 		}
-		fe.flow, fe.err = core.Prepare(ch, opts)
+		var o core.Options
+		if opts != nil {
+			o = *opts
+		}
+		o.TestSets = atpg.NewStore(filepath.Join(m.opts.Dir, "testsets"))
+		fe.flow, fe.err = core.Prepare(ch, &o)
 		if fe.err == nil {
 			fe.delta = explore.NewCache()
 			fe.full = explore.NewFullCache()

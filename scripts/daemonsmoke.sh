@@ -2,8 +2,11 @@
 # Daemon crash smoke: start socetd, submit a sharded campaign over HTTP,
 # SIGKILL the daemon mid-flight, restart it on the same state directory,
 # and require the recovered job's result to be byte-identical to the
-# single-process `compare -campaign` golden. Finish with a SIGTERM drain
-# and require a clean exit. This is the end-to-end complement of the
+# single-process `compare -campaign` golden. Then evaluate System 1 on
+# the restarted daemon, finish with a SIGTERM drain, require a clean
+# exit, and require the restarted daemon's metrics to show that it took
+# System 1's test sets from the state directory's store instead of
+# running ATPG again. This is the end-to-end complement of the
 # in-process crash tests in internal/serve/job.
 set -eu
 
@@ -30,11 +33,12 @@ go build -o "$WORK/compare" ./cmd/compare
 echo "==> golden: single-process compare -campaign"
 "$WORK/compare" -system 1 -campaign "$RUNS" -campaign-size "$SIZE" -campaign-seed "$SEED" > "$WORK/golden.txt"
 
-# start_daemon launches socetd on the shared state dir and sets ADDR from
-# its "listening on" line (the daemon binds port 0).
+# start_daemon launches socetd on the shared state dir, with any extra
+# flags given, and sets ADDR from its "listening on" line (the daemon
+# binds port 0).
 start_daemon() {
     : > "$WORK/log.txt"
-    "$WORK/socetd" -dir "$WORK/state" -addr 127.0.0.1:0 -checkpoint-every 1ms 2>> "$WORK/log.txt" &
+    "$WORK/socetd" -dir "$WORK/state" -addr 127.0.0.1:0 -checkpoint-every 1ms "$@" 2>> "$WORK/log.txt" &
     DAEMON_PID=$!
     i=0
     while ! grep -q "listening on" "$WORK/log.txt"; do
@@ -81,7 +85,7 @@ DAEMON_PID=""
 echo "    killed daemon ($(ls "$WORK/state" | wc -l | tr -d ' ') files in state dir)"
 
 echo "==> restart on the same state dir; fetch the recovered result"
-start_daemon
+start_daemon -metrics "$WORK/metrics.json"
 curl -sf "http://$ADDR/jobs/$JOB/result?wait=5m" > "$WORK/result.txt"
 
 echo "==> diff recovered result vs single-process golden"
@@ -89,6 +93,12 @@ if ! diff -u "$WORK/golden.txt" "$WORK/result.txt"; then
     echo "recovered result is not byte-identical to the golden" >&2
     exit 1
 fi
+
+echo "==> evaluate System 1 on the restarted daemon"
+curl -sf -X POST --data '{"type":"evaluate","chip":{"system":1}}' "http://$ADDR/jobs" > "$WORK/submit.json"
+EVAL=$(sed -n 's/.*"id": "\([^"]*\)".*/\1/p' "$WORK/submit.json" | head -1)
+[ -n "$EVAL" ] || { echo "submit returned no job id:" >&2; cat "$WORK/submit.json" >&2; exit 1; }
+curl -sf "http://$ADDR/jobs/$EVAL/result?wait=5m" | grep -q '^tat ' || { echo "evaluate $EVAL returned no tat line" >&2; exit 1; }
 
 echo "==> graceful drain (SIGTERM)"
 kill -TERM "$DAEMON_PID"
@@ -99,5 +109,17 @@ if ! wait "$DAEMON_PID"; then
 fi
 DAEMON_PID=""
 grep -q "drained" "$WORK/log.txt" || { echo "daemon log missing drain confirmation" >&2; cat "$WORK/log.txt" >&2; exit 1; }
+
+# Whether the restart recovered the campaign or only served its journaled
+# result, the first daemon prepared System 1 before the kill, so every
+# test set the restarted daemon needed was in the store.
+echo "==> restarted daemon reused System 1's test sets (no ATPG)"
+HITS=$(sed -n 's/.*"atpg.store_hits": \([0-9]*\).*/\1/p' "$WORK/metrics.json")
+if [ "${HITS:-0}" -lt 3 ] || grep -q '"atpg.backtracks": [1-9]' "$WORK/metrics.json"; then
+    echo "want >= 3 atpg.store_hits and no atpg.backtracks after the restart:" >&2
+    cat "$WORK/metrics.json" >&2
+    exit 1
+fi
+echo "    $HITS store hits"
 
 echo "==> ok"
