@@ -55,7 +55,7 @@ func flows(b *testing.B) (*core.Flow, []explore.Point, *core.Flow, []explore.Poi
 			fix.err = err
 			return
 		}
-		p1, err := explore.Enumerate(f1)
+		p1, err := explore.EnumerateCtx(context.Background(), f1, explore.Options{})
 		if err != nil {
 			fix.err = err
 			return
@@ -65,7 +65,7 @@ func flows(b *testing.B) (*core.Flow, []explore.Point, *core.Flow, []explore.Poi
 			fix.err = err
 			return
 		}
-		p2, err := explore.Enumerate(f2)
+		p2, err := explore.EnumerateCtx(context.Background(), f2, explore.Options{})
 		if err != nil {
 			fix.err = err
 			return
@@ -194,7 +194,7 @@ func BenchmarkFig10Tradeoff(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		points, err = explore.Enumerate(f1)
+		points, err = explore.EnumerateCtx(context.Background(), f1, explore.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -219,12 +219,12 @@ func BenchmarkEnumerateSerialVsParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		serial, err := explore.EnumerateOpts(f1, explore.Options{Workers: 1})
+		serial, err := explore.EnumerateCtx(context.Background(), f1, explore.Options{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
 		t1 := time.Now()
-		parallel, err := explore.EnumerateOpts(f1, explore.Options{Workers: 0})
+		parallel, err := explore.EnumerateCtx(context.Background(), f1, explore.Options{Workers: 0})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -712,7 +712,7 @@ func BenchmarkGeneratedChip(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var err error
-				e, err = d.EvaluateSelection(flipOne(base, flippable, i))
+				e, err = d.EvaluateSelectionCtx(context.Background(), flipOne(base, flippable, i))
 				if err != nil {
 					b.Fatal(err)
 				}

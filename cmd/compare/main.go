@@ -56,7 +56,6 @@ func main() {
 	jobs := flag.Int("j", 0, "parallel evaluation workers (0 = GOMAXPROCS); output is identical at any count")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound on each enumeration (0 = none); on expiry the partial Pareto front is printed instead of the tables")
 	fault := flag.String("fault", "", "inject faults (see socet -fault) and print each system's degradation report")
-	delta := flag.Bool("delta", true, "evaluate single-core-change candidates incrementally; results are bit-identical, -delta=false forces full evaluations")
 	campaign := flag.Int("campaign", 0, "run a random fault-injection campaign of `n` sets per system (instead of the tables)")
 	campaignSize := flag.Int("campaign-size", 2, "faults per campaign set")
 	campaignSeed := flag.Int64("campaign-seed", 1, "campaign fault-set seed")
@@ -111,7 +110,7 @@ func main() {
 			printArch(f, archName, *tamWidth)
 			continue
 		}
-		points, err := explore.EnumerateCtx(ctx, f, explore.Options{Workers: *jobs, FullEval: !*delta})
+		points, err := explore.EnumerateCtx(ctx, f, explore.Options{Workers: *jobs})
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			// Out of time: the completed points still form a consistent
 			// partial sample — print its Pareto front instead of tables
@@ -205,7 +204,9 @@ func printDegradation(f *core.Flow, spec string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dev, err := f.Fork(damaged).EvaluateDegraded()
+	// Not the enumeration's context: the report also prints after
+	// -timeout cut the enumeration short.
+	dev, err := f.Fork(damaged).EvaluateDegradedCtx(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

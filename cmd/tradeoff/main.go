@@ -62,7 +62,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "generator seed (with -gen)")
 	cores := flag.Int("cores", 0, "generated logic core count, 0 = derived from the seed (with -gen)")
 	topology := flag.String("topology", "auto", "generated interconnect family: auto, chain, mesh, dag, hub (with -gen)")
-	delta := flag.Bool("delta", true, "evaluate single-core-change candidates incrementally; results are bit-identical, -delta=false forces full evaluations")
 	arch := flag.String("arch", "socet", "architecture to sweep: socet (version enumeration) or wrapper (TAM width sweep)")
 	tamWidths := flag.String("tam-widths", "1,2,4,8,16", "comma-separated TAM widths for -arch wrapper")
 	obsCfg := obscli.AddFlags(flag.CommandLine)
@@ -105,10 +104,10 @@ func main() {
 		defer cancel()
 	}
 	if shardCfg.Active() {
-		runSharded(ctx, f, ch.Name, shardCfg, *jobs, *maxPoints, !*delta)
+		runSharded(ctx, f, ch.Name, shardCfg, *jobs, *maxPoints)
 		return
 	}
-	points, err := explore.EnumerateCtx(ctx, f, explore.Options{Workers: *jobs, MaxPoints: *maxPoints, FullEval: !*delta})
+	points, err := explore.EnumerateCtx(ctx, f, explore.Options{Workers: *jobs, MaxPoints: *maxPoints})
 	expired := errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 	if err != nil && !expired {
 		log.Fatal(err)
@@ -172,11 +171,10 @@ func sweepTAMWidths(f *core.Flow, widthsCSV string) {
 // any shard count, so golden diffs work across partitionings. A run
 // that could not finish (timeout, or a shard out of retries) prints
 // what it has, attributes the missing ranges, and exits non-zero.
-func runSharded(ctx context.Context, f *core.Flow, chip string, cfg *shard.Flags, jobs, maxPoints int, fullEval bool) {
+func runSharded(ctx context.Context, f *core.Flow, chip string, cfg *shard.Flags, jobs, maxPoints int) {
 	opts := cfg.Options()
 	opts.Workers = jobs
 	opts.MaxPoints = maxPoints
-	opts.FullEval = fullEval
 	res, err := shard.RunExplore(ctx, f, opts)
 	if res == nil {
 		log.Fatal(err)

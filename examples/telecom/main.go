@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,7 +38,7 @@ func main() {
 			c.Name, art.OrigCells(), c.Vectors, st.FaultCoverage())
 	}
 
-	points, err := explore.Enumerate(f)
+	points, err := explore.EnumerateCtx(context.Background(), f, explore.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

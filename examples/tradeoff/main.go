@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,12 +23,13 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	ctx := context.Background()
 	f, err := core.Prepare(systems.System1(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	points, err := explore.Enumerate(f)
+	points, err := explore.EnumerateCtx(ctx, f, explore.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +51,7 @@ func main() {
 		log.Fatal(err)
 	}
 	budget := e0.ChipDFTCells() + 40
-	res, err := explore.Improve(f, explore.MinimizeTAT, budget)
+	res, err := explore.ImproveCtx(ctx, f, explore.MinimizeTAT, budget, explore.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func main() {
 	// Objective (ii): minimize area while meeting 60%% of the initial TAT.
 	reset(f)
 	target := e0.TAT * 6 / 10
-	res2, err := explore.Improve(f, explore.MinimizeArea, target)
+	res2, err := explore.ImproveCtx(ctx, f, explore.MinimizeArea, target, explore.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -105,22 +105,13 @@ type DegradedEvaluation struct {
 	Report *DegradationReport
 }
 
-// EvaluateDegraded evaluates the chip's current selection without giving
-// up on the first unreachable port: unservable cores are diagnosed and
-// skipped, single-core version fallbacks are tried to reroute around the
-// damage, and the result covers the testable subset with a coverage
+// EvaluateDegradedCtx evaluates the chip's current selection without
+// giving up on the first unreachable port: unservable cores are diagnosed
+// and skipped, single-core version fallbacks are tried to reroute around
+// the damage, and the result covers the testable subset with a coverage
 // fraction. On a healthy flow (no fault-injected Fork) it produces an
-// Evaluation bit-identical to Evaluate.
-func (f *Flow) EvaluateDegraded() (*DegradedEvaluation, error) {
-	return f.evaluateDegraded(context.Background(), f.CurrentSelection())
-}
-
-// EvaluateSelectionDegraded is EvaluateDegraded for an explicit selection.
-func (f *Flow) EvaluateSelectionDegraded(sel map[string]int) (*DegradedEvaluation, error) {
-	return f.evaluateDegraded(context.Background(), sel)
-}
-
-// EvaluateDegradedCtx is EvaluateDegraded honoring ctx.
+// Evaluation bit-identical to Evaluate. Cancellation surfaces as
+// ctx.Err().
 func (f *Flow) EvaluateDegradedCtx(ctx context.Context) (*DegradedEvaluation, error) {
 	return f.evaluateDegraded(ctx, f.CurrentSelection())
 }

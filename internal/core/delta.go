@@ -1,8 +1,9 @@
 // Delta evaluation: re-evaluating a selection that differs from an
 // already-evaluated base in a single core without rebuilding the CCG or
 // re-scheduling the whole chip. This is the explorer's hot loop — both
-// Enumerate neighbours and Improve steps change one core at a time — and
-// the mechanism behind the ROADMAP's "incremental re-evaluation" item.
+// enumeration neighbours and improvement steps change one core at a
+// time — and the mechanism behind the ROADMAP's "incremental
+// re-evaluation" item.
 //
 // # Invalidation model
 //
@@ -46,14 +47,13 @@ import (
 // DeltaEvaluator evaluates selections against a small registry of cached
 // base evaluations, re-running only the work a single-core version flip
 // invalidates. It is safe for concurrent use; results are plain
-// Evaluations, bit-identical to Flow.EvaluateSelection.
+// Evaluations, bit-identical to Flow.EvaluateSelection. It is the
+// explorer's only evaluation cache: every request counts one
+// explore.cache_hits (an exact base match, returned as is) or one
+// explore.cache_misses (a computed result).
 type DeltaEvaluator struct {
 	f *Flow
 
-	// MaxBases bounds the base registry (LRU eviction). Exploration
-	// walks stay near a frontier, so a handful of bases catches almost
-	// every single-core neighbour.
-	MaxBases int
 	// AdoptCandidates controls whether every full or delta evaluation
 	// becomes a new base (the default, right for explorer walks where
 	// each accepted candidate seeds the next neighbourhood). Benchmarks
@@ -74,15 +74,21 @@ type DeltaEvaluator struct {
 }
 
 // DeltaStats counts how a delta evaluator's requests were served. The
-// same counts feed the obs registry (core.delta_*), but obs is a
-// process-global that may be disabled; these are per-evaluator and
-// always on, which is what tests and benchmarks want to assert against.
+// same counts feed the obs registry (explore.cache_hits, core.delta_*),
+// but obs is a process-global that may be disabled; these are
+// per-evaluator and always on, which is what tests and benchmarks want
+// to assert against.
 type DeltaStats struct {
 	Hits      int // exact base registry hits
 	Deltas    int // served by the incremental path
 	Fallbacks int // had a 1-diff base but punted to a full evaluation
 	Fulls     int // no usable base: full evaluation
 }
+
+// maxBases bounds the base registry (LRU eviction). Exploration walks
+// stay near a frontier, so a handful of bases catches almost every
+// single-core neighbour.
+const maxBases = 16
 
 type deltaBase struct {
 	sel      map[string]int
@@ -92,10 +98,9 @@ type deltaBase struct {
 	muxes    []ForcedMux
 }
 
-// NewDeltaEvaluator returns a delta evaluator over f with the default
-// base registry size.
+// NewDeltaEvaluator returns a delta evaluator over f.
 func NewDeltaEvaluator(f *Flow) *DeltaEvaluator {
-	return &DeltaEvaluator{f: f, MaxBases: 16, AdoptCandidates: true, bases: map[string]*deltaBase{}}
+	return &DeltaEvaluator{f: f, AdoptCandidates: true, bases: map[string]*deltaBase{}}
 }
 
 // Flow returns the flow this evaluator is bound to.
@@ -106,11 +111,6 @@ func (d *DeltaEvaluator) Stats() DeltaStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.stats
-}
-
-// EvaluateSelection is EvaluateSelectionCtx with a background context.
-func (d *DeltaEvaluator) EvaluateSelection(sel map[string]int) (*Evaluation, error) {
-	return d.EvaluateSelectionCtx(context.Background(), sel)
 }
 
 // EvaluateSelectionCtx evaluates sel, reusing a cached base that differs
@@ -126,9 +126,10 @@ func (d *DeltaEvaluator) EvaluateSelectionCtx(ctx context.Context, sel map[strin
 		d.touch(key)
 		d.stats.Hits++
 		d.mu.Unlock()
-		obs.C("core.delta_hits").Inc()
+		obs.C("explore.cache_hits").Inc()
 		return b.eval, nil
 	}
+	obs.C("explore.cache_misses").Inc()
 	var base *deltaBase
 	var changed string
 	for i := len(d.order) - 1; i >= 0; i-- { // most recent base first
@@ -327,8 +328,8 @@ func markReach(g *ccg.Graph, fwd, bwd []bool, core string) {
 }
 
 // muxesCurrent reports whether the flow's forced-mux set still matches
-// the one the base was built with; Improve appends muxes mid-walk, and a
-// base missing one must not serve deltas.
+// the one the base was built with; the improvement walk appends muxes
+// mid-walk, and a base missing one must not serve deltas.
 func (d *DeltaEvaluator) muxesCurrent(b *deltaBase) bool {
 	cur := d.f.ForcedMuxes
 	if len(cur) != len(b.muxes) {
@@ -371,7 +372,7 @@ func diffCores(a, b map[string]int) (int, string) {
 }
 
 // adopt stores an evaluation as a base under key, evicting the least
-// recently used entry past MaxBases.
+// recently used entry past maxBases.
 func (d *DeltaEvaluator) adopt(key string, sel map[string]int, e *Evaluation, pristine int, forced cell.Area) {
 	selCopy := make(map[string]int, len(sel))
 	for k, v := range sel {
@@ -383,11 +384,7 @@ func (d *DeltaEvaluator) adopt(key string, sel map[string]int, e *Evaluation, pr
 	if _, ok := d.bases[key]; ok {
 		d.touch(key)
 	} else {
-		max := d.MaxBases
-		if max < 1 {
-			max = 1
-		}
-		for len(d.order) >= max {
+		for len(d.order) >= maxBases {
 			oldest := d.order[0]
 			d.order = d.order[1:]
 			delete(d.bases, oldest)

@@ -56,7 +56,7 @@ func TestDeltaMatchesFullAcrossTopologies(t *testing.T) {
 						sel[k] = vv
 					}
 					sel[c.Name] = v
-					de, err := d.EvaluateSelection(sel)
+					de, err := d.EvaluateSelectionCtx(context.Background(), sel)
 					if err != nil {
 						t.Fatalf("delta evaluate %s=V%d: %v", c.Name, v+1, err)
 					}
@@ -99,7 +99,7 @@ func TestDeltaWalk(t *testing.T) {
 			continue
 		}
 		sel[c.Name] = (sel[c.Name] + 1) % len(c.Versions)
-		de, err := d.EvaluateSelection(sel)
+		de, err := d.EvaluateSelectionCtx(context.Background(), sel)
 		if err != nil {
 			t.Fatalf("step %d: delta: %v", i, err)
 		}
@@ -126,7 +126,7 @@ func TestDeltaZeroDiffReturnsBase(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rebase: %v", err)
 	}
-	e2, err := d.EvaluateSelection(base)
+	e2, err := d.EvaluateSelectionCtx(context.Background(), base)
 	if err != nil {
 		t.Fatalf("re-evaluate: %v", err)
 	}
@@ -161,7 +161,7 @@ func TestDeltaTamperDetected(t *testing.T) {
 			sel[k] = v
 		}
 		sel[c.Name] = (base[c.Name] + 1) % len(c.Versions)
-		de, err := d.EvaluateSelection(sel)
+		de, err := d.EvaluateSelectionCtx(context.Background(), sel)
 		if err != nil {
 			t.Fatalf("crippled delta evaluate (flip %s): %v", c.Name, err)
 		}

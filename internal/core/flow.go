@@ -276,9 +276,9 @@ func canonSelectionOn(ch *soc.Chip, sel map[string]int) map[string]int {
 }
 
 // SelectionKey returns a canonical signature of the given selection plus
-// the flow's current forced-mux set — the memoization key for evaluation
-// caches: two calls yielding the same key produce numerically identical
-// Evaluations. Cores are sorted by name; forced muxes are sorted too
+// the flow's current forced-mux set — the key of the delta evaluator's
+// base registry: two calls yielding the same key produce numerically
+// identical Evaluations. Cores are sorted by name; forced muxes are sorted too
 // (placement order only affects tie-breaking among equal-arrival paths,
 // never the reported times or areas).
 func (f *Flow) SelectionKey(sel map[string]int) string {
@@ -456,9 +456,9 @@ func pickChipPin(g *ccg.Graph, pins []soc.Pin, width int) (int, error) {
 // version, vector count) and nets. Two flows over structurally identical
 // chips fingerprint equal; any difference that could change an
 // evaluation's numbers changes the fingerprint. ForcedMuxes are
-// deliberately excluded — they mutate during explore.Improve and are
-// already part of every SelectionKey — so a cache can stay bound to one
-// flow across mux placements while still detecting cross-chip reuse.
+// deliberately excluded — they mutate during explore.ImproveCtx and are
+// already part of every SelectionKey. Shard checkpoints record it to
+// refuse resuming over a different chip.
 func (f *Flow) Fingerprint() uint64 {
 	h := fnv.New64a()
 	w := func(s string) {

@@ -16,7 +16,7 @@ func TestEnumerateCancellation(t *testing.T) {
 	f := flow(t)
 	before := runtime.NumGoroutine()
 
-	full, err := Enumerate(f)
+	full, err := EnumerateCtx(context.Background(), f, Options{})
 	if err != nil {
 		t.Fatalf("Enumerate: %v", err)
 	}

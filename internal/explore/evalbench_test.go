@@ -1,6 +1,9 @@
 package explore
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func BenchmarkEvaluate(b *testing.B) {
 	f := flow(b)
@@ -20,7 +23,7 @@ func benchmarkEnumerate(b *testing.B, workers int) {
 	f := flow(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		points, err := EnumerateOpts(f, Options{Workers: workers})
+		points, err := EnumerateCtx(context.Background(), f, Options{Workers: workers})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -33,19 +36,3 @@ func benchmarkEnumerate(b *testing.B, workers int) {
 func BenchmarkEnumerateSerial(b *testing.B)    { benchmarkEnumerate(b, 1) }
 func BenchmarkEnumerateParallel2(b *testing.B) { benchmarkEnumerate(b, 2) }
 func BenchmarkEnumerateParallel4(b *testing.B) { benchmarkEnumerate(b, 4) }
-
-// BenchmarkEnumerateCached measures the memoized path: after the first
-// iteration fills the cache, every enumeration is pure lookup.
-func BenchmarkEnumerateCached(b *testing.B) {
-	f := flow(b)
-	cache := NewCache()
-	if _, err := EnumerateOpts(f, Options{Cache: cache}); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := EnumerateOpts(f, Options{Cache: cache}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

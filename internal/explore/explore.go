@@ -9,10 +9,12 @@
 // and degenerates to system-level test multiplexers when a mux becomes
 // cheaper than any remaining version upgrade.
 //
-// Enumeration is evaluated by a bounded worker pool over the selection-pure
-// core.Flow.EvaluateSelection, so the |versions|^n tree uses every CPU; the
-// output is identical at any worker count. An optional Cache memoizes
-// evaluations across Enumerate and Improve.
+// Enumeration is evaluated by a bounded worker pool, so the |versions|^n
+// tree uses every CPU; the output is identical at any worker count. Every
+// evaluation goes through a core.DeltaEvaluator, the explorer's only
+// evaluation cache: a selection that differs from a recently evaluated
+// one in a single core is re-evaluated incrementally, bit-identical to a
+// full core.Flow.EvaluateSelection.
 package explore
 
 import (
@@ -58,26 +60,19 @@ func (p Point) Label() string {
 
 // Options tunes the explorer.
 type Options struct {
-	// Workers bounds Enumerate's evaluation worker pool; <= 0 selects
+	// Workers bounds EnumerateCtx's evaluation worker pool; <= 0 selects
 	// runtime.GOMAXPROCS(0). The result is identical at any worker count.
 	Workers int
-	// Cache, when non-nil, memoizes evaluations. One cache serves one
-	// prepared flow; share it between Enumerate and Improve so the
-	// improvement walk reuses points the enumeration already visited.
-	// When nil, Enumerate and Improve create a private cache so the
-	// incremental delta evaluator accelerates single-core-change
-	// candidates by default.
-	Cache *Cache
-	// MaxPoints caps how many selections Enumerate generates (<= 0 means
+	// Cache is the delta evaluator every evaluation goes through. It must
+	// be bound to the explored flow; an evaluator over any other flow is
+	// an error. Nil gives the call a private evaluator. Sharing one across
+	// calls over the same flow lets them reuse its recent bases.
+	Cache *core.DeltaEvaluator
+	// MaxPoints caps how many selections EnumerateCtx generates (<= 0 means
 	// every combination). Generation order is fixed, so a capped run
 	// evaluates a deterministic prefix of the full enumeration — the only
 	// way to sweep a chip whose |versions|^n product is astronomical.
 	MaxPoints int
-	// FullEval disables the incremental delta evaluator: every cache miss
-	// runs a full core.Flow.EvaluateSelection. Delta results are
-	// bit-identical to full ones (proptest gates that), so this exists
-	// for measurement and as an escape hatch, not for correctness.
-	FullEval bool
 	// First offsets the enumeration: generation starts at global index
 	// First of the (MaxPoints-capped) enumeration order instead of 0.
 	// The mixed-radix odometer is fast-forwarded, so a deep window costs
@@ -99,119 +94,17 @@ type Options struct {
 	Observer func(globalIndex int, p Point)
 }
 
-// defaultCache gives the explorer a private cache when the caller passed
-// none, honoring FullEval; evaluation acceleration should not depend on
-// the caller remembering to construct one.
-func (o *Options) defaultCache() {
-	if o.Cache != nil {
-		return
+// evaluator returns the delta evaluator a call over f evaluates through:
+// o.Cache, or a private one when o.Cache is nil.
+func (o Options) evaluator(f *core.Flow) (*core.DeltaEvaluator, error) {
+	if o.Cache == nil {
+		return core.NewDeltaEvaluator(f), nil
 	}
-	if o.FullEval {
-		o.Cache = NewFullCache()
-	} else {
-		o.Cache = NewCache()
+	if o.Cache.Flow() != f {
+		return nil, fmt.Errorf("explore: the evaluator is bound to another flow (chip %q) than the explored one (chip %q): one evaluator serves one prepared flow",
+			o.Cache.Flow().Chip.Name, f.Chip.Name)
 	}
-}
-
-// Cache memoizes chip-level evaluations keyed by the canonical
-// (selection, forced-mux set) signature of core.Flow.SelectionKey, and
-// computes misses through an incremental delta evaluator bound to the
-// flow. It is safe for concurrent use.
-//
-// One cache serves one prepared flow — and, unlike before, that contract
-// is enforced: the cache binds to the first flow it evaluates and
-// records a structural fingerprint of its chip. Reusing the cache with a
-// structurally different flow (as a long-lived daemon reusing caches
-// across chips would) is a loud error instead of silently wrong
-// evaluations on a SelectionKey collision.
-type Cache struct {
-	mu    sync.Mutex
-	m     map[string]*core.Evaluation
-	flow  *core.Flow
-	fp    uint64
-	delta *core.DeltaEvaluator
-	full  bool
-}
-
-// NewCache returns an empty evaluation cache; misses on the flow it
-// binds to are computed incrementally where a single-core delta applies.
-func NewCache() *Cache { return &Cache{m: map[string]*core.Evaluation{}} }
-
-// NewFullCache returns a cache that memoizes but computes every miss
-// with a full evaluation, never the delta path.
-func NewFullCache() *Cache {
-	c := NewCache()
-	c.full = true
-	return c
-}
-
-// Evaluate returns the memoized evaluation for the selection, computing
-// and storing it on a miss. A nil cache simply evaluates. Cached
-// evaluations are shared between callers, which must treat them as
-// read-only.
-func (c *Cache) Evaluate(f *core.Flow, sel map[string]int) (*core.Evaluation, error) {
-	return c.EvaluateCtx(context.Background(), f, sel)
-}
-
-// EvaluateCtx is Evaluate honoring ctx: a cancelled evaluation returns
-// ctx.Err() and stores nothing. The first call binds the cache to f; a
-// later call with a structurally different flow returns an error.
-func (c *Cache) EvaluateCtx(ctx context.Context, f *core.Flow, sel map[string]int) (*core.Evaluation, error) {
-	if c == nil {
-		return f.EvaluateSelectionCtx(ctx, sel)
-	}
-	key := f.SelectionKey(sel)
-	c.mu.Lock()
-	if c.flow == nil {
-		c.flow = f
-		c.fp = f.Fingerprint()
-		if !c.full {
-			c.delta = core.NewDeltaEvaluator(f)
-		}
-	} else if f != c.flow && f.Fingerprint() != c.fp {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("explore: cache is bound to flow over chip %q (fingerprint %016x) but was asked to evaluate chip %q (%016x): one cache serves one prepared flow",
-			c.flow.Chip.Name, c.fp, f.Chip.Name, f.Fingerprint())
-	}
-	e, ok := c.m[key]
-	delta := c.delta
-	sameFlow := f == c.flow
-	c.mu.Unlock()
-	if ok {
-		obs.C("explore.cache_hits").Inc()
-		return e, nil
-	}
-	obs.C("explore.cache_misses").Inc()
-	var err error
-	if delta != nil && sameFlow {
-		e, err = delta.EvaluateSelectionCtx(ctx, sel)
-	} else {
-		// A distinct flow object with an identical fingerprint keys
-		// compatibly, but the delta evaluator's bases belong to the bound
-		// flow's forced-mux state — evaluate fully.
-		e, err = f.EvaluateSelectionCtx(ctx, sel)
-	}
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if prev, ok := c.m[key]; ok {
-		e = prev // a concurrent miss stored first; keep one canonical value
-	} else {
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	return e, nil
-}
-
-// Len reports how many evaluations the cache holds.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
+	return o.Cache, nil
 }
 
 // allSelections lists core-version combinations in the fixed enumeration
@@ -300,33 +193,26 @@ func selectionCount(cores []*soc.Core, max int) int {
 	return total
 }
 
-// Enumerate evaluates every combination of core versions, returning the
-// points sorted by chip overhead then TAT (the x-axis ordering of
-// Figure 10). Evaluation runs on a GOMAXPROCS-wide worker pool; the
-// chip's own version selection is never touched.
-func Enumerate(f *core.Flow) ([]Point, error) {
-	return EnumerateOpts(f, Options{})
-}
-
-// EnumerateOpts is Enumerate with explicit worker-pool and cache control.
-// Points, their values and their order are identical at any worker count:
-// selections are generated in one deterministic order, evaluated
-// selection-pure, placed by index, and sorted exactly as the serial path
-// sorts.
-func EnumerateOpts(f *core.Flow, o Options) ([]Point, error) {
-	return EnumerateCtx(context.Background(), f, o)
-}
-
-// EnumerateCtx is EnumerateOpts honoring ctx. Cancellation is checked
-// between selections and inside each evaluation; a cancelled enumeration
-// returns the points completed so far — sorted exactly as a full run
-// sorts, so they form a consistent (if partial) design-space sample —
-// together with ctx.Err(). A panicking evaluation is recovered into an
-// error instead of killing the process.
+// EnumerateCtx evaluates every combination of core versions (or the
+// window o selects), returning the points sorted by chip overhead then
+// TAT (the x-axis ordering of Figure 10). Evaluation runs on a worker
+// pool; the chip's own version selection is never touched. Points, their
+// values and their order are identical at any worker count: selections
+// are generated in one deterministic order, evaluated selection-pure,
+// placed by index, and sorted exactly as the serial path sorts.
+//
+// Cancellation is checked between selections and inside each evaluation;
+// a cancelled enumeration returns the points completed so far — sorted
+// exactly as a full run sorts, so they form a consistent (if partial)
+// design-space sample — together with ctx.Err(). A panicking evaluation
+// is recovered into an error instead of killing the process.
 func EnumerateCtx(ctx context.Context, f *core.Flow, o Options) ([]Point, error) {
 	sp := obs.Start(nil, "explore/enumerate")
 	defer sp.End()
-	o.defaultCache()
+	ev, err := o.evaluator(f)
+	if err != nil {
+		return nil, err
+	}
 	cPoints := obs.C("explore.points_evaluated")
 	cores := f.Chip.TestableCores()
 	space := selectionCount(cores, o.MaxPoints)
@@ -370,7 +256,7 @@ func EnumerateCtx(ctx context.Context, f *core.Flow, o Options) ([]Point, error)
 			prog.Step(1)
 			return nil
 		}
-		e, err := o.Cache.EvaluateCtx(ctx, f, sels[i])
+		e, err := ev.EvaluateSelectionCtx(ctx, sels[i])
 		if err != nil {
 			return err
 		}
@@ -524,7 +410,7 @@ type Step struct {
 	ChipCells int
 }
 
-// Result is the outcome of Improve.
+// Result is the outcome of ImproveCtx.
 type Result struct {
 	Steps     []Step
 	Final     *core.Evaluation
@@ -566,7 +452,7 @@ func (c Cost) Eval(deltaTAT, deltaArea int) float64 {
 
 // candidateSteps lists each core's next-version replacement with its
 // estimated ΔTAT and exact ΔA — the raw material both Candidates and the
-// Improve walk rank, kept in one place so the two cannot drift.
+// ImproveCtx walk rank, kept in one place so the two cannot drift.
 func candidateSteps(f *core.Flow, e *core.Evaluation) []Step {
 	var out []Step
 	for _, c := range f.Chip.TestableCores() {
@@ -597,36 +483,30 @@ func Candidates(f *core.Flow, e *core.Evaluation, cost Cost) []Step {
 	return out
 }
 
-// Improve runs the iterative improvement from the current selection.
+// ImproveCtx runs the iterative improvement from the current selection.
 // For MinimizeTAT, budget is the maximum chip-level DFT overhead in
-// cells; for MinimizeArea, budget is the maximum TAT in cycles.
-func Improve(f *core.Flow, obj Objective, budget int) (*Result, error) {
-	return ImproveOpts(f, obj, budget, Options{})
-}
-
-// ImproveOpts is Improve with an optional evaluation cache (Workers is
-// ignored; the walk is inherently sequential). Every accepted move
+// cells; for MinimizeArea, budget is the maximum TAT in cycles. Of o only
+// Cache applies; the walk is inherently sequential. Every accepted move
 // strictly reduces the TAT — candidates whose estimated gain does not
 // materialize are rejected, never applied.
-func ImproveOpts(f *core.Flow, obj Objective, budget int, o Options) (*Result, error) {
-	return ImproveCtx(context.Background(), f, obj, budget, o)
-}
-
-// ImproveCtx is ImproveOpts honoring ctx: cancellation is checked before
-// each improvement move and inside each evaluation. A cancelled walk
-// returns the moves accepted so far (a valid, if unfinished, improvement
-// trajectory — the flow's selection reflects every accepted move) together
-// with ctx.Err().
+//
+// Cancellation is checked before each improvement move and inside each
+// evaluation. A cancelled walk returns the moves accepted so far (a
+// valid, if unfinished, improvement trajectory — the flow's selection
+// reflects every accepted move) together with ctx.Err().
 func ImproveCtx(ctx context.Context, f *core.Flow, obj Objective, budget int, o Options) (*Result, error) {
 	root := obs.Start(nil, "explore/improve")
 	defer root.End()
-	o.defaultCache()
+	ev, err := o.evaluator(f)
+	if err != nil {
+		return nil, err
+	}
 	prog := progress.Start("explore/improve", 0,
 		"explore.moves_accepted", "explore.moves_rejected", "explore.cache_hits", "explore.cache_misses")
 	defer prog.End()
 	cAccepted := obs.C("explore.moves_accepted")
 	cRejected := obs.C("explore.moves_rejected")
-	e, err := o.Cache.EvaluateCtx(ctx, f, f.CurrentSelection())
+	e, err := ev.EvaluateSelectionCtx(ctx, f.CurrentSelection())
 	if err != nil {
 		return nil, err
 	}
@@ -673,7 +553,7 @@ func ImproveCtx(ctx context.Context, f *core.Flow, obj Objective, budget int, o 
 				return true, nil // nothing left to do
 			}
 			if ok {
-				e2, err := o.Cache.EvaluateCtx(ctx, f, f.CurrentSelection())
+				e2, err := ev.EvaluateSelectionCtx(ctx, f.CurrentSelection())
 				if err != nil {
 					return true, err
 				}
@@ -701,7 +581,7 @@ func ImproveCtx(ctx context.Context, f *core.Flow, obj Objective, budget int, o 
 		for _, c := range cands {
 			trial := f.CurrentSelection()
 			trial[c.Core] = c.Version
-			e2, err := o.Cache.EvaluateCtx(ctx, f, trial)
+			e2, err := ev.EvaluateSelectionCtx(ctx, trial)
 			if err != nil {
 				return true, err
 			}

@@ -1,12 +1,12 @@
 package explore
 
 import (
+	"context"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/flowcmd"
-	"repro/internal/obs"
 	"repro/internal/rtl"
 	"repro/internal/soc"
 	"repro/internal/socgen"
@@ -42,7 +42,7 @@ func reset(f *core.Flow) {
 
 func TestEnumerateDesignSpace(t *testing.T) {
 	f := flow(t)
-	points, err := Enumerate(f)
+	points, err := EnumerateCtx(context.Background(), f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestEnumerateDesignSpace(t *testing.T) {
 
 func TestParetoFrontMonotone(t *testing.T) {
 	f := flow(t)
-	points, err := Enumerate(f)
+	points, err := EnumerateCtx(context.Background(), f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestParetoFrontMonotone(t *testing.T) {
 // necessarily the minimum-TAT configuration (design point 17 vs 18).
 func TestMinLatencyNotAlwaysMinTAT(t *testing.T) {
 	f := flow(t)
-	points, err := Enumerate(f)
+	points, err := EnumerateCtx(context.Background(), f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,19 +148,19 @@ func samePoints(t *testing.T, want, got []Point) {
 // ordered points to the serial path at any worker count.
 func TestEnumerateParallelMatchesSerial(t *testing.T) {
 	f := flow(t)
-	serial, err := EnumerateOpts(f, Options{Workers: 1})
+	serial, err := EnumerateCtx(context.Background(), f, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		par, err := EnumerateOpts(f, Options{Workers: workers})
+		par, err := EnumerateCtx(context.Background(), f, Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		samePoints(t, serial, par)
 	}
 	// The default entry point (GOMAXPROCS workers) matches too.
-	def, err := Enumerate(f)
+	def, err := EnumerateCtx(context.Background(), f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestEnumerateLeavesFlowUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Enumerate(f); err != nil {
+	if _, err := EnumerateCtx(context.Background(), f, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	after := f.CurrentSelection()
@@ -208,7 +208,7 @@ func TestEnumerateLeavesFlowUnchanged(t *testing.T) {
 // increase the TAT.
 func TestImproveNeverAcceptsWorseningMove(t *testing.T) {
 	f := flow(t)
-	points, err := Enumerate(f)
+	points, err := EnumerateCtx(context.Background(), f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestImproveNeverAcceptsWorseningMove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Improve(f, MinimizeTAT, e0.ChipDFTCells()+10000)
+	res, err := ImproveCtx(context.Background(), f, MinimizeTAT, e0.ChipDFTCells()+10000, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,14 +247,14 @@ func TestImproveRunsToConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Improve(f, MinimizeTAT, 1<<30)
+	res, err := ImproveCtx(context.Background(), f, MinimizeTAT, 1<<30, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Steps) <= 64 {
 		t.Errorf("walk stopped after %d moves at TAT %d; this chip needs more than 64", len(res.Steps), res.Final.TAT)
 	}
-	again, err := Improve(f, MinimizeTAT, 1<<30)
+	again, err := ImproveCtx(context.Background(), f, MinimizeTAT, 1<<30, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestImproveMinimizeTAT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Improve(f, MinimizeTAT, e0.ChipDFTCells()+200)
+	res, err := ImproveCtx(context.Background(), f, MinimizeTAT, e0.ChipDFTCells()+200, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestImproveMinimizeArea(t *testing.T) {
 	// Ask for a TAT halfway between min-area and zero: the selector should
 	// meet it with a modest area increase.
 	target := e0.TAT * 2 / 3
-	res, err := Improve(f, MinimizeArea, target)
+	res, err := ImproveCtx(context.Background(), f, MinimizeArea, target, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestTightBudgetKeepsMinArea(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Improve(f, MinimizeTAT, e0.ChipDFTCells())
+	res, err := ImproveCtx(context.Background(), f, MinimizeTAT, e0.ChipDFTCells(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,63 +444,13 @@ func TestLatencyDeltaSkipsMissingPairs(t *testing.T) {
 	}
 }
 
-// One cache shared by Enumerate and Improve: the improvement walk re-uses
-// points the enumeration already evaluated, and its outcome is identical
-// to the uncached walk.
-func TestCacheSharedBetweenEnumerateAndImprove(t *testing.T) {
-	f := flow(t)
-	e0, err := f.Evaluate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget := e0.ChipDFTCells() + 200
-	plain, err := Improve(f, MinimizeTAT, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	reset(f)
-	_, m := obs.Enable(0)
-	defer obs.Disable()
-	cache := NewCache()
-	points, err := EnumerateOpts(f, Options{Workers: 2, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cache.Len() != len(points) {
-		t.Errorf("cache holds %d evaluations, want %d", cache.Len(), len(points))
-	}
-	evalsAfterEnum := m.Counter("core.evaluations").Value()
-	cached, err := ImproveOpts(f, MinimizeTAT, budget, Options{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits := m.Counter("explore.cache_hits").Value(); hits == 0 {
-		t.Error("Improve hit the cache zero times after a full enumeration")
-	}
-	// Every version-upgrade trial lands on an enumerated point; only
-	// forced-mux evaluations may miss.
-	misses := m.Counter("explore.cache_misses").Value() - int64(len(points))
-	evals := m.Counter("core.evaluations").Value() - evalsAfterEnum
-	if evals > misses {
-		t.Errorf("Improve ran %d fresh evaluations but only %d cache misses", evals, misses)
-	}
-	if cached.Final.TAT != plain.Final.TAT || cached.Final.ChipDFTCells() != plain.Final.ChipDFTCells() {
-		t.Errorf("cached walk diverged: TAT %d vs %d, cells %d vs %d",
-			cached.Final.TAT, plain.Final.TAT, cached.Final.ChipDFTCells(), plain.Final.ChipDFTCells())
-	}
-	if len(cached.Steps) != len(plain.Steps) {
-		t.Errorf("cached walk took %d steps, uncached %d", len(cached.Steps), len(plain.Steps))
-	}
-}
-
 func TestEnumerateMaxPointsPrefix(t *testing.T) {
 	f := flow(t)
-	full, err := Enumerate(f)
+	full, err := EnumerateCtx(context.Background(), f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped, err := EnumerateOpts(f, Options{MaxPoints: 5, Workers: 1})
+	capped, err := EnumerateCtx(context.Background(), f, Options{MaxPoints: 5, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +474,7 @@ func TestEnumerateMaxPointsPrefix(t *testing.T) {
 		}
 	}
 	// A cap above the product changes nothing.
-	uncapped, err := EnumerateOpts(f, Options{MaxPoints: len(full) + 100})
+	uncapped, err := EnumerateCtx(context.Background(), f, Options{MaxPoints: len(full) + 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +509,7 @@ func TestSelectionCountOverflowSafe(t *testing.T) {
 // the full enumeration exactly — the property sharded sweeps rest on.
 func TestEnumerateWindowUnionMatchesFull(t *testing.T) {
 	f := flow(t)
-	full, err := Enumerate(f)
+	full, err := EnumerateCtx(context.Background(), f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +526,7 @@ func TestEnumerateWindowUnionMatchesFull(t *testing.T) {
 		for i := 0; i < parts; i++ {
 			lo := i * space / parts
 			hi := (i + 1) * space / parts
-			pts, err := EnumerateOpts(f, Options{First: lo, Count: hi - lo, Workers: 1})
+			pts, err := EnumerateCtx(context.Background(), f, Options{First: lo, Count: hi - lo, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -608,16 +558,16 @@ func TestEnumerateWindowUnionMatchesFull(t *testing.T) {
 func TestEnumerateWindowBounds(t *testing.T) {
 	f := flow(t)
 	space := SelectionSpace(f, 0)
-	pts, err := EnumerateOpts(f, Options{First: space + 10, Count: 5})
+	pts, err := EnumerateCtx(context.Background(), f, Options{First: space + 10, Count: 5})
 	if err != nil || len(pts) != 0 {
 		t.Fatalf("beyond-space window: %d points, err %v", len(pts), err)
 	}
-	pts, err = EnumerateOpts(f, Options{First: space - 2, Count: 100})
+	pts, err = EnumerateCtx(context.Background(), f, Options{First: space - 2, Count: 100})
 	if err != nil || len(pts) != 2 {
 		t.Fatalf("overhanging window: %d points, err %v", len(pts), err)
 	}
 	// Count <= 0 means "to the end".
-	pts, err = EnumerateOpts(f, Options{First: space - 3})
+	pts, err = EnumerateCtx(context.Background(), f, Options{First: space - 3})
 	if err != nil || len(pts) != 3 {
 		t.Fatalf("open-ended window: %d points, err %v", len(pts), err)
 	}
@@ -630,7 +580,7 @@ func TestEnumerateSkipAndObserver(t *testing.T) {
 	space := SelectionSpace(f, 0)
 	var mu sync.Mutex
 	seen := map[int]string{}
-	pts, err := EnumerateOpts(f, Options{
+	pts, err := EnumerateCtx(context.Background(), f, Options{
 		Skip: func(gi int) bool { return gi%2 == 1 },
 		Observer: func(gi int, p Point) {
 			mu.Lock()
@@ -653,7 +603,7 @@ func TestEnumerateSkipAndObserver(t *testing.T) {
 	// Spot-check attribution: each observed label must be the selection a
 	// one-point window at that global index evaluates.
 	for _, gi := range []int{0, 2, (space - 1) / 2 * 2} {
-		one, err := EnumerateOpts(f, Options{First: gi, Count: 1, Workers: 1})
+		one, err := EnumerateCtx(context.Background(), f, Options{First: gi, Count: 1, Workers: 1})
 		if err != nil || len(one) != 1 {
 			t.Fatalf("window [%d,%d): %d points, err %v", gi, gi+1, len(one), err)
 		}

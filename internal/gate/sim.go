@@ -40,16 +40,6 @@ func (s *Sim) Netlist() *Netlist { return s.n }
 // SetPI assigns the pattern word of one primary input line.
 func (s *Sim) SetPI(line int, w uint64) { s.Val[line] = w }
 
-// SetState assigns the pattern word of one DFF output (scan load).
-func (s *Sim) SetState(line int, w uint64) { s.Val[line] = w }
-
-// ResetState clears all DFF outputs.
-func (s *Sim) ResetState() {
-	for _, d := range s.n.DFFs() {
-		s.Val[d] = 0
-	}
-}
-
 // evalGate computes the value of gate g from the current line values.
 func (s *Sim) evalGate(id int) uint64 {
 	g := &s.n.Gates[id]

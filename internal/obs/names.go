@@ -28,15 +28,14 @@ var KnownCounters = []string{
 	"ccg.searches",                     // shortest-path searches
 	"chipsim.cycles",                   // chip-level RTL simulation cycles stepped
 	"core.baseline_muxes_preinstalled", // degraded flow: baseline muxes re-applied
-	"core.degraded_evaluations",        // EvaluateDegraded runs
+	"core.degraded_evaluations",        // EvaluateDegradedCtx runs
 	"core.degraded_fallbacks",          // degraded flow: greedy version fallbacks taken
 	"core.delta_evaluations",           // selections evaluated via the incremental delta path
 	"core.delta_fallbacks",             // delta attempts that punted to a full evaluation
-	"core.delta_hits",                  // delta-evaluator base registry hits (zero-diff)
 	"core.evaluations",                 // full chip evaluations (Evaluate/EvaluateSelection)
 	"core.forced_muxes",                // system-level test muxes force-installed
-	"explore.cache_hits",               // evaluation cache hits
-	"explore.cache_misses",             // evaluation cache misses
+	"explore.cache_hits",               // delta-evaluator requests answered by an exact base match
+	"explore.cache_misses",             // delta-evaluator requests that computed a result
 	"explore.cancelled",                // explorations ended by context cancellation
 	"explore.eval_panics",              // evaluations recovered from panic
 	"explore.iterations",               // improvement-walk iterations

@@ -1,6 +1,7 @@
 package proptest
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -22,7 +23,7 @@ func checkMetamorphic(f *core.Flow, ch *soc.Chip, st *Stats) error {
 	}
 	minTAT := -1
 	if prod <= maxEnumProduct {
-		pts, err := explore.Enumerate(f)
+		pts, err := explore.EnumerateCtx(context.Background(), f, explore.Options{})
 		if err != nil {
 			return fmt.Errorf("enumerate: %w", err)
 		}
@@ -156,7 +157,7 @@ func checkImproveBound(f *core.Flow, minTAT int) error {
 	if err != nil {
 		return fmt.Errorf("improve baseline: %w", err)
 	}
-	if _, err := explore.Improve(f, explore.MinimizeTAT, int(^uint(0)>>1)); err != nil {
+	if _, err := explore.ImproveCtx(context.Background(), f, explore.MinimizeTAT, int(^uint(0)>>1), explore.Options{}); err != nil {
 		return fmt.Errorf("improve: %w", err)
 	}
 	end, err := f.Evaluate()

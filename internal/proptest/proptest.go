@@ -149,7 +149,7 @@ func checkDeltaEquivalence(f *core.Flow, ch *soc.Chip) error {
 			sel[k] = v
 		}
 		sel[c.Name] = (base[c.Name] + 1) % len(c.Versions)
-		de, err := d.EvaluateSelection(sel)
+		de, err := d.EvaluateSelectionCtx(context.Background(), sel)
 		if err != nil {
 			return fmt.Errorf("delta evaluate (flip %s): %w", c.Name, err)
 		}

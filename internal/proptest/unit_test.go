@@ -1,6 +1,7 @@
 package proptest
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -116,7 +117,7 @@ func TestEqualEvaluationsComparesUntestableNets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	de, err := f.Fork(fch).EvaluateDegraded()
+	de, err := f.Fork(fch).EvaluateDegradedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ func fixtures(t testing.TB) (*core.Flow, []explore.Point) {
 		if err != nil {
 			t.Fatalf("Prepare: %v", err)
 		}
-		points, err := explore.Enumerate(f)
+		points, err := explore.EnumerateCtx(context.Background(), f, explore.Options{})
 		if err != nil {
 			t.Fatalf("Enumerate: %v", err)
 		}

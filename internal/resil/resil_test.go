@@ -33,7 +33,7 @@ func prepare(t testing.TB, name string, build func() *soc.Chip) *core.Flow {
 func system1(t testing.TB) *core.Flow { return prepare(t, "system1", systems.System1) }
 func system2(t testing.TB) *core.Flow { return prepare(t, "system2", systems.System2) }
 
-// Zero faults: EvaluateDegraded must be bit-identical to Evaluate — the
+// Zero faults: EvaluateDegradedCtx must be bit-identical to Evaluate — the
 // degraded path is the same flow, not a parallel approximation.
 func TestZeroFaultBitIdentical(t *testing.T) {
 	for name, f := range map[string]*core.Flow{"system1": system1(t), "system2": system2(t)} {
@@ -42,12 +42,12 @@ func TestZeroFaultBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Evaluate: %v", err)
 			}
-			got, err := f.EvaluateDegraded()
+			got, err := f.EvaluateDegradedCtx(context.Background())
 			if err != nil {
-				t.Fatalf("EvaluateDegraded: %v", err)
+				t.Fatalf("EvaluateDegradedCtx: %v", err)
 			}
 			if !reflect.DeepEqual(want, got.Evaluation) {
-				t.Errorf("degraded evaluation differs from Evaluate:\n  Evaluate:         TAT=%d trans=%d mux=%d ctrl=%d\n  EvaluateDegraded: TAT=%d trans=%d mux=%d ctrl=%d",
+				t.Errorf("degraded evaluation differs from Evaluate:\n  Evaluate:            TAT=%d trans=%d mux=%d ctrl=%d\n  EvaluateDegradedCtx: TAT=%d trans=%d mux=%d ctrl=%d",
 					want.TAT, want.TransCells, want.MuxCells, want.CtrlCells,
 					got.TAT, got.TransCells, got.MuxCells, got.CtrlCells)
 			}
@@ -125,9 +125,9 @@ func TestDisableHSCAN(t *testing.T) {
 	if _, err := ff.Evaluate(); err == nil {
 		t.Error("Evaluate on a chip with a disabled core should fail")
 	}
-	dev, err := ff.EvaluateDegraded()
+	dev, err := ff.EvaluateDegradedCtx(context.Background())
 	if err != nil {
-		t.Fatalf("EvaluateDegraded: %v", err)
+		t.Fatalf("EvaluateDegradedCtx: %v", err)
 	}
 	r := dev.Report
 	if got := r.Untestable(); len(got) != 1 || got[0] != "CPU" {
@@ -153,9 +153,9 @@ func TestOpaqueAndSlowFaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
-	dev, err := f.Fork(ch).EvaluateDegraded()
+	dev, err := f.Fork(ch).EvaluateDegradedCtx(context.Background())
 	if err != nil {
-		t.Fatalf("EvaluateDegraded: %v", err)
+		t.Fatalf("EvaluateDegradedCtx: %v", err)
 	}
 	if err := sched.Validate(dev.Sched); err != nil {
 		t.Fatalf("partial schedule invalid: %v", err)

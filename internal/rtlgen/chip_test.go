@@ -1,6 +1,7 @@
 package rtlgen
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -85,7 +86,7 @@ func TestExploreOnRandomChips(t *testing.T) {
 			t.Errorf("%s: %v", ch.Name, err)
 			continue
 		}
-		points, err := explore.Enumerate(f)
+		points, err := explore.EnumerateCtx(context.Background(), f, explore.Options{})
 		if err != nil {
 			t.Errorf("%s: enumerate: %v", ch.Name, err)
 			continue
@@ -107,7 +108,7 @@ func TestExploreOnRandomChips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := explore.Improve(f, explore.MinimizeTAT, e0.ChipDFTCells()+100)
+		res, err := explore.ImproveCtx(context.Background(), f, explore.MinimizeTAT, e0.ChipDFTCells()+100, explore.Options{})
 		if err != nil {
 			t.Errorf("%s: improve: %v", ch.Name, err)
 			continue

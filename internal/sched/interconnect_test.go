@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -147,7 +148,7 @@ func TestInterconnectMatchesPerNetSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	de, err := f.Fork(fch).EvaluateDegraded()
+	de, err := f.Fork(fch).EvaluateDegradedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

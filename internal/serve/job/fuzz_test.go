@@ -34,11 +34,9 @@ func FuzzJobSpec(f *testing.F) {
 		})
 	}
 	seed(Spec{Type: TypeEvaluate, Chip: flowcmd.ChipSpec{System: 1}, Faults: "alu1", Timeout: "30s"})
-	seed(Spec{
-		Type:   TypeExplore,
-		Chip:   flowcmd.ChipSpec{Gen: &flowcmd.GenSpec{Seed: 7, Cores: 5, Topology: "random-dag"}},
-		Shards: 4, MaxPoints: 100, FullEval: true,
-	})
+	// An explore spec as older clients sent it, with the retired
+	// full_eval key that decoding ignores.
+	f.Add([]byte(`{"type":"explore","chip":{"gen":{"seed":7,"cores":5,"topology":"random-dag"}},"shards":4,"max_points":100,"full_eval":true}`))
 	// Malformed wire data.
 	f.Add([]byte(``))
 	f.Add([]byte(`{}`))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -150,6 +151,66 @@ func TestExploreJobMatchesDirect(t *testing.T) {
 	}
 	if !strings.HasPrefix(rec.Result, "Pareto front over ") {
 		t.Fatalf("unexpected explore result:\n%s", rec.Result)
+	}
+}
+
+// TestFullEvalKeyIgnored: the retired "full_eval" key, which journals
+// and clients from before it was removed may still carry, decodes to the
+// spec without it, and the explore job returns the same front.
+func TestFullEvalKeyIgnored(t *testing.T) {
+	const maxPoints = 60
+	legacy, err := DecodeSpec([]byte(`{"type":"explore","chip":{"gen":{"seed":7,"cores":5}},"shards":2,"max_points":60,"full_eval":true}`))
+	if err != nil {
+		t.Fatalf("spec with full_eval rejected: %v", err)
+	}
+	plain := Spec{Type: TypeExplore, Chip: testChip(), Shards: 2, MaxPoints: maxPoints}
+	if !reflect.DeepEqual(*legacy, plain) {
+		t.Fatalf("decoded %+v, want %+v", *legacy, plain)
+	}
+	m := newManager(t, testOptions(t.TempDir()))
+	got := waitDone(t, m, mustSubmit(t, m, *legacy).ID)
+	want := waitDone(t, m, mustSubmit(t, m, plain).ID)
+	if got.Result != want.Result {
+		t.Fatalf("front with full_eval differs:\n got:\n%s\nwant:\n%s", got.Result, want.Result)
+	}
+}
+
+// TestFailingShardMakesRetryAttempts: the pool is the daemon's only
+// retrier. A shard whose every attempt fails is attempted exactly
+// Retry.Attempts times before its job fails.
+func TestFailingShardMakesRetryAttempts(t *testing.T) {
+	o := testOptions(t.TempDir())
+	o.Retry = shard.Retry{Attempts: 3, Base: time.Millisecond, Max: time.Millisecond}
+	m := newManager(t, o)
+	spec := Spec{Type: TypeExplore, Chip: testChip(), MaxPoints: 4}
+	fe, err := m.flow(spec.Chip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every evaluation of this flow fails: the forced mux names no port.
+	fe.flow.ForcedMuxes = []core.ForcedMux{{Core: "nowhere", Port: "x", Input: true}}
+
+	tr, _ := obs.Enable(0)
+	defer obs.Disable()
+	rec := mustSubmit(t, m, spec)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	got, err := m.Wait(ctx, rec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != StateFailed || !strings.Contains(got.Error, "forced mux on unknown port") {
+		t.Fatalf("job settled %q with error %q; want failed on the forced mux", got.State, got.Error)
+	}
+	// Each attempt of an explore shard is one enumeration.
+	attempts := 0
+	for _, r := range tr.Records() {
+		if r.Name == "explore/enumerate" {
+			attempts++
+		}
+	}
+	if attempts != o.Retry.Attempts {
+		t.Fatalf("the failing shard made %d attempts, want Retry.Attempts = %d", attempts, o.Retry.Attempts)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/atpg"
 	"repro/internal/core"
-	"repro/internal/explore"
 	"repro/internal/flowcmd"
 	"repro/internal/obs"
 	"repro/internal/resil"
@@ -42,7 +41,9 @@ type Options struct {
 	// LeaseTTL is the pool's heartbeat lease (default 30s).
 	LeaseTTL time.Duration
 	// Retry is the reassignment/backoff policy for failed or expired
-	// shard units.
+	// shard units. The pool is the daemon's only retrier: each shard
+	// run inside a unit makes a single in-process attempt, so a failing
+	// shard makes exactly Retry.Attempts attempts.
 	Retry shard.Retry
 	// Timeout is the default per-job deadline (0 = none); a spec's own
 	// timeout overrides it.
@@ -60,14 +61,13 @@ func (o Options) withDefaults() Options {
 }
 
 // flowEntry is one prepared flow shared by every job naming the same
-// chip spec: the flow itself plus the evaluation caches jobs reuse.
-// Preparation runs once (sync.Once) even under concurrent jobs.
+// chip spec: the flow itself plus the delta evaluator its explore jobs
+// share. Preparation runs once (sync.Once) even under concurrent jobs.
 type flowEntry struct {
-	once  sync.Once
-	flow  *core.Flow
-	delta *explore.Cache
-	full  *explore.Cache
-	err   error
+	once sync.Once
+	flow *core.Flow
+	eval *core.DeltaEvaluator
+	err  error
 }
 
 type jobEntry struct {
@@ -349,7 +349,7 @@ func (m *Manager) run(e *jobEntry) {
 	m.setState(e, StateDone, result, "")
 }
 
-// flow returns the shared prepared flow (and caches) for a chip spec,
+// flow returns the shared prepared flow (and evaluator) for a chip spec,
 // preparing it at most once across all jobs. Preparation takes each
 // core's test set from the store when an earlier flow, before or after
 // a restart, already generated it.
@@ -375,8 +375,7 @@ func (m *Manager) flow(spec flowcmd.ChipSpec) (*flowEntry, error) {
 		o.TestSets = atpg.NewStore(filepath.Join(m.opts.Dir, "testsets"))
 		fe.flow, fe.err = core.Prepare(ch, &o)
 		if fe.err == nil {
-			fe.delta = explore.NewCache()
-			fe.full = explore.NewFullCache()
+			fe.eval = core.NewDeltaEvaluator(fe.flow)
 		}
 	})
 	if fe.err != nil {
@@ -391,7 +390,8 @@ func (m *Manager) checkpointPrefix(id string) string {
 }
 
 // shardOptions assembles the per-unit shard options for one shard of a
-// job: checkpointed, resumable, heartbeating into the unit's lease.
+// job: checkpointed, resumable, heartbeating into the unit's lease. The
+// shard run makes one attempt; retrying is the pool's job.
 func (m *Manager) shardOptions(id string, spec Spec, index int, beat func()) shard.Options {
 	return shard.Options{
 		Shards:     spec.Shards,
@@ -399,9 +399,8 @@ func (m *Manager) shardOptions(id string, spec Spec, index int, beat func()) sha
 		Checkpoint: m.checkpointPrefix(id),
 		Resume:     true,
 		Every:      m.opts.Every,
-		Retry:      m.opts.Retry,
+		Retry:      shard.Retry{Attempts: 1},
 		MaxPoints:  spec.MaxPoints,
-		FullEval:   spec.FullEval,
 		OnProgress: beat,
 	}
 }
@@ -444,7 +443,7 @@ func (m *Manager) execute(ctx context.Context, id string, spec Spec) (string, er
 	case TypeExplore:
 		err := m.runUnits(ctx, id, spec, func(uctx context.Context, i int, beat func()) error {
 			o := m.shardOptions(id, spec, i, beat)
-			o.Cache = fe.cache(spec.FullEval)
+			o.Cache = fe.eval
 			res, err := shard.RunExplore(uctx, fe.flow, o)
 			return unitErr(res == nil, err, res != nil && len(res.Incomplete) > 0)
 		})
@@ -452,7 +451,7 @@ func (m *Manager) execute(ctx context.Context, id string, spec Spec) (string, er
 			return "", err
 		}
 		opts := m.shardOptions(id, spec, shard.All, nil)
-		opts.Cache = fe.cache(spec.FullEval)
+		opts.Cache = fe.eval
 		res, err := shard.RunExplore(ctx, fe.flow, opts)
 		if err != nil {
 			return "", err
@@ -464,16 +463,6 @@ func (m *Manager) execute(ctx context.Context, id string, spec Spec) (string, er
 		return formatFront(res), nil
 	}
 	return "", fmt.Errorf("job: unknown type %q", spec.Type)
-}
-
-// cache picks the evaluation cache matching the job's evaluator choice
-// (delta and full evaluations are bit-identical, but each cache binds
-// to the evaluator that fills it).
-func (fe *flowEntry) cache(fullEval bool) *explore.Cache {
-	if fullEval {
-		return fe.full
-	}
-	return fe.delta
 }
 
 // runUnits fans one leased pool unit out per shard and collapses their

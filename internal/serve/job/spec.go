@@ -49,8 +49,7 @@ type Spec struct {
 	Shards int `json:"shards,omitempty"`
 
 	// Explore jobs.
-	MaxPoints int  `json:"max_points,omitempty"`
-	FullEval  bool `json:"full_eval,omitempty"`
+	MaxPoints int `json:"max_points,omitempty"`
 
 	// Campaign jobs: Runs fault sets of SetSize faults from Seed.
 	Runs    int   `json:"runs,omitempty"`

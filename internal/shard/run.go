@@ -235,7 +235,10 @@ func (s *shardRun) retryLoop(ctx context.Context, r Retry, once func(attempt int
 			return err
 		}
 		if attempt >= r.Attempts {
-			return fmt.Errorf("shard %d (%s): giving up after %d attempts: %w", s.idx, s.kind, attempt, err)
+			if attempt > 1 {
+				err = fmt.Errorf("giving up after %d attempts: %w", attempt, err)
+			}
+			return fmt.Errorf("shard %d (%s): %w", s.idx, s.kind, err)
 		}
 		obs.C("shard.retries").Inc()
 		select {
@@ -270,12 +273,12 @@ func RunExplore(ctx context.Context, f *core.Flow, o Options) (*ExploreResult, e
 	}
 	total := int64(explore.SelectionSpace(f, o.MaxPoints))
 	plan := Plan(total, o.Shards)
-	cache := o.Cache
-	if cache == nil {
-		cache = explore.NewCache()
-		if o.FullEval {
-			cache = explore.NewFullCache()
-		}
+	ev := o.Cache
+	if ev == nil {
+		ev = core.NewDeltaEvaluator(f)
+	} else if ev.Flow() != f {
+		return nil, fmt.Errorf("shard: the evaluator is bound to another flow (chip %q) than the explored one (chip %q)",
+			ev.Flow().Chip.Name, f.Chip.Name)
 	}
 	res := &ExploreResult{Total: total}
 	var fronts [][]FrontPoint
@@ -292,7 +295,7 @@ func RunExplore(ctx context.Context, f *core.Flow, o Options) (*ExploreResult, e
 		if err != nil {
 			return nil, err
 		}
-		err = s.runExplore(ctx, f, o, cache)
+		err = s.runExplore(ctx, f, o, ev)
 		fronts = append(fronts, s.front())
 		done := s.doneRanges()
 		res.Done += countRanges(done)
@@ -308,7 +311,7 @@ func RunExplore(ctx context.Context, f *core.Flow, o Options) (*ExploreResult, e
 
 // runExplore drives one shard's enumeration window under the retry
 // policy, checkpointing along the way and once more at the end.
-func (s *shardRun) runExplore(ctx context.Context, f *core.Flow, o Options, cache *explore.Cache) error {
+func (s *shardRun) runExplore(ctx context.Context, f *core.Flow, o Options, ev *core.DeltaEvaluator) error {
 	s.prog = progress.Start(fmt.Sprintf("shard/explore[%d/%d]", s.idx, s.state.Shards), s.window.Len(),
 		"shard.checkpoints_written", "shard.retries")
 	defer s.prog.End()
@@ -324,9 +327,8 @@ func (s *shardRun) runExplore(ctx context.Context, f *core.Flow, o Options, cach
 		}
 		_, err := explore.EnumerateCtx(ctx, f, explore.Options{
 			Workers:   o.Workers,
-			Cache:     cache,
+			Cache:     ev,
 			MaxPoints: o.MaxPoints,
-			FullEval:  o.FullEval,
 			First:     int(s.window.Lo),
 			Count:     int(s.window.Len()),
 			Skip:      s.skip,

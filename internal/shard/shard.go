@@ -1,5 +1,5 @@
 // Package shard scales the two long-running SOCET workloads —
-// explore.Enumerate design-space sweeps and resil fault campaigns —
+// explore.EnumerateCtx design-space sweeps and resil fault campaigns —
 // across processes and machines, crash-safely.
 //
 // The work of a run is a global index space (design points in the
@@ -30,6 +30,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/explore"
 )
 
@@ -311,13 +312,11 @@ type Options struct {
 	// MaxPoints caps the global enumeration space exactly as
 	// explore.Options.MaxPoints does (explore only).
 	MaxPoints int
-	// FullEval disables the incremental delta evaluator (explore only).
-	FullEval bool
-	// Cache, when non-nil, supplies the evaluation cache shared with
-	// other runs over the same prepared flow (explore only). The daemon
-	// passes one cache per flow so concurrent and successive jobs reuse
-	// each other's evaluations; nil builds a private cache per call.
-	Cache *explore.Cache
+	// Cache, when non-nil, is the delta evaluator every evaluation goes
+	// through (explore only); it must be bound to the explored flow. The
+	// daemon passes the one evaluator it keeps per flow. Nil builds one
+	// evaluator per RunExplore call, shared by its shards.
+	Cache *core.DeltaEvaluator
 	// OnProgress, when non-nil, is called after every completed work
 	// item (design point or campaign run) — the lease heartbeat hook: a
 	// shard silent past its lease TTL is presumed dead by the daemon's

@@ -63,11 +63,6 @@ func (v *Version) SerializedJustLatency(outs []string) int {
 	return serialize(v.collect(outs, v.Just))
 }
 
-// SerializedPropLatency is the propagation analogue for a set of inputs.
-func (v *Version) SerializedPropLatency(ins []string) int {
-	return serialize(v.collect(ins, v.Prop))
-}
-
 func (v *Version) collect(names []string, m map[string]*PathUse) []*PathUse {
 	var ps []*PathUse
 	for _, n := range names {

@@ -95,10 +95,10 @@ func TestMetricSnapshotNamesRegistered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := explore.Enumerate(f); err != nil {
+	if _, err := explore.EnumerateCtx(context.Background(), f, explore.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := explore.Improve(f, explore.MinimizeTAT, 10_000); err != nil {
+	if _, err := explore.ImproveCtx(context.Background(), f, explore.MinimizeTAT, 10_000, explore.Options{}); err != nil {
 		t.Fatal(err)
 	}
 

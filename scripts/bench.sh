@@ -42,7 +42,7 @@ else
     THRESHOLD=${THRESHOLD:-0.30}
 fi
 
-# The tracked suite: the enumeration benches (serial/parallel/cached),
+# The tracked suite: the enumeration benches (serial/parallel),
 # the generated-chip scaling ladder, the wrapped-core/TAM evaluator, the
 # degradation campaign, ATPG (GCD), fault simulation (CPU) and
 # reverse-order compaction, the interconnect plan and one justification

@@ -17,10 +17,10 @@ echo "==> go vet ./..."
 go vet ./...
 
 echo "==> go test -race (parallel enumeration)"
-go test -race -run 'TestEnumerateParallel|TestCacheShared' ./internal/explore/
+go test -race -run 'TestEnumerateParallel|TestWarmEvaluator' ./internal/explore/
 
 echo "==> go test -race (delta-vs-full equivalence)"
-go test -race -count=1 -run 'TestDelta|TestMultiMatchesSingle|TestMultiDuplicate|TestMultiUnreachable|TestFinderReuse|TestCloneWithVersion|TestCacheRejects|TestCacheAccepts|TestHeapMatchesContainerHeap|TestDistancesMatchSearch|TestInterconnectMatchesPerNetSearch|TestEqualEvaluationsComparesUntestableNets|TestConeSearchMatchesUnrestricted|TestFinderSurvivesEpochWrap|TestPutFinderDropsGraph|TestPinListsAreSharedAndCapped' \
+go test -race -count=1 -run 'TestDelta|TestMultiMatchesSingle|TestMultiDuplicate|TestMultiUnreachable|TestFinderReuse|TestCloneWithVersion|TestForeignEvaluator|TestHeapMatchesContainerHeap|TestDistancesMatchSearch|TestInterconnectMatchesPerNetSearch|TestEqualEvaluationsComparesUntestableNets|TestConeSearchMatchesUnrestricted|TestFinderSurvivesEpochWrap|TestPutFinderDropsGraph|TestPinListsAreSharedAndCapped' \
     ./internal/core/ ./internal/ccg/ ./internal/explore/ ./internal/sched/ ./internal/proptest/
 
 echo "==> go test -race (wrapper corpus smoke: replay + tamper detection)"
