@@ -41,7 +41,7 @@ import (
 	"repro/internal/obs/obscli"
 	"repro/internal/serve/api"
 	"repro/internal/serve/job"
-	"repro/internal/shard"
+	"repro/internal/serve/pool"
 )
 
 func main() {
@@ -73,7 +73,7 @@ func main() {
 		Workers:    *workers,
 		QueueLimit: *queue,
 		LeaseTTL:   *lease,
-		Retry:      shard.Retry{Attempts: *retries},
+		Retry:      pool.Retry{Attempts: *retries},
 		Timeout:    *jobTimeout,
 		Every:      *every,
 	})

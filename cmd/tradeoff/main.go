@@ -169,8 +169,8 @@ func sweepTAMWidths(f *core.Flow, widthsCSV string) {
 // runSharded runs the enumeration through the crash-safe shard runner.
 // Complete runs print the canonical Pareto front — byte-identical for
 // any shard count, so golden diffs work across partitionings. A run
-// that could not finish (timeout, or a shard out of retries) prints
-// what it has, attributes the missing ranges, and exits non-zero.
+// that could not finish (timeout, or a shard whose evaluations failed)
+// prints what it has, attributes the missing ranges, and exits non-zero.
 func runSharded(ctx context.Context, f *core.Flow, chip string, cfg *shard.Flags, jobs, maxPoints int) {
 	opts := cfg.Options()
 	opts.Workers = jobs

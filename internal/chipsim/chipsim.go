@@ -209,16 +209,3 @@ func EngageJustification(cs *rtlsim.Sim, v *trans.Version, output string) (int, 
 	}
 	return p.Latency, nil
 }
-
-// EngagePropagation configures a core for the propagation path of one of
-// its inputs in the given version and returns the path latency.
-func EngagePropagation(cs *rtlsim.Sim, v *trans.Version, input string) (int, error) {
-	p, ok := v.Prop[input]
-	if !ok {
-		return 0, fmt.Errorf("chipsim: version has no propagation for %s", input)
-	}
-	if err := EngagePath(cs, v, p); err != nil {
-		return 0, fmt.Errorf("chipsim: propagation of %s: %w", input, err)
-	}
-	return p.Latency, nil
-}

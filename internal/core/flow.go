@@ -187,11 +187,11 @@ type Evaluation struct {
 	TransCells int
 	MuxCells   int
 	CtrlCells  int
-	LogicTAT   int // sum of logic-core TATs
-	// TAT is the chip test application time for the logic cores — the
-	// quantity the paper's tables report ("we do not consider the memory
-	// cores in this discussion", Section 5; their BIST runs concurrently
-	// and is reported separately in BISTCycles).
+	// TAT is the chip test application time for the logic cores, the sum
+	// of their scheduled TATs — the quantity the paper's tables report
+	// ("we do not consider the memory cores in this discussion",
+	// Section 5; their BIST runs concurrently and is reported separately
+	// in BISTCycles).
 	TAT int
 }
 
@@ -403,7 +403,6 @@ func (f *Flow) finishEvaluation(root *obs.Span, sel map[string]int, g *ccg.Graph
 	e.Interconnect = ir
 	_, bistCycles, _ := bist.PlanChip(f.Chip)
 	e.BISTCycles = bistCycles
-	e.LogicTAT = s.TotalTAT
 	e.TAT = s.TotalTAT
 	obs.C("core.evaluations").Inc()
 	return e, nil
@@ -521,20 +520,8 @@ func (f *Flow) SelectVersions(sel map[string]int) {
 	}
 }
 
-// HSCANCells returns the total HSCAN insertion cost over testable cores
-// (Table 2, column 4).
-func (f *Flow) HSCANCells() int {
-	n := 0
-	for _, c := range f.Chip.TestableCores() {
-		if c.Scan != nil {
-			a := c.Scan.Area
-			n += a.Cells()
-		}
-	}
-	return n
-}
-
-// HSCANGrids returns the HSCAN insertion cost in grid units.
+// HSCANGrids returns the HSCAN insertion cost over testable cores in
+// grid units (Table 2, column 4).
 func (f *Flow) HSCANGrids() int {
 	n := 0
 	for _, c := range f.Chip.TestableCores() {

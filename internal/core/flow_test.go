@@ -99,8 +99,8 @@ func TestVersionSelectionChangesTAT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eFast.LogicTAT >= eMin.LogicTAT {
-		t.Errorf("min-latency TAT %d should beat min-area TAT %d", eFast.LogicTAT, eMin.LogicTAT)
+	if eFast.TAT >= eMin.TAT {
+		t.Errorf("min-latency TAT %d should beat min-area TAT %d", eFast.TAT, eMin.TAT)
 	}
 	if eFast.TransCells <= eMin.TransCells {
 		t.Errorf("min-latency transparency area %d should exceed min-area %d", eFast.TransCells, eMin.TransCells)
@@ -192,8 +192,8 @@ func TestAggregateStats(t *testing.T) {
 	if f.OrigCells() < 6000 {
 		t.Errorf("orig cells = %d, want ~8000", f.OrigCells())
 	}
-	if f.HSCANCells() == 0 {
-		t.Error("no HSCAN cells")
+	if f.HSCANGrids() == 0 {
+		t.Error("no HSCAN area")
 	}
 }
 

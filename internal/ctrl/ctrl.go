@@ -29,17 +29,13 @@ type Controller struct {
 	Area    cell.Area
 }
 
-// Generate sizes the controller from a schedule: one state per tested
-// core plus setup/done, a clock-gate per core, and one transparency-mode
-// select per distinct transparency path in use.
-func Generate(ch *soc.Chip, res *sched.Result) *Controller {
-	return GenerateSelection(ch, res, nil)
-}
-
-// GenerateSelection sizes the controller for an explicit version index
-// per core; cores missing from sel fall back to their currently selected
-// version. The chip is only read, so selection-pure evaluations can
-// generate controllers concurrently.
+// GenerateSelection sizes the controller from a schedule: one state per
+// tested core plus setup/done, a clock-gate per core, and one
+// transparency-mode select per distinct transparency path in use. sel
+// gives an explicit version index per core; cores missing from it (or
+// every core, when sel is nil) use their currently selected version. The
+// chip is only read, so selection-pure evaluations can generate
+// controllers concurrently.
 func GenerateSelection(ch *soc.Chip, res *sched.Result, sel map[string]int) *Controller {
 	c := &Controller{}
 	cores := ch.TestableCores()

@@ -28,7 +28,7 @@ func TestGenerateController(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := ctrl.Generate(f.Chip, res)
+	c := ctrl.GenerateSelection(f.Chip, res, nil)
 	// One state per core plus setup/done.
 	if c.States != 5 {
 		t.Errorf("states = %d, want 5", c.States)
@@ -76,7 +76,7 @@ func TestBuildRTLController(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := ctrl.Generate(f.Chip, res)
+	c := ctrl.GenerateSelection(f.Chip, res, nil)
 	rc, err := ctrl.BuildRTL(f.Chip, c)
 	if err != nil {
 		t.Fatal(err)

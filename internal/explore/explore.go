@@ -107,21 +107,13 @@ func (o Options) evaluator(f *core.Flow) (*core.DeltaEvaluator, error) {
 	return o.Cache, nil
 }
 
-// allSelections lists core-version combinations in the fixed enumeration
-// order (the first core varies slowest), stopping after max combinations
-// when max > 0. A core with an empty version ladder yields no
-// combinations. The combination count is computed overflow-safely, so a
-// 256-core chip with a capped enumeration neither overflows nor tries to
-// materialize |versions|^n maps.
-func allSelections(cores []*soc.Core, max int) []map[string]int {
-	return selectionsAt(cores, 0, selectionCount(cores, max))
-}
-
-// selectionsAt lists the count combinations starting at global index
-// start of the fixed enumeration order. start is decomposed into
-// mixed-radix odometer digits (first core most significant), so a window
-// deep in the space costs O(count). The caller bounds start+count by
-// selectionCount; generation also stops at the odometer's natural end.
+// selectionsAt lists the count core-version combinations starting at
+// global index start of the fixed enumeration order (the first core
+// varies slowest). start is decomposed into mixed-radix odometer digits
+// (first core most significant), so a window deep in the space costs
+// O(count). The caller bounds start+count by selectionCount; generation
+// also stops at the odometer's natural end. A core with an empty version
+// ladder yields no combinations.
 func selectionsAt(cores []*soc.Core, start, count int) []map[string]int {
 	if count <= 0 {
 		return nil
@@ -199,7 +191,7 @@ func selectionCount(cores []*soc.Core, max int) int {
 // pool; the chip's own version selection is never touched. Points, their
 // values and their order are identical at any worker count: selections
 // are generated in one deterministic order, evaluated selection-pure,
-// placed by index, and sorted exactly as the serial path sorts.
+// placed by index, and sorted from that index order.
 //
 // Cancellation is checked between selections and inside each evaluation;
 // a cancelled enumeration returns the points completed so far — sorted
@@ -274,53 +266,41 @@ func EnumerateCtx(ctx context.Context, f *core.Flow, o Options) ([]Point, error)
 		}
 		return nil
 	}
-	var firstErr error
-	if workers == 1 {
-		for i := range sels {
-			if ctx.Err() != nil {
-				break
-			}
-			if err := evalAt(i); err != nil {
-				firstErr = err
-				break
-			}
-		}
-	} else {
-		// Force the lazily built rtl name indexes into existence before
-		// the pool shares them read-only.
-		for _, c := range f.Chip.Cores {
-			c.RTL.Lookup(c.RTL.Name)
-		}
-		var (
-			next   atomic.Int64
-			failed atomic.Bool
-			wg     sync.WaitGroup
-			errMu  sync.Mutex
-		)
-		next.Store(-1)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1))
-					if i >= len(sels) || failed.Load() || ctx.Err() != nil {
-						return
-					}
-					if err := evalAt(i); err != nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						errMu.Unlock()
-						failed.Store(true)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
+	// Force the lazily built rtl name indexes into existence before the
+	// workers share them read-only.
+	for _, c := range f.Chip.Cores {
+		c.RTL.Lookup(c.RTL.Name)
 	}
+	var (
+		firstErr error
+		next     atomic.Int64
+		failed   atomic.Bool
+		wg       sync.WaitGroup
+		errMu    sync.Mutex
+	)
+	next.Store(-1)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1))
+				if i >= len(sels) || failed.Load() || ctx.Err() != nil {
+					return
+				}
+				if err := evalAt(i); err != nil {
+					errMu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					errMu.Unlock()
+					failed.Store(true)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 	if cerr := ctx.Err(); cerr != nil {
 		obs.C("explore.cancelled").Inc()
 		return sortPoints(gather(points, done)), cerr

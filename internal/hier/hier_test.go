@@ -105,10 +105,14 @@ func TestHierarchicalFlow(t *testing.T) {
 	}
 	// The embedded GCD must be reachable through the flattened System 2's
 	// transparency (or explicit muxes) — its schedule exists either way.
-	if got := e.Sched.CoreTAT("GCD"); got <= 0 {
+	tat := map[string]int{}
+	for _, cs := range e.Sched.Cores {
+		tat[cs.Core] = cs.TAT
+	}
+	if got := tat["GCD"]; got <= 0 {
 		t.Errorf("GCD TAT = %d", got)
 	}
-	if got := e.Sched.CoreTAT(meta.Name); got <= 0 {
+	if got := tat[meta.Name]; got <= 0 {
 		t.Errorf("meta-core TAT = %d", got)
 	}
 	// GCD's Xin is fed by the meta-core: at least one of its inputs should

@@ -22,7 +22,7 @@ import (
 )
 
 // SchemaVersion identifies the snapshot layout; bump on incompatible
-// change so Diff can refuse to compare apples to oranges.
+// change so DiffFloor can refuse to compare apples to oranges.
 const SchemaVersion = 1
 
 // Result is one benchmark line. Name is the benchmark's name without the
@@ -250,21 +250,17 @@ type DiffReport struct {
 	NewProcs []int `json:"new_procs,omitempty"`
 }
 
-// Diff compares old and new ns/op per benchmark. threshold is the
+// DiffFloor compares old and new ns/op per benchmark. threshold is the
 // allowed fractional slowdown: 0.25 flags anything more than 25% slower.
 // Benchmarks present on only one side are reported, not failed — adding a
 // benchmark must never fail the gate — but two non-empty snapshots that
 // share no benchmark at all are an error: such a diff checks nothing.
-func Diff(old, new *Snapshot, threshold float64) (*DiffReport, error) {
-	return DiffFloor(old, new, threshold, 0)
-}
-
-// DiffFloor is Diff with a noise floor: a benchmark whose baseline ns/op
-// is below floorNs is listed in Skipped instead of being compared. A
-// single-iteration run (-benchtime=1x) measures true cost plus ~1µs of
-// fixed harness overhead, so against a nanosecond-scale baseline the
-// ratio is pure noise — the smoke gate diffs with a floor, full captures
-// with 0.
+//
+// A benchmark whose baseline ns/op is below the noise floor floorNs is
+// listed in Skipped instead of being compared. A single-iteration run
+// (-benchtime=1x) measures true cost plus ~1µs of fixed harness
+// overhead, so against a nanosecond-scale baseline the ratio is pure
+// noise — the smoke gate diffs with a floor, full captures with 0.
 func DiffFloor(old, new *Snapshot, threshold, floorNs float64) (*DiffReport, error) {
 	if old.Schema != new.Schema {
 		return nil, fmt.Errorf("benchjson: schema mismatch %d vs %d", old.Schema, new.Schema)

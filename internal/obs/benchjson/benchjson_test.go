@@ -160,7 +160,7 @@ func TestValidateCatchesBrokenSnapshots(t *testing.T) {
 func TestDiffSelfIsZeroRegressions(t *testing.T) {
 	snap, _ := Parse(strings.NewReader(fixture))
 	snap.Rev, snap.Date = "r", "d"
-	rep, err := Diff(snap, snap, 0.25)
+	rep, err := DiffFloor(snap, snap, 0.25, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestDiffFlagsSlowdownAboveThreshold(t *testing.T) {
 			newer.Results[i].NsPerOp *= 1.10 // within a 25% threshold
 		}
 	}
-	rep, err := Diff(old, newer, 0.25)
+	rep, err := DiffFloor(old, newer, 0.25, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestDiffAddedAndRemovedBenchmarksAreNotes(t *testing.T) {
 	extra := old.Results[0]
 	extra.Name = "BenchmarkBrandNew"
 	newer.Results = append(newer.Results, extra) // one appears
-	rep, err := Diff(old, newer, 0.25)
+	rep, err := DiffFloor(old, newer, 0.25, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +227,11 @@ func TestDiffRejectsBadInputs(t *testing.T) {
 	a, _ := Parse(strings.NewReader(fixture))
 	b, _ := Parse(strings.NewReader(fixture))
 	b.Schema = 2
-	if _, err := Diff(a, b, 0.25); err == nil {
+	if _, err := DiffFloor(a, b, 0.25, 0); err == nil {
 		t.Fatal("schema mismatch accepted")
 	}
 	b.Schema = a.Schema
-	if _, err := Diff(a, b, 0); err == nil {
+	if _, err := DiffFloor(a, b, 0, 0); err == nil {
 		t.Fatal("zero threshold accepted")
 	}
 }
@@ -301,7 +301,7 @@ func TestProcsSuffixIsNotPartOfTheKey(t *testing.T) {
 			t.Fatalf("procs %d and %d, want 2 and 1", two.Results[i].Procs, one.Results[i].Procs)
 		}
 	}
-	rep, err := Diff(one, two, 0.25)
+	rep, err := DiffFloor(one, two, 0.25, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestDecodeSplitsLegacySuffix(t *testing.T) {
 func TestDiffDisjointSnapshotsError(t *testing.T) {
 	a := &Snapshot{Schema: SchemaVersion, Results: []Result{{Pkg: "p", Name: "BenchmarkA", Procs: 1, Iterations: 1, NsPerOp: 5}}}
 	b := &Snapshot{Schema: SchemaVersion, Results: []Result{{Pkg: "p", Name: "BenchmarkB", Procs: 1, Iterations: 1, NsPerOp: 5}}}
-	if _, err := Diff(a, b, 0.25); err == nil || !strings.Contains(err.Error(), "share no benchmark") {
+	if _, err := DiffFloor(a, b, 0.25, 0); err == nil || !strings.Contains(err.Error(), "share no benchmark") {
 		t.Fatalf("disjoint diff: err = %v", err)
 	}
 	// A benchmark skipped below the noise floor is still shared.
@@ -348,7 +348,7 @@ func TestDiffDisjointSnapshotsError(t *testing.T) {
 		t.Fatalf("diff sharing one skipped benchmark: %v", err)
 	}
 	// An empty side has nothing to share and is not an error.
-	if _, err := Diff(a, &Snapshot{Schema: SchemaVersion}, 0.25); err != nil {
+	if _, err := DiffFloor(a, &Snapshot{Schema: SchemaVersion}, 0.25, 0); err != nil {
 		t.Fatalf("diff against an empty snapshot: %v", err)
 	}
 }

@@ -64,14 +64,13 @@ var KnownCounters = []string{
 	"serve.jobs_rejected",              // submissions refused (invalid spec, queue full, draining)
 	"serve.journal_write_errors",       // job journal snapshots that failed to persist
 	"serve.journal_writes",             // job journal snapshots persisted (temp+rename)
-	"serve.lease_retries",              // work-unit reassignments scheduled after failure or expiry
+	"serve.lease_retries",              // work-unit reassignments after failure or expiry (the only shard retries)
 	"serve.leases_expired",             // leases reclaimed after heartbeat silence past the TTL
 	"serve.leases_granted",             // work units leased to pool workers
 	"serve.worker_panics",              // pool attempts recovered from panic
 	"shard.checkpoints_written",        // shard checkpoint frames persisted (temp+rename)
 	"shard.frames_discarded",           // corrupt/torn checkpoint byte regions skipped on load
 	"shard.resumed_ranges",             // completed work ranges loaded from checkpoints on resume
-	"shard.retries",                    // shard attempts retried after a transient failure
 	"trans.versions_built",             // transparency versions constructed
 	"wrap.cores_wrapped",               // cores fitted with a P1500-style wrapper
 	"wrap.paths_replayed",              // wrapper chains replayed cycle-accurately

@@ -181,7 +181,6 @@ func EqualEvaluations(a, b *core.Evaluation) error {
 	}
 	nums := []num{
 		{"TAT", a.TAT, b.TAT},
-		{"LogicTAT", a.LogicTAT, b.LogicTAT},
 		{"TransCells", a.TransCells, b.TransCells},
 		{"MuxCells", a.MuxCells, b.MuxCells},
 		{"CtrlCells", a.CtrlCells, b.CtrlCells},

@@ -145,8 +145,9 @@ func (c *Campaign) Record(o Outcome) RunRecord {
 
 // Report is the structured outcome of a campaign: one record per fault
 // set that ran, in index order, plus how many sets the campaign holds in
-// total. A cancelled or sharded campaign yields a partial report whose
-// Missing indices are exactly the sets still to run — the resume contract.
+// total. A cancelled or sharded campaign yields a partial report: the
+// indices below Total with no completed record are exactly the sets
+// still to run — the resume contract.
 type Report struct {
 	Chip    string      `json:"chip"`
 	Seed    int64       `json:"seed,omitempty"`
@@ -164,24 +165,6 @@ func (c *Campaign) Report(outs []Outcome) *Report {
 	}
 	sort.Slice(r.Records, func(i, j int) bool { return r.Records[i].Index < r.Records[j].Index })
 	return r
-}
-
-// Missing lists the run indices with no completed record, ascending — the
-// Indices a resumed campaign should execute.
-func (r *Report) Missing() []int {
-	have := make(map[int]bool, len(r.Records))
-	for _, rec := range r.Records {
-		if rec.Completed {
-			have[rec.Index] = true
-		}
-	}
-	var out []int
-	for i := 0; i < r.Total; i++ {
-		if !have[i] {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // MergeReports combines partial campaign reports (shards, resumed runs)

@@ -80,32 +80,6 @@ func TestMalformedBuildReturnsError(t *testing.T) {
 	}
 }
 
-func TestFanoutAndDrivers(t *testing.T) {
-	c := must(NewCore("fan").
-		In("a", 4).
-		Out("x", 4).Out("y", 4).
-		Reg("r", 4).
-		Wire("a", "r.d").
-		Wire("r.q", "x").
-		Wire("r.q", "y").
-		Build())
-	fo := FanoutOf(c, Endpoint{Comp: "r", Pin: "q", Lo: 0, Hi: 3})
-	if len(fo) != 2 {
-		t.Errorf("fanout = %d conns, want 2", len(fo))
-	}
-	dr := DriversOf(c, Endpoint{Comp: "r", Pin: "d", Lo: 0, Hi: 3})
-	if len(dr) != 1 || dr[0].From.Comp != "a" {
-		t.Errorf("drivers = %v", dr)
-	}
-	if len(FanoutOf(c, Endpoint{Comp: "a", Lo: 0, Hi: 3})) != 1 {
-		t.Error("input fanout")
-	}
-	// Non-overlapping slice sees nothing.
-	if len(DriversOf(c, Endpoint{Comp: "r", Pin: "q", Lo: 0, Hi: 3})) != 0 {
-		t.Error("q pin has drivers?")
-	}
-}
-
 func TestPathHelpers(t *testing.T) {
 	p := Path{
 		Src:  Endpoint{Comp: "a", Lo: 0, Hi: 3},
@@ -133,23 +107,6 @@ func TestAluOpPin(t *testing.T) {
 	if err != nil || w != 2 {
 		t.Errorf("alu op width = %d, %v", w, err)
 	}
-	// Undriven op would appear in Undriven if disconnected.
-	c2 := must(NewCore("alu2").
-		In("a", 4).In("b", 4).
-		Out("z", 4).
-		Unit(Unit{Name: "u", Op: OpAlu, Width: 4, AluOps: 4}).
-		Wire("a", "u.in0").Wire("b", "u.in1").
-		Wire("u.out", "z").
-		Build())
-	found := false
-	for _, u := range c2.Undriven() {
-		if u.Comp == "u" && u.Pin == "op" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("undriven alu op not reported: %v", c2.Undriven())
-	}
 }
 
 func TestLookupMissing(t *testing.T) {
@@ -163,8 +120,5 @@ func TestLookupMissing(t *testing.T) {
 	}
 	if _, ok := c.MuxByName("a"); ok {
 		t.Error("port returned as mux")
-	}
-	if _, ok := c.UnitByName("a"); ok {
-		t.Error("port returned as unit")
 	}
 }

@@ -7,7 +7,6 @@ package rtl
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Dir is a port direction.
@@ -269,15 +268,6 @@ func (c *Core) MuxByName(name string) (Mux, bool) {
 	return c.Muxes[i], true
 }
 
-// UnitByName returns the named unit.
-func (c *Core) UnitByName(name string) (Unit, bool) {
-	k, i, ok := c.Lookup(name)
-	if !ok || k != KindUnit {
-		return Unit{}, false
-	}
-	return c.Units[i], true
-}
-
 // PinWidth returns the width of a component pin, or an error for unknown
 // pins. Output pins are sources; input pins are sinks.
 func (c *Core) PinWidth(comp, pin string) (int, error) {
@@ -412,80 +402,6 @@ func (c *Core) Validate() error {
 		}
 	}
 	return nil
-}
-
-// sinkPin describes one sink pin of the core for undriven-bit scanning.
-type sinkPin struct {
-	comp, pin string
-	width     int
-}
-
-func (c *Core) sinkPins() []sinkPin {
-	var sinks []sinkPin
-	for _, p := range c.Ports {
-		if p.Dir == Out {
-			sinks = append(sinks, sinkPin{p.Name, "", p.Width})
-		}
-	}
-	for _, r := range c.Regs {
-		sinks = append(sinks, sinkPin{r.Name, "d", r.Width})
-		if r.HasLoad {
-			sinks = append(sinks, sinkPin{r.Name, "ld", 1})
-		}
-	}
-	for _, m := range c.Muxes {
-		for i := 0; i < m.NumIn; i++ {
-			sinks = append(sinks, sinkPin{m.Name, fmt.Sprintf("in%d", i), m.Width})
-		}
-		sinks = append(sinks, sinkPin{m.Name, "sel", m.SelWidth()})
-	}
-	for _, u := range c.Units {
-		for i := 0; i < u.NumIn; i++ {
-			sinks = append(sinks, sinkPin{u.Name, fmt.Sprintf("in%d", i), u.Width})
-		}
-		if u.Op == OpAlu {
-			sinks = append(sinks, sinkPin{u.Name, "op", SelBits(u.AluOps)})
-		}
-	}
-	return sinks
-}
-
-// Undriven lists sink bit slices with no driver, merged into maximal runs.
-func (c *Core) Undriven() []Endpoint {
-	type bitKey struct {
-		comp, pin string
-		bit       int
-	}
-	driven := make(map[bitKey]bool)
-	for _, cn := range c.Conns {
-		for b := cn.To.Lo; b <= cn.To.Hi; b++ {
-			driven[bitKey{cn.To.Comp, cn.To.Pin, b}] = true
-		}
-	}
-	var out []Endpoint
-	for _, s := range c.sinkPins() {
-		run := -1
-		for b := 0; b <= s.width; b++ {
-			missing := b < s.width && !driven[bitKey{s.comp, s.pin, b}]
-			if missing && run < 0 {
-				run = b
-			}
-			if !missing && run >= 0 {
-				out = append(out, Endpoint{s.comp, s.pin, run, b - 1})
-				run = -1
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Comp != out[j].Comp {
-			return out[i].Comp < out[j].Comp
-		}
-		if out[i].Pin != out[j].Pin {
-			return out[i].Pin < out[j].Pin
-		}
-		return out[i].Lo < out[j].Lo
-	})
-	return out
 }
 
 // Inputs returns the data input ports in declaration order.

@@ -209,39 +209,6 @@ func TestTracePathsBitSliced(t *testing.T) {
 	}
 }
 
-func TestConflicts(t *testing.T) {
-	a := Path{Hops: []Hop{{"m1", 0}, {"m2", 1}}}
-	b := Path{Hops: []Hop{{"m1", 1}}}
-	d := Path{Hops: []Hop{{"m2", 1}, {"m3", 0}}}
-	if !Conflicts(a, b) {
-		t.Error("a,b share m1 with different selects: want conflict")
-	}
-	if Conflicts(a, d) {
-		t.Error("a,d agree on m2: want no conflict")
-	}
-	if Conflicts(b, d) {
-		t.Error("b,d share nothing: want no conflict")
-	}
-}
-
-func TestUndriven(t *testing.T) {
-	c, err := NewCore("ud").
-		In("a", 4).
-		Reg("r", 8).
-		Wire("a", "r.d[3:0]").
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	und := c.Undriven()
-	if len(und) != 1 {
-		t.Fatalf("Undriven = %v, want one run", und)
-	}
-	if und[0].Comp != "r" || und[0].Lo != 4 || und[0].Hi != 7 {
-		t.Errorf("Undriven[0] = %v, want r.d[7:4]", und[0])
-	}
-}
-
 func TestAllPathsCoversRegsAndOutputs(t *testing.T) {
 	c := figure1Core(t)
 	all := AllPaths(c)

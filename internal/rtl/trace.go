@@ -138,48 +138,3 @@ func sortPaths(ps []Path) {
 		return len(a.Hops) < len(b.Hops)
 	})
 }
-
-// Conflicts reports whether two paths require contradictory select values
-// on a shared multiplexer, i.e. they cannot be active in the same cycle.
-func Conflicts(a, b Path) bool {
-	for _, ha := range a.Hops {
-		for _, hb := range b.Hops {
-			if ha.Mux == hb.Mux && ha.Sel != hb.Sel {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// DriversOf returns the connections that drive any bit of the given sink
-// slice.
-func DriversOf(c *Core, sink Endpoint) []Conn {
-	var out []Conn
-	for _, cn := range c.Conns {
-		if cn.To.Comp != sink.Comp || cn.To.Pin != sink.Pin {
-			continue
-		}
-		if cn.To.Hi < sink.Lo || cn.To.Lo > sink.Hi {
-			continue
-		}
-		out = append(out, cn)
-	}
-	return out
-}
-
-// FanoutOf returns the connections driven by any bit of the given source
-// slice.
-func FanoutOf(c *Core, src Endpoint) []Conn {
-	var out []Conn
-	for _, cn := range c.Conns {
-		if cn.From.Comp != src.Comp || cn.From.Pin != src.Pin {
-			continue
-		}
-		if cn.From.Hi < src.Lo || cn.From.Lo > src.Hi {
-			continue
-		}
-		out = append(out, cn)
-	}
-	return out
-}

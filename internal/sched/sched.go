@@ -62,16 +62,6 @@ type Result struct {
 	TotalTAT int       // sum over cores (sequential testing)
 }
 
-// CoreTAT returns the named core's TAT, or -1.
-func (r *Result) CoreTAT(core string) int {
-	for _, cs := range r.Cores {
-		if cs.Core == core {
-			return cs.TAT
-		}
-	}
-	return -1
-}
-
 // Schedule computes the chip test schedule on a freshly built CCG. The
 // graph is mutated: system-level test-mux edges are added where needed
 // (the PREPROCESSOR's Address output in Figure 9 gets exactly such a mux).

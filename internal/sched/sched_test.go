@@ -145,17 +145,6 @@ func TestObservationTailIncludesScanOut(t *testing.T) {
 	}
 }
 
-func TestCoreTATLookup(t *testing.T) {
-	f := section3Flow(t)
-	res, _ := scheduleOf(t, f)
-	if res.CoreTAT("DISPLAY") <= 0 {
-		t.Error("CoreTAT(DISPLAY) not found")
-	}
-	if res.CoreTAT("NOPE") != -1 {
-		t.Error("CoreTAT of unknown core should be -1")
-	}
-}
-
 // Every schedule the scheduler produces must replay cleanly: causal step
 // ordering, no overlapping use of shared transparency resources, and
 // arrival bookkeeping — for both systems and several version selections.

@@ -14,6 +14,7 @@ import (
 	"repro/internal/flowcmd"
 	"repro/internal/obs"
 	"repro/internal/resil"
+	"repro/internal/serve/pool"
 	"repro/internal/shard"
 )
 
@@ -180,7 +181,7 @@ func TestFullEvalKeyIgnored(t *testing.T) {
 // Retry.Attempts times before its job fails.
 func TestFailingShardMakesRetryAttempts(t *testing.T) {
 	o := testOptions(t.TempDir())
-	o.Retry = shard.Retry{Attempts: 3, Base: time.Millisecond, Max: time.Millisecond}
+	o.Retry = pool.Retry{Attempts: 3, Base: time.Millisecond, Max: time.Millisecond}
 	m := newManager(t, o)
 	spec := Spec{Type: TypeExplore, Chip: testChip(), MaxPoints: 4}
 	fe, err := m.flow(spec.Chip)

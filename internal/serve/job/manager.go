@@ -41,10 +41,10 @@ type Options struct {
 	// LeaseTTL is the pool's heartbeat lease (default 30s).
 	LeaseTTL time.Duration
 	// Retry is the reassignment/backoff policy for failed or expired
-	// shard units. The pool is the daemon's only retrier: each shard
-	// run inside a unit makes a single in-process attempt, so a failing
-	// shard makes exactly Retry.Attempts attempts.
-	Retry shard.Retry
+	// shard units. The pool is the only code that retries a shard: a
+	// shard run makes one attempt, so a failing shard makes exactly
+	// Retry.Attempts attempts.
+	Retry pool.Retry
 	// Timeout is the default per-job deadline (0 = none); a spec's own
 	// timeout overrides it.
 	Timeout time.Duration
@@ -390,8 +390,7 @@ func (m *Manager) checkpointPrefix(id string) string {
 }
 
 // shardOptions assembles the per-unit shard options for one shard of a
-// job: checkpointed, resumable, heartbeating into the unit's lease. The
-// shard run makes one attempt; retrying is the pool's job.
+// job: checkpointed, resumable, heartbeating into the unit's lease.
 func (m *Manager) shardOptions(id string, spec Spec, index int, beat func()) shard.Options {
 	return shard.Options{
 		Shards:     spec.Shards,
@@ -399,7 +398,6 @@ func (m *Manager) shardOptions(id string, spec Spec, index int, beat func()) sha
 		Checkpoint: m.checkpointPrefix(id),
 		Resume:     true,
 		Every:      m.opts.Every,
-		Retry:      shard.Retry{Attempts: 1},
 		MaxPoints:  spec.MaxPoints,
 		OnProgress: beat,
 	}

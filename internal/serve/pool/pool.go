@@ -5,8 +5,9 @@
 // it runs it must call its heartbeat. A unit silent past the lease TTL
 // is presumed dead: its lease is reclaimed, the attempt's context is
 // cancelled, the worker slot is freed and the unit is reassigned after
-// the same capped exponential backoff shard's in-process retry loop
-// uses (shard.Retry.Backoff). Because every unit the daemon runs
+// a capped exponential backoff (Retry.Backoff). A unit that fails is
+// retried the same way. The pool is the only code that retries a shard:
+// a shard run makes one attempt. Because every unit the daemon runs
 // checkpoints its progress and merges deterministically, reassignment —
 // even when the presumed-dead attempt is actually alive and later
 // finishes — costs at most duplicated work, never a wrong result; the
@@ -27,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/shard"
 )
 
 // Unit is one leasable piece of work. Run must return promptly after
@@ -46,8 +46,49 @@ type Result struct {
 	Attempts int
 }
 
+// Retry caps how the pool handles failed or expired attempts: up to
+// Attempts tries with exponential backoff from Base, capped at Max.
+// Context cancellation is never retried — a deadline is a decision, not
+// a fault.
+type Retry struct {
+	Attempts int
+	Base     time.Duration
+	Max      time.Duration
+}
+
+func (r Retry) withDefaults() Retry {
+	if r.Attempts < 1 {
+		r.Attempts = 3
+	}
+	if r.Base <= 0 {
+		r.Base = 100 * time.Millisecond
+	}
+	if r.Max <= 0 {
+		r.Max = 5 * time.Second
+	}
+	return r
+}
+
+// Backoff is the deterministic delay before retry attempt n (n >= 1):
+// Base doubling per attempt, capped at Max.
+func (r Retry) Backoff(attempt int) time.Duration {
+	return r.withDefaults().backoff(attempt)
+}
+
+// backoff is the deterministic delay before retry attempt n (n >= 1).
+func (r Retry) backoff(attempt int) time.Duration {
+	d := r.Base
+	for i := 1; i < attempt && d < r.Max; i++ {
+		d *= 2
+	}
+	if d > r.Max {
+		d = r.Max
+	}
+	return d
+}
+
 // Options configures a Pool. The zero value is usable: GOMAXPROCS
-// workers, a 30s lease TTL, and the default shard retry policy.
+// workers, a 30s lease TTL, and the default retry policy.
 type Options struct {
 	// Workers bounds concurrently leased units.
 	Workers int
@@ -56,7 +97,7 @@ type Options struct {
 	LeaseTTL time.Duration
 	// Retry sets attempt count and reassignment backoff. A unit that
 	// fails or expires Retry.Attempts times settles with its last error.
-	Retry shard.Retry
+	Retry Retry
 }
 
 func (o Options) withDefaults() Options {
@@ -66,10 +107,7 @@ func (o Options) withDefaults() Options {
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 30 * time.Second
 	}
-	if o.Retry.Attempts < 1 {
-		o.Retry.Attempts = 3
-	}
-	// Base/Max default inside shard.Retry.Backoff itself.
+	o.Retry = o.Retry.withDefaults()
 	return o
 }
 

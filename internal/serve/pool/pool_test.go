@@ -9,12 +9,10 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/shard"
 )
 
 // fastRetry keeps test backoffs tiny.
-var fastRetry = shard.Retry{Attempts: 3, Base: time.Millisecond, Max: 5 * time.Millisecond}
+var fastRetry = Retry{Attempts: 3, Base: time.Millisecond, Max: 5 * time.Millisecond}
 
 // checkGoroutines fails the test if the goroutine count has not
 // returned to its starting level shortly after the pool closes.
@@ -31,6 +29,16 @@ func checkGoroutines(t *testing.T) func() {
 			time.Sleep(10 * time.Millisecond)
 		}
 		t.Errorf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+	}
+}
+
+func TestRetryBackoffCapped(t *testing.T) {
+	r := Retry{Attempts: 10, Base: 100 * time.Millisecond, Max: time.Second}.withDefaults()
+	want := []time.Duration{100, 200, 400, 800, 1000, 1000}
+	for i, w := range want {
+		if got := r.backoff(i + 1); got != w*time.Millisecond {
+			t.Fatalf("backoff(%d) = %v, want %v", i+1, got, w*time.Millisecond)
+		}
 	}
 }
 

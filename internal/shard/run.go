@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -13,13 +14,7 @@ import (
 	"repro/internal/resil"
 )
 
-// attemptHook, when non-nil, is consulted at the start of every shard
-// attempt; a non-nil return is treated as that attempt failing. It exists
-// so tests can inject transient shard faults without manufacturing real
-// evaluation panics.
-var attemptHook func(kind string, shard, attempt int) error
-
-// shardRun is the mutable state of one shard while (re)running: the
+// shardRun is the mutable state of one shard while running: the
 // completed-index set split into checkpoint-loaded prior ranges and
 // fresh this-process indices, the accumulating partial result, and the
 // throttled checkpoint writer.
@@ -101,16 +96,11 @@ func newShardRun(o Options, kind string, fingerprint uint64, idx int, window Ran
 	return s, nil
 }
 
-// skip reports whether global index gi is already done (prior checkpoint
-// or this process). Safe for concurrent use from evaluation workers.
+// skip reports whether the loaded checkpoint already covers global index
+// gi. prior is fixed once the shard starts, so evaluation workers may
+// call skip concurrently without the lock.
 func (s *shardRun) skip(gi int) bool {
-	i := int64(gi)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.fresh[i]; ok {
-		return true
-	}
-	return inRanges(s.prior, i)
+	return inRanges(s.prior, int64(gi))
 }
 
 // observePoint records one completed design point and checkpoints when
@@ -193,20 +183,12 @@ func (s *shardRun) records() []resil.RunRecord {
 	for i := range s.recs {
 		idx = append(idx, i)
 	}
-	sortInt64s(idx)
+	sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
 	out := make([]resil.RunRecord, 0, len(idx))
 	for _, i := range idx {
 		out = append(out, s.recs[i])
 	}
 	return out
-}
-
-func sortInt64s(v []int64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }
 
 // doneRanges returns the completed indices as sorted disjoint ranges.
@@ -224,29 +206,18 @@ func (s *shardRun) front() []FrontPoint {
 	return s.pts
 }
 
-// retryLoop runs once (an attempt of the shard's workload) under the
-// retry policy: context errors pass through untouched, other failures
-// back off and retry until the attempt budget is spent. Completed work
-// survives across attempts — the skip set makes retries incremental.
-func (s *shardRun) retryLoop(ctx context.Context, r Retry, once func(attempt int) error) error {
-	for attempt := 1; ; attempt++ {
-		err := once(attempt)
-		if err == nil || ctx.Err() != nil {
-			return err
-		}
-		if attempt >= r.Attempts {
-			if attempt > 1 {
-				err = fmt.Errorf("giving up after %d attempts: %w", attempt, err)
-			}
-			return fmt.Errorf("shard %d (%s): %w", s.idx, s.kind, err)
-		}
-		obs.C("shard.retries").Inc()
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(r.backoff(attempt)):
-		}
+// finish checkpoints the shard's terminal state and attributes its
+// failure: context errors pass through untouched, any other error gets
+// the shard's name. The shard ran its window once; evaluations are
+// deterministic, so running it again would fail the same way.
+func (s *shardRun) finish(ctx context.Context, err error) error {
+	if err != nil && ctx.Err() == nil {
+		err = fmt.Errorf("shard %d (%s): %w", s.idx, s.kind, err)
 	}
+	if ferr := s.finalFlush(); err == nil {
+		err = ferr
+	}
+	return err
 }
 
 // ExploreResult is the outcome of a sharded design-space sweep: the
@@ -287,10 +258,6 @@ func RunExplore(ctx context.Context, f *core.Flow, o Options) (*ExploreResult, e
 		if o.Index != All && i != o.Index {
 			continue
 		}
-		if ctx.Err() != nil && firstErr != nil {
-			res.Incomplete = append(res.Incomplete, win)
-			continue
-		}
 		s, err := newShardRun(o, "explore", f.Fingerprint(), i, win, total)
 		if err != nil {
 			return nil, err
@@ -309,37 +276,26 @@ func RunExplore(ctx context.Context, f *core.Flow, o Options) (*ExploreResult, e
 	return res, firstErr
 }
 
-// runExplore drives one shard's enumeration window under the retry
-// policy, checkpointing along the way and once more at the end.
+// runExplore enumerates one shard's window, checkpointing along the way
+// and once more at the end.
 func (s *shardRun) runExplore(ctx context.Context, f *core.Flow, o Options, ev *core.DeltaEvaluator) error {
 	s.prog = progress.Start(fmt.Sprintf("shard/explore[%d/%d]", s.idx, s.state.Shards), s.window.Len(),
-		"shard.checkpoints_written", "shard.retries")
+		"shard.checkpoints_written")
 	defer s.prog.End()
 	s.mu.Lock()
 	s.prog.Step(countRanges(s.prior))
 	s.lastFlush = time.Now()
 	s.mu.Unlock()
-	err := s.retryLoop(ctx, o.Retry, func(attempt int) error {
-		if attemptHook != nil {
-			if err := attemptHook(s.kind, s.idx, attempt); err != nil {
-				return err
-			}
-		}
-		_, err := explore.EnumerateCtx(ctx, f, explore.Options{
-			Workers:   o.Workers,
-			Cache:     ev,
-			MaxPoints: o.MaxPoints,
-			First:     int(s.window.Lo),
-			Count:     int(s.window.Len()),
-			Skip:      s.skip,
-			Observer:  s.observePoint,
-		})
-		return err
+	_, err := explore.EnumerateCtx(ctx, f, explore.Options{
+		Workers:   o.Workers,
+		Cache:     ev,
+		MaxPoints: o.MaxPoints,
+		First:     int(s.window.Lo),
+		Count:     int(s.window.Len()),
+		Skip:      s.skip,
+		Observer:  s.observePoint,
 	})
-	if ferr := s.finalFlush(); err == nil {
-		err = ferr
-	}
-	return err
+	return s.finish(ctx, err)
 }
 
 // CampaignResult is the outcome of a sharded fault campaign: the merged
@@ -353,8 +309,9 @@ type CampaignResult struct {
 
 // RunCampaign runs the selected shards of a sharded fault campaign over c
 // and merges their reports. The semantics mirror RunExplore: resume skips
-// checkpointed runs, retries absorb transient failures, and the merged
-// report is bit-identical to c.Report over a single-process Execute.
+// checkpointed runs, a failed shard degrades the result to what
+// completed, and the merged report is bit-identical to c.Report over a
+// single-process Execute.
 func RunCampaign(ctx context.Context, c *resil.Campaign, o Options) (*CampaignResult, error) {
 	o = o.withDefaults()
 	if err := o.validate(); err != nil {
@@ -369,15 +326,11 @@ func RunCampaign(ctx context.Context, c *resil.Campaign, o Options) (*CampaignRe
 		if o.Index != All && i != o.Index {
 			continue
 		}
-		if ctx.Err() != nil && firstErr != nil {
-			res.Incomplete = append(res.Incomplete, win)
-			continue
-		}
 		s, err := newShardRun(o, "campaign", c.Flow.Fingerprint(), i, win, total)
 		if err != nil {
 			return nil, err
 		}
-		err = s.runCampaign(ctx, c, o)
+		err = s.runCampaign(ctx, c)
 		s.mu.Lock()
 		recs = append(recs, s.records()...)
 		s.mu.Unlock()
@@ -395,39 +348,28 @@ func RunCampaign(ctx context.Context, c *resil.Campaign, o Options) (*CampaignRe
 	return res, firstErr
 }
 
-// runCampaign drives one shard's slice of the campaign under the retry
-// policy. Each attempt executes only the window's still-missing indices.
-func (s *shardRun) runCampaign(ctx context.Context, c *resil.Campaign, o Options) error {
+// runCampaign executes the still-missing indices of one shard's slice of
+// the campaign, checkpointing along the way and once more at the end.
+func (s *shardRun) runCampaign(ctx context.Context, c *resil.Campaign) error {
 	s.prog = progress.Start(fmt.Sprintf("shard/campaign[%d/%d]", s.idx, s.state.Shards), s.window.Len(),
-		"shard.checkpoints_written", "shard.retries")
+		"shard.checkpoints_written")
 	defer s.prog.End()
 	s.mu.Lock()
 	s.prog.Step(countRanges(s.prior))
 	s.lastFlush = time.Now()
 	s.mu.Unlock()
-	err := s.retryLoop(ctx, o.Retry, func(attempt int) error {
-		if attemptHook != nil {
-			if err := attemptHook(s.kind, s.idx, attempt); err != nil {
-				return err
-			}
+	var pending []int
+	for gi := s.window.Lo; gi < s.window.Hi; gi++ {
+		if !s.skip(int(gi)) {
+			pending = append(pending, int(gi))
 		}
-		var pending []int
-		for gi := s.window.Lo; gi < s.window.Hi; gi++ {
-			if !s.skip(int(gi)) {
-				pending = append(pending, int(gi))
-			}
-		}
-		if len(pending) == 0 {
-			return nil
-		}
+	}
+	var err error
+	if len(pending) > 0 {
 		sub := *c
 		sub.Indices = pending
 		sub.OnOutcome = func(out resil.Outcome) { s.observeOutcome(c.Record(out)) }
-		_, err := sub.Execute(ctx)
-		return err
-	})
-	if ferr := s.finalFlush(); err == nil {
-		err = ferr
+		_, err = sub.Execute(ctx)
 	}
-	return err
+	return s.finish(ctx, err)
 }

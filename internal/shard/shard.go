@@ -10,9 +10,11 @@
 // canonical partial Pareto front, or the completed campaign run records).
 // A killed shard resumes from its newest good frame; a corrupt or torn
 // checkpoint falls back to the last frame that checks out, or to an empty
-// shard — it is survived, never trusted. Transient attempt failures are
-// retried with capped exponential backoff before the run degrades to a
-// partial result whose unfinished ranges are attributed explicitly.
+// shard — it is survived, never trusted. Each shard runs its window once:
+// evaluations are deterministic, so a shard that fails would fail the
+// same way again. A failed shard degrades the run to a partial result
+// whose unfinished ranges are attributed explicitly; retrying is the
+// caller's decision (socetd's lease pool, internal/serve/pool, does it).
 //
 // Merging is deterministic and compositional: dominance filtering is
 // closed under partition (Pareto(A ∪ B) = Pareto(Pareto(A) ∪ Pareto(B))),
@@ -169,21 +171,9 @@ func FromPoint(p explore.Point) FrontPoint {
 	return FrontPoint{Selection: p.Selection, Cells: p.ChipCells, TAT: p.TAT}
 }
 
-// Label formats the selection compactly, matching explore.Point.Label.
+// Label formats the selection compactly, as explore.Point.Label does.
 func (p FrontPoint) Label() string {
-	names := make([]string, 0, len(p.Selection))
-	for n := range p.Selection {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for i, n := range names {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s:V%d", n, p.Selection[n]+1)
-	}
-	return b.String()
+	return explore.Point{Selection: p.Selection}.Label()
 }
 
 // key is the canonical selection signature used as the deterministic
@@ -240,49 +230,6 @@ func MergeFronts(fronts ...[]FrontPoint) []FrontPoint {
 	return CanonFront(all)
 }
 
-// Retry caps how a shard handles transient attempt failures (recovered
-// evaluation panics, injected test faults): up to Attempts tries with
-// exponential backoff from Base, capped at Max. Context cancellation is
-// never retried — a deadline is a decision, not a fault.
-type Retry struct {
-	Attempts int
-	Base     time.Duration
-	Max      time.Duration
-}
-
-func (r Retry) withDefaults() Retry {
-	if r.Attempts < 1 {
-		r.Attempts = 3
-	}
-	if r.Base <= 0 {
-		r.Base = 100 * time.Millisecond
-	}
-	if r.Max <= 0 {
-		r.Max = 5 * time.Second
-	}
-	return r
-}
-
-// Backoff is the deterministic delay before retry attempt n (n >= 1):
-// Base doubling per attempt, capped at Max. Exported so the daemon's
-// lease coordinator (internal/serve/pool) reassigns expired shards
-// under the same policy the in-process retry loop uses.
-func (r Retry) Backoff(attempt int) time.Duration {
-	return r.withDefaults().backoff(attempt)
-}
-
-// backoff is the deterministic delay before retry attempt n (n >= 1).
-func (r Retry) backoff(attempt int) time.Duration {
-	d := r.Base
-	for i := 1; i < attempt && d < r.Max; i++ {
-		d *= 2
-	}
-	if d > r.Max {
-		d = r.Max
-	}
-	return d
-}
-
 // Options configures a sharded run. The zero value is a single shard
 // covering everything, unscheckpointed — identical to the plain in-process
 // workload.
@@ -305,8 +252,6 @@ type Options struct {
 	// (default 5s). A final checkpoint is always written when the shard
 	// stops, however it stops.
 	Every time.Duration
-	// Retry caps per-shard attempt retries.
-	Retry Retry
 	// Workers bounds each shard's evaluation worker pool (explore only).
 	Workers int
 	// MaxPoints caps the global enumeration space exactly as
@@ -331,7 +276,6 @@ func (o Options) withDefaults() Options {
 	if o.Every <= 0 {
 		o.Every = 5 * time.Second
 	}
-	o.Retry = o.Retry.withDefaults()
 	return o
 }
 

@@ -3,16 +3,17 @@ package shard
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/atpg"
 	"repro/internal/core"
 	"repro/internal/explore"
+	"repro/internal/obs"
 	"repro/internal/resil"
 	"repro/internal/socgen"
 	"repro/internal/systems"
@@ -88,16 +89,6 @@ func TestCanonFrontCompositional(t *testing.T) {
 		}
 		if got := MergeFronts(CanonFront(a), CanonFront(b)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("partition %b: merged front %v, want %v", mask, got, want)
-		}
-	}
-}
-
-func TestRetryBackoffCapped(t *testing.T) {
-	r := Retry{Attempts: 10, Base: 100 * time.Millisecond, Max: time.Second}.withDefaults()
-	want := []time.Duration{100, 200, 400, 800, 1000, 1000}
-	for i, w := range want {
-		if got := r.backoff(i + 1); got != w*time.Millisecond {
-			t.Fatalf("backoff(%d) = %v, want %v", i+1, got, w*time.Millisecond)
 		}
 	}
 }
@@ -314,61 +305,36 @@ func TestRunExploreRejectsForeignEvaluator(t *testing.T) {
 	}
 }
 
-// TestRunExploreRetriesTransientFailures injects failures into the first
-// attempts of every shard; the retry policy must absorb them and still
-// converge to the single-process front.
-func TestRunExploreRetriesTransientFailures(t *testing.T) {
-	f := generatedFlow(t, 9, 6)
-	const maxPoints = 80
-	want := singleProcessFront(t, f, maxPoints)
-	fails := map[int]int{}
-	old := attemptHook
-	attemptHook = func(kind string, shard, attempt int) error {
-		if attempt <= 2 {
-			fails[shard]++
-			return fmt.Errorf("injected fault (shard %d attempt %d)", shard, attempt)
-		}
-		return nil
-	}
-	defer func() { attemptHook = old }()
-	res, err := RunExplore(context.Background(), f, Options{
-		Shards: 2, Index: All, MaxPoints: maxPoints,
-		Retry: Retry{Attempts: 3, Base: time.Millisecond, Max: 2 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatalf("retries did not absorb injected faults: %v", err)
-	}
-	if fails[0] != 2 || fails[1] != 2 {
-		t.Fatalf("injected-fault counts: %v", fails)
-	}
-	if !reflect.DeepEqual(res.Front, want) {
-		t.Fatal("front after retries differs from single-process")
-	}
-}
-
-// TestRunExploreDegradesWithAttribution exhausts the retry budget on one
-// shard: the run must return the other shard's work with the failed
-// window attributed in Incomplete, not fail wholesale.
+// TestRunExploreDegradesWithAttribution: a shard whose evaluations fail
+// runs its window once — evaluation failures are deterministic, so a
+// retry would fail the same way — and the run returns the other shard's
+// checkpointed work with exactly the failed window attributed.
 func TestRunExploreDegradesWithAttribution(t *testing.T) {
 	f := generatedFlow(t, 9, 6)
 	const maxPoints = 80
-	old := attemptHook
-	attemptHook = func(kind string, shard, attempt int) error {
-		if shard == 1 {
-			return errors.New("injected permanent fault")
-		}
-		return nil
-	}
-	defer func() { attemptHook = old }()
-	res, err := RunExplore(context.Background(), f, Options{
-		Shards: 2, Index: All, MaxPoints: maxPoints,
-		Retry: Retry{Attempts: 2, Base: time.Millisecond, Max: time.Millisecond},
+	prefix := filepath.Join(t.TempDir(), "ck")
+	shard0, err := RunExplore(context.Background(), f, Options{
+		Shards: 2, Index: 0, Checkpoint: prefix, MaxPoints: maxPoints,
 	})
-	if err == nil {
-		t.Fatal("exhausted retries reported no error")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res == nil || len(res.Front) == 0 {
-		t.Fatal("no partial result returned")
+	// Every evaluation from here on fails: the forced mux names no port.
+	// The fingerprint ignores forced muxes, so shard 0's checkpoint still
+	// resumes.
+	f.ForcedMuxes = []core.ForcedMux{{Core: "nowhere", Port: "x", Input: true}}
+
+	tr, _ := obs.Enable(0)
+	defer obs.Disable()
+	res, err := RunExplore(context.Background(), f, Options{
+		Shards: 2, Index: All, Checkpoint: prefix, Resume: true, MaxPoints: maxPoints,
+	})
+	if err == nil || !strings.HasPrefix(err.Error(), "shard 1 (explore): ") ||
+		!strings.Contains(err.Error(), "forced mux on unknown port") {
+		t.Fatalf("error = %v; want shard 1's forced-mux failure", err)
+	}
+	if res == nil || len(res.Front) == 0 || !reflect.DeepEqual(res.Front, shard0.Front) {
+		t.Fatalf("partial front = %v; want shard 0's front %v", res, shard0.Front)
 	}
 	space := int64(explore.SelectionSpace(f, maxPoints))
 	wantMissing := Plan(space, 2)[1]
@@ -377,6 +343,73 @@ func TestRunExploreDegradesWithAttribution(t *testing.T) {
 	}
 	if res.Done != space-wantMissing.Len() {
 		t.Fatalf("done = %d, want %d", res.Done, space-wantMissing.Len())
+	}
+	// One enumeration passes over shard 0's checkpoint, one is shard 1's
+	// only attempt.
+	enumerations := 0
+	for _, r := range tr.Records() {
+		if r.Name == "explore/enumerate" {
+			enumerations++
+		}
+	}
+	if enumerations != 2 {
+		t.Fatalf("%d enumerations; want 2: one over checkpointed shard 0, one attempt of failing shard 1", enumerations)
+	}
+}
+
+// TestRunExploreMergeUnderExpiredContext: a merge whose context is
+// already done still loads every shard's checkpoint, so work that
+// completed is reported, not attributed as missing.
+func TestRunExploreMergeUnderExpiredContext(t *testing.T) {
+	f := generatedFlow(t, 5, 6)
+	const maxPoints = 32
+	prefix := filepath.Join(t.TempDir(), "ck")
+	shard1, err := RunExplore(context.Background(), f, Options{
+		Shards: 2, Index: 1, Checkpoint: prefix, MaxPoints: maxPoints,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := RunExplore(ctx, f, Options{
+		Shards: 2, Index: All, Checkpoint: prefix, Resume: true, MaxPoints: maxPoints,
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("merge under a cancelled context returned %v", err)
+	}
+	plan := Plan(int64(explore.SelectionSpace(f, maxPoints)), 2)
+	if res.Done != plan[1].Len() || !reflect.DeepEqual(res.Incomplete, []Range{plan[0]}) {
+		t.Fatalf("done=%d incomplete=%v; want done=%d incomplete=[%v]", res.Done, res.Incomplete, plan[1].Len(), plan[0])
+	}
+	if len(res.Front) == 0 || !reflect.DeepEqual(res.Front, shard1.Front) {
+		t.Fatalf("front %v; want shard 1's checkpointed front %v", res.Front, shard1.Front)
+	}
+}
+
+// TestRunCampaignMergeUnderExpiredContext is the campaign counterpart:
+// a checkpointed shard's records survive a merge whose context is done.
+func TestRunCampaignMergeUnderExpiredContext(t *testing.T) {
+	f := campaignFlow(t)
+	const seed = 11
+	c := &resil.Campaign{Flow: f, Runs: resil.RandomSets(f.Chip, 4, 2, seed), Seed: seed}
+	prefix := filepath.Join(t.TempDir(), "ck")
+	shard1, err := RunCampaign(context.Background(), c, Options{Shards: 2, Index: 1, Checkpoint: prefix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := RunCampaign(ctx, c, Options{Shards: 2, Index: All, Checkpoint: prefix, Resume: true})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("merge under a cancelled context returned %v", err)
+	}
+	plan := Plan(int64(len(c.Runs)), 2)
+	if res.Done != plan[1].Len() || !reflect.DeepEqual(res.Incomplete, []Range{plan[0]}) {
+		t.Fatalf("done=%d incomplete=%v; want done=%d incomplete=[%v]", res.Done, res.Incomplete, plan[1].Len(), plan[0])
+	}
+	if len(res.Report.Records) == 0 || !reflect.DeepEqual(res.Report, shard1.Report) {
+		t.Fatalf("report %+v; want shard 1's checkpointed report %+v", res.Report, shard1.Report)
 	}
 }
 
@@ -413,9 +446,9 @@ func TestRunCampaignMatchesSingleProcess(t *testing.T) {
 	}
 }
 
-// TestCampaignResumeFromReport exercises the satellite contract: a
-// cancelled campaign's report knows which sets ran; resuming its Missing
-// indices completes it, and the merged report equals the full run.
+// TestCampaignResumeFromReport: a cancelled campaign's report knows
+// which sets ran; resuming the others completes it, and the merged
+// report equals the full run.
 func TestCampaignResumeFromReport(t *testing.T) {
 	f := campaignFlow(t)
 	const seed = 7
@@ -441,7 +474,16 @@ func TestCampaignResumeFromReport(t *testing.T) {
 		t.Fatalf("cancelled campaign returned %v", err)
 	}
 	partial := c.Report(outs)
-	missing := partial.Missing()
+	completed := map[int]bool{}
+	for _, rec := range partial.Records {
+		completed[rec.Index] = rec.Completed
+	}
+	var missing []int
+	for i := range c.Runs {
+		if !completed[i] {
+			missing = append(missing, i)
+		}
+	}
 	if len(outs) != 2 || len(missing) != 4 {
 		t.Fatalf("partial: %d outcomes, missing %v", len(outs), missing)
 	}

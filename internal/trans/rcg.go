@@ -104,43 +104,6 @@ func (g *RCG) OutputNodes() []int {
 	return out
 }
 
-// CSplit reports whether the node's inputs are bit-sliced across several
-// sources (no single incoming edge covers its full width, but some edges
-// exist).
-func (g *RCG) CSplit(node int) bool {
-	n := g.Nodes[node]
-	if n.Kind == NodeIn {
-		return false
-	}
-	any := false
-	for _, eid := range g.In[node] {
-		e := g.Edges[eid]
-		any = true
-		if e.DstLo == 0 && e.DstHi == n.Width-1 {
-			return false
-		}
-	}
-	return any
-}
-
-// OSplit reports whether the node's fanout is bit-sliced (its value leaves
-// in parts through different edges and no single edge carries all bits).
-func (g *RCG) OSplit(node int) bool {
-	n := g.Nodes[node]
-	if n.Kind == NodeOut {
-		return false
-	}
-	any := false
-	for _, eid := range g.Out[node] {
-		e := g.Edges[eid]
-		any = true
-		if e.SrcLo == 0 && e.SrcHi == n.Width-1 {
-			return false
-		}
-	}
-	return any
-}
-
 // Build extracts the RCG from a core and its HSCAN insertion result. Every
 // mux-only RTL path between ports and registers becomes an edge; edges
 // that carry the scan chains (including test-mux paths created by HSCAN)

@@ -55,62 +55,6 @@ func (v *Version) MaxLatency() int {
 	return max
 }
 
-// SerializedJustLatency returns the time to justify all listed outputs
-// when their paths may share edges: disjoint paths run in parallel (max);
-// paths sharing an edge serialize (sum), as in the CPU's 6+2=8-cycle
-// Data -> Address example of Section 3.
-func (v *Version) SerializedJustLatency(outs []string) int {
-	return serialize(v.collect(outs, v.Just))
-}
-
-func (v *Version) collect(names []string, m map[string]*PathUse) []*PathUse {
-	var ps []*PathUse
-	for _, n := range names {
-		if p, ok := m[n]; ok {
-			ps = append(ps, p)
-		}
-	}
-	return ps
-}
-
-// serialize groups paths into clusters sharing edges; each cluster's
-// latencies add, clusters run in parallel.
-func serialize(ps []*PathUse) int {
-	n := len(ps)
-	if n == 0 {
-		return 0
-	}
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if sharesEdge(ps[i], ps[j]) {
-				parent[find(i)] = find(j)
-			}
-		}
-	}
-	sums := map[int]int{}
-	for i, p := range ps {
-		sums[find(i)] += p.Latency
-	}
-	max := 0
-	for _, s := range sums {
-		if s > max {
-			max = s
-		}
-	}
-	return max
-}
-
 // sharesEdge reports a physical conflict: a common edge whose used bit
 // masks overlap.
 func sharesEdge(a, b *PathUse) bool {
