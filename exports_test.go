@@ -45,7 +45,6 @@ var testOnlyKeep = map[string]string{
 	// Fixtures shared by the tests of several packages.
 	"flowcmd.FormatChipScript": "fixture: chip scripts for the flowcmd, job fuzz and API tests",
 	"rtlgen.Many":              "fixture: the seeded core corpus of the rtlgen and atpg tests",
-	"rtlgen.ManyChips":         "fixture: the seeded chip corpus of the rtlgen tests",
 	"socgen.Many":              "fixture: the seeded SoC corpus of the socgen tests",
 	"resil.SingleEdgeCuts":     "fixture: the exhaustive broken-wire campaign of the resil tests",
 	// Harness and codec helpers.

@@ -70,21 +70,3 @@ func PlanMemory(c *soc.Core) *Plan {
 	p.Area.Add(cell.Xor2, 8)
 	return p
 }
-
-// PlanChip sizes BIST for every memory core of the chip. The returned
-// cycle count is the maximum over memories (BIST engines run in
-// parallel).
-func PlanChip(ch *soc.Chip) (plans []*Plan, cycles int, area cell.Area) {
-	for _, c := range ch.Cores {
-		if !c.Memory {
-			continue
-		}
-		p := PlanMemory(c)
-		plans = append(plans, p)
-		if p.Cycles > cycles {
-			cycles = p.Cycles
-		}
-		area.AddArea(p.Area)
-	}
-	return plans, cycles, area
-}

@@ -55,23 +55,3 @@ func TestPlanMemoryROM(t *testing.T) {
 		t.Errorf("ROM BIST cycles = %d, want 8192", p.Cycles)
 	}
 }
-
-func TestPlanChipParallel(t *testing.T) {
-	ch := systems.System1()
-	plans, cycles, area := PlanChip(ch)
-	if len(plans) != 2 {
-		t.Fatalf("planned %d memories, want 2", len(plans))
-	}
-	// Engines run in parallel: the RAM dominates.
-	if cycles != 10*4096 {
-		t.Errorf("chip BIST cycles = %d, want 40960", cycles)
-	}
-	if area.Cells() == 0 {
-		t.Error("no BIST area")
-	}
-	// System 2 has no memories.
-	_, cycles2, _ := PlanChip(systems.System2())
-	if cycles2 != 0 {
-		t.Errorf("System 2 BIST cycles = %d, want 0", cycles2)
-	}
-}

@@ -293,14 +293,6 @@ func (g *Graph) ShortestPath(sources []int, target int, resv Reservations) *Path
 	return p
 }
 
-// ShortestPathMulti is Finder.ShortestPathMulti on a pooled Finder.
-func (g *Graph) ShortestPathMulti(sources []int, targets []int, resv Reservations) []*PathResult {
-	f := GetFinder()
-	ps := f.ShortestPathMulti(g, sources, targets, resv)
-	PutFinder(f)
-	return ps
-}
-
 // DistancesFrom returns, per node, the earliest arrival from the nearest
 // node in sources when no edge is reserved — the Arrival a search from
 // sources with empty Reservations finds for that node — or -1 where no

@@ -21,9 +21,7 @@
 // outputs is bwd-marked. Affected cores are recomputed exactly;
 // unaffected ones reuse the base schedule and replay their recorded test
 // muxes so the graph evolves edge-for-edge as a full run would. The
-// interconnect plan is not reused: its two whole-graph sweeps cost less
-// than working out which nets a flip could affect. The Finder's
-// (arrival, node) settle order makes search results over unmutated
+// Finder's (arrival, node) settle order makes search results over unmutated
 // regions bit-identical across the splice, so a delta evaluation returns
 // the same numbers AND the same schedule signature as
 // Flow.EvaluateSelection — a property the proptest differential harness
@@ -36,12 +34,14 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"repro/internal/ccg"
 	"repro/internal/cell"
 	"repro/internal/obs"
 	"repro/internal/sched"
+	"repro/internal/soc"
 )
 
 // DeltaEvaluator evaluates selections against a small registry of cached
@@ -68,8 +68,7 @@ type DeltaEvaluator struct {
 	crippleInvalidation bool
 
 	mu    sync.Mutex
-	bases map[string]*deltaBase
-	order []string // LRU, most recently used last
+	bases []*deltaBase // at most maxBases, least recently used first
 	stats DeltaStats
 }
 
@@ -91,16 +90,16 @@ type DeltaStats struct {
 const maxBases = 16
 
 type deltaBase struct {
-	sel      map[string]int
+	versions []int // the selection, as versionsOf lists it
 	eval     *Evaluation
-	pristine int       // edge count before scheduling muxes: the splice point
-	forced   cell.Area // forced-mux area at build time
-	muxes    []ForcedMux
+	pristine int         // edge count before scheduling muxes: the splice point
+	forced   cell.Area   // forced-mux area at build time
+	muxes    []ForcedMux // the flow's forced-mux list at build time
 }
 
 // NewDeltaEvaluator returns a delta evaluator over f.
 func NewDeltaEvaluator(f *Flow) *DeltaEvaluator {
-	return &DeltaEvaluator{f: f, AdoptCandidates: true, bases: map[string]*deltaBase{}}
+	return &DeltaEvaluator{f: f, AdoptCandidates: true}
 }
 
 // Flow returns the flow this evaluator is bound to.
@@ -119,30 +118,34 @@ func (d *DeltaEvaluator) Stats() DeltaStats {
 // the full evaluation either way.
 func (d *DeltaEvaluator) EvaluateSelectionCtx(ctx context.Context, sel map[string]int) (*Evaluation, error) {
 	sel = d.f.canonSelection(sel)
-	key := d.f.SelectionKey(sel)
+	cores := d.f.Chip.TestableCores()
+	versions := versionsOf(cores, sel)
 
 	d.mu.Lock()
-	if b, ok := d.bases[key]; ok && d.muxesCurrent(b) {
-		d.touch(key)
-		d.stats.Hits++
-		d.mu.Unlock()
-		obs.C("explore.cache_hits").Inc()
-		return b.eval, nil
-	}
-	obs.C("explore.cache_misses").Inc()
 	var base *deltaBase
 	var changed string
-	for i := len(d.order) - 1; i >= 0; i-- { // most recent base first
-		b := d.bases[d.order[i]]
-		if !d.muxesCurrent(b) {
+	for i := len(d.bases) - 1; i >= 0; i-- { // most recent base first
+		b := d.bases[i]
+		if !slices.Equal(b.muxes, d.f.ForcedMuxes) {
+			// The improvement walk appends forced muxes mid-walk; a base
+			// built under another mux list serves nothing.
 			continue
 		}
-		if n, c := diffCores(b.sel, sel); n == 1 {
-			base, changed = b, c
-			break
+		switch n, at := diffCores(b.versions, versions); n {
+		case 0:
+			d.touch(i)
+			d.stats.Hits++
+			d.mu.Unlock()
+			obs.C("explore.cache_hits").Inc()
+			return b.eval, nil
+		case 1:
+			if base == nil {
+				base, changed = b, cores[at].Name
+			}
 		}
 	}
 	d.mu.Unlock()
+	obs.C("explore.cache_misses").Inc()
 
 	if base != nil {
 		e, pristine, err := d.deltaEvaluate(ctx, base, changed, sel)
@@ -155,7 +158,7 @@ func (d *DeltaEvaluator) EvaluateSelectionCtx(ctx context.Context, sel map[strin
 			d.stats.Deltas++
 			d.mu.Unlock()
 			if d.AdoptCandidates {
-				d.adopt(key, sel, e, pristine, base.forced)
+				d.adopt(versions, e, pristine, base.forced)
 			}
 			return e, nil
 		}
@@ -174,7 +177,7 @@ func (d *DeltaEvaluator) EvaluateSelectionCtx(ctx context.Context, sel map[strin
 		d.stats.Fulls++
 		d.mu.Unlock()
 	}
-	d.adopt(key, sel, e, pristine, forced)
+	d.adopt(versions, e, pristine, forced)
 	return e, nil
 }
 
@@ -187,7 +190,7 @@ func (d *DeltaEvaluator) Rebase(ctx context.Context, sel map[string]int) (*Evalu
 	if err != nil {
 		return nil, err
 	}
-	d.adopt(d.f.SelectionKey(sel), sel, e, pristine, forced)
+	d.adopt(versionsOf(d.f.Chip.TestableCores(), sel), e, pristine, forced)
 	return e, nil
 }
 
@@ -265,7 +268,7 @@ func (d *DeltaEvaluator) deltaEvaluate(ctx context.Context, b *deltaBase, change
 		if err != nil {
 			return nil, 0, nil // let the full path surface the error faithfully
 		}
-		if !muxesEqual(cs.Muxes, bcs.Muxes) {
+		if !slices.Equal(cs.Muxes, bcs.Muxes) {
 			// A recomputed core changed its mux insertions: cores after
 			// it would see a different graph than the base did, voiding
 			// the reuse argument. Rare — punt to the full path.
@@ -327,79 +330,53 @@ func markReach(g *ccg.Graph, fwd, bwd []bool, core string) {
 	}
 }
 
-// muxesCurrent reports whether the flow's forced-mux set still matches
-// the one the base was built with; the improvement walk appends muxes
-// mid-walk, and a base missing one must not serve deltas.
-func (d *DeltaEvaluator) muxesCurrent(b *deltaBase) bool {
-	cur := d.f.ForcedMuxes
-	if len(cur) != len(b.muxes) {
-		return false
+// versionsOf lists a canonical selection's version index for each of
+// cores, in order: the form the registry compares selections in.
+func versionsOf(cores []*soc.Core, sel map[string]int) []int {
+	v := make([]int, len(cores))
+	for i, c := range cores {
+		v[i] = sel[c.Name]
 	}
-	for i := range cur {
-		if cur[i] != b.muxes[i] {
-			return false
-		}
-	}
-	return true
+	return v
 }
 
-func muxesEqual(a, b []sched.Mux) bool {
-	if len(a) != len(b) {
-		return false
-	}
+// diffCores counts the positions two selections listed by versionsOf
+// differ in, up to 2 (callers only tell 0, 1 and more apart), and
+// returns the differing position when there is exactly one.
+func diffCores(a, b []int) (n, at int) {
 	for i := range a {
 		if a[i] != b[i] {
-			return false
+			if n++; n == 2 {
+				break
+			}
+			at = i
 		}
 	}
-	return true
+	return n, at
 }
 
-// diffCores counts differing entries between two canonical selections
-// and names the last differing core.
-func diffCores(a, b map[string]int) (int, string) {
-	if len(a) != len(b) {
-		return -1, ""
-	}
-	n, core := 0, ""
-	for k, v := range a {
-		if b[k] != v {
-			n++
-			core = k
-		}
-	}
-	return n, core
-}
-
-// adopt stores an evaluation as a base under key, evicting the least
-// recently used entry past maxBases.
-func (d *DeltaEvaluator) adopt(key string, sel map[string]int, e *Evaluation, pristine int, forced cell.Area) {
-	selCopy := make(map[string]int, len(sel))
-	for k, v := range sel {
-		selCopy[k] = v
-	}
-	muxes := append([]ForcedMux(nil), d.f.ForcedMuxes...)
+// adopt stores an evaluation as the most recently used base. It replaces
+// the base with the same selection and forced-mux list, if there is one,
+// and otherwise evicts the least recently used base past maxBases.
+func (d *DeltaEvaluator) adopt(versions []int, e *Evaluation, pristine int, forced cell.Area) {
+	nb := &deltaBase{versions: versions, eval: e, pristine: pristine, forced: forced,
+		muxes: slices.Clone(d.f.ForcedMuxes)}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.bases[key]; ok {
-		d.touch(key)
-	} else {
-		for len(d.order) >= maxBases {
-			oldest := d.order[0]
-			d.order = d.order[1:]
-			delete(d.bases, oldest)
+	for i, b := range d.bases {
+		if slices.Equal(b.versions, versions) && slices.Equal(b.muxes, nb.muxes) {
+			d.bases = slices.Delete(d.bases, i, i+1)
+			break
 		}
-		d.order = append(d.order, key)
 	}
-	d.bases[key] = &deltaBase{sel: selCopy, eval: e, pristine: pristine, forced: forced, muxes: muxes}
+	if len(d.bases) >= maxBases {
+		d.bases = slices.Delete(d.bases, 0, 1)
+	}
+	d.bases = append(d.bases, nb)
 }
 
-// touch moves key to the most-recently-used end. Callers hold d.mu.
-func (d *DeltaEvaluator) touch(key string) {
-	for i, k := range d.order {
-		if k == key {
-			d.order = append(append(d.order[:i:i], d.order[i+1:]...), key)
-			return
-		}
-	}
+// touch moves base i to the most recently used end. Callers hold d.mu.
+func (d *DeltaEvaluator) touch(i int) {
+	b := d.bases[i]
+	d.bases = append(slices.Delete(d.bases, i, i+1), b)
 }

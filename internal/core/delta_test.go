@@ -135,6 +135,48 @@ func TestDeltaZeroDiffReturnsBase(t *testing.T) {
 	}
 }
 
+// TestDeltaRegistryMatchesForcedMuxes checks that the registry matches a
+// base by its forced-mux list as well as its selection: the same
+// selection under an added mux is computed afresh and equals a full
+// evaluation under that mux, and removing the mux again finds the first
+// base.
+func TestDeltaRegistryMatchesForcedMuxes(t *testing.T) {
+	f := deltaFlow(t, socgen.Params{Seed: 3, Cores: 6, Topology: socgen.Chain})
+	d := core.NewDeltaEvaluator(f)
+	ctx := context.Background()
+	sel := f.CurrentSelection()
+	e1, err := d.EvaluateSelectionCtx(ctx, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c := f.Chip.TestableCores()[0]
+	f.ForcedMuxes = []core.ForcedMux{{Core: c.Name, Port: c.RTL.Inputs()[0].Name, Input: true}}
+	muxed, err := d.EvaluateSelectionCtx(ctx, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := d.Stats(); st.Hits != 0 || muxed == e1 {
+		t.Fatalf("a base built without the forced mux served the request (%+v)", st)
+	}
+	fe, err := f.EvaluateSelection(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := proptest.EqualEvaluations(muxed, fe); err != nil {
+		t.Fatalf("evaluation under the forced mux differs from a full one: %v", err)
+	}
+
+	f.ForcedMuxes = nil
+	e3, err := d.EvaluateSelectionCtx(ctx, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := d.Stats(); st.Hits != 1 || e3 != e1 {
+		t.Fatalf("removing the mux again did not hit the first base (%+v)", st)
+	}
+}
+
 // TestDeltaTamperDetected proves the equivalence check catches a
 // stale-invalidation bug: with the invalidation BFS crippled, only the
 // flipped core is recomputed and downstream cores keep stale schedules.

@@ -12,8 +12,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
-	"strings"
 
 	"repro/internal/atpg"
 	"repro/internal/bist"
@@ -77,6 +75,12 @@ type Flow struct {
 	// muxes the healthy design actually provisioned — fixed hardware a
 	// faulted chip cannot grow — and to diagnose missing interconnect.
 	Baseline *soc.Chip
+
+	// bistCycles is the chip's memory BIST time: the largest Cycles of
+	// the memory cores' BIST plans, since the engines run in parallel.
+	// Prepare sets it; fault injection leaves memory cores alone, so a
+	// Fork keeps it.
+	bistCycles int
 }
 
 // Fork returns a flow over ch that shares this flow's prepared artifacts,
@@ -120,6 +124,7 @@ func Prepare(ch *soc.Chip, opts *Options) (*Flow, error) {
 		art.Synth = sr
 		if c.Memory {
 			art.BISTPlan = bist.PlanMemory(c)
+			f.bistCycles = max(f.bistCycles, art.BISTPlan.Cycles)
 			f.Cores[c.Name] = art
 			continue
 		}
@@ -169,16 +174,19 @@ func Prepare(ch *soc.Chip, opts *Options) (*Flow, error) {
 
 // Evaluation is one chip-level design point: the CCG, the schedule, the
 // controller, and the area/time bottom line for the current core version
-// selection.
+// selection. It holds what the explorer compares and what callers print.
+// The interconnect test plan is not part of it: it depends only on the
+// graph, so sched.ScheduleInterconnect(e.Graph.Chip, e.Graph) derives it
+// for any evaluation that needs it.
 type Evaluation struct {
+	// Graph is the CCG the schedule ran on, test muxes included.
 	Graph      *ccg.Graph
 	Sched      *sched.Result
 	Controller *ctrl.Controller
+	// BISTCycles is the memory cores' BIST time, planned once per flow
+	// (the engines run in parallel with each other and with the logic
+	// core tests, so it is the longest single BIST run).
 	BISTCycles int
-	// Interconnect is the explicit wire-test plan (an extension of the
-	// paper's claim that SOCET exercises the interconnect; its cycles are
-	// reported separately from the per-core TAT the paper tabulates).
-	Interconnect *sched.InterconnectResult
 
 	TransArea cell.Area // transparency logic of the selected versions
 	MuxArea   cell.Area // system-level test multiplexers
@@ -210,14 +218,15 @@ func (e *Evaluation) ChipDFTGrids() int {
 // Evaluate builds the CCG for the chip's current version selection and
 // schedules every core test.
 func (f *Flow) Evaluate() (*Evaluation, error) {
-	return f.evaluate(context.Background(), f.CurrentSelection())
+	return f.EvaluateCtx(context.Background())
 }
 
 // EvaluateCtx is Evaluate honoring ctx: cancellation is checked at phase
 // boundaries (after CCG build and after scheduling) and surfaces as
 // ctx.Err().
 func (f *Flow) EvaluateCtx(ctx context.Context) (*Evaluation, error) {
-	return f.evaluate(ctx, f.CurrentSelection())
+	e, _, _, err := f.evaluateFull(ctx, f.CurrentSelection())
+	return e, err
 }
 
 // EvaluateSelection builds the CCG and schedule for an explicit version
@@ -228,13 +237,14 @@ func (f *Flow) EvaluateCtx(ctx context.Context) (*Evaluation, error) {
 // one prepared flow are safe — this is the reentrant entry point the
 // parallel design-space explorer uses.
 func (f *Flow) EvaluateSelection(sel map[string]int) (*Evaluation, error) {
-	return f.evaluate(context.Background(), f.canonSelection(sel))
+	return f.EvaluateSelectionCtx(context.Background(), sel)
 }
 
 // EvaluateSelectionCtx is EvaluateSelection honoring ctx; the parallel
 // explorer threads its cancellation context through here.
 func (f *Flow) EvaluateSelectionCtx(ctx context.Context, sel map[string]int) (*Evaluation, error) {
-	return f.evaluate(ctx, f.canonSelection(sel))
+	e, _, _, err := f.evaluateFull(ctx, f.canonSelection(sel))
+	return e, err
 }
 
 // CurrentSelection returns the selected version index per testable core.
@@ -275,56 +285,15 @@ func canonSelectionOn(ch *soc.Chip, sel map[string]int) map[string]int {
 	return out
 }
 
-// SelectionKey returns a canonical signature of the given selection plus
-// the flow's current forced-mux set — the key of the delta evaluator's
-// base registry: two calls yielding the same key produce numerically
-// identical Evaluations. Cores are sorted by name; forced muxes are sorted too
-// (placement order only affects tie-breaking among equal-arrival paths,
-// never the reported times or areas).
-func (f *Flow) SelectionKey(sel map[string]int) string {
-	sel = f.canonSelection(sel)
-	names := make([]string, 0, len(sel))
-	for n := range sel {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		fmt.Fprintf(&b, "%s=%d;", n, sel[n])
-	}
-	if len(f.ForcedMuxes) > 0 {
-		muxes := make([]string, 0, len(f.ForcedMuxes))
-		for _, fm := range f.ForcedMuxes {
-			dir := "out"
-			if fm.Input {
-				dir = "in"
-			}
-			muxes = append(muxes, fm.Core+"."+fm.Port+"."+dir)
-		}
-		sort.Strings(muxes)
-		b.WriteString("|mux:")
-		for _, m := range muxes {
-			b.WriteString(m)
-			b.WriteString(";")
-		}
-	}
-	return b.String()
-}
-
-// evaluate is the selection-pure core of Evaluate/EvaluateSelection: sel
+// evaluateFull is the selection-pure core of every full evaluation: sel
 // must be canonical (every testable core present, indices in range). It
 // must not write any state reachable from f — the parallel explorer runs
 // many evaluations over one flow at once. Cancellation is checked at the
-// phase boundaries; a cancelled evaluation returns ctx.Err().
-func (f *Flow) evaluate(ctx context.Context, sel map[string]int) (*Evaluation, error) {
-	e, _, _, err := f.evaluateFull(ctx, sel)
-	return e, err
-}
-
-// evaluateFull is evaluate exposing the two extra facts the delta
-// evaluator snapshots with a base: the pristine edge count (edges in the
-// graph before scheduling appended any test muxes — the splice point of
-// ccg.CloneWithVersion) and the forced-mux area.
+// phase boundaries; a cancelled evaluation returns ctx.Err(). Besides the
+// evaluation it returns the two facts the delta evaluator snapshots with
+// a base: the pristine edge count (edges in the graph before scheduling
+// appended any test muxes — the splice point of ccg.CloneWithVersion) and
+// the forced-mux area.
 func (f *Flow) evaluateFull(ctx context.Context, sel map[string]int) (*Evaluation, int, cell.Area, error) {
 	root := obs.Start(nil, "evaluate")
 	defer root.End()
@@ -372,9 +341,9 @@ func (f *Flow) buildGraph(root *obs.Span, ch *soc.Chip, sel map[string]int) (*cc
 }
 
 // finishEvaluation replays the schedule for physical consistency and fills
-// in the controller, areas, interconnect plan and bottom line. It is
-// shared by the full, degraded and delta evaluation paths; for the
-// degraded path, s covers only the testable subset.
+// in the controller, areas and bottom line. It is shared by the full,
+// degraded and delta evaluation paths; for the degraded path, s covers
+// only the testable subset.
 func (f *Flow) finishEvaluation(root *obs.Span, sel map[string]int, g *ccg.Graph, s *sched.Result, forcedArea cell.Area) (*Evaluation, error) {
 	if err := sched.Validate(s); err != nil {
 		return nil, fmt.Errorf("core: schedule failed replay validation: %w", err)
@@ -394,25 +363,18 @@ func (f *Flow) finishEvaluation(root *obs.Span, sel map[string]int, g *ccg.Graph
 	e.TransCells = e.TransArea.Cells()
 	e.MuxCells = e.MuxArea.Cells()
 	e.CtrlCells = e.CtrlArea.Cells()
-	sp = obs.Start(root, "interconnect/sched")
-	ir, err := sched.ScheduleInterconnect(f.Chip, g)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	e.Interconnect = ir
-	_, bistCycles, _ := bist.PlanChip(f.Chip)
-	e.BISTCycles = bistCycles
+	e.BISTCycles = f.bistCycles
 	e.TAT = s.TotalTAT
 	obs.C("core.evaluations").Inc()
 	return e, nil
 }
 
 // applyForcedMux wires one explorer-placed test mux into the CCG and
-// returns the muxed port's width. The chip pin is chosen for width
-// compatibility (the narrowest pin that still covers the port, else the
-// widest available); a chip with no PI (input mux) or no PO (output mux)
-// is an error rather than a silent no-op.
+// returns the muxed port's width. The chip pin is chosen by sched.PickPin,
+// the policy scheduler-created muxes use too (the narrowest pin that
+// still covers the port, else the widest available); a chip with no PI
+// (input mux) or no PO (output mux) is an error rather than a silent
+// no-op.
 func applyForcedMux(ch *soc.Chip, g *ccg.Graph, fm ForcedMux) (int, error) {
 	target, ok := g.NodeIndex(fm.Core + "." + fm.Port)
 	if !ok {
@@ -427,13 +389,13 @@ func applyForcedMux(ch *soc.Chip, g *ccg.Graph, fm ForcedMux) (int, error) {
 		width = p.Width
 	}
 	if fm.Input {
-		pi, err := pickChipPin(g, ch.PIs, width)
+		pi, err := sched.PickPin(g, ch.PIs, width)
 		if err != nil {
 			return 0, fmt.Errorf("core: forced input mux %s.%s: %w", fm.Core, fm.Port, err)
 		}
 		g.AddTestMux(pi, target)
 	} else {
-		po, err := pickChipPin(g, ch.POs, width)
+		po, err := sched.PickPin(g, ch.POs, width)
 		if err != nil {
 			return 0, fmt.Errorf("core: forced output mux %s.%s: %w", fm.Core, fm.Port, err)
 		}
@@ -443,21 +405,14 @@ func applyForcedMux(ch *soc.Chip, g *ccg.Graph, fm ForcedMux) (int, error) {
 	return width, nil
 }
 
-// pickChipPin selects the chip pin a forced test mux attaches to; the
-// policy (narrowest covering pin, widest fallback, name tie-break) now
-// lives in sched.PickPin so created and forced muxes can never disagree.
-func pickChipPin(g *ccg.Graph, pins []soc.Pin, width int) (int, error) {
-	return sched.PickPin(g, pins, width)
-}
-
 // Fingerprint returns a cheap structural signature of the flow's chip:
 // name, pins, per-core version ladders (count, area and latency per
 // version, vector count) and nets. Two flows over structurally identical
 // chips fingerprint equal; any difference that could change an
 // evaluation's numbers changes the fingerprint. ForcedMuxes are
-// deliberately excluded — they mutate during explore.ImproveCtx and are
-// already part of every SelectionKey. Shard checkpoints record it to
-// refuse resuming over a different chip.
+// deliberately excluded — they mutate during explore.ImproveCtx, and the
+// delta evaluator matches its bases by them. Shard checkpoints record it
+// to refuse resuming over a different chip.
 func (f *Flow) Fingerprint() uint64 {
 	h := fnv.New64a()
 	w := func(s string) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ccg"
+	"repro/internal/sched"
 )
 
 func buildGraph(t *testing.T, f *Flow) *ccg.Graph {
@@ -68,7 +69,7 @@ func TestPickChipPinWidthCompatibility(t *testing.T) {
 		{16, "NUM", "nothing covers 16 bits, widest pin wins"},
 	}
 	for _, tc := range cases {
-		got, err := pickChipPin(g, pins, tc.width)
+		got, err := sched.PickPin(g, pins, tc.width)
 		if err != nil {
 			t.Fatalf("width %d: %v", tc.width, err)
 		}
@@ -76,7 +77,7 @@ func TestPickChipPinWidthCompatibility(t *testing.T) {
 			t.Errorf("width %d: picked node %d, want %s (%s)", tc.width, got, tc.want, tc.why)
 		}
 	}
-	if _, err := pickChipPin(g, nil, 1); err == nil {
+	if _, err := sched.PickPin(g, nil, 1); err == nil {
 		t.Error("empty pin list should error")
 	}
 }

@@ -7,71 +7,52 @@
 package ctrl
 
 import (
-	"fmt"
-	"sort"
-
 	"repro/internal/cell"
 	"repro/internal/sched"
 	"repro/internal/soc"
+	"repro/internal/trans"
 )
-
-// Signal is one control line the FSM drives.
-type Signal struct {
-	Name   string
-	Core   string
-	Active string // human-readable activity window
-}
 
 // Controller is the generated test controller.
 type Controller struct {
-	States  int
-	Signals []Signal
-	Area    cell.Area
+	States int
+	Area   cell.Area
 }
 
 // GenerateSelection sizes the controller from a schedule: one state per
-// tested core plus setup/done, a clock-gate per core, and one
-// transparency-mode select per distinct transparency path in use. sel
+// testable core plus setup/done, and one control line per clock gate and
+// per transparency-mode select. Every scheduled core gets a clock gate;
+// every testable core with a version under sel gets a mode select. sel
 // gives an explicit version index per core; cores missing from it (or
 // every core, when sel is nil) use their currently selected version. The
 // chip is only read, so selection-pure evaluations can generate
-// controllers concurrently.
+// controllers concurrently. BuildRTL emits the same control lines as RTL.
 func GenerateSelection(ch *soc.Chip, res *sched.Result, sel map[string]int) *Controller {
-	c := &Controller{}
 	cores := ch.TestableCores()
-	c.States = len(cores) + 2
-	for _, sc := range res.Cores {
-		c.Signals = append(c.Signals, Signal{
-			Name:   fmt.Sprintf("gate_clk_%s", sc.Core),
-			Core:   sc.Core,
-			Active: fmt.Sprintf("period %d cycles while testing %s", sc.Period, sc.Core),
-		})
-	}
-	// Transparency-mode selects: one per core version in use.
+	modes := 0
 	for _, core := range cores {
-		v := core.Version()
-		if sel != nil {
-			if idx, ok := sel[core.Name]; ok {
-				v = core.VersionAt(idx)
-			}
-		}
-		if v != nil {
-			c.Signals = append(c.Signals, Signal{
-				Name:   fmt.Sprintf("tmode_%s", core.Name),
-				Core:   core.Name,
-				Active: v.Label,
-			})
+		if versionUnder(core, sel) != nil {
+			modes++
 		}
 	}
-	sort.Slice(c.Signals, func(i, j int) bool { return c.Signals[i].Name < c.Signals[j].Name })
+	c := &Controller{States: len(cores) + 2}
 	// FSM area: state register + next-state logic + one AND per gated
-	// clock + one driver per mode line.
+	// clock + one driver per control line.
 	stateBits := bits(c.States)
 	c.Area.Add(cell.DFF, stateBits)
 	c.Area.Add(cell.Nand2, 4*stateBits)
 	c.Area.Add(cell.And2, len(cores))
-	c.Area.Add(cell.Buf, len(c.Signals))
+	c.Area.Add(cell.Buf, len(res.Cores)+modes)
 	return c
+}
+
+// versionUnder returns core's version under sel, or its selected version
+// when sel does not name the core.
+func versionUnder(core *soc.Core, sel map[string]int) *trans.Version {
+	if idx, ok := sel[core.Name]; ok {
+		return core.VersionAt(idx)
+	}
+	return core.Version()
 }
 
 func bits(n int) int {

@@ -1,10 +1,10 @@
 package ctrl_test
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/ccg"
+	"repro/internal/cell"
 	"repro/internal/core"
 	"repro/internal/ctrl"
 	"repro/internal/rtlsim"
@@ -36,28 +36,10 @@ func TestGenerateController(t *testing.T) {
 	if c.Area.Cells() == 0 {
 		t.Error("controller has no area")
 	}
-	// One clock gate per scheduled core and one transparency-mode select
-	// per core version in use.
-	gates, modes := 0, 0
-	for _, s := range c.Signals {
-		if strings.HasPrefix(s.Name, "gate_clk_") {
-			gates++
-		}
-		if strings.HasPrefix(s.Name, "tmode_") {
-			modes++
-		}
-	}
-	if gates != 3 {
-		t.Errorf("clock gates = %d, want 3", gates)
-	}
-	if modes != 3 {
-		t.Errorf("transparency mode selects = %d, want 3", modes)
-	}
-	// Deterministically ordered.
-	for i := 1; i < len(c.Signals); i++ {
-		if c.Signals[i].Name < c.Signals[i-1].Name {
-			t.Error("signals not sorted")
-		}
+	// One driver per control line: a clock gate per scheduled core (3)
+	// and a transparency-mode select per core with a version (3).
+	if n := c.Area.Count(cell.Buf); n != 6 {
+		t.Errorf("control line drivers = %d, want 6 (3 clock gates + 3 mode selects)", n)
 	}
 }
 
@@ -77,9 +59,13 @@ func TestBuildRTLController(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := ctrl.GenerateSelection(f.Chip, res, nil)
-	rc, err := ctrl.BuildRTL(f.Chip, c)
+	rc, err := ctrl.BuildRTL(f.Chip, res, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// One emitted control line per driver the sizing counts.
+	if p, ok := rc.PortByName("Ctl"); !ok || p.Width != c.Area.Count(cell.Buf) {
+		t.Errorf("Ctl port %+v (found %v), want width %d", p, ok, c.Area.Count(cell.Buf))
 	}
 	// The emitted controller synthesizes cleanly.
 	sr, err := synth.Synthesize(rc)

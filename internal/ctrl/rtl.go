@@ -2,15 +2,18 @@ package ctrl
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/rtl"
+	"repro/internal/sched"
 	"repro/internal/soc"
 )
 
-// BuildRTL emits the test controller as a synthesizable RTL core: a state
-// counter stepping through one state per tested core (plus idle/done), a
-// state decoder, and one registered control line per signal. The core can
-// be run through internal/synth to cross-check the Area estimate, and
+// BuildRTL emits the test controller GenerateSelection sizes for res and
+// sel as a synthesizable RTL core: a state counter stepping through one
+// state per tested core (plus idle/done), a state decoder, and one
+// registered control line per clock gate and mode select. The core can be
+// run through internal/synth to cross-check the Area estimate, and
 // through internal/rtlsim to watch the control sequence.
 //
 // Interface:
@@ -19,18 +22,32 @@ import (
 //	StepDone (in, 1)  — pulsed by the tester when the current core's
 //	                    schedule completes (state advances)
 //	State    (out, n) — current FSM state (observable for debug)
-//	Ctl      (out, m) — one bit per control signal, asserted in the state
-//	                    whose core the signal belongs to
-func BuildRTL(ch *soc.Chip, c *Controller) (*rtl.Core, error) {
+//	Ctl      (out, m) — one bit per control line, asserted in the state
+//	                    that tests the line's core: first the clock gates
+//	                    of the scheduled cores, then the mode selects of
+//	                    the cores with a version under sel, each sorted by
+//	                    core name
+func BuildRTL(ch *soc.Chip, res *sched.Result, sel map[string]int) (*rtl.Core, error) {
 	cores := ch.TestableCores()
-	states := c.States
-	sb := bits(states)
-	m := len(c.Signals)
+	var gates, modes []string
+	for _, sc := range res.Cores {
+		gates = append(gates, sc.Core)
+	}
+	for _, core := range cores {
+		if versionUnder(core, sel) != nil {
+			modes = append(modes, core.Name)
+		}
+	}
+	sort.Strings(gates)
+	sort.Strings(modes)
+	lines := append(gates, modes...) // the core each control line belongs to
+	sb := bits(len(cores) + 2)
+	m := len(lines)
 	if m == 0 {
-		return nil, fmt.Errorf("ctrl: controller has no signals")
+		return nil, fmt.Errorf("ctrl: controller has no control lines")
 	}
 	if m > 64 || sb > 16 {
-		return nil, fmt.Errorf("ctrl: controller too wide to emit (%d signals, %d state bits)", m, sb)
+		return nil, fmt.Errorf("ctrl: controller too wide to emit (%d control lines, %d state bits)", m, sb)
 	}
 
 	b := rtl.NewCore("testctl").
@@ -58,18 +75,14 @@ func BuildRTL(ch *soc.Chip, c *Controller) (*rtl.Core, error) {
 		Wire("TestMode", "CTL.ld").
 		Wire("CTL.q", "Ctl")
 
-	// Map each signal to the state of its core: state k+1 tests cores[k]
-	// (state 0 is idle, the last state is done).
+	// Map each control line to the state of its core: state k+1 tests
+	// cores[k] (state 0 is idle, the last state is done).
 	stateOf := map[string]int{}
 	for i, core := range cores {
 		stateOf[core.Name] = i + 1
 	}
-	for i, sig := range c.Signals {
-		st, ok := stateOf[sig.Core]
-		if !ok {
-			st = 0
-		}
-		b.Wire(fmt.Sprintf("dec.out[%d]", st), fmt.Sprintf("CTL.d[%d]", i))
+	for i, core := range lines {
+		b.Wire(fmt.Sprintf("dec.out[%d]", stateOf[core]), fmt.Sprintf("CTL.d[%d]", i))
 	}
 	return b.Build()
 }

@@ -34,9 +34,6 @@ func (s *Sim) initConsts() {
 	}
 }
 
-// Netlist returns the simulated netlist.
-func (s *Sim) Netlist() *Netlist { return s.n }
-
 // SetPI assigns the pattern word of one primary input line.
 func (s *Sim) SetPI(line int, w uint64) { s.Val[line] = w }
 
@@ -111,15 +108,6 @@ func (s *Sim) POWords(dst []uint64) []uint64 {
 type Pattern struct {
 	PI    []byte // one value in {0,1} per PI line, index-aligned with PIs()
 	State []byte // one value per DFF, index-aligned with DFFs(); nil = keep
-}
-
-// Clone deep-copies the pattern.
-func (p Pattern) Clone() Pattern {
-	q := Pattern{PI: append([]byte(nil), p.PI...)}
-	if p.State != nil {
-		q.State = append([]byte(nil), p.State...)
-	}
-	return q
 }
 
 // ApplyPatterns loads up to 64 patterns into the simulator lanes, returning

@@ -30,6 +30,7 @@ type Stats struct {
 	WrapCores  int // cores whose wrapper TAT identity was machine-checked
 }
 
+// add accumulates another chip's stats (aggregation across seeds).
 func (s *Stats) add(o *Stats) {
 	s.Paths += o.Paths
 	s.Replayed += o.Replayed
@@ -39,9 +40,6 @@ func (s *Stats) add(o *Stats) {
 	s.WrapChains += o.WrapChains
 	s.WrapCores += o.WrapCores
 }
-
-// Add accumulates another chip's stats (aggregation across seeds).
-func (s *Stats) Add(o *Stats) { s.add(o) }
 
 // maxEnumProduct caps the ladder product for which the exhaustive
 // enumeration invariants run; larger chips rely on the always-on checks.
@@ -171,9 +169,9 @@ func checkDeltaEquivalence(f *core.Flow, ch *soc.Chip) error {
 }
 
 // EqualEvaluations compares two evaluations of the same selection for
-// bit-identity: every reported number, every interconnect net, tested or
-// untestable, and the canonical schedule signature. A non-nil error names
-// the first difference.
+// bit-identity: every reported number, the interconnect test plans of
+// their graphs net by net, tested or untestable, and the canonical
+// schedule signature. A non-nil error names the first difference.
 func EqualEvaluations(a, b *core.Evaluation) error {
 	type num struct {
 		name string
@@ -188,9 +186,6 @@ func EqualEvaluations(a, b *core.Evaluation) error {
 		{"TransGrids", a.TransArea.Grids(), b.TransArea.Grids()},
 		{"MuxGrids", a.MuxArea.Grids(), b.MuxArea.Grids()},
 		{"CtrlGrids", a.CtrlArea.Grids(), b.CtrlArea.Grids()},
-		{"InterconnectTAT", a.Interconnect.TotalTAT, b.Interconnect.TotalTAT},
-		{"InterconnectNets", len(a.Interconnect.Nets), len(b.Interconnect.Nets)},
-		{"UntestableNets", len(a.Interconnect.Untestable), len(b.Interconnect.Untestable)},
 		{"CtrlStates", a.Controller.States, b.Controller.States},
 	}
 	for _, n := range nums {
@@ -198,19 +193,44 @@ func EqualEvaluations(a, b *core.Evaluation) error {
 			return fmt.Errorf("%s differs: %d vs %d", n.name, n.a, n.b)
 		}
 	}
-	for i, nt := range a.Interconnect.Nets {
-		o := b.Interconnect.Nets[i]
-		if nt != o {
+	ia, err := sched.ScheduleInterconnect(a.Graph.Chip, a.Graph)
+	if err != nil {
+		return err
+	}
+	ib, err := sched.ScheduleInterconnect(b.Graph.Chip, b.Graph)
+	if err != nil {
+		return err
+	}
+	if err := equalInterconnect(ia, ib); err != nil {
+		return err
+	}
+	if sa, sb := scheduleSignature(a), scheduleSignature(b); sa != sb {
+		return fmt.Errorf("schedule signatures differ:\n--- a ---\n%s--- b ---\n%s", sa, sb)
+	}
+	return nil
+}
+
+// equalInterconnect compares two interconnect test plans: the totals,
+// then every tested and every untestable net in order.
+func equalInterconnect(a, b *sched.InterconnectResult) error {
+	if a.TotalTAT != b.TotalTAT {
+		return fmt.Errorf("InterconnectTAT differs: %d vs %d", a.TotalTAT, b.TotalTAT)
+	}
+	if len(a.Nets) != len(b.Nets) {
+		return fmt.Errorf("InterconnectNets differs: %d vs %d", len(a.Nets), len(b.Nets))
+	}
+	if len(a.Untestable) != len(b.Untestable) {
+		return fmt.Errorf("UntestableNets differs: %d vs %d", len(a.Untestable), len(b.Untestable))
+	}
+	for i, nt := range a.Nets {
+		if o := b.Nets[i]; nt != o {
 			return fmt.Errorf("interconnect net %d differs: %+v vs %+v", i, nt, o)
 		}
 	}
-	for i, n := range a.Interconnect.Untestable {
-		if o := b.Interconnect.Untestable[i]; n != o {
+	for i, n := range a.Untestable {
+		if o := b.Untestable[i]; n != o {
 			return fmt.Errorf("untestable net %d differs: %v vs %v", i, n, o)
 		}
-	}
-	if sa, sb := Signature(a), Signature(b); sa != sb {
-		return fmt.Errorf("schedule signatures differ:\n--- a ---\n%s--- b ---\n%s", sa, sb)
 	}
 	return nil
 }
@@ -298,13 +318,10 @@ func checkSchedule(ch *soc.Chip, e *core.Evaluation) error {
 	return nil
 }
 
-// Signature renders a schedule to a canonical string, node names
+// scheduleSignature renders a schedule to a canonical string, node names
 // included, so two evaluations can be compared for bit-identical paths.
 // Edge IDs are deliberately absent: an incremental graph splice shifts
 // IDs after the spliced range without changing any path.
-func Signature(e *core.Evaluation) string { return scheduleSignature(e) }
-
-// scheduleSignature is the unexported spelling the in-package checks use.
 func scheduleSignature(e *core.Evaluation) string {
 	var b []byte
 	app := func(s string) { b = append(b, s...) }

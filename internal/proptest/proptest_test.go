@@ -37,7 +37,7 @@ func checkSeed(t *testing.T, p socgen.Params, agg *Stats, mu *sync.Mutex) {
 	t.Helper()
 	st, err := Check(p)
 	mu.Lock()
-	agg.Add(st)
+	agg.add(st)
 	mu.Unlock()
 	if err != nil {
 		min := Shrink(p)

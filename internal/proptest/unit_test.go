@@ -105,8 +105,9 @@ func TestCheckScheduleRejectsTampering(t *testing.T) {
 }
 
 // TestEqualEvaluationsComparesUntestableNets replaces one untestable net
-// of an evaluation with another net, keeping the count, and requires
-// EqualEvaluations to report the difference.
+// of an evaluation's interconnect plan with another net, keeping the
+// count, and requires the plan comparison EqualEvaluations runs to report
+// the difference.
 func TestEqualEvaluationsComparesUntestableNets(t *testing.T) {
 	s1 := systems.System1()
 	f, err := core.Prepare(s1, flowcmd.GenVectorOverride(s1))
@@ -122,25 +123,27 @@ func TestEqualEvaluationsComparesUntestableNets(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := de.Evaluation
-	un := e.Interconnect.Untestable
-	if len(un) == 0 {
-		t.Fatal("the cut left no untestable net to tamper with")
-	}
 	if err := EqualEvaluations(e, e); err != nil {
 		t.Fatalf("evaluation differs from itself: %v", err)
 	}
-	ir := *e.Interconnect
-	ir.Untestable = append([]soc.Net(nil), un...)
+	ir, err := sched.ScheduleInterconnect(e.Graph.Chip, e.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	un := ir.Untestable
+	if len(un) == 0 {
+		t.Fatal("the cut left no untestable net to tamper with")
+	}
+	tampered := *ir
+	tampered.Untestable = append([]soc.Net(nil), un...)
 	for _, n := range fch.Nets {
 		if n != un[0] {
-			ir.Untestable[0] = n
+			tampered.Untestable[0] = n
 			break
 		}
 	}
-	tampered := *e
-	tampered.Interconnect = &ir
-	if err := EqualEvaluations(e, &tampered); err == nil {
-		t.Fatalf("untestable net %v swapped for %v went unnoticed", un[0], ir.Untestable[0])
+	if err := equalInterconnect(ir, &tampered); err == nil {
+		t.Fatalf("untestable net %v swapped for %v went unnoticed", un[0], tampered.Untestable[0])
 	}
 }
 

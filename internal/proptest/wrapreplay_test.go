@@ -22,7 +22,7 @@ func checkWrappedSeed(t *testing.T, p WrapParams, agg *Stats, mu *sync.Mutex) {
 	t.Helper()
 	st, err := CheckWrapped(p)
 	mu.Lock()
-	agg.Add(st)
+	agg.add(st)
 	mu.Unlock()
 	if err != nil {
 		min := ShrinkWrapped(p)

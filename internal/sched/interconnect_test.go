@@ -93,12 +93,12 @@ func sameInterconnect(got, want *sched.InterconnectResult) error {
 	return nil
 }
 
-// TestInterconnectMatchesPerNetSearch requires the two-sweep plan that
-// every evaluation carries to equal the per-net reference on the graph it
-// was planned on, after scheduling added its test muxes: Systems 1 and
-// 2, every socgen topology with memory cores, each at its cheapest and
-// fastest versions, and System 1 with a cut net evaluated degraded, where
-// nets become untestable.
+// TestInterconnectMatchesPerNetSearch requires the two-sweep plan of an
+// evaluation's graph to equal the per-net reference on that graph, after
+// scheduling added its test muxes: Systems 1 and 2, every socgen topology
+// with memory cores, each at its cheapest and fastest versions, and
+// System 1 with a cut net evaluated degraded, where nets become
+// untestable.
 func TestInterconnectMatchesPerNetSearch(t *testing.T) {
 	chips := []*soc.Chip{systems.System1(), systems.System2()}
 	for _, topo := range []socgen.Topology{socgen.Chain, socgen.Mesh, socgen.RandomDAG, socgen.Hub} {
@@ -108,15 +108,20 @@ func TestInterconnectMatchesPerNetSearch(t *testing.T) {
 		}
 		chips = append(chips, ch)
 	}
-	check := func(name string, ch *soc.Chip, e *core.Evaluation) {
+	check := func(name string, e *core.Evaluation) *sched.InterconnectResult {
 		t.Helper()
-		want, err := perNetInterconnect(ch, e.Graph)
+		got, err := sched.ScheduleInterconnect(e.Graph.Chip, e.Graph)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := perNetInterconnect(e.Graph.Chip, e.Graph)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", name, err)
 		}
-		if err := sameInterconnect(e.Interconnect, want); err != nil {
+		if err := sameInterconnect(got, want); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+		return got
 	}
 	for _, ch := range chips {
 		f, err := core.Prepare(ch, flowcmd.GenVectorOverride(ch))
@@ -134,7 +139,7 @@ func TestInterconnectMatchesPerNetSearch(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", ch.Name, err)
 			}
-			check(fmt.Sprintf("%s top=%v", ch.Name, top), ch, e)
+			check(fmt.Sprintf("%s top=%v", ch.Name, top), e)
 		}
 	}
 
@@ -152,8 +157,7 @@ func TestInterconnectMatchesPerNetSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(de.Interconnect.Untestable) == 0 {
+	if ir := check(cut.String(), de.Evaluation); len(ir.Untestable) == 0 {
 		t.Fatalf("%v left every net testable; the untestable case is not exercised", cut)
 	}
-	check(cut.String(), fch, de.Evaluation)
 }

@@ -260,9 +260,6 @@ func (p *Pool) Close() {
 	p.attempts.Wait()
 }
 
-// Active returns how many units are currently leased.
-func (p *Pool) Active() int { return int(p.active.Load()) }
-
 func (p *Pool) enqueue(t *task) {
 	p.mu.Lock()
 	if p.closed {

@@ -1,9 +1,8 @@
 // Package socgen deterministically generates seed-parameterized SoCs for
-// property-based verification of the whole SOCET flow at scale. Where
-// rtlgen.RandomChip draws one fixed feed-forward shape, socgen controls
-// the chip-level structure explicitly: core count, CCG topology family
-// (chain, mesh, random DAG, hub), interconnect widths, chip pin budgets
-// and optional BIST memory cores. Every decision is driven by a
+// property-based verification of the whole SOCET flow at scale. It
+// controls the chip-level structure explicitly: core count, CCG topology
+// family (chain, mesh, random DAG, hub), interconnect widths, chip pin
+// budgets and optional BIST memory cores. Every decision is driven by a
 // splitmix-style generator seeded from Params, so a (seed, shape) pair
 // always yields the same chip — the reproducer contract the differential
 // harness in internal/proptest relies on.
@@ -31,8 +30,7 @@ const (
 	// left and upper neighbours, so concurrent paths share transit cores
 	// and exercise reservation serialization.
 	Mesh
-	// RandomDAG lets each core draw from any earlier core — the shape
-	// rtlgen.RandomChip samples, under socgen's pin and width control.
+	// RandomDAG lets each core draw from any earlier core.
 	RandomDAG
 	// Hub fans the first core's outputs out to every other core: maximal
 	// contention on one transit core's transparency resources.

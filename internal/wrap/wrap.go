@@ -235,7 +235,6 @@ func WrapCore(c *soc.Core, w int) *CoreResult {
 	cr.Area.Add(cell.Mux2, len(loads))
 	cr.Area.Add(cell.DFF, 4)
 	cr.Area.Add(cell.And2, 2)
-	obs.C("wrap.cores_wrapped").Inc()
 	return cr
 }
 
@@ -541,6 +540,7 @@ func Evaluate(ch *soc.Chip, w int, opts *Options) *Result {
 	}
 	close(work)
 	wg.Wait()
+	obs.C("wrap.cores_wrapped").Add(int64(len(cores)))
 
 	// Static assignment order: descending width-1 TAT, names as tie-break.
 	// The key is independent of every balancing decision, so the order is

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/chipsim"
 	"repro/internal/hscan"
+	"repro/internal/obs"
 	"repro/internal/rtl"
 	"repro/internal/soc"
 )
@@ -152,6 +153,20 @@ func TestEvaluateSingleBusSumsTATs(t *testing.T) {
 	want := WrapCore(a, 1).TAT + WrapCore(b, 1).TAT
 	if r.ChipTAT != want {
 		t.Fatalf("chip TAT %d, want serial sum %d", r.ChipTAT, want)
+	}
+}
+
+// TestEvaluateCountsCoresWrapped requires wrap.cores_wrapped to count
+// each core once per evaluation, however many TAM widths it is wrapped at.
+func TestEvaluateCountsCoresWrapped(t *testing.T) {
+	ch := testChip(testCore("A", 4, 4, 10, 2), testCore("B", 6, 2, 7, 3), testCore("C", 3, 5, 9, 1, 2))
+	defer obs.Disable()
+	for _, w := range []int{1, 4, 16} {
+		_, m := obs.Enable(0)
+		Evaluate(ch, w, nil)
+		if n := m.Counter("wrap.cores_wrapped").Value(); n != 3 {
+			t.Errorf("W=%d: wrap.cores_wrapped = %d, want 3", w, n)
+		}
 	}
 }
 
