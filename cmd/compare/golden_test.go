@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -25,7 +26,7 @@ func TestArchGolden(t *testing.T) {
 	}{
 		{"wrapper", "wrapper1.golden", []string{"-arch", "wrapper", "-tam-width", "4", "-system", "1"}},
 		{"all", "all1.golden", []string{"-arch", "all", "-system", "1"}},
-		{"study", "study.golden", []string{"-study", "-study-cores", "8,16", "-study-widths", "1,4", "-j", "2"}},
+		{"study", "study.golden", []string{"-study", "-study-cores", "8,16", "-study-widths", "1,4,16", "-j", "2"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -52,5 +53,24 @@ func TestArchGolden(t *testing.T) {
 					golden, out, want)
 			}
 		})
+	}
+}
+
+// TestTAMWidthRejectsNonPositive requires a TAM width below 1 to fail at
+// startup with an error naming the flag, instead of being evaluated as
+// width 1.
+func TestTAMWidthRejectsNonPositive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs compare via go run")
+	}
+	for _, w := range []string{"0", "-3"} {
+		out, err := exec.Command("go", "run", ".", "-system", "2", "-arch", "wrapper", "-tam-width", w).CombinedOutput()
+		if err == nil {
+			t.Errorf("-tam-width %s: exit 0, want an error\n%s", w, out)
+			continue
+		}
+		if !strings.Contains(string(out), "-tam-width") {
+			t.Errorf("-tam-width %s: error does not name the flag:\n%s", w, out)
+		}
 	}
 }

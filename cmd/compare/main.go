@@ -69,6 +69,9 @@ func main() {
 	obsCfg.AddProgressFlag(flag.CommandLine)
 	shardCfg := shard.AddFlags(flag.CommandLine)
 	flag.Parse()
+	if *tamWidth < 1 {
+		log.Fatalf("-tam-width must be at least 1, got %d", *tamWidth)
+	}
 	sess, err := obsCfg.Start()
 	if err != nil {
 		log.Fatal(err)

@@ -5,10 +5,12 @@ import (
 )
 
 // FuzzTAMAssign decodes arbitrary bytes into a wrapped-core shape (TAM
-// width, internal chain loads, boundary bit counts) and checks the
-// balancing invariants that every caller relies on: full structural
-// coverage of chains and port bits, SI/SO consistency with the recorded
-// items, TAT matching the formula, and monotonicity in the TAM width.
+// width, internal chain loads, boundary bit counts), balances it at every
+// width with one wrapAllWidths call and checks the balancing invariants
+// that every caller relies on: full structural coverage of chains and
+// port bits, SI/SO consistency with the recorded items, TAT matching the
+// formula, monotonicity in the TAM width, and equality with the
+// from-scratch reference at each width.
 func FuzzTAMAssign(f *testing.F) {
 	f.Add([]byte{2, 3, 4, 3, 2, 10, 5})
 	f.Add([]byte{1, 0, 0, 0})
@@ -33,8 +35,10 @@ func FuzzTAMAssign(f *testing.F) {
 
 		c := testCore("F", in, out, vectors, chains...)
 		prev := -1
-		for width := 1; width <= w; width++ {
-			cr := WrapCore(c, width)
+		crs := wrapAllWidths(c, w)
+		checkAgainstReference(t, c, crs)
+		for i, cr := range crs {
+			width := i + 1
 			if prev >= 0 && cr.TAT > prev {
 				t.Fatalf("TAT rose %d -> %d at width %d (chains %v in=%d out=%d)", prev, cr.TAT, width, chains, in, out)
 			}

@@ -193,19 +193,22 @@ func coreTAT(si, so, vectors int) int {
 	return (1+maxInt(si, so))*vectors + minInt(si, so)
 }
 
-// WrapCore balances one core's wrapper across at most w chains and
-// returns the optimal (or LPT, for > ExactMaxChains internal chains)
-// wrapper configuration. w must be ≥ 1.
-func WrapCore(c *soc.Core, w int) *CoreResult {
-	if w < 1 {
-		w = 1
-	}
+// wrapAllWidths returns one core's wrapper at every width 1..w. It runs
+// the balancer once per chain count m = 1..w and carries the best
+// candidate forward under the strict better order, so entry m-1 is the
+// best over all chain counts ≤ m: the optimal (or LPT, for more than
+// ExactMaxChains internal chains) configuration at width m, and never
+// worse than the entry before it. A width that improves on nothing
+// shares the previous width's CoreResult.
+func wrapAllWidths(c *soc.Core, w int) []*CoreResult {
 	in, out := c.RTL.InputBits(), c.RTL.OutputBits()
 	loads := chainLoads(c)
 	exact := len(loads) <= ExactMaxChains
 
+	res := make([]*CoreResult, w)
 	var best *candidate
 	for m := 1; m <= w; m++ {
+		prev := best
 		for _, cand := range balance(loads, m, exact) {
 			cand.fill(in, out)
 			if best == nil || cand.better(best) {
@@ -213,45 +216,33 @@ func WrapCore(c *soc.Core, w int) *CoreResult {
 				best = &cc
 			}
 		}
-	}
-
-	cr := &CoreResult{
-		Core:    c.Name,
-		Vectors: c.Vectors,
-		Exact:   exact,
-	}
-	cr.Chains = best.chains(loads)
-	for _, wc := range cr.Chains {
-		cr.SI = maxInt(cr.SI, wc.SI)
-		cr.SO = maxInt(cr.SO, wc.SO)
-	}
-	cr.Width = len(cr.Chains)
-	cr.TAT = coreTAT(cr.SI, cr.SO, c.Vectors)
-
-	// Wrapper hardware: a boundary cell per port bit, a concatenation mux
-	// per internal chain (stitching it into its wrapper chain), and a small
-	// wrapper controller (instruction register + bypass) per core.
-	cr.Area.Add(cell.BScell, in+out)
-	cr.Area.Add(cell.Mux2, len(loads))
-	cr.Area.Add(cell.DFF, 4)
-	cr.Area.Add(cell.And2, 2)
-	return cr
-}
-
-// wrapAllWidths returns the best CoreResult at every width 1..w; entry
-// i is the optimum over chain counts ≤ i+1, so the slice is monotone.
-func wrapAllWidths(c *soc.Core, w int) []*CoreResult {
-	out := make([]*CoreResult, w)
-	for i := 1; i <= w; i++ {
-		cr := WrapCore(c, i)
-		if i > 1 && out[i-2].TAT < cr.TAT {
-			// Guard: WrapCore already minimizes over m ≤ i, so this cannot
-			// happen; keep the stronger result if it ever did.
-			cr = out[i-2]
+		if best == prev {
+			res[m-1] = res[m-2]
+			continue
 		}
-		out[i-1] = cr
+		cr := &CoreResult{
+			Core:    c.Name,
+			Vectors: c.Vectors,
+			Exact:   exact,
+			Chains:  best.chains(loads),
+		}
+		for _, wc := range cr.Chains {
+			cr.SI = maxInt(cr.SI, wc.SI)
+			cr.SO = maxInt(cr.SO, wc.SO)
+		}
+		cr.Width = len(cr.Chains)
+		cr.TAT = coreTAT(cr.SI, cr.SO, c.Vectors)
+
+		// Wrapper hardware: a boundary cell per port bit, a concatenation mux
+		// per internal chain (stitching it into its wrapper chain), and a small
+		// wrapper controller (instruction register + bypass) per core.
+		cr.Area.Add(cell.BScell, in+out)
+		cr.Area.Add(cell.Mux2, len(loads))
+		cr.Area.Add(cell.DFF, 4)
+		cr.Area.Add(cell.And2, 2)
+		res[m-1] = cr
 	}
-	return out
+	return res
 }
 
 // candidate is one balanced grouping under evaluation: the register load

@@ -2,9 +2,11 @@ package wrap
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/cell"
 	"repro/internal/chipsim"
 	"repro/internal/hscan"
 	"repro/internal/obs"
@@ -43,6 +45,80 @@ func testCore(name string, in, out, vectors int, chains ...int) *soc.Core {
 
 func testChip(cores ...*soc.Core) *soc.Chip {
 	return &soc.Chip{Name: "wraptest", Cores: cores}
+}
+
+// refWrapCore is the reference wrapAllWidths is checked against: it
+// balances the core from scratch at width w, keeping the best candidate
+// over every chain count m ≤ w (m ascending, strict better), and builds
+// that candidate's CoreResult.
+func refWrapCore(c *soc.Core, w int) *CoreResult {
+	in, out := c.RTL.InputBits(), c.RTL.OutputBits()
+	loads := chainLoads(c)
+	exact := len(loads) <= ExactMaxChains
+	var best *candidate
+	for m := 1; m <= w; m++ {
+		for _, cand := range balance(loads, m, exact) {
+			cand.fill(in, out)
+			if best == nil || cand.better(best) {
+				cc := cand
+				best = &cc
+			}
+		}
+	}
+	cr := &CoreResult{Core: c.Name, Vectors: c.Vectors, Exact: exact, Chains: best.chains(loads)}
+	for _, wc := range cr.Chains {
+		cr.SI = maxInt(cr.SI, wc.SI)
+		cr.SO = maxInt(cr.SO, wc.SO)
+	}
+	cr.Width = len(cr.Chains)
+	cr.TAT = coreTAT(cr.SI, cr.SO, c.Vectors)
+	cr.Area.Add(cell.BScell, in+out)
+	cr.Area.Add(cell.Mux2, len(loads))
+	cr.Area.Add(cell.DFF, 4)
+	cr.Area.Add(cell.And2, 2)
+	return cr
+}
+
+// checkAgainstReference requires every entry of one wrapAllWidths result
+// to equal the reference at its width.
+func checkAgainstReference(t *testing.T, c *soc.Core, crs []*CoreResult) {
+	t.Helper()
+	for w := 1; w <= len(crs); w++ {
+		if want := refWrapCore(c, w); !reflect.DeepEqual(crs[w-1], want) {
+			t.Fatalf("core %s width %d: got %+v, reference %+v", c.Name, w, crs[w-1], want)
+		}
+	}
+}
+
+// TestWrapAllWidthsMatchesReference requires one wrapAllWidths call at
+// W=16 to equal the from-scratch reference at every width, on seeded
+// random core shapes (no chains, exact search, LPT fallback; with and
+// without boundary bits) and on every core of the generated corpus.
+func TestWrapAllWidthsMatchesReference(t *testing.T) {
+	const w = 16
+	rng := rand.New(rand.NewSource(1))
+	check := func(k, maxLoad, in, out int) {
+		chains := make([]int, k)
+		for j := range chains {
+			chains[j] = rng.Intn(maxLoad)
+		}
+		c := testCore(fmt.Sprintf("K%d", k), in, out, rng.Intn(30), chains...)
+		checkAgainstReference(t, c, wrapAllWidths(c, w))
+	}
+	for _, k := range []int{0, 1, 3, 5, ExactMaxChains + 1, 13} {
+		check(k, 25, 0, 0)
+		check(k, 25, 1+rng.Intn(40), 0)
+		check(k, 25, 0, 1+rng.Intn(40))
+		check(k, 25, 1+rng.Intn(40), 1+rng.Intn(40))
+	}
+	// The largest exact size once, with small loads: the reference
+	// enumerates up to 21147 partitions per chain count there.
+	check(ExactMaxChains, 4, 1+rng.Intn(40), 1+rng.Intn(40))
+	for _, p := range corpusSeeds() {
+		for _, c := range corpusChip(t, p).TestableCores() {
+			checkAgainstReference(t, c, wrapAllWidths(c, w))
+		}
+	}
 }
 
 func TestWaterfill(t *testing.T) {
@@ -84,7 +160,7 @@ func TestWaterfill(t *testing.T) {
 // balancer must find the optimal {3,3}/{2,2,2} split of 6.
 func TestExactBeatsLPT(t *testing.T) {
 	c := testCore("A", 0, 0, 10, 3, 3, 2, 2, 2)
-	cr := WrapCore(c, 2)
+	cr := wrapAllWidths(c, 2)[1]
 	if !cr.Exact {
 		t.Fatalf("5 chains should balance exactly")
 	}
@@ -103,7 +179,7 @@ func TestExactBeatsLPT(t *testing.T) {
 // at width 1 gives si=24, so=14, TAT=(1+24)*105+14.
 func TestCoreTATFormula(t *testing.T) {
 	c := testCore("DISPLAY", 20, 10, 105, 4)
-	cr := WrapCore(c, 1)
+	cr := wrapAllWidths(c, 1)[0]
 	if cr.SI != 24 || cr.SO != 14 {
 		t.Fatalf("si=%d so=%d, want 24/14", cr.SI, cr.SO)
 	}
@@ -134,8 +210,8 @@ func TestCoreTATFormula(t *testing.T) {
 func TestCoreTATMonotoneInWidth(t *testing.T) {
 	c := testCore("B", 17, 9, 23, 4, 3, 3, 2)
 	prev := -1
-	for w := 1; w <= 8; w++ {
-		cr := WrapCore(c, w)
+	for i, cr := range wrapAllWidths(c, 8) {
+		w := i + 1
 		if prev >= 0 && cr.TAT > prev {
 			t.Fatalf("width %d TAT %d exceeds width %d TAT %d", w, cr.TAT, w-1, prev)
 		}
@@ -150,7 +226,7 @@ func TestEvaluateSingleBusSumsTATs(t *testing.T) {
 	if r.NumBuses != 1 {
 		t.Fatalf("W=1 built %d buses", r.NumBuses)
 	}
-	want := WrapCore(a, 1).TAT + WrapCore(b, 1).TAT
+	want := wrapAllWidths(a, 1)[0].TAT + wrapAllWidths(b, 1)[0].TAT
 	if r.ChipTAT != want {
 		t.Fatalf("chip TAT %d, want serial sum %d", r.ChipTAT, want)
 	}
