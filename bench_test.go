@@ -20,6 +20,7 @@ import (
 	"repro/internal/chipsim"
 	"repro/internal/core"
 	"repro/internal/explore"
+	"repro/internal/flowcmd"
 	"repro/internal/fsim"
 	"repro/internal/gate"
 	"repro/internal/hier"
@@ -748,6 +749,45 @@ func BenchmarkGeneratedChipFull(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(e.TAT), "TAT-cycles")
 			b.ReportMetric(float64(len(f.Chip.Nets)), "nets")
+		})
+	}
+}
+
+// BenchmarkImproveWalk times the Section 5.2 TAT walk on the seed-1998
+// RandomDAG socgen chips of 64 and 256 cores: the unbudgeted MinimizeTAT
+// ImproveCtx from the all-V1 selection, each iteration with a fresh
+// evaluator. Preparation (vector override, no ATPG) and the selection
+// reset stay outside the timer. The 256-core walk is the one perfbench's
+// gen256-improve workload runs and must end where that workload
+// requires: 60 moves to TAT 32415.
+func BenchmarkImproveWalk(b *testing.B) {
+	for _, n := range []int{64, 256} {
+		b.Run(fmt.Sprintf("cores=%d", n), func(b *testing.B) {
+			ch, err := socgen.Generate(socgen.Params{Seed: 1998, Cores: n, Topology: socgen.RandomDAG})
+			if err != nil {
+				b.Fatal(err)
+			}
+			f, err := core.Prepare(ch, flowcmd.GenVectorOverride(ch))
+			if err != nil {
+				b.Fatal(err)
+			}
+			var res *explore.Result
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				resetSelection(f)
+				b.StartTimer()
+				res, err = explore.ImproveCtx(context.Background(), f, explore.MinimizeTAT, 1<<30, explore.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if n == 256 && (len(res.Steps) != 60 || res.Final.TAT != 32415) {
+				b.Fatalf("%d moves to TAT %d; want 60 to 32415", len(res.Steps), res.Final.TAT)
+			}
+			b.ReportMetric(float64(res.Final.TAT), "TAT-cycles")
+			b.ReportMetric(float64(len(res.Steps)), "steps")
 		})
 	}
 }

@@ -314,7 +314,7 @@ func (f *Flow) evaluateDegraded(ctx context.Context, sel map[string]int) (*Degra
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	e, err := f.finishEvaluation(root, best.sel, best.g, best.s, best.forced)
+	e, err := f.finishEvaluation(root, best.sel, best.g, best.s, best.forced, best.s.Cores)
 	if err != nil {
 		return nil, err
 	}

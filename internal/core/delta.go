@@ -50,7 +50,11 @@ import (
 // Evaluations, bit-identical to Flow.EvaluateSelection. It is the
 // explorer's only evaluation cache: every request counts one
 // explore.cache_hits (an exact base match, returned as is) or one
-// explore.cache_misses (a computed result).
+// explore.cache_misses (a computed result). The registry is least
+// recently used first, and both an exact match and the base that serves
+// a delta count as use. A delta validates only the core schedules it
+// re-computes; the ones it reuses were validated when their base was
+// evaluated.
 type DeltaEvaluator struct {
 	f *Flow
 
@@ -66,6 +70,11 @@ type DeltaEvaluator struct {
 	// uses it to prove the delta-vs-full equivalence check actually
 	// catches a stale-invalidation bug.
 	crippleInvalidation bool
+
+	// tamperRescheduled is a test hook: it corrupts the TAT of every core
+	// the delta path re-schedules, before validation, to prove those
+	// schedules are still validated.
+	tamperRescheduled bool
 
 	mu    sync.Mutex
 	bases []*deltaBase // at most maxBases, least recently used first
@@ -86,7 +95,8 @@ type DeltaStats struct {
 
 // maxBases bounds the base registry (LRU eviction). Exploration walks
 // stay near a frontier, so a handful of bases catches almost every
-// single-core neighbour.
+// single-core neighbour; a walk's trials all hang off its current base,
+// which serving them keeps from being evicted.
 const maxBases = 16
 
 type deltaBase struct {
@@ -122,8 +132,7 @@ func (d *DeltaEvaluator) EvaluateSelectionCtx(ctx context.Context, sel map[strin
 	versions := versionsOf(cores, sel)
 
 	d.mu.Lock()
-	var base *deltaBase
-	var changed string
+	pick, changed := -1, ""
 	for i := len(d.bases) - 1; i >= 0; i-- { // most recent base first
 		b := d.bases[i]
 		if !slices.Equal(b.muxes, d.f.ForcedMuxes) {
@@ -139,10 +148,19 @@ func (d *DeltaEvaluator) EvaluateSelectionCtx(ctx context.Context, sel map[strin
 			obs.C("explore.cache_hits").Inc()
 			return b.eval, nil
 		case 1:
-			if base == nil {
-				base, changed = b, cores[at].Name
+			if pick < 0 {
+				pick, changed = i, cores[at].Name
 			}
 		}
+	}
+	var base *deltaBase
+	if pick >= 0 {
+		// Serving a delta counts as use. Every trial of an improvement
+		// move is one core from the walk's current base and is adopted
+		// as a base itself; were the serving base not touched, a move's
+		// 17th trial would find it evicted and run in full.
+		base = d.bases[pick]
+		d.touch(pick)
 	}
 	d.mu.Unlock()
 	obs.C("explore.cache_misses").Inc()
@@ -243,6 +261,7 @@ func (d *DeltaEvaluator) deltaEvaluate(ctx context.Context, b *deltaBase, change
 	}
 
 	s := &sched.Result{}
+	fresh := make([]*sched.CoreSchedule, 0, len(affected)) // the re-scheduled cores, validated below
 	fi := ccg.GetFinder()
 	defer ccg.PutFinder(fi)
 	for _, cc := range ch.TestableCores() {
@@ -255,7 +274,12 @@ func (d *DeltaEvaluator) deltaEvaluate(ctx context.Context, b *deltaBase, change
 		}
 		if !affected[cc.Name] {
 			// Reuse the base schedule; replay its test muxes so later
-			// cores see the graph a full run would.
+			// cores see the graph a full run would. bcs passed
+			// sched.Validate in the evaluation that computed it, and
+			// stays valid: Validate reads only the CoreSchedule and the
+			// *ccg.Edge values its steps point to, and neither is written
+			// once ScheduleCore returns (CloneWithVersion copies every
+			// edge it renumbers, AddTestMux allocates a new edge).
 			for _, m := range bcs.Muxes {
 				ng.AddTestMux(m.From, m.To)
 				s.MuxArea.Add(cell.Mux2, m.Width)
@@ -274,14 +298,18 @@ func (d *DeltaEvaluator) deltaEvaluate(ctx context.Context, b *deltaBase, change
 			// the reuse argument. Rare — punt to the full path.
 			return nil, 0, nil
 		}
+		if d.tamperRescheduled {
+			cs.TAT++
+		}
 		s.Cores = append(s.Cores, cs)
 		s.TotalTAT += cs.TAT
+		fresh = append(fresh, cs)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
 
-	e, err := f.finishEvaluation(root, sel, ng, s, b.forced)
+	e, err := f.finishEvaluation(root, sel, ng, s, b.forced, fresh)
 	if err != nil {
 		return nil, 0, nil
 	}

@@ -223,3 +223,87 @@ func TestDeltaTamperDetected(t *testing.T) {
 		t.Fatal("crippled invalidation went undetected: every flip still matched the full evaluation, so the equivalence check has no teeth on this chip")
 	}
 }
+
+// TestDeltaBaseSurvivesAdoptedFlips flips 20 cores of a 32-core chip one
+// at a time off one rebased base, with adoption on, as the improvement
+// walk's trials do. Each flip is adopted as a base, so past 16 flips the
+// registry is full; the base that serves the flips must stay in it, and
+// every flip must take the delta path and equal a full evaluation.
+func TestDeltaBaseSurvivesAdoptedFlips(t *testing.T) {
+	f := deltaFlow(t, socgen.Params{Seed: 5, Cores: 32, Topology: socgen.RandomDAG})
+	d := core.NewDeltaEvaluator(f)
+	base := f.CurrentSelection()
+	if _, err := d.Rebase(context.Background(), base); err != nil {
+		t.Fatalf("rebase: %v", err)
+	}
+	flips := 0
+	for _, c := range f.Chip.TestableCores() {
+		if flips == 20 {
+			break
+		}
+		if len(c.Versions) < 2 {
+			continue
+		}
+		sel := map[string]int{}
+		for k, v := range base {
+			sel[k] = v
+		}
+		sel[c.Name] = (base[c.Name] + 1) % len(c.Versions)
+		de, err := d.EvaluateSelectionCtx(context.Background(), sel)
+		if err != nil {
+			t.Fatalf("delta evaluate (flip %s): %v", c.Name, err)
+		}
+		fe, err := f.EvaluateSelection(sel)
+		if err != nil {
+			t.Fatalf("full evaluate (flip %s): %v", c.Name, err)
+		}
+		if err := proptest.EqualEvaluations(de, fe); err != nil {
+			t.Fatalf("flip %s: delta diverges from full: %v", c.Name, err)
+		}
+		flips++
+	}
+	if flips != 20 {
+		t.Fatalf("only %d flippable cores; want 20", flips)
+	}
+	if st := d.Stats(); st.Fulls != 0 || st.Deltas+st.Fallbacks != flips {
+		t.Fatalf("the rebased base did not serve all %d flips (%+v)", flips, st)
+	}
+}
+
+// TestDeltaValidatesRescheduledCores corrupts the schedule of every core
+// the delta path re-schedules and requires the delta evaluation to be
+// refused: a delta validates the cores it computes, so the corruption
+// surfaces as a fallback to a full evaluation, never as a result.
+func TestDeltaValidatesRescheduledCores(t *testing.T) {
+	f := deltaFlow(t, socgen.Params{Seed: 7, Cores: 10, Topology: socgen.Chain})
+	d := core.NewDeltaEvaluator(f)
+	base := f.CurrentSelection()
+	if _, err := d.Rebase(context.Background(), base); err != nil {
+		t.Fatalf("rebase: %v", err)
+	}
+	d.SetTamperRescheduled(true)
+	sel := map[string]int{}
+	for k, v := range base {
+		sel[k] = v
+	}
+	for _, c := range f.Chip.TestableCores() {
+		if len(c.Versions) >= 2 {
+			sel[c.Name] = (base[c.Name] + 1) % len(c.Versions)
+			break
+		}
+	}
+	de, err := d.EvaluateSelectionCtx(context.Background(), sel)
+	if err != nil {
+		t.Fatalf("delta evaluate: %v", err)
+	}
+	if st := d.Stats(); st.Fallbacks != 1 || st.Deltas != 0 {
+		t.Fatalf("a delta with corrupted re-scheduled cores was not refused (%+v)", st)
+	}
+	fe, err := f.EvaluateSelection(sel)
+	if err != nil {
+		t.Fatalf("full evaluate: %v", err)
+	}
+	if err := proptest.EqualEvaluations(de, fe); err != nil {
+		t.Fatalf("the refused delta's result differs from a full evaluation: %v", err)
+	}
+}

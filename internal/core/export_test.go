@@ -6,3 +6,9 @@ package core
 // the delta-vs-full equivalence check actually detects a
 // stale-invalidation bug.
 func (d *DeltaEvaluator) SetCrippleInvalidation(v bool) { d.crippleInvalidation = v }
+
+// SetTamperRescheduled flips the delta evaluator's test-only hook that
+// corrupts the TAT of every core the delta path re-schedules, before
+// validation. The tamper test uses it to prove those schedules are
+// validated: the corrupted delta must be refused.
+func (d *DeltaEvaluator) SetTamperRescheduled(v bool) { d.tamperRescheduled = v }

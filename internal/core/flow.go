@@ -316,7 +316,7 @@ func (f *Flow) evaluateFull(ctx context.Context, sel map[string]int) (*Evaluatio
 	if err := ctx.Err(); err != nil {
 		return nil, 0, noArea, err
 	}
-	e, err := f.finishEvaluation(root, sel, g, s, forcedArea)
+	e, err := f.finishEvaluation(root, sel, g, s, forcedArea, s.Cores)
 	return e, pristine, forcedArea, err
 }
 
@@ -340,12 +340,16 @@ func (f *Flow) buildGraph(root *obs.Span, ch *soc.Chip, sel map[string]int) (*cc
 	return g, forcedArea, nil
 }
 
-// finishEvaluation replays the schedule for physical consistency and fills
-// in the controller, areas and bottom line. It is shared by the full,
-// degraded and delta evaluation paths; for the degraded path, s covers
-// only the testable subset.
-func (f *Flow) finishEvaluation(root *obs.Span, sel map[string]int, g *ccg.Graph, s *sched.Result, forcedArea cell.Area) (*Evaluation, error) {
-	if err := sched.Validate(s); err != nil {
+// finishEvaluation replays the core schedules this evaluation computed,
+// fresh, for physical consistency and fills in the controller, areas and
+// bottom line. It is shared by the full, degraded and delta evaluation
+// paths. The full and degraded paths compute every core schedule of s
+// (for the degraded path, s covers only the testable subset); the delta
+// path computes only the cores it re-schedules and reuses the others
+// from a base whose evaluation validated them. Each core schedule is
+// thus validated once, when it is computed.
+func (f *Flow) finishEvaluation(root *obs.Span, sel map[string]int, g *ccg.Graph, s *sched.Result, forcedArea cell.Area, fresh []*sched.CoreSchedule) (*Evaluation, error) {
+	if err := sched.Validate(&sched.Result{Cores: fresh}); err != nil {
 		return nil, fmt.Errorf("core: schedule failed replay validation: %w", err)
 	}
 	e := &Evaluation{Graph: g, Sched: s}

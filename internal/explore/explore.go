@@ -433,7 +433,14 @@ func (c Cost) Eval(deltaTAT, deltaArea int) float64 {
 // candidateSteps lists each core's next-version replacement with its
 // estimated ΔTAT and exact ΔA — the raw material both Candidates and the
 // ImproveCtx walk rank, kept in one place so the two cannot drift.
+//
+// The ΔTAT estimate is the paper's latency-number heuristic: count how
+// often each transparency pair of the core is used in the current
+// schedule, weight by the pair's latency, and compare against the next
+// version's latency for the same input/output pair. One sweep over the
+// schedule (pairUsage) tallies the pairs of every core at once.
 func candidateSteps(f *core.Flow, e *core.Evaluation) []Step {
+	usage := pairUsage(e)
 	var out []Step
 	for _, c := range f.Chip.TestableCores() {
 		if c.Selected+1 >= len(c.Versions) {
@@ -444,7 +451,7 @@ func candidateSteps(f *core.Flow, e *core.Evaluation) []Step {
 		out = append(out, Step{
 			Core:      c.Name,
 			Version:   c.Selected + 1,
-			DeltaTAT:  estimateDeltaTAT(f, e, c),
+			DeltaTAT:  latencyDelta(usage[c.Name], pairLatencies(c, c.Selected), pairLatencies(c, c.Selected+1)),
 			DeltaArea: next.Cells() - cur.Cells(),
 		})
 	}
@@ -612,38 +619,38 @@ func ImproveCtx(ctx context.Context, f *core.Flow, obj Objective, budget int, o 
 	return res, nil
 }
 
-// estimateDeltaTAT applies the paper's latency-number heuristic: count how
-// often each transparency edge of the core is used in the current
-// schedule, weight by the edge latency, and compare against the next
-// version's latency for the same input/output pair.
-func estimateDeltaTAT(f *core.Flow, e *core.Evaluation, c *soc.Core) int {
-	usage := map[[2]string]int{}
-	countPath := func(p []ccg.Step) {
-		for _, s := range p {
+// pairUsage counts, per core, how often each of its transparency
+// (input, output) pairs is traversed by the paths of e's schedule: every
+// Trans step of every input and output path, bucketed by the core of the
+// step's source node.
+func pairUsage(e *core.Evaluation) map[string]map[[2]string]int {
+	usage := map[string]map[[2]string]int{}
+	countPath := func(p *ccg.PathResult) {
+		if p == nil {
+			return
+		}
+		for _, s := range p.Steps {
 			if s.Edge.Kind != ccg.Trans {
 				continue
 			}
 			from := e.Graph.Nodes[s.Edge.From]
-			to := e.Graph.Nodes[s.Edge.To]
-			if from.Core != c.Name {
-				continue
+			u := usage[from.Core]
+			if u == nil {
+				u = map[[2]string]int{}
+				usage[from.Core] = u
 			}
-			usage[[2]string{from.Port, to.Port}]++
+			u[[2]string{from.Port, e.Graph.Nodes[s.Edge.To].Port}]++
 		}
 	}
 	for _, cs := range e.Sched.Cores {
 		for _, in := range cs.Inputs {
-			if in.Path != nil {
-				countPath(in.Path.Steps)
-			}
+			countPath(in.Path)
 		}
 		for _, out := range cs.Outputs {
-			if out.Path != nil {
-				countPath(out.Path.Steps)
-			}
+			countPath(out.Path)
 		}
 	}
-	return latencyDelta(usage, pairLatencies(c, c.Selected), pairLatencies(c, c.Selected+1))
+	return usage
 }
 
 // latencyDelta weighs per-pair usage counts against the current and next

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/ccg"
 	"repro/internal/core"
 	"repro/internal/flowcmd"
 	"repro/internal/rtl"
@@ -611,4 +612,101 @@ func TestEnumerateSkipAndObserver(t *testing.T) {
 			t.Fatalf("index %d observed as %s, window says %s", gi, seen[gi], one[0].Label())
 		}
 	}
+}
+
+// estimateDeltaTAT is the reference for candidateSteps' ΔTAT estimate: it
+// scans every path of the schedule for core c's transparency steps alone,
+// one core at a time, where candidateSteps tallies every core in one
+// sweep.
+func estimateDeltaTAT(e *core.Evaluation, c *soc.Core) int {
+	usage := map[[2]string]int{}
+	countPath := func(p []ccg.Step) {
+		for _, s := range p {
+			if s.Edge.Kind != ccg.Trans {
+				continue
+			}
+			from := e.Graph.Nodes[s.Edge.From]
+			to := e.Graph.Nodes[s.Edge.To]
+			if from.Core != c.Name {
+				continue
+			}
+			usage[[2]string{from.Port, to.Port}]++
+		}
+	}
+	for _, cs := range e.Sched.Cores {
+		for _, in := range cs.Inputs {
+			if in.Path != nil {
+				countPath(in.Path.Steps)
+			}
+		}
+		for _, out := range cs.Outputs {
+			if out.Path != nil {
+				countPath(out.Path.Steps)
+			}
+		}
+	}
+	return latencyDelta(usage, pairLatencies(c, c.Selected), pairLatencies(c, c.Selected+1))
+}
+
+// TestCandidateStepsMatchPerCoreReference requires every core's
+// candidateSteps ΔTAT to equal the per-core reference scan, at the
+// initial selection and after each accepted move of a TAT walk, on
+// System 1, System 2 and the seeded socgen corpus (seeds 1-6, every
+// topology).
+func TestCandidateStepsMatchPerCoreReference(t *testing.T) {
+	chips := []*soc.Chip{systems.System1(), systems.System2()}
+	for seed := uint64(1); seed <= 6; seed++ {
+		for _, topo := range socgen.Topologies() {
+			ch, err := socgen.Generate(socgen.Params{Seed: seed, Topology: topo})
+			if err != nil {
+				t.Fatalf("generate seed %d %s: %v", seed, topo, err)
+			}
+			chips = append(chips, ch)
+		}
+	}
+	ctx := context.Background()
+	compared, nonzero, moves := 0, 0, 0
+	for _, ch := range chips {
+		f, err := core.Prepare(ch, flowcmd.GenVectorOverride(ch))
+		if err != nil {
+			t.Fatalf("%s: prepare: %v", ch.Name, err)
+		}
+		walk, err := ImproveCtx(ctx, f, MinimizeTAT, 1<<30, Options{})
+		if err != nil {
+			t.Fatalf("%s: walk: %v", ch.Name, err)
+		}
+		// Replay the walk from the start, checking before every move and
+		// after the last one.
+		muxes := f.ForcedMuxes
+		reset(f)
+		for i := 0; ; i++ {
+			e, err := f.EvaluateSelection(f.CurrentSelection())
+			if err != nil {
+				t.Fatalf("%s: evaluate after %d moves: %v", ch.Name, i, err)
+			}
+			for _, s := range candidateSteps(f, e) {
+				c, _ := f.Chip.CoreByName(s.Core)
+				if want := estimateDeltaTAT(e, c); s.DeltaTAT != want {
+					t.Fatalf("%s after %d moves: core %s ΔTAT %d, reference %d", ch.Name, i, s.Core, s.DeltaTAT, want)
+				}
+				compared++
+				if s.DeltaTAT != 0 {
+					nonzero++
+				}
+			}
+			if i == len(walk.Steps) {
+				break
+			}
+			moves++
+			if s := walk.Steps[i]; s.MuxOn != "" {
+				f.ForcedMuxes = muxes[:len(f.ForcedMuxes)+1]
+			} else {
+				f.SelectVersions(map[string]int{s.Core: s.Version})
+			}
+		}
+	}
+	if nonzero == 0 {
+		t.Fatalf("all %d compared estimates were 0", compared)
+	}
+	t.Logf("%d estimates compared over %d chips and %d moves, %d nonzero", compared, len(chips), moves, nonzero)
 }

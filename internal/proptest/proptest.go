@@ -161,9 +161,12 @@ func checkDeltaEquivalence(f *core.Flow, ch *soc.Chip) error {
 		flips++
 	}
 	// Guard against a vacuous pass: the equivalence above only means
-	// something if the incremental path actually ran.
-	if st := d.Stats(); flips > 0 && st.Deltas == 0 {
-		return fmt.Errorf("delta evaluator never took the incremental path across %d flips (%+v)", flips, st)
+	// something if the incremental path actually ran. Every flip is one
+	// core from the rebased base, so each must be a delta or a refused
+	// delta (a fallback); a full evaluation means the registry lost the
+	// base and the flip compared a full evaluation with a full one.
+	if st := d.Stats(); st.Deltas+st.Fallbacks != flips || st.Fulls != 0 || (flips > 0 && st.Deltas == 0) {
+		return fmt.Errorf("delta evaluator did not serve all %d flips incrementally (%+v)", flips, st)
 	}
 	return nil
 }

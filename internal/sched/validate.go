@@ -98,16 +98,24 @@ func validatePhase(core, phase string, ports []PortSchedule) error {
 				core, phase, ps.Port, ps.Arrival, at)
 		}
 	}
+	// Of several conflicting resources, report the first in (Core, Edge)
+	// order, so the error does not depend on map iteration order.
+	var conflict error
+	var at ccg.ResKey
 	for rk, uses := range resUses {
 		sort.Slice(uses, func(i, j int) bool { return uses[i].start < uses[j].start })
 		for i := 1; i < len(uses); i++ {
 			if uses[i].start < uses[i-1].end {
-				return fmt.Errorf("sched: %s: %s: resource %s/%d used by %s [%d,%d) and %s [%d,%d) simultaneously",
-					core, phase, rk.Core, rk.Edge,
-					uses[i-1].port, uses[i-1].start, uses[i-1].end,
-					uses[i].port, uses[i].start, uses[i].end)
+				if conflict == nil || rk.Core < at.Core || (rk.Core == at.Core && rk.Edge < at.Edge) {
+					at = rk
+					conflict = fmt.Errorf("sched: %s: %s: resource %s/%d used by %s [%d,%d) and %s [%d,%d) simultaneously",
+						core, phase, rk.Core, rk.Edge,
+						uses[i-1].port, uses[i-1].start, uses[i-1].end,
+						uses[i].port, uses[i].start, uses[i].end)
+				}
+				break
 			}
 		}
 	}
-	return nil
+	return conflict
 }

@@ -158,3 +158,30 @@ func TestValidateSeparatePhasesShareResources(t *testing.T) {
 		t.Fatalf("cross-phase resource sharing rejected: %v", err)
 	}
 }
+
+func TestValidateReportsConflictsDeterministically(t *testing.T) {
+	// Two ports both occupy resources X/1 and Y/2 over [0,2): the schedule
+	// conflicts on both, and every call must report the same one.
+	x, y := ccg.ResKey{Core: "X", Edge: 1}, ccg.ResKey{Core: "Y", Edge: 2}
+	mk := func() *ccg.PathResult {
+		s := ccg.Step{Edge: &ccg.Edge{Latency: 2, Res: []ccg.ResKey{y, x}}, Start: 0, End: 2}
+		return &ccg.PathResult{Steps: []ccg.Step{s}, Arrival: 2}
+	}
+	res := &Result{Cores: []*CoreSchedule{{
+		Core: "C",
+		Inputs: []PortSchedule{
+			{Port: "A", Path: mk(), Arrival: 2},
+			{Port: "B", Path: mk(), Arrival: 2},
+		},
+		Period:       2,
+		HSCANVectors: 1,
+		TAT:          2,
+	}}}
+	wantErr(t, res, "resource X/1 used by A [0,2) and B [0,2) simultaneously")
+	first := Validate(res).Error()
+	for i := 0; i < 50; i++ {
+		if got := Validate(res).Error(); got != first {
+			t.Fatalf("call %d reported %q, the first call %q", i, got, first)
+		}
+	}
+}

@@ -23,6 +23,9 @@ echo "==> go test -race (delta-vs-full equivalence)"
 go test -race -count=1 -run 'TestDelta|TestMultiMatchesSingle|TestMultiDuplicate|TestMultiUnreachable|TestFinderReuse|TestCloneWithVersion|TestForeignEvaluator|TestHeapMatchesContainerHeap|TestDistancesMatchSearch|TestInterconnectMatchesPerNetSearch|TestEqualEvaluationsComparesUntestableNets|TestConeSearchMatchesUnrestricted|TestFinderSurvivesEpochWrap|TestPutFinderDropsGraph|TestPinListsAreSharedAndCapped' \
     ./internal/core/ ./internal/ccg/ ./internal/explore/ ./internal/sched/ ./internal/proptest/
 
+echo "==> go test -race (delta-vs-full on 48-core SoCs: more flips than the 16-base registry holds)"
+go test -race -count=1 -run TestGeneratedChips ./internal/proptest/ -proptest.n=4 -proptest.cores=48
+
 echo "==> go test -race (wrapper corpus smoke: replay + tamper detection)"
 go test -race -count=1 -run 'TestWrappedChips|TestWrapReplayDetectsLies' ./internal/proptest/ -proptest.n=12
 
