@@ -248,7 +248,8 @@ func appendCoreTrans(g *Graph, c *soc.Core, v *trans.Version, addEdge func(Edge)
 // evaluator replays them separately. Nodes and the name index are shared
 // with the receiver (they are immutable after build and independent of
 // the version selection); edges before the spliced core's range are
-// shared too, edges after it are copied with shifted IDs.
+// shared too, edges after it are copied with shifted IDs into one block
+// together with c's new edges.
 func (g *Graph) CloneWithVersion(pristine int, c *soc.Core, v *trans.Version) *Graph {
 	r, ok := g.transRange[c.Name]
 	if !ok || pristine < r[1] || pristine > len(g.Edges) {
@@ -263,17 +264,18 @@ func (g *Graph) CloneWithVersion(pristine int, c *soc.Core, v *trans.Version) *G
 		pis:        g.pis,
 		pos:        g.pos,
 	}
-	ng.Edges = append(make([]*Edge, 0, pristine+8), g.Edges[:lo]...)
-	appendCoreTrans(ng, c, v, func(e Edge) {
-		e.ID = len(ng.Edges)
-		ep := e
-		ng.Edges = append(ng.Edges, &ep)
-	})
-	newHi := len(ng.Edges)
+	block := make([]Edge, 0, pristine-lo)
+	appendCoreTrans(ng, c, v, func(e Edge) { block = append(block, e) })
+	newHi := lo + len(block)
 	for _, e := range g.Edges[hi:pristine] {
-		ce := *e
-		ce.ID = len(ng.Edges)
-		ng.Edges = append(ng.Edges, &ce)
+		block = append(block, *e)
+	}
+	// Room for the receiver's test muxes, which the caller replays.
+	ng.Edges = make([]*Edge, lo, lo+len(block)+len(g.Edges)-pristine)
+	copy(ng.Edges, g.Edges[:lo])
+	for i := range block {
+		block[i].ID = len(ng.Edges)
+		ng.Edges = append(ng.Edges, &block[i])
 	}
 	shift := newHi - hi
 	for name, rr := range g.transRange {
@@ -291,21 +293,50 @@ func (g *Graph) CloneWithVersion(pristine int, c *soc.Core, v *trans.Version) *G
 	return ng
 }
 
-func (g *Graph) rebuildOut() {
-	g.Out = make([][]int, len(g.Nodes))
-	for _, e := range g.Edges {
-		g.Out[e.From] = append(g.Out[e.From], e.ID)
-	}
+// TransEdges returns core's transparency edges: one contiguous run of
+// g.Edges, shared with the graph and capped at its length.
+func (g *Graph) TransEdges(core string) []*Edge {
+	r := g.transRange[core]
+	return g.Edges[r[0]:r[1]:r[1]]
 }
+
+func (g *Graph) rebuildOut() { g.Out = adjacency(len(g.Nodes), g.Edges, false) }
 
 // InEdges returns, per node, the IDs of the edges entering it in ID
 // order: the reverse of Out, built on each call.
-func (g *Graph) InEdges() [][]int {
-	in := make([][]int, len(g.Nodes))
-	for _, e := range g.Edges {
-		in[e.To] = append(in[e.To], e.ID)
+func (g *Graph) InEdges() [][]int { return adjacency(len(g.Nodes), g.Edges, true) }
+
+// adjacency lists, per node, the IDs of the edges leaving it (entering
+// it, with in set) in ID order. The n lists are windows of one array of
+// IDs, each capped at its length, so appending to one (AddTestMux)
+// copies it instead of overwriting the next node's list.
+func adjacency(n int, edges []*Edge, in bool) [][]int {
+	at := func(e *Edge) int {
+		if in {
+			return e.To
+		}
+		return e.From
 	}
-	return in
+	end := make([]int, n+1) // counts, then each node's start, then its end
+	for _, e := range edges {
+		end[at(e)+1]++
+	}
+	for v := 1; v <= n; v++ {
+		end[v] += end[v-1]
+	}
+	ids := make([]int, len(edges))
+	for _, e := range edges {
+		v := at(e)
+		ids[end[v]] = e.ID
+		end[v]++
+	}
+	adj := make([][]int, n)
+	lo := 0
+	for v := range adj {
+		adj[v] = ids[lo:end[v]:end[v]]
+		lo = end[v]
+	}
+	return adj
 }
 
 // AddTestMux inserts a system-level test multiplexer edge (PI -> core
@@ -346,7 +377,11 @@ type Interval struct{ Start, End int }
 type Reservations map[ResKey][]Interval
 
 // earliestFree finds the first start >= t such that [start, start+dur)
-// avoids every reservation of every resource in res.
+// avoids every reservation of every resource in res. Being the smallest
+// such start, it never decreases as t grows: entering an edge later
+// never leaves it earlier, so searches are FIFO and a reserved path never
+// arrives before a reservation-free one. The delta evaluator's
+// invalidation rules rest on both facts.
 func (r Reservations) earliestFree(res []ResKey, t, dur int) int {
 	if dur == 0 {
 		return t

@@ -20,25 +20,27 @@ import (
 // order and keep the first predecessor that achieves a node's final
 // arrival. Because relaxations out of a node follow adjacency-list order
 // and the adjacency lists follow edge insertion order, a search is a pure
-// function of (graph, sources, targets, reservations) — and, crucially
-// for incremental re-evaluation, the distance/predecessor assignment of
-// every node NOT reachable from a mutated region is identical before and
-// after the mutation (see DESIGN.md on the delta invalidation model).
+// function of (graph, sources, targets, reservations). The delta
+// evaluator's invalidation rules rest on this and on the FIFO property of
+// Reservations.earliestFree (see DESIGN.md on the delta invalidation
+// model).
 //
-// A single-target search expands only the target's ancestor cone: the
-// nodes with a path to the target. Sources outside it are not seeded and
-// no edge into a node outside it is relaxed. This keeps every settle and
-// predecessor decision: the cone is closed under predecessors, so no
-// edge enters it from outside, and a node outside it can neither lower a
-// cone node's arrival nor push a cone entry. The cone's heap entries
-// therefore pop in the same order with the same arrivals and
-// predecessors as in a search of the whole graph, and the returned path
-// is identical. A search from the chip PIs otherwise settles about half
-// of the graph before it reaches a deep core input. Multi-target searches
-// stay unrestricted: the union of the POs' cones is nearly the whole
-// graph. The Finder keeps the reverse adjacency the cones are marked
-// from, extends it as edges are appended (AddTestMux) and rebuilds it
-// for a different graph or after TruncateEdges.
+// ShortestPath, the single-target search, expands only the target's
+// ancestor cone: the nodes with a path to the target. Sources outside it
+// are not seeded and no edge into a node outside it is relaxed. This
+// keeps every settle and predecessor decision: the cone is closed under
+// predecessors, so no edge enters it from outside, and a node outside it
+// can neither lower a cone node's arrival nor push a cone entry. The
+// cone's heap entries therefore pop in the same order with the same
+// arrivals and predecessors as in a search of the whole graph, and the
+// returned path is identical. A search from the chip PIs otherwise
+// settles about half of the graph before it reaches a deep core input.
+// The Finder keeps the reverse adjacency the cones are marked from,
+// extends it as edges are appended (AddTestMux) and rebuilds it for a
+// different graph or after TruncateEdges.
+//
+// NearestPath, the observation search, runs over the whole graph and
+// stops once every target that ties the earliest arrival has settled.
 type Finder struct {
 	dist      []int
 	predEdge  []int
@@ -47,8 +49,9 @@ type Finder struct {
 	cone      []uint32 // node is in the current target's ancestor cone, stamped
 	epoch     uint32
 	h         pq
-	// per-query target bookkeeping
-	tpos   []int // node -> index into the targets slice, stamped
+	// NearestPath's targets: node -> first index in the targets slice,
+	// stamped.
+	tpos   []int
 	tstamp []uint32
 
 	// Reverse adjacency of g: preds[v] lists the tail of every edge of
@@ -168,46 +171,76 @@ func (f *Finder) markCone(target int) {
 // (available from cycle 0) to target, honoring reservations exactly as
 // Graph.ShortestPath does. It returns nil when no path exists.
 func (f *Finder) ShortestPath(g *Graph, sources []int, target int, resv Reservations) *PathResult {
-	var out [1]*PathResult
-	f.search(g, sources, []int{target}, resv, out[:])
-	return out[0]
-}
-
-// ShortestPathMulti runs ONE Dijkstra from the source set and returns the
-// earliest-arrival path to every target (nil where unreachable), in
-// target order. The search terminates as soon as every reachable target
-// has settled instead of paying one full Dijkstra per target — this is
-// what turned the scheduler's per-PO probing loop into a single search.
-// Repeated targets share one settle; repeated sources are seeded once.
-// Each returned path is bit-identical to the one a dedicated
-// single-target ShortestPath would find.
-func (f *Finder) ShortestPathMulti(g *Graph, sources []int, targets []int, resv Reservations) []*PathResult {
-	out := make([]*PathResult, len(targets))
-	f.search(g, sources, targets, resv, out)
-	return out
-}
-
-func (f *Finder) search(g *Graph, sources []int, targets []int, resv Reservations, out []*PathResult) {
 	f.begin(len(g.Nodes))
-	// A single target confines the search to its ancestor cone (see
-	// Finder).
-	coned := len(targets) == 1
-	if coned {
-		f.syncPreds(g)
-		f.markCone(targets[0])
+	f.syncPreds(g)
+	f.markCone(target)
+	f.seed(sources, true)
+	relaxations := int64(0)
+	for len(f.h) > 0 {
+		it := f.h.pop()
+		if f.stale(it) {
+			continue
+		}
+		if it.node == target {
+			break
+		}
+		relaxations += f.relax(g, it, resv, true)
 	}
-	// Mark targets; duplicates resolve to the first position and are
-	// copied across at the end.
-	remaining := 0
+	obs.C("ccg.relaxations").Add(relaxations)
+	obs.C("ccg.searches").Inc()
+	if f.distAt(target) == inf {
+		return nil
+	}
+	return f.reconstruct(g, target)
+}
+
+// NearestPath finds the earliest-arrival path from any node in sources
+// to any node in targets, honoring reservations; of several targets
+// reached at that arrival it takes the first in targets order. It returns
+// nil when no target is reachable. The path is the one a single-target
+// ShortestPath to the chosen target finds.
+//
+// The search stops when the heap's next arrival exceeds the earliest
+// target arrival, not when the first target settles: nodes of equal
+// arrival settle in index order, and a later-listed target may be
+// reached first through zero-latency edges while an earlier-listed one
+// at the same arrival is still behind nodes of higher index.
+func (f *Finder) NearestPath(g *Graph, sources, targets []int, resv Reservations) *PathResult {
+	f.begin(len(g.Nodes))
 	for i, t := range targets {
 		if f.tstamp[t] != f.epoch {
 			f.tstamp[t] = f.epoch
 			f.tpos[t] = i
-			remaining++
 		}
 	}
-	// Seed the sources. A repeated source is seeded exactly once: the
-	// second occurrence already reads distance 0.
+	f.seed(sources, false)
+	best := -1
+	relaxations := int64(0)
+	for len(f.h) > 0 {
+		it := f.h.pop()
+		if f.stale(it) {
+			continue
+		}
+		if best >= 0 && it.time > f.dist[best] {
+			break
+		}
+		if f.tstamp[it.node] == f.epoch && (best < 0 || f.tpos[it.node] < f.tpos[best]) {
+			best = it.node
+		}
+		relaxations += f.relax(g, it, resv, false)
+	}
+	obs.C("ccg.relaxations").Add(relaxations)
+	obs.C("ccg.searches").Inc()
+	if best < 0 {
+		return nil
+	}
+	return f.reconstruct(g, best)
+}
+
+// seed starts every source at cycle 0; with coned set, only sources in
+// the current cone. A repeated source is seeded once: its second
+// occurrence already reads distance 0.
+func (f *Finder) seed(sources []int, coned bool) {
 	for _, s := range sources {
 		if coned && f.cone[s] != f.epoch {
 			continue
@@ -217,65 +250,49 @@ func (f *Finder) search(g *Graph, sources []int, targets []int, resv Reservation
 			f.h.push(pqItem{s, 0})
 		}
 	}
-	relaxations := int64(0)
-	for len(f.h) > 0 && remaining > 0 {
-		it := f.h.pop()
-		if it.time > f.dist[it.node] || f.stamp[it.node] != f.epoch {
-			continue // stale heap entry
-		}
-		if f.tstamp[it.node] == f.epoch && f.tpos[it.node] >= 0 {
-			// A target settled: its distance and predecessor chain are
-			// final (relaxation is strictly improving, and every ancestor
-			// settled earlier).
-			f.tpos[it.node] = ^f.tpos[it.node] // mark settled, keep position
-			remaining--
-			if remaining == 0 {
-				break
-			}
-		}
-		for _, eid := range g.Out[it.node] {
-			e := g.Edges[eid]
-			if coned && f.cone[e.To] != f.epoch {
-				continue
-			}
-			relaxations++
-			start := resv.earliestFree(e.Res, it.time, e.Latency)
-			arr := start + e.Latency
-			if arr < f.distAt(e.To) {
-				f.setDist(e.To, arr, eid, start)
-				f.h.push(pqItem{e.To, arr})
-			}
-		}
-	}
-	obs.C("ccg.relaxations").Add(relaxations)
-	obs.C("ccg.searches").Inc()
-	for i, t := range targets {
-		if f.distAt(t) == inf {
-			continue
-		}
-		if f.tstamp[t] == f.epoch && f.tpos[t] != i && ^f.tpos[t] != i {
-			// Duplicate target: reconstructed under its first position.
-			first := f.tpos[t]
-			if first < 0 {
-				first = ^first
-			}
-			out[i] = out[first]
-			continue
-		}
-		out[i] = f.reconstruct(g, t)
-	}
 }
 
-// reconstruct walks the predecessor chain from t back to a source.
-func (f *Finder) reconstruct(g *Graph, t int) *PathResult {
-	var steps []Step
-	for at := t; f.predEdge[at] >= 0; {
-		e := g.Edges[f.predEdge[at]]
-		steps = append(steps, Step{Edge: e, Start: f.predStart[at], End: f.predStart[at] + e.Latency})
-		at = e.From
+// stale reports a heap entry superseded by a later, earlier-arriving
+// one for its node.
+func (f *Finder) stale(it pqItem) bool {
+	return it.time > f.dist[it.node] || f.stamp[it.node] != f.epoch
+}
+
+// relax relaxes the edges out of a settled node — with coned set, only
+// those into the current cone — and returns how many it relaxed.
+func (f *Finder) relax(g *Graph, it pqItem, resv Reservations, coned bool) int64 {
+	n := int64(0)
+	for _, eid := range g.Out[it.node] {
+		e := g.Edges[eid]
+		if coned && f.cone[e.To] != f.epoch {
+			continue
+		}
+		n++
+		start := resv.earliestFree(e.Res, it.time, e.Latency)
+		if arr := start + e.Latency; arr < f.distAt(e.To) {
+			f.setDist(e.To, arr, eid, start)
+			f.h.push(pqItem{e.To, arr})
+		}
 	}
-	for i, j := 0, len(steps)-1; i < j; i, j = i+1, j-1 {
-		steps[i], steps[j] = steps[j], steps[i]
+	return n
+}
+
+// reconstruct walks the predecessor chain from t back to a source,
+// counting the steps first so the path is allocated at its size.
+func (f *Finder) reconstruct(g *Graph, t int) *PathResult {
+	n := 0
+	for at := t; f.predEdge[at] >= 0; at = g.Edges[f.predEdge[at]].From {
+		n++
+	}
+	var steps []Step
+	if n > 0 {
+		steps = make([]Step, n)
+	}
+	for at := t; n > 0; {
+		n--
+		e := g.Edges[f.predEdge[at]]
+		steps[n] = Step{Edge: e, Start: f.predStart[at], End: f.predStart[at] + e.Latency}
+		at = e.From
 	}
 	return &PathResult{Steps: steps, Arrival: f.dist[t]}
 }
@@ -299,58 +316,139 @@ func (g *Graph) ShortestPath(sources []int, target int, resv Reservations) *Path
 // path exists. One Dijkstra sweep covers every node, so callers that need
 // a reservation-free distance to many targets pay for one search, not one
 // per target.
-func (g *Graph) DistancesFrom(sources []int) []int { return g.sweep(sources, false) }
+func (g *Graph) DistancesFrom(sources []int) []int {
+	return g.countedSweep(atZero(sources), g.Out, false)
+}
 
 // DistancesTo is DistancesFrom against the edge direction: per node, the
 // earliest arrival at the nearest node in targets (the smallest Arrival
 // of a reservation-free search from that node to any target), or -1.
-func (g *Graph) DistancesTo(targets []int) []int { return g.sweep(targets, true) }
+func (g *Graph) DistancesTo(targets []int) []int {
+	return g.countedSweep(atZero(targets), g.InEdges(), true)
+}
 
-// sweep is a reservation-free multi-source Dijkstra over the whole graph,
-// relaxing out-edges, or in-edges when reverse is set. With no
-// reservations an edge entered at t always arrives at t+Latency, so the
-// distances are the ones Finder.search computes.
-func (g *Graph) sweep(seeds []int, reverse bool) []int {
-	adj := g.Out
-	if reverse {
-		adj = g.InEdges()
+// countedSweep is a sweep that counts as a search in the ccg metrics.
+func (g *Graph) countedSweep(seeds []pqItem, adj [][]int, reverse bool) []int {
+	dist, relaxations := g.sweep(seeds, adj, reverse, nil)
+	obs.C("ccg.relaxations").Add(relaxations)
+	obs.C("ccg.searches").Inc()
+	return dist
+}
+
+// atZero seeds every node of nodes at distance 0.
+func atZero(nodes []int) []pqItem {
+	seeds := make([]pqItem, len(nodes))
+	for i, n := range nodes {
+		seeds[i] = pqItem{n, 0}
 	}
+	return seeds
+}
+
+// sweep is a reservation-free multi-source Dijkstra over the whole graph
+// plus the edges of extra, relaxing out-edges, or in-edges when reverse
+// is set; adj is g's adjacency in that direction. Each seed starts its
+// node at its time. With no reservations an edge entered at t always
+// arrives at t+Latency, so the distances from zero-time seeds are the
+// ones Finder searches compute. It returns the distances, -1 where
+// unreached, and the number of relaxations.
+func (g *Graph) sweep(seeds []pqItem, adj [][]int, reverse bool, extra []*Edge) ([]int, int64) {
+	// far returns the end of e the sweep moves toward.
+	far := func(e *Edge) int {
+		if reverse {
+			return e.From
+		}
+		return e.To
+	}
+	near := func(e *Edge) int {
+		if reverse {
+			return e.To
+		}
+		return e.From
+	}
+	// extra sorted by the end the sweep leaves from, to be found by
+	// binary search as their nodes settle.
+	extra = slices.Clone(extra)
+	slices.SortStableFunc(extra, func(a, b *Edge) int { return near(a) - near(b) })
 	dist := make([]int, len(g.Nodes))
 	for i := range dist {
 		dist[i] = inf
 	}
 	var h pq
 	for _, s := range seeds {
-		if dist[s] > 0 {
-			dist[s] = 0
-			h.push(pqItem{s, 0})
+		if s.time < dist[s.node] {
+			dist[s.node] = s.time
+			h.push(s)
 		}
 	}
 	relaxations := int64(0)
+	step := func(t int, e *Edge) {
+		relaxations++
+		if v, d := far(e), t+e.Latency; d < dist[v] {
+			dist[v] = d
+			h.push(pqItem{v, d})
+		}
+	}
 	for len(h) > 0 {
 		it := h.pop()
 		if it.time > dist[it.node] {
 			continue // stale heap entry
 		}
 		for _, eid := range adj[it.node] {
-			e := g.Edges[eid]
-			v := e.To
-			if reverse {
-				v = e.From
-			}
-			relaxations++
-			if d := it.time + e.Latency; d < dist[v] {
-				dist[v] = d
-				h.push(pqItem{v, d})
-			}
+			step(it.time, g.Edges[eid])
+		}
+		i, _ := slices.BinarySearchFunc(extra, it.node, func(e *Edge, n int) int { return near(e) - n })
+		for ; i < len(extra) && near(extra[i]) == it.node; i++ {
+			step(it.time, extra[i])
 		}
 	}
-	obs.C("ccg.relaxations").Add(relaxations)
-	obs.C("ccg.searches").Inc()
 	for i, d := range dist {
 		if d == inf {
 			dist[i] = -1
 		}
 	}
-	return dist
+	return dist, relaxations
+}
+
+// Bounds holds reservation-free distances of one graph: every node's
+// distance from the chip PIs (head) and to the nearest chip PO (tail),
+// -1 where no path exists. A reserved edge only ever delays a path
+// (Reservations.earliestFree), so no search over the graph, or over a
+// subgraph of it, arrives anywhere earlier than these distances say.
+type Bounds struct {
+	g          *Graph
+	in         [][]int
+	head, tail []int
+}
+
+// Bounds computes g's Bounds. g must not change while they are in use.
+// The sweeps are bounds, not path searches, and do not count in
+// ccg.searches or ccg.relaxations.
+func (g *Graph) Bounds() *Bounds {
+	b := &Bounds{g: g, in: g.InEdges()}
+	b.head, _ = g.sweep(atZero(g.pis), g.Out, false, nil)
+	b.tail, _ = g.sweep(atZero(g.pos), b.in, true, nil)
+	return b
+}
+
+// Through bounds the paths over the graph plus the edges of extra that
+// take at least one edge of extra. Per node, join[v] is the least
+// reservation-free arrival at v of such a path from the chip PIs, and
+// leave[u] the least reservation-free arrival at a chip PO of such a
+// path from u; -1 where there is no such path. Each is one sweep seeded
+// at the edges of extra, the first of them a path takes: join from each
+// e.To at head[e.From]+e.Latency along the edges, leave from each e.From
+// at e.Latency+tail[e.To] against them.
+func (b *Bounds) Through(extra []*Edge) (join, leave []int) {
+	var fwd, bwd []pqItem
+	for _, e := range extra {
+		if d := b.head[e.From]; d >= 0 {
+			fwd = append(fwd, pqItem{e.To, d + e.Latency})
+		}
+		if d := b.tail[e.To]; d >= 0 {
+			bwd = append(bwd, pqItem{e.From, d + e.Latency})
+		}
+	}
+	join, _ = b.g.sweep(fwd, b.g.Out, false, extra)
+	leave, _ = b.g.sweep(bwd, b.in, true, extra)
+	return join, leave
 }

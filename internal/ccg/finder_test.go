@@ -1,14 +1,16 @@
 package ccg_test
 
 // Unit tests of the buffer-reusing Finder and the incremental graph
-// splice: the multi-target search must be bit-identical to dedicated
-// single-target searches (including under duplicate sources/targets and
-// unreachable targets), results must be independent of whatever graph
-// the Finder last ran on, and CloneWithVersion must produce exactly the
-// edge list a from-scratch BuildSelection would.
+// splice: the nearest-target search must find exactly the path of the
+// strict-< scan over dedicated single-target searches (including under
+// duplicate sources/targets, unreachable targets and reservations),
+// results must be independent of whatever graph the Finder last ran on,
+// and CloneWithVersion must produce exactly the edge list a from-scratch
+// BuildSelection would.
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/ccg"
@@ -48,6 +50,28 @@ func samePath(a, b *ccg.PathResult) bool {
 	return true
 }
 
+// preparedGraph is genGraph after core preparation, which gives the cores
+// transparency edges with shared resources to reserve.
+func preparedGraph(t *testing.T, p socgen.Params) *ccg.Graph {
+	t.Helper()
+	ch, err := socgen.Generate(p)
+	if err != nil {
+		t.Fatalf("socgen: %v", err)
+	}
+	vecs := map[string]int{}
+	for _, c := range ch.Cores {
+		vecs[c.Name] = 10
+	}
+	if _, err := core.Prepare(ch, &core.Options{VectorOverride: vecs}); err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	g, err := ccg.Build(ch)
+	if err != nil {
+		t.Fatalf("ccg.Build: %v", err)
+	}
+	return g
+}
+
 // allTargets is every core port plus every PO node — a target set wide
 // enough that some entries are typically unreachable from the PIs.
 func allTargets(g *ccg.Graph) []int {
@@ -60,6 +84,25 @@ func allTargets(g *ccg.Graph) []int {
 	return ts
 }
 
+// nearestRef is the reference NearestPath must reproduce: a dedicated
+// single-target search to every target, keeping the earliest arrival by
+// strict <, so the first in targets order of those that tie.
+func nearestRef(g *ccg.Graph, sources, targets []int, resv ccg.Reservations) *ccg.PathResult {
+	fi := ccg.NewFinder()
+	var best *ccg.PathResult
+	for _, t := range targets {
+		if p := fi.ShortestPath(g, sources, t, resv); p != nil && (best == nil || p.Arrival < best.Arrival) {
+			best = p
+		}
+	}
+	return best
+}
+
+// TestMultiMatchesSingle requires the nearest-PO search from every core
+// output to equal the per-PO reference on socgen chips of every
+// topology, with each core's observation reservations accumulated as
+// the scheduler does, and the nearest search from the PIs over all core
+// ports and POs to do the same.
 func TestMultiMatchesSingle(t *testing.T) {
 	for _, p := range []socgen.Params{
 		{Seed: 11, Cores: 8, Topology: socgen.Chain},
@@ -67,31 +110,37 @@ func TestMultiMatchesSingle(t *testing.T) {
 		{Seed: 13, Cores: 10, Topology: socgen.RandomDAG},
 		{Seed: 14, Cores: 8, Topology: socgen.Hub},
 	} {
-		g := genGraph(t, p)
-		srcs := g.PINodes()
-		targets := allTargets(g)
+		g := preparedGraph(t, p)
+		pos := g.PONodes()
 		fi := ccg.NewFinder()
-		multi := fi.ShortestPathMulti(g, srcs, targets, ccg.Reservations{})
-		if len(multi) != len(targets) {
-			t.Fatalf("%v: got %d results for %d targets", p.Topology, len(multi), len(targets))
-		}
-		reached := 0
-		for i, tgt := range targets {
-			single := fi.ShortestPath(g, srcs, tgt, ccg.Reservations{})
-			if !samePath(multi[i], single) {
-				t.Fatalf("%v: target %s: multi-target path differs from single-target path",
-					p.Topology, g.Nodes[tgt].Name())
+		reached, reserved := 0, 0
+		for _, c := range g.Chip.TestableCores() {
+			resv := ccg.Reservations{}
+			for _, port := range c.RTL.Outputs() {
+				u, _ := g.NodeIndex(c.Name + "." + port.Name)
+				got := fi.NearestPath(g, []int{u}, pos, resv)
+				if want := nearestRef(g, []int{u}, pos, resv); !samePath(got, want) {
+					t.Fatalf("%v: %s: nearest-PO path differs from the per-PO reference", p.Topology, g.Nodes[u].Name())
+				}
+				if got != nil {
+					reached++
+					reserved += len(resv)
+					g.ReservePath(got, resv)
+				}
 			}
-			if single != nil {
-				reached++
-			}
 		}
-		if reached == 0 {
-			t.Fatalf("%v: no target reachable; test is vacuous", p.Topology)
+		if reached == 0 || reserved == 0 {
+			t.Fatalf("%v: %d outputs reached a PO, %d searches ran under reservations; test is vacuous", p.Topology, reached, reserved)
+		}
+		if got, want := fi.NearestPath(g, g.PINodes(), allTargets(g), nil), nearestRef(g, g.PINodes(), allTargets(g), nil); got == nil || !samePath(got, want) {
+			t.Fatalf("%v: nearest path from the PIs %+v, reference %+v", p.Topology, got, want)
 		}
 	}
 }
 
+// TestMultiDuplicateSourcesAndTargets requires repeated sources and
+// targets to leave the nearest path unchanged, and the target order to
+// decide between targets that tie.
 func TestMultiDuplicateSourcesAndTargets(t *testing.T) {
 	g := genGraph(t, socgen.Params{Seed: 21, Cores: 8, Topology: socgen.Mesh})
 	srcs := g.PINodes()
@@ -99,30 +148,27 @@ func TestMultiDuplicateSourcesAndTargets(t *testing.T) {
 		t.Fatal("chip has no PIs")
 	}
 	targets := allTargets(g)
-
-	// Duplicating every source must not change any path: duplicates are
-	// seeded once.
-	dup := append(append(append([]int{}, srcs...), srcs...), srcs[0])
 	fi := ccg.NewFinder()
-	want := fi.ShortestPathMulti(g, srcs, targets, ccg.Reservations{})
-	got := fi.ShortestPathMulti(g, dup, targets, ccg.Reservations{})
-	for i := range targets {
-		if !samePath(want[i], got[i]) {
-			t.Fatalf("duplicate sources changed the path to %s", g.Nodes[targets[i]].Name())
-		}
+	want := fi.NearestPath(g, srcs, targets, nil)
+	if want == nil {
+		t.Fatal("no target reachable from the PIs")
 	}
-
-	// A repeated target fills every one of its result slots identically.
-	tdup := []int{targets[0], targets[1], targets[0], targets[0]}
-	res := fi.ShortestPathMulti(g, srcs, tdup, ccg.Reservations{})
-	if !samePath(res[0], res[2]) || !samePath(res[0], res[3]) {
-		t.Fatal("repeated target positions disagree")
+	dup := append(append(append([]int{}, srcs...), srcs...), srcs[0])
+	tdup := append(append([]int{}, targets...), targets...)
+	if got := fi.NearestPath(g, dup, tdup, nil); !samePath(got, want) {
+		t.Fatal("duplicate sources and targets changed the nearest path")
 	}
-	if !samePath(res[0], want[0]) || !samePath(res[1], want[1]) {
-		t.Fatal("paths under target duplication differ from the plain search")
+	// Reversed, the targets that tie are tried the other way round.
+	rev := slices.Clone(targets)
+	slices.Reverse(rev)
+	if got, ref := fi.NearestPath(g, srcs, rev, nil), nearestRef(g, srcs, rev, nil); !samePath(got, ref) {
+		t.Fatal("nearest path over the reversed targets differs from the reference")
 	}
 }
 
+// TestMultiUnreachableTargets requires a nil path when no target is
+// reachable and the reference path when unreachable targets are listed
+// among reachable ones.
 func TestMultiUnreachableTargets(t *testing.T) {
 	g := genGraph(t, socgen.Params{Seed: 31, Cores: 8, Topology: socgen.Chain})
 	pos := g.PONodes()
@@ -130,22 +176,17 @@ func TestMultiUnreachableTargets(t *testing.T) {
 	if len(pos) == 0 || len(pis) == 0 {
 		t.Fatal("chip lacks pins")
 	}
-	// Nothing flows backwards from a PO; every PI target must come back
-	// nil, and mixing them with reachable targets must not disturb those.
 	fi := ccg.NewFinder()
-	mixed := append(append([]int{}, pis...), allTargets(g)...)
-	res := fi.ShortestPathMulti(g, pos, mixed, ccg.Reservations{})
-	for i := range pis {
-		if res[i] != nil {
-			t.Fatalf("found a path from a PO back to PI %s", g.Nodes[pis[i]].Name())
-		}
+	// Nothing flows backwards from a PO.
+	if p := fi.NearestPath(g, pos, pis, nil); p != nil {
+		t.Fatalf("found a path from a PO back to PI %s", g.Nodes[p.Steps[0].Edge.From].Name())
 	}
-	// Forward direction: unreachable entries nil, reachable ones equal to
-	// their single-target searches even with the nil entries interleaved.
-	fwd := fi.ShortestPathMulti(g, pis, mixed, ccg.Reservations{})
-	for i, tgt := range mixed {
-		if !samePath(fwd[i], fi.ShortestPath(g, pis, tgt, ccg.Reservations{})) {
-			t.Fatalf("mixed reachable/unreachable target %s diverges", g.Nodes[tgt].Name())
+	// The PIs first: unreachable from a core output, listed before every
+	// reachable target.
+	for _, v := range allTargets(g) {
+		mixed := append(append([]int{}, pis...), pos...)
+		if got, want := fi.NearestPath(g, []int{v}, mixed, nil), nearestRef(g, []int{v}, mixed, nil); !samePath(got, want) {
+			t.Fatalf("from %s: mixed reachable/unreachable targets diverge", g.Nodes[v].Name())
 		}
 	}
 }
@@ -160,12 +201,16 @@ func TestFinderReuseAcrossGraphs(t *testing.T) {
 	shared := ccg.NewFinder()
 	for round := 0; round < 3; round++ {
 		for _, g := range []*ccg.Graph{big, small} {
-			targets := allTargets(g)
-			got := shared.ShortestPathMulti(g, g.PINodes(), targets, ccg.Reservations{})
-			want := ccg.NewFinder().ShortestPathMulti(g, g.PINodes(), targets, ccg.Reservations{})
-			for i := range targets {
-				if !samePath(got[i], want[i]) {
-					t.Fatalf("round %d: reused Finder diverges at %s", round, g.Nodes[targets[i]].Name())
+			for _, tgt := range allTargets(g) {
+				got := shared.ShortestPath(g, g.PINodes(), tgt, nil)
+				want := ccg.NewFinder().ShortestPath(g, g.PINodes(), tgt, nil)
+				if !samePath(got, want) {
+					t.Fatalf("round %d: reused Finder diverges at %s", round, g.Nodes[tgt].Name())
+				}
+				got = shared.NearestPath(g, []int{tgt}, g.PONodes(), nil)
+				want = ccg.NewFinder().NearestPath(g, []int{tgt}, g.PONodes(), nil)
+				if !samePath(got, want) {
+					t.Fatalf("round %d: reused Finder's nearest PO from %s diverges", round, g.Nodes[tgt].Name())
 				}
 			}
 		}
@@ -281,13 +326,7 @@ func TestDistancesMatchSearch(t *testing.T) {
 			if want := arrival(fi.ShortestPath(g, pis, v, ccg.Reservations{})); from[v] != want {
 				t.Fatalf("%v: DistancesFrom at %s = %d, search arrives at %d", p.Topology, g.Nodes[v].Name(), from[v], want)
 			}
-			want := -1
-			for _, q := range fi.ShortestPathMulti(g, []int{v}, pos, ccg.Reservations{}) {
-				if a := arrival(q); a >= 0 && (want < 0 || a < want) {
-					want = a
-				}
-			}
-			if to[v] != want {
+			if want := arrival(fi.NearestPath(g, []int{v}, pos, ccg.Reservations{})); to[v] != want {
 				t.Fatalf("%v: DistancesTo at %s = %d, nearest PO at %d", p.Topology, g.Nodes[v].Name(), to[v], want)
 			}
 			if from[v] < 0 || to[v] < 0 {

@@ -7,25 +7,54 @@
 //
 // # Invalidation model
 //
-// Swapping core c's transparency version only changes CCG edges that run
-// from c's input nodes to c's output nodes. Everything whose shortest
-// paths avoid those edges is untouched, and the affected region is an
-// over-approximation computed with two BFS sweeps over the base graph:
+// Swapping core c's transparency version replaces c's transparency edges
+// O (base graph) by N (spliced clone); nothing else in the graph
+// changes. Each other core's searches are re-run only when they might
+// come out differently. Every core X other than c keeps its base
+// schedule unless one of these rules fires:
 //
-//   - fwd: nodes reachable FROM c's outputs. A justification search
-//     (PIs -> X.in) can only change if its target is fwd-marked.
-//   - bwd: nodes that can reach c's inputs. An observation search
-//     (X.out -> POs) can only change if its source is bwd-marked.
+//   - R1: one of X's base paths steps on an edge of O.
+//   - R2: for an input port at node v, join(v) <= the port's base
+//     arrival, where join(v) is the least reservation-free arrival at v
+//     from the chip PIs of a path that takes an edge of N.
+//   - R3: for an output port at node u, leave(u) <= the port's base
+//     arrival, where leave(u) is the least reservation-free arrival at a
+//     chip PO from u of a path that takes an edge of N.
+//   - For a port whose base schedule had to insert a test mux
+//     (AddedMux), R2 or R3 fires as soon as the bound is finite.
 //
-// A core is affected when any of its inputs is fwd-marked or any of its
-// outputs is bwd-marked. Affected cores are recomputed exactly;
-// unaffected ones reuse the base schedule and replay their recorded test
-// muxes so the graph evolves edge-for-edge as a full run would. The
-// Finder's (arrival, node) settle order makes search results over unmutated
-// regions bit-identical across the splice, so a delta evaluation returns
-// the same numbers AND the same schedule signature as
-// Flow.EvaluateSelection — a property the proptest differential harness
-// checks across the whole socgen corpus.
+// join and leave are ccg.Bounds.Through over the base's final graph,
+// muxes included: a superset of every graph a core's searches saw, so
+// both are lower bounds. c itself is always re-scheduled.
+//
+// Why a core the rules spare searches exactly as in the base:
+//
+//   - Reservations.earliestFree returns the smallest conflict-free start
+//     >= t, so an arrival never decreases as the entry time grows (the
+//     searches are FIFO), and a reservation-aware arrival is never below
+//     the reservation-free one. Any path that takes an edge of N thus
+//     reaches v no earlier than join(v), and every node x of X's base
+//     path P no earlier than join(x) >= join(v) - dist(x, v) > a(x),
+//     x's base arrival. So N offers no node of P an arrival that beats
+//     or ties its base one, and a tie would matter: the Finder keeps the
+//     first predecessor that reaches a node's arrival, which is why the
+//     rules fire on <=, not <.
+//   - Removing O only removes paths and delays nodes; P avoids O (R1),
+//     so every node of P keeps its arrival and its predecessor, and no
+//     node pops earlier than it did.
+//   - A muxed port had no path before its mux; with the bound infinite
+//     N adds none, so the same mux is inserted and the search after it
+//     repeats.
+//   - Each core's reservations belong to its own searches, in port
+//     order, and every earlier core leaves the same muxes (a re-scheduled
+//     core that inserts other muxes voids the delta). By induction over
+//     the ports X's searches see the same graph region and reservations.
+//
+// Spared cores replay their recorded test muxes so the graph evolves
+// edge-for-edge as a full run would; a delta evaluation returns the same
+// numbers AND the same schedule signature as Flow.EvaluateSelection — a
+// property the proptest differential harness checks across the whole
+// socgen corpus.
 //
 // Anything that threatens that guarantee (a recomputed core inserting
 // different muxes than the base did, a disabled core, a stale forced-mux
@@ -65,10 +94,10 @@ type DeltaEvaluator struct {
 	// pure delta path.
 	AdoptCandidates bool
 
-	// crippleInvalidation is a test hook: it skips the invalidation BFS
-	// so only the changed core is recomputed. The differential harness
-	// uses it to prove the delta-vs-full equivalence check actually
-	// catches a stale-invalidation bug.
+	// crippleInvalidation is a test hook: it skips the invalidation
+	// rules, so only the changed core is recomputed. The differential
+	// harness uses it to prove the delta-vs-full equivalence check
+	// actually catches a stale-invalidation bug.
 	crippleInvalidation bool
 
 	// tamperRescheduled is a test hook: it corrupts the TAT of every core
@@ -91,6 +120,11 @@ type DeltaStats struct {
 	Deltas    int // served by the incremental path
 	Fallbacks int // had a 1-diff base but punted to a full evaluation
 	Fulls     int // no usable base: full evaluation
+
+	// Over the served deltas: the cores whose schedules were computed
+	// again, and the cores whose base schedules were kept.
+	Rescheduled int
+	Reused      int
 }
 
 // maxBases bounds the base registry (LRU eviction). Exploration walks
@@ -105,6 +139,17 @@ type deltaBase struct {
 	pristine int         // edge count before scheduling muxes: the splice point
 	forced   cell.Area   // forced-mux area at build time
 	muxes    []ForcedMux // the flow's forced-mux list at build time
+
+	// bounds of eval.Graph, computed when the base first serves a delta;
+	// EnumerateCtx's workers share bases, hence the Once.
+	boundsOnce sync.Once
+	bounds     *ccg.Bounds
+}
+
+// graphBounds returns the bounds of the base's graph.
+func (b *deltaBase) graphBounds() *ccg.Bounds {
+	b.boundsOnce.Do(func() { b.bounds = b.eval.Graph.Bounds() })
+	return b.bounds
 }
 
 // NewDeltaEvaluator returns a delta evaluator over f.
@@ -132,7 +177,7 @@ func (d *DeltaEvaluator) EvaluateSelectionCtx(ctx context.Context, sel map[strin
 	versions := versionsOf(cores, sel)
 
 	d.mu.Lock()
-	pick, changed := -1, ""
+	pick, flip := -1, 0
 	for i := len(d.bases) - 1; i >= 0; i-- { // most recent base first
 		b := d.bases[i]
 		if !slices.Equal(b.muxes, d.f.ForcedMuxes) {
@@ -149,7 +194,7 @@ func (d *DeltaEvaluator) EvaluateSelectionCtx(ctx context.Context, sel map[strin
 			return b.eval, nil
 		case 1:
 			if pick < 0 {
-				pick, changed = i, cores[at].Name
+				pick, flip = i, at
 			}
 		}
 	}
@@ -166,14 +211,19 @@ func (d *DeltaEvaluator) EvaluateSelectionCtx(ctx context.Context, sel map[strin
 	obs.C("explore.cache_misses").Inc()
 
 	if base != nil {
-		e, pristine, err := d.deltaEvaluate(ctx, base, changed, sel)
+		e, pristine, rescheduled, err := d.deltaEvaluate(ctx, base, cores, flip, sel)
 		if err != nil {
 			return nil, err
 		}
 		if e != nil {
+			reused := len(cores) - rescheduled
 			obs.C("core.delta_evaluations").Inc()
+			obs.C("core.delta_cores_rescheduled").Add(int64(rescheduled))
+			obs.C("core.delta_cores_reused").Add(int64(reused))
 			d.mu.Lock()
 			d.stats.Deltas++
+			d.stats.Rescheduled += rescheduled
+			d.stats.Reused += reused
 			d.mu.Unlock()
 			if d.AdoptCandidates {
 				d.adopt(versions, e, pristine, base.forced)
@@ -212,67 +262,56 @@ func (d *DeltaEvaluator) Rebase(ctx context.Context, sel map[string]int) (*Evalu
 	return e, nil
 }
 
-// deltaEvaluate runs the incremental path against base. A nil evaluation
-// with a nil error means "cannot do this incrementally, run the full
-// path" — correctness never depends on the caller's fallback, only
-// speed does.
-func (d *DeltaEvaluator) deltaEvaluate(ctx context.Context, b *deltaBase, changed string, sel map[string]int) (*Evaluation, int, error) {
+// deltaEvaluate runs the incremental path against base, which differs
+// from sel in the testable core cores[at] alone, and returns the
+// evaluation, its pristine edge count and how many cores it
+// re-scheduled. A nil evaluation with a nil error means "cannot do this
+// incrementally, run the full path" — correctness never depends on the
+// caller's fallback, only speed does.
+func (d *DeltaEvaluator) deltaEvaluate(ctx context.Context, b *deltaBase, cores []*soc.Core, at int, sel map[string]int) (*Evaluation, int, int, error) {
 	f := d.f
 	ch := f.Chip
-	c, ok := ch.CoreByName(changed)
-	if !ok || c.Memory || c.Disabled != "" {
-		return nil, 0, nil
+	c := cores[at]
+	changed := c.Name
+	if c.Memory || c.Disabled != "" {
+		return nil, 0, 0, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	root := obs.Start(nil, "evaluate/delta")
 	defer root.End()
 
 	bg := b.eval.Graph
-	fwd := make([]bool, len(bg.Nodes))
-	bwd := make([]bool, len(bg.Nodes))
-	if !d.crippleInvalidation {
-		markReach(bg, fwd, bwd, changed)
-	}
-
-	affected := map[string]bool{changed: true}
-	for i, n := range bg.Nodes {
-		if n.Core == "" || n.Core == changed {
-			continue
-		}
-		if (n.Kind == ccg.CoreIn && fwd[i]) || (n.Kind == ccg.CoreOut && bwd[i]) {
-			affected[n.Core] = true
-		}
-	}
-
 	ng := bg.CloneWithVersion(b.pristine, c, c.VersionAt(sel[changed]))
 	if ng == nil {
-		return nil, 0, nil
+		return nil, 0, 0, nil
 	}
 	pristine := ng.EdgeCount()
+	var stale func(*sched.CoreSchedule) bool
+	if !d.crippleInvalidation {
+		stale = invalidated(b.graphBounds(), bg, ng.TransEdges(changed), changed)
+	}
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 
-	baseCS := make(map[string]*sched.CoreSchedule, len(b.eval.Sched.Cores))
-	for _, cs := range b.eval.Sched.Cores {
-		baseCS[cs.Core] = cs
-	}
-
-	s := &sched.Result{}
-	fresh := make([]*sched.CoreSchedule, 0, len(affected)) // the re-scheduled cores, validated below
+	s := &sched.Result{Cores: make([]*sched.CoreSchedule, 0, len(b.eval.Sched.Cores))}
+	var fresh []*sched.CoreSchedule // the re-scheduled cores, validated below
 	fi := ccg.GetFinder()
 	defer ccg.PutFinder(fi)
-	for _, cc := range ch.TestableCores() {
+	if len(cores) != len(b.eval.Sched.Cores) {
+		return nil, 0, 0, nil
+	}
+	for i, cc := range cores {
 		if cc.Disabled != "" {
-			return nil, 0, nil // full Schedule reports this properly
+			return nil, 0, 0, nil // full Schedule reports this properly
 		}
-		bcs := baseCS[cc.Name]
-		if bcs == nil {
-			return nil, 0, nil
+		bcs := b.eval.Sched.Cores[i]
+		if bcs.Core != cc.Name {
+			return nil, 0, 0, nil
 		}
-		if !affected[cc.Name] {
+		if i != at && (stale == nil || !stale(bcs)) {
 			// Reuse the base schedule; replay its test muxes so later
 			// cores see the graph a full run would. bcs passed
 			// sched.Validate in the evaluation that computed it, and
@@ -290,13 +329,13 @@ func (d *DeltaEvaluator) deltaEvaluate(ctx context.Context, b *deltaBase, change
 		}
 		cs, err := sched.ScheduleCore(ch, ng, fi, cc, s)
 		if err != nil {
-			return nil, 0, nil // let the full path surface the error faithfully
+			return nil, 0, 0, nil // let the full path surface the error faithfully
 		}
 		if !slices.Equal(cs.Muxes, bcs.Muxes) {
 			// A recomputed core changed its mux insertions: cores after
 			// it would see a different graph than the base did, voiding
 			// the reuse argument. Rare — punt to the full path.
-			return nil, 0, nil
+			return nil, 0, 0, nil
 		}
 		if d.tamperRescheduled {
 			cs.TAT++
@@ -306,55 +345,52 @@ func (d *DeltaEvaluator) deltaEvaluate(ctx context.Context, b *deltaBase, change
 		fresh = append(fresh, cs)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 
 	e, err := f.finishEvaluation(root, sel, ng, s, b.forced, fresh)
 	if err != nil {
-		return nil, 0, nil
+		return nil, 0, 0, nil
 	}
-	return e, pristine, nil
+	return e, pristine, len(fresh), nil
 }
 
-// markReach seeds fwd with the changed core's output nodes and bwd with
-// its input nodes, then floods: fwd along edges, bwd against them. Both
-// sweeps run on the base graph INCLUDING its scheduling muxes — a
-// superset of the graph any core's searches actually saw, so the marks
-// over-approximate every search's exposure to the changed edges.
-func markReach(g *ccg.Graph, fwd, bwd []bool, core string) {
-	var fstack, bstack []int
-	for i, n := range g.Nodes {
-		if n.Core != core {
-			continue
-		}
-		if n.Kind == ccg.CoreOut {
-			fwd[i] = true
-			fstack = append(fstack, i)
-		} else if n.Kind == ccg.CoreIn {
-			bwd[i] = true
-			bstack = append(bstack, i)
-		}
-	}
-	for len(fstack) > 0 {
-		u := fstack[len(fstack)-1]
-		fstack = fstack[:len(fstack)-1]
-		for _, eid := range g.Out[u] {
-			if v := g.Edges[eid].To; !fwd[v] {
-				fwd[v] = true
-				fstack = append(fstack, v)
+// invalidated returns the test of the invalidation model (see the
+// package comment) for a flip of core changed whose new transparency
+// edges are added: whether a core's base schedule bcs may differ from the
+// one a search over the spliced graph finds. bounds are those of the
+// base graph bg.
+func invalidated(bounds *ccg.Bounds, bg *ccg.Graph, added []*ccg.Edge, changed string) func(bcs *sched.CoreSchedule) bool {
+	join, leave := bounds.Through(added)
+	// R1. The removed edges are changed's transparency edges. A reused
+	// schedule's steps may point into an older graph whose edge IDs
+	// differ, so an edge is recognised by its kind and its core.
+	onRemoved := func(p *ccg.PathResult) bool {
+		for _, st := range p.Steps {
+			if st.Edge.Kind == ccg.Trans && bg.Nodes[st.Edge.From].Core == changed {
+				return true
 			}
 		}
+		return false
 	}
-	in := g.InEdges()
-	for len(bstack) > 0 {
-		u := bstack[len(bstack)-1]
-		bstack = bstack[:len(bstack)-1]
-		for _, eid := range in[u] {
-			if v := g.Edges[eid].From; !bwd[v] {
-				bwd[v] = true
-				bstack = append(bstack, v)
+	// R2/R3: a bound at or below the base arrival, or a finite bound at
+	// a muxed port.
+	reached := func(bound int, ps sched.PortSchedule) bool {
+		return bound >= 0 && (ps.AddedMux || bound <= ps.Arrival)
+	}
+	return func(bcs *sched.CoreSchedule) bool {
+		for _, ps := range bcs.Inputs {
+			n := len(ps.Path.Steps)
+			if n == 0 || onRemoved(ps.Path) || reached(join[ps.Path.Steps[n-1].Edge.To], ps) {
+				return true
 			}
 		}
+		for _, ps := range bcs.Outputs {
+			if len(ps.Path.Steps) == 0 || onRemoved(ps.Path) || reached(leave[ps.Path.Steps[0].Edge.From], ps) {
+				return true
+			}
+		}
+		return false
 	}
 }
 

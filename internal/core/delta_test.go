@@ -178,7 +178,7 @@ func TestDeltaRegistryMatchesForcedMuxes(t *testing.T) {
 }
 
 // TestDeltaTamperDetected proves the equivalence check catches a
-// stale-invalidation bug: with the invalidation BFS crippled, only the
+// stale-invalidation bug: with the invalidation rules crippled, only the
 // flipped core is recomputed and downstream cores keep stale schedules.
 // On a chain topology a mid-chain version flip must change some other
 // core's path timings, so EqualEvaluations has to report a mismatch for
@@ -216,8 +216,12 @@ func TestDeltaTamperDetected(t *testing.T) {
 			break
 		}
 	}
-	if st := d.Stats(); st.Deltas == 0 {
+	st := d.Stats()
+	if st.Deltas == 0 {
 		t.Fatalf("crippled evaluator never took the delta path (%+v); the tamper test proved nothing", st)
+	}
+	if st.Rescheduled != st.Deltas {
+		t.Fatalf("crippled deltas re-scheduled %d cores over %d deltas; want only the flipped core each (%+v)", st.Rescheduled, st.Deltas, st)
 	}
 	if !caught {
 		t.Fatal("crippled invalidation went undetected: every flip still matched the full evaluation, so the equivalence check has no teeth on this chip")
@@ -305,5 +309,75 @@ func TestDeltaValidatesRescheduledCores(t *testing.T) {
 	}
 	if err := proptest.EqualEvaluations(de, fe); err != nil {
 		t.Fatalf("the refused delta's result differs from a full evaluation: %v", err)
+	}
+}
+
+// flipMatchesFull rebases a delta evaluator on the chip's initial
+// selection, flips one core to version index v, requires the result to
+// equal a full evaluation and returns how the flip was served.
+func flipMatchesFull(t *testing.T, p socgen.Params, name string, v int) core.DeltaStats {
+	t.Helper()
+	f := deltaFlow(t, p)
+	d := core.NewDeltaEvaluator(f)
+	base := f.CurrentSelection()
+	if _, err := d.Rebase(context.Background(), base); err != nil {
+		t.Fatalf("rebase: %v", err)
+	}
+	if c, ok := f.Chip.CoreByName(name); !ok || v >= len(c.Versions) || v == base[name] {
+		t.Fatalf("chip has no version index %d of %s to flip to", v, name)
+	}
+	sel := map[string]int{}
+	for k, vv := range base {
+		sel[k] = vv
+	}
+	sel[name] = v
+	de, err := d.EvaluateSelectionCtx(context.Background(), sel)
+	if err != nil {
+		t.Fatalf("delta evaluate: %v", err)
+	}
+	fe, err := f.EvaluateSelection(sel)
+	if err != nil {
+		t.Fatalf("full evaluate: %v", err)
+	}
+	if err := proptest.EqualEvaluations(de, fe); err != nil {
+		t.Fatalf("flip %s=V%d: delta diverges from full: %v", name, v+1, err)
+	}
+	return d.Stats()
+}
+
+// The three tests below each pin a flip that one invalidation rule alone
+// gets right: each fails if its rule is dropped or weakened and the
+// others are kept (checked by mutating the rules one at a time). They
+// run in well under a second, unlike the 48-core proptest sweep that
+// otherwise is the first check to catch such a mutation.
+
+// TestDeltaReschedulesPathsOverRemovedEdges pins rule R1: a core whose
+// base path steps on the flipped core's old transparency edges must be
+// re-scheduled even when no new edge reaches its ports early enough.
+func TestDeltaReschedulesPathsOverRemovedEdges(t *testing.T) {
+	if st := flipMatchesFull(t, socgen.Params{Seed: 4, Cores: 13}, "C12", 1); st.Deltas != 1 || st.Rescheduled < 2 {
+		t.Fatalf("the flip did not take the delta path with another core re-scheduled (%+v)", st)
+	}
+}
+
+// TestDeltaReschedulesOnTiedBound pins the <= of rules R2 and R3: a new
+// path that only ties a port's base arrival can still change the
+// predecessor the search keeps, so a bound equal to the base arrival
+// must re-schedule the core.
+func TestDeltaReschedulesOnTiedBound(t *testing.T) {
+	if st := flipMatchesFull(t, socgen.Params{Seed: 11, Cores: 10}, "C01", 1); st.Deltas != 1 || st.Rescheduled < 2 {
+		t.Fatalf("the flip did not take the delta path with another core re-scheduled (%+v)", st)
+	}
+}
+
+// TestDeltaReschedulesMuxedPorts pins the muxed-port rule: a port whose
+// base schedule had to insert a test mux arrives over the mux, so its
+// bound may well exceed its arrival, yet a finite bound means the search
+// before the mux may now find a path. Here it does: the re-scheduled
+// core inserts no mux, so the delta is refused and the flip evaluated in
+// full.
+func TestDeltaReschedulesMuxedPorts(t *testing.T) {
+	if st := flipMatchesFull(t, socgen.Params{Seed: 1, Cores: 16}, "C12", 1); st.Fallbacks != 1 {
+		t.Fatalf("the re-scheduled core kept its base muxes; want the delta refused (%+v)", st)
 	}
 }

@@ -1,7 +1,7 @@
 package core
 
 // SetCrippleInvalidation flips the delta evaluator's test-only hook that
-// skips the invalidation BFS, deliberately reusing stale schedules for
+// skips the invalidation rules, deliberately reusing stale schedules for
 // every core but the changed one. The differential tests use it to prove
 // the delta-vs-full equivalence check actually detects a
 // stale-invalidation bug.

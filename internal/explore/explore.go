@@ -31,6 +31,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/progress"
 	"repro/internal/soc"
+	"repro/internal/trans"
 )
 
 // Point is one evaluated design point.
@@ -439,7 +440,7 @@ func (c Cost) Eval(deltaTAT, deltaArea int) float64 {
 // schedule, weight by the pair's latency, and compare against the next
 // version's latency for the same input/output pair. One sweep over the
 // schedule (pairUsage) tallies the pairs of every core at once.
-func candidateSteps(f *core.Flow, e *core.Evaluation) []Step {
+func candidateSteps(f *core.Flow, e *core.Evaluation, lat latencyTables) []Step {
 	usage := pairUsage(e)
 	var out []Step
 	for _, c := range f.Chip.TestableCores() {
@@ -451,7 +452,7 @@ func candidateSteps(f *core.Flow, e *core.Evaluation) []Step {
 		out = append(out, Step{
 			Core:      c.Name,
 			Version:   c.Selected + 1,
-			DeltaTAT:  latencyDelta(usage[c.Name], pairLatencies(c, c.Selected), pairLatencies(c, c.Selected+1)),
+			DeltaTAT:  latencyDelta(usage[c.Name], lat.of(c.Versions[c.Selected]), lat.of(c.Versions[c.Selected+1])),
 			DeltaArea: next.Cells() - cur.Cells(),
 		})
 	}
@@ -463,7 +464,7 @@ func candidateSteps(f *core.Flow, e *core.Evaluation) []Step {
 // estimated ΔTAT, its ΔA, and the weighted cost — the raw material of the
 // Section 5.2 loop, exposed for callers that drive their own policy.
 func Candidates(f *core.Flow, e *core.Evaluation, cost Cost) []Step {
-	out := candidateSteps(f, e)
+	out := candidateSteps(f, e, latencyTables{})
 	sort.Slice(out, func(i, j int) bool {
 		return cost.Eval(out[i].DeltaTAT, out[i].DeltaArea) > cost.Eval(out[j].DeltaTAT, out[j].DeltaArea)
 	})
@@ -498,6 +499,7 @@ func ImproveCtx(ctx context.Context, f *core.Flow, obj Objective, budget int, o 
 		return nil, err
 	}
 	res := &Result{Final: e}
+	lat := latencyTables{}
 	// iterate is one improvement move; it reports stop=true when the walk
 	// is finished. The closure keeps the per-iteration span balanced over
 	// the many exit paths.
@@ -511,7 +513,7 @@ func ImproveCtx(ctx context.Context, f *core.Flow, obj Objective, budget int, o 
 		// Candidate upgrades that promise a TAT gain (and, under an area
 		// budget, still fit it), best first per the objective's weighting.
 		var cands []Step
-		for _, c := range candidateSteps(f, e) {
+		for _, c := range candidateSteps(f, e, lat) {
 			if c.DeltaTAT <= 0 {
 				continue
 			}
@@ -670,12 +672,24 @@ func latencyDelta(usage, cur, next map[[2]string]int) int {
 	return delta
 }
 
-func pairLatencies(c *soc.Core, idx int) map[[2]string]int {
-	out := map[[2]string]int{}
-	if idx < 0 || idx >= len(c.Versions) {
-		return out
+// latencyTables memoizes pairLatencies per version for one walk. The
+// tables live here, keyed by the version, not in trans.Version:
+// resil.SlowTransparency copies versions by value, and a table carried
+// along would keep the latencies the copy scales.
+type latencyTables map[*trans.Version]map[[2]string]int
+
+// of returns v's (input, output) -> lowest latency table.
+func (t latencyTables) of(v *trans.Version) map[[2]string]int {
+	m, ok := t[v]
+	if !ok {
+		m = pairLatencies(v)
+		t[v] = m
 	}
-	v := c.Versions[idx]
+	return m
+}
+
+func pairLatencies(v *trans.Version) map[[2]string]int {
+	out := map[[2]string]int{}
 	for _, p := range v.JustPairs() {
 		key := [2]string{p.In, p.Out}
 		if cur, ok := out[key]; !ok || p.Latency < cur {

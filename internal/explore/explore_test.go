@@ -645,7 +645,7 @@ func estimateDeltaTAT(e *core.Evaluation, c *soc.Core) int {
 			}
 		}
 	}
-	return latencyDelta(usage, pairLatencies(c, c.Selected), pairLatencies(c, c.Selected+1))
+	return latencyDelta(usage, pairLatencies(c.Versions[c.Selected]), pairLatencies(c.Versions[c.Selected+1]))
 }
 
 // TestCandidateStepsMatchPerCoreReference requires every core's
@@ -679,12 +679,13 @@ func TestCandidateStepsMatchPerCoreReference(t *testing.T) {
 		// after the last one.
 		muxes := f.ForcedMuxes
 		reset(f)
+		lat := latencyTables{} // one memo across the replay, as in a walk
 		for i := 0; ; i++ {
 			e, err := f.EvaluateSelection(f.CurrentSelection())
 			if err != nil {
 				t.Fatalf("%s: evaluate after %d moves: %v", ch.Name, i, err)
 			}
-			for _, s := range candidateSteps(f, e) {
+			for _, s := range candidateSteps(f, e, lat) {
 				c, _ := f.Chip.CoreByName(s.Core)
 				if want := estimateDeltaTAT(e, c); s.DeltaTAT != want {
 					t.Fatalf("%s after %d moves: core %s ΔTAT %d, reference %d", ch.Name, i, s.Core, s.DeltaTAT, want)

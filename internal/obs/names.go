@@ -30,6 +30,8 @@ var KnownCounters = []string{
 	"core.baseline_muxes_preinstalled", // degraded flow: baseline muxes re-applied
 	"core.degraded_evaluations",        // EvaluateDegradedCtx runs
 	"core.degraded_fallbacks",          // degraded flow: greedy version fallbacks taken
+	"core.delta_cores_rescheduled",     // cores a served delta evaluation scheduled again
+	"core.delta_cores_reused",          // cores a served delta evaluation kept from its base
 	"core.delta_evaluations",           // selections evaluated via the incremental delta path
 	"core.delta_fallbacks",             // delta attempts that punted to a full evaluation
 	"core.evaluations",                 // full chip evaluations (Evaluate/EvaluateSelection)

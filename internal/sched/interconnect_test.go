@@ -45,8 +45,8 @@ func perNetInterconnect(ch *soc.Chip, g *ccg.Graph) (*sched.InterconnectResult, 
 			return nil, fmt.Errorf("missing node %s.%s", n.ToCore, n.ToPort)
 		}
 		var tail *ccg.PathResult
-		for _, p := range fi.ShortestPathMulti(g, []int{sink}, pos, ccg.Reservations{}) {
-			if p != nil && (tail == nil || p.Arrival < tail.Arrival) {
+		for _, po := range pos {
+			if p := fi.ShortestPath(g, []int{sink}, po, ccg.Reservations{}); p != nil && (tail == nil || p.Arrival < tail.Arrival) {
 				tail = p
 			}
 		}

@@ -154,15 +154,17 @@ func scheduleCore(ch *soc.Chip, g *ccg.Graph, fi *ccg.Finder, c *soc.Core, res *
 		cs.Period = 1
 	}
 
-	// Propagate every core output to a chip PO. Responses stream while the
-	// next vector is justified, so observation uses fresh reservations.
+	// Propagate every core output to the chip PO it reaches first (ties:
+	// the first in PO order). Responses stream while the next vector is
+	// justified, so observation uses fresh reservations.
 	oresv := ccg.Reservations{}
 	for _, port := range outputPortNames(c) {
 		source, ok := g.NodeIndex(c.Name + "." + port)
 		if !ok {
 			return nil, fmt.Errorf("sched: missing CCG node %s.%s", c.Name, port)
 		}
-		p := bestPathToPO(fi, g, source, pos, oresv)
+		src := []int{source}
+		p := fi.NearestPath(g, src, pos, oresv)
 		added := false
 		if p == nil {
 			if allowMux != nil && !allowMux(c.Name, port, false) {
@@ -178,7 +180,7 @@ func scheduleCore(ch *soc.Chip, g *ccg.Graph, fi *ccg.Finder, c *soc.Core, res *
 			cs.Muxes = append(cs.Muxes, Mux{From: source, To: po, Port: port, Input: false, Width: width})
 			obs.C("sched.test_muxes_added").Inc()
 			added = true
-			p = bestPathToPO(fi, g, source, pos, oresv)
+			p = fi.NearestPath(g, src, pos, oresv)
 			if p == nil {
 				return nil, &UnreachableError{Core: c.Name, Port: port}
 			}
@@ -204,19 +206,6 @@ func scheduleCore(ch *soc.Chip, g *ccg.Graph, fi *ccg.Finder, c *soc.Core, res *
 	cs.Tail = cs.ObserveLat + tailScan
 	cs.TAT = cs.HSCANVectors*cs.Period + cs.Tail
 	return cs, nil
-}
-
-// bestPathToPO finds the earliest-arriving PO with ONE multi-target
-// Dijkstra instead of one full search per primary output; ties break by
-// PO list order, matching the strict-< scan the per-PO loop used.
-func bestPathToPO(fi *ccg.Finder, g *ccg.Graph, source int, pos []int, resv ccg.Reservations) *ccg.PathResult {
-	var best *ccg.PathResult
-	for _, p := range fi.ShortestPathMulti(g, []int{source}, pos, resv) {
-		if p != nil && (best == nil || p.Arrival < best.Arrival) {
-			best = p
-		}
-	}
-	return best
 }
 
 // PickPin selects the chip pin a created test mux attaches to: the

@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/ccg"
 )
@@ -20,11 +22,13 @@ import (
 // passes, the per-vector schedule can actually be executed by the test
 // controller.
 func Validate(res *Result) error {
+	var uses []use
+	var err error
 	for _, cs := range res.Cores {
-		if err := validatePhase(cs.Core, "justify", cs.Inputs); err != nil {
+		if uses, err = validatePhase(cs.Core, "justify", cs.Inputs, uses); err != nil {
 			return err
 		}
-		if err := validatePhase(cs.Core, "observe", cs.Outputs); err != nil {
+		if uses, err = validatePhase(cs.Core, "observe", cs.Outputs, uses); err != nil {
 			return err
 		}
 		// The period covers the slowest input delivery.
@@ -67,55 +71,60 @@ func PipelinedTAT(res *Result) map[string]int {
 	return out
 }
 
+// use is one step's hold on a shared resource.
 type use struct {
+	res        ccg.ResKey
 	start, end int
 	port       string
 }
 
-func validatePhase(core, phase string, ports []PortSchedule) error {
-	resUses := map[ccg.ResKey][]use{}
+// validatePhase checks one phase's paths. uses is scratch space, returned
+// for the next phase to reuse.
+func validatePhase(core, phase string, ports []PortSchedule, uses []use) ([]use, error) {
+	uses = uses[:0]
 	for _, ps := range ports {
 		if ps.Path == nil {
-			return fmt.Errorf("sched: %s: %s %s has no path", core, phase, ps.Port)
+			return uses, fmt.Errorf("sched: %s: %s %s has no path", core, phase, ps.Port)
 		}
 		at := 0
 		for i, step := range ps.Path.Steps {
 			if step.Start < at {
-				return fmt.Errorf("sched: %s: %s %s step %d starts at %d before data arrives at %d",
+				return uses, fmt.Errorf("sched: %s: %s %s step %d starts at %d before data arrives at %d",
 					core, phase, ps.Port, i, step.Start, at)
 			}
 			if step.End != step.Start+step.Edge.Latency {
-				return fmt.Errorf("sched: %s: %s %s step %d spans [%d,%d) but edge latency is %d",
+				return uses, fmt.Errorf("sched: %s: %s %s step %d spans [%d,%d) but edge latency is %d",
 					core, phase, ps.Port, i, step.Start, step.End, step.Edge.Latency)
 			}
 			at = step.End
 			for _, rk := range step.Edge.Res {
-				resUses[rk] = append(resUses[rk], use{step.Start, step.End, ps.Port})
+				uses = append(uses, use{rk, step.Start, step.End, ps.Port})
 			}
 		}
 		if at != ps.Arrival {
-			return fmt.Errorf("sched: %s: %s %s reports arrival %d but the path ends at %d",
+			return uses, fmt.Errorf("sched: %s: %s %s reports arrival %d but the path ends at %d",
 				core, phase, ps.Port, ps.Arrival, at)
 		}
 	}
-	// Of several conflicting resources, report the first in (Core, Edge)
-	// order, so the error does not depend on map iteration order.
-	var conflict error
-	var at ccg.ResKey
-	for rk, uses := range resUses {
-		sort.Slice(uses, func(i, j int) bool { return uses[i].start < uses[j].start })
-		for i := 1; i < len(uses); i++ {
-			if uses[i].start < uses[i-1].end {
-				if conflict == nil || rk.Core < at.Core || (rk.Core == at.Core && rk.Edge < at.Edge) {
-					at = rk
-					conflict = fmt.Errorf("sched: %s: %s: resource %s/%d used by %s [%d,%d) and %s [%d,%d) simultaneously",
-						core, phase, rk.Core, rk.Edge,
-						uses[i-1].port, uses[i-1].start, uses[i-1].end,
-						uses[i].port, uses[i].start, uses[i].end)
-				}
-				break
-			}
+	// Group the uses by resource in (Core, Edge) order, each group by
+	// start, and report the first overlap of two consecutive uses: the
+	// first conflicting resource in (Core, Edge) order, so the error does
+	// not depend on the order paths were listed in.
+	slices.SortStableFunc(uses, func(a, b use) int {
+		if c := strings.Compare(a.res.Core, b.res.Core); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.res.Edge, b.res.Edge); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.start, b.start)
+	})
+	for i := 1; i < len(uses); i++ {
+		p, u := uses[i-1], uses[i]
+		if p.res == u.res && u.start < p.end {
+			return uses, fmt.Errorf("sched: %s: %s: resource %s/%d used by %s [%d,%d) and %s [%d,%d) simultaneously",
+				core, phase, u.res.Core, u.res.Edge, p.port, p.start, p.end, u.port, u.start, u.end)
 		}
 	}
-	return conflict
+	return uses, nil
 }

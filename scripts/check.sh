@@ -20,7 +20,7 @@ echo "==> go test -race (parallel enumeration)"
 go test -race -run 'TestEnumerateParallel|TestWarmEvaluator' ./internal/explore/
 
 echo "==> go test -race (delta-vs-full equivalence)"
-go test -race -count=1 -run 'TestDelta|TestMultiMatchesSingle|TestMultiDuplicate|TestMultiUnreachable|TestFinderReuse|TestCloneWithVersion|TestForeignEvaluator|TestHeapMatchesContainerHeap|TestDistancesMatchSearch|TestInterconnectMatchesPerNetSearch|TestEqualEvaluationsComparesUntestableNets|TestConeSearchMatchesUnrestricted|TestFinderSurvivesEpochWrap|TestPutFinderDropsGraph|TestPinListsAreSharedAndCapped' \
+go test -race -count=1 -run 'TestDelta|TestMultiMatchesSingle|TestMultiDuplicate|TestMultiUnreachable|TestFinderReuse|TestCloneWithVersion|TestForeignEvaluator|TestHeapMatchesContainerHeap|TestDistancesMatchSearch|TestInterconnectMatchesPerNetSearch|TestEqualEvaluationsComparesUntestableNets|TestConeSearchMatchesUnrestricted|TestFinderSurvivesEpochWrap|TestPutFinderDropsGraph|TestPinListsAreSharedAndCapped|TestEarliestFreeIsFIFO|TestNearestPathTie|TestBoundsThrough' \
     ./internal/core/ ./internal/ccg/ ./internal/explore/ ./internal/sched/ ./internal/proptest/
 
 echo "==> go test -race (delta-vs-full on 48-core SoCs: more flips than the 16-base registry holds)"
