@@ -557,7 +557,7 @@ func BenchmarkAblationPipelining(b *testing.B) {
 	for _, v := range pipe {
 		total += v
 	}
-	b.ReportMetric(float64(e.Sched.TotalTAT), "conservative-TAT-cycles")
+	b.ReportMetric(float64(e.Sched.TotalTAT()), "conservative-TAT-cycles")
 	b.ReportMetric(float64(total), "pipelined-bound-cycles")
 }
 

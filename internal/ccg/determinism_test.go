@@ -71,7 +71,7 @@ func graphSignature(ch *soc.Chip, g *ccg.Graph) (string, error) {
 			}
 		}
 	}
-	app("total %d\n", s.TotalTAT)
+	app("total %d\n", s.TotalTAT())
 	return string(b), nil
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -116,29 +117,13 @@ func (f *Flow) EvaluateDegradedCtx(ctx context.Context) (*DegradedEvaluation, er
 	return f.evaluateDegraded(ctx, f.CurrentSelection())
 }
 
-// muxKey names one port-direction slot of the design's test-mux budget.
-func muxKey(core, port string, input bool) string {
-	if input {
-		return core + "." + port + "/in"
-	}
-	return core + "." + port + "/out"
-}
-
-// preMux is one system-level test multiplexer the healthy design
-// provisioned: fixed silicon that survives interconnect faults, so
-// degraded evaluation re-creates its CCG edge up front.
-type preMux struct {
-	from, to string
-	width    int
-}
-
 // baselineInfo is what degraded evaluation learns from scheduling the
-// pristine chip: which test muxes the design provisioned and which CCG
-// path served each port when everything worked.
+// pristine chip: the system-level test muxes the design provisioned (its
+// core schedules' Muxes) and the CCG path that served each port when
+// everything worked.
 type baselineInfo struct {
 	graph *ccg.Graph
-	paths map[string][]ccg.Step
-	muxes []preMux
+	sched *sched.Result
 }
 
 // baselineFor schedules the pristine baseline chip under the equivalent
@@ -158,53 +143,27 @@ func (f *Flow) baselineFor(root *obs.Span, sel map[string]int) (*baselineInfo, e
 	if err != nil {
 		return nil, fmt.Errorf("core: degraded baseline schedule: %w", err)
 	}
-	info := &baselineInfo{graph: bg, paths: map[string][]ccg.Step{}}
-	record := func(core string, ports []sched.PortSchedule, input bool) {
-		for _, ps := range ports {
-			if ps.Path == nil {
-				continue
-			}
-			info.paths[muxKey(core, ps.Port, input)] = ps.Path.Steps
-			if !ps.AddedMux {
-				continue
-			}
-			// The port's own mux edge is the TestMux step touching the
-			// port node (other TestMux steps belong to earlier ports).
-			portNode := core + "." + ps.Port
-			for _, st := range ps.Path.Steps {
-				if st.Edge.Kind != ccg.TestMux {
-					continue
-				}
-				end := bg.Nodes[st.Edge.To].Name()
-				if !input {
-					end = bg.Nodes[st.Edge.From].Name()
-				}
-				if end != portNode {
-					continue
-				}
-				info.muxes = append(info.muxes, preMux{
-					from:  bg.Nodes[st.Edge.From].Name(),
-					to:    bg.Nodes[st.Edge.To].Name(),
-					width: portWidthOn(f.Baseline, core, ps.Port),
-				})
-			}
-		}
-	}
-	for _, cs := range bs.Cores {
-		record(cs.Core, cs.Inputs, true)
-		record(cs.Core, cs.Outputs, false)
-	}
-	return info, nil
+	return &baselineInfo{graph: bg, sched: bs}, nil
 }
 
-// portWidthOn returns the RTL width of a core port, defaulting to 1.
-func portWidthOn(ch *soc.Chip, core, port string) int {
-	if c, ok := ch.CoreByName(core); ok {
-		if p, ok := c.RTL.PortByName(port); ok {
-			return p.Width
+// steps returns the steps of the baseline path that served the failed
+// port, or nil.
+func (b *baselineInfo) steps(pf sched.PortFailure) []ccg.Step {
+	for _, cs := range b.sched.Cores {
+		if cs.Core != pf.Core {
+			continue
+		}
+		ports := cs.Outputs
+		if pf.Input {
+			ports = cs.Inputs
+		}
+		for _, ps := range ports {
+			if ps.Port == pf.Port {
+				return ps.Path.Steps
+			}
 		}
 	}
-	return 1
+	return nil
 }
 
 // degradedPass is one partial build under one selection.
@@ -226,33 +185,26 @@ func (f *Flow) runDegradedPass(root *obs.Span, sel map[string]int) (*degradedPas
 	if err != nil {
 		return nil, err
 	}
-	var opts *sched.PartialOptions
 	if base != nil {
 		// The baseline's test muxes are fixed silicon: re-create their
 		// edges up front (with their area) so any core may route through
 		// them, and refuse new insertions — broken interconnect found on
 		// the test floor cannot be patched with hardware the design never
 		// had.
-		var pre cell.Area
-		for _, m := range base.muxes {
-			fi, fok := g.NodeIndex(m.from)
-			ti, tok := g.NodeIndex(m.to)
-			if !fok || !tok {
-				continue
+		for _, cs := range base.sched.Cores {
+			for _, m := range cs.Muxes {
+				obs.C("core.baseline_muxes_preinstalled").Inc()
+				fi, fok := g.NodeIndex(base.graph.Nodes[m.From].Name())
+				ti, tok := g.NodeIndex(base.graph.Nodes[m.To].Name())
+				if !fok || !tok {
+					continue
+				}
+				g.AddTestMux(fi, ti)
+				forced.Add(cell.Mux2, m.Width)
 			}
-			g.AddTestMux(fi, ti)
-			pre.Add(cell.Mux2, m.width)
-		}
-		obs.C("core.baseline_muxes_preinstalled").Add(int64(len(base.muxes)))
-		opts = &sched.PartialOptions{
-			AllowMux:   func(core, port string, input bool) bool { return false },
-			PreMuxArea: pre,
 		}
 	}
-	s, deg, err := sched.BuildPartial(f.Chip, g, opts)
-	if err != nil {
-		return nil, err
-	}
+	s, deg := sched.BuildPartial(f.Chip, g, base != nil)
 	return &degradedPass{sel: sel, g: g, s: s, deg: deg, forced: forced, base: base}, nil
 }
 
@@ -291,11 +243,11 @@ func (f *Flow) evaluateDegraded(ctx context.Context, sel map[string]int) (*Degra
 				if err != nil {
 					continue
 				}
-				if len(p.deg.Skipped) < len(best.deg.Skipped) {
+				if len(p.deg.Failures) < len(best.deg.Failures) {
 					fallbacks = append(fallbacks, FallbackStep{
 						Core:      c.Name,
 						Version:   idx,
-						Recovered: subtract(best.deg.Skipped, p.deg.Skipped),
+						Recovered: recovered(best.deg, p.deg),
 					})
 					obs.C("core.degraded_fallbacks").Inc()
 					best = p
@@ -328,12 +280,10 @@ func (f *Flow) evaluateDegraded(ctx context.Context, sel map[string]int) (*Degra
 // buildReport assembles the per-core diagnoses, cut-net list and coverage.
 func (f *Flow) buildReport(p *degradedPass, fallbacks []FallbackStep) *DegradationReport {
 	r := &DegradationReport{Chip: f.Chip.Name, Fallbacks: fallbacks}
+	netsOnly := false
 	if f.Baseline != nil {
 		r.CutNets = removedNets(f.Baseline, f.Chip)
-	}
-	skipped := map[string]bool{}
-	for _, name := range p.deg.Skipped {
-		skipped[name] = true
+		netsOnly = coresIntact(f.Baseline, f.Chip)
 	}
 	for _, c := range f.Chip.TestableCores() {
 		w := c.Vectors
@@ -341,14 +291,12 @@ func (f *Flow) buildReport(p *degradedPass, fallbacks []FallbackStep) *Degradati
 			w = 1
 		}
 		r.VectorsTotal += w
-		d := CoreDiag{Core: c.Name, Testable: !skipped[c.Name]}
-		if d.Testable {
+		d := CoreDiag{Core: c.Name, Testable: true}
+		if pf, ok := p.deg.FailureFor(c.Name); ok {
+			d = CoreDiag{Core: c.Name, Port: pf.Port, Input: pf.Input, Reason: pf.Reason,
+				CutEdge: diagnoseCut(p.base, pf, r.CutNets, netsOnly)}
+		} else {
 			r.VectorsCovered += w
-		} else if pf, ok := p.deg.FailureFor(c.Name); ok {
-			d.Port = pf.Port
-			d.Input = pf.Input
-			d.Reason = pf.Reason
-			d.CutEdge = diagnoseCut(p.base, pf, r.CutNets)
 		}
 		r.Diags = append(r.Diags, d)
 	}
@@ -362,8 +310,9 @@ func (f *Flow) buildReport(p *degradedPass, fallbacks []FallbackStep) *Degradati
 // edges of the port's baseline path are checked against the nets removed
 // from the chip. When the baseline route does not implicate a specific
 // net (the failure cascaded through a skipped neighbour, say) but exactly
-// one net is missing, that net is the only possible culprit.
-func diagnoseCut(base *baselineInfo, pf sched.PortFailure, cutNets []string) string {
+// one net is missing and the faults changed nothing else (netsOnly), that
+// net is the only possible culprit.
+func diagnoseCut(base *baselineInfo, pf sched.PortFailure, cutNets []string, netsOnly bool) string {
 	if base == nil || len(cutNets) == 0 || pf.Port == "" {
 		// No baseline, no missing nets, or no failing port (a disabled
 		// core, say, fails for reasons unrelated to the interconnect).
@@ -373,7 +322,7 @@ func diagnoseCut(base *baselineInfo, pf sched.PortFailure, cutNets []string) str
 	for _, n := range cutNets {
 		cut[n] = true
 	}
-	for _, step := range base.paths[muxKey(pf.Core, pf.Port, pf.Input)] {
+	for _, step := range base.steps(pf) {
 		if step.Edge.Kind != ccg.Wire {
 			continue
 		}
@@ -382,10 +331,27 @@ func diagnoseCut(base *baselineInfo, pf sched.PortFailure, cutNets []string) str
 			return name
 		}
 	}
-	if len(cutNets) == 1 {
+	if len(cutNets) == 1 && netsOnly {
 		return cutNets[0]
 	}
 	return ""
+}
+
+// coresIntact reports whether every core of ch keeps base's Disabled text
+// and version objects, that is, whether ch differs from base in its nets
+// alone. resil.CloneChip shares version objects and the version faults
+// replace them, so pointer equality is exact.
+func coresIntact(base, ch *soc.Chip) bool {
+	if len(base.Cores) != len(ch.Cores) {
+		return false
+	}
+	for i, bc := range base.Cores {
+		c := ch.Cores[i]
+		if c.Disabled != bc.Disabled || !slices.Equal(c.Versions, bc.Versions) {
+			return false
+		}
+	}
+	return true
 }
 
 // removedNets returns the nets of base missing from ch, as strings, in
@@ -408,16 +374,13 @@ func removedNets(base, ch *soc.Chip) []string {
 	return out
 }
 
-// subtract returns the elements of a not present in b, preserving order.
-func subtract(a, b []string) []string {
-	in := map[string]bool{}
-	for _, s := range b {
-		in[s] = true
-	}
+// recovered returns the cores skipped before but not after, in
+// declaration order.
+func recovered(before, after *sched.Degradation) []string {
 	var out []string
-	for _, s := range a {
-		if !in[s] {
-			out = append(out, s)
+	for _, pf := range before.Failures {
+		if _, ok := after.FailureFor(pf.Core); !ok {
+			out = append(out, pf.Core)
 		}
 	}
 	return out

@@ -321,13 +321,11 @@ func (d *DeltaEvaluator) deltaEvaluate(ctx context.Context, b *deltaBase, cores 
 			// edge it renumbers, AddTestMux allocates a new edge).
 			for _, m := range bcs.Muxes {
 				ng.AddTestMux(m.From, m.To)
-				s.MuxArea.Add(cell.Mux2, m.Width)
 			}
 			s.Cores = append(s.Cores, bcs)
-			s.TotalTAT += bcs.TAT
 			continue
 		}
-		cs, err := sched.ScheduleCore(ch, ng, fi, cc, s)
+		cs, err := sched.ScheduleCore(ch, ng, fi, cc)
 		if err != nil {
 			return nil, 0, 0, nil // let the full path surface the error faithfully
 		}
@@ -341,7 +339,6 @@ func (d *DeltaEvaluator) deltaEvaluate(ctx context.Context, b *deltaBase, cores 
 			cs.TAT++
 		}
 		s.Cores = append(s.Cores, cs)
-		s.TotalTAT += cs.TAT
 		fresh = append(fresh, cs)
 	}
 	if err := ctx.Err(); err != nil {

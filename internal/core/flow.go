@@ -347,14 +347,17 @@ func (f *Flow) buildGraph(root *obs.Span, ch *soc.Chip, sel map[string]int) (*cc
 // (for the degraded path, s covers only the testable subset); the delta
 // path computes only the cores it re-schedules and reuses the others
 // from a base whose evaluation validated them. Each core schedule is
-// thus validated once, when it is computed.
+// thus validated once, when it is computed. The mux area and the TAT are
+// derived from s's core schedules; forcedArea adds the muxes wired in
+// before scheduling (the explorer's forced muxes and, in a degraded
+// pass, the baseline's).
 func (f *Flow) finishEvaluation(root *obs.Span, sel map[string]int, g *ccg.Graph, s *sched.Result, forcedArea cell.Area, fresh []*sched.CoreSchedule) (*Evaluation, error) {
 	if err := sched.Validate(&sched.Result{Cores: fresh}); err != nil {
 		return nil, fmt.Errorf("core: schedule failed replay validation: %w", err)
 	}
 	e := &Evaluation{Graph: g, Sched: s}
 	e.MuxArea = forcedArea
-	e.MuxArea.AddArea(s.MuxArea)
+	e.MuxArea.AddArea(s.MuxArea())
 	sp := obs.Start(root, "ctrl/generate")
 	e.Controller = ctrl.GenerateSelection(f.Chip, s, sel)
 	sp.End()
@@ -368,7 +371,7 @@ func (f *Flow) finishEvaluation(root *obs.Span, sel map[string]int, g *ccg.Graph
 	e.MuxCells = e.MuxArea.Cells()
 	e.CtrlCells = e.CtrlArea.Cells()
 	e.BISTCycles = f.bistCycles
-	e.TAT = s.TotalTAT
+	e.TAT = s.TotalTAT()
 	obs.C("core.evaluations").Inc()
 	return e, nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/atpg"
+	"repro/internal/sched"
 	"repro/internal/systems"
 )
 
@@ -197,12 +198,19 @@ func TestAggregateStats(t *testing.T) {
 	}
 }
 
-func TestSubtract(t *testing.T) {
-	got := subtract([]string{"a", "b", "c", "b"}, []string{"b"})
-	if len(got) != 2 || got[0] != "a" || got[1] != "c" {
-		t.Fatalf("subtract = %v, want [a c]", got)
+func TestRecovered(t *testing.T) {
+	fails := func(cores ...string) *sched.Degradation {
+		d := &sched.Degradation{}
+		for _, c := range cores {
+			d.Failures = append(d.Failures, sched.PortFailure{Core: c})
+		}
+		return d
 	}
-	if got := subtract(nil, []string{"x"}); len(got) != 0 {
-		t.Fatalf("subtract(nil) = %v", got)
+	got := recovered(fails("a", "b", "c"), fails("b"))
+	if len(got) != 2 || got[0] != "a" || got[1] != "c" {
+		t.Fatalf("recovered = %v, want [a c]", got)
+	}
+	if got := recovered(fails(), fails("x")); len(got) != 0 {
+		t.Fatalf("recovered(none) = %v", got)
 	}
 }

@@ -55,7 +55,6 @@ var KnownCounters = []string{
 	"rtlsim.cycles",                    // core-level RTL simulation cycles stepped
 	"sched.cores_scheduled",            // cores given a complete test schedule
 	"sched.cores_skipped",              // cores dropped by partial scheduling
-	"sched.ports_unreachable",          // ports with no justification/propagation path
 	"sched.test_muxes_added",           // test muxes inserted by the scheduler
 	"serve.drains",                     // graceful drains begun (SIGTERM or /drain)
 	"serve.http_requests",              // daemon API requests served

@@ -103,15 +103,15 @@ func (c *Campaign) Execute(ctx context.Context) ([]Outcome, error) {
 }
 
 // RunRecord is the compact, serializable completion record of one fault
-// set: which set ran (seed/index attribution), whether it completed, and
-// the degraded bottom line. Two runs of the same set — in any process, in
-// any order — produce identical records, which is what makes sharded and
-// resumed campaign reports mergeable bit-identically.
+// set: which set ran (seed/index attribution) and the degraded bottom
+// line; a record exists only for a set that ran. Two runs of the same set
+// — in any process, in any order — produce identical records, which is
+// what makes sharded and resumed campaign reports mergeable
+// bit-identically.
 type RunRecord struct {
 	Index          int      `json:"index"`
 	Seed           int64    `json:"seed,omitempty"`
 	Faults         string   `json:"faults"`
-	Completed      bool     `json:"completed"`
 	Err            string   `json:"err,omitempty"`
 	TAT            int      `json:"tat,omitempty"`
 	Coverage       float64  `json:"coverage,omitempty"`
@@ -123,10 +123,9 @@ type RunRecord struct {
 // Record compresses an outcome into its run record.
 func (c *Campaign) Record(o Outcome) RunRecord {
 	r := RunRecord{
-		Index:     o.Index,
-		Seed:      c.Seed,
-		Faults:    FaultSetString(o.Faults),
-		Completed: true,
+		Index:  o.Index,
+		Seed:   c.Seed,
+		Faults: FaultSetString(o.Faults),
 	}
 	if o.Err != nil {
 		r.Err = o.Err.Error()
@@ -146,8 +145,8 @@ func (c *Campaign) Record(o Outcome) RunRecord {
 // Report is the structured outcome of a campaign: one record per fault
 // set that ran, in index order, plus how many sets the campaign holds in
 // total. A cancelled or sharded campaign yields a partial report: the
-// indices below Total with no completed record are exactly the sets
-// still to run — the resume contract.
+// indices below Total with no record are exactly the sets still to run —
+// the resume contract.
 type Report struct {
 	Chip    string      `json:"chip"`
 	Seed    int64       `json:"seed,omitempty"`
@@ -168,10 +167,9 @@ func (c *Campaign) Report(outs []Outcome) *Report {
 }
 
 // MergeReports combines partial campaign reports (shards, resumed runs)
-// into one. Records are united by index — identical duplicates collapse,
-// a completed record wins over an incomplete one — and sorted, so any
-// partition of a campaign merges to the report the single-process run
-// produces.
+// into one. Records are united by index — two runs of one set produce
+// identical records, which collapse — and sorted, so any partition of a
+// campaign merges to the report the single-process run produces.
 func MergeReports(parts ...*Report) *Report {
 	out := &Report{}
 	byIndex := map[int]RunRecord{}
@@ -189,9 +187,6 @@ func MergeReports(parts ...*Report) *Report {
 			out.Total = p.Total
 		}
 		for _, rec := range p.Records {
-			if prev, ok := byIndex[rec.Index]; ok && prev.Completed && !rec.Completed {
-				continue
-			}
 			byIndex[rec.Index] = rec
 		}
 	}
@@ -203,16 +198,12 @@ func MergeReports(parts ...*Report) *Report {
 }
 
 // Format renders the report deterministically for command-line output:
-// aggregate line first, then one line per completed set in index order.
+// aggregate line first, then one line per set that ran, in index order.
 func (r *Report) Format() string {
 	var b strings.Builder
-	completed, errors := 0, 0
+	completed, errors := len(r.Records), 0
 	minCov, sumCov := 1.0, 0.0
 	for _, rec := range r.Records {
-		if !rec.Completed {
-			continue
-		}
-		completed++
 		if rec.Err != "" {
 			errors++
 		}
@@ -230,9 +221,6 @@ func (r *Report) Format() string {
 	fmt.Fprintf(&b, "campaign report (%s, seed %d): %d/%d sets complete, %d errors, coverage mean %.1f%% min %.1f%%\n",
 		r.Chip, r.Seed, completed, r.Total, errors, 100*mean, 100*minCov)
 	for _, rec := range r.Records {
-		if !rec.Completed {
-			continue
-		}
 		if rec.Err != "" {
 			fmt.Fprintf(&b, "  set %4d [%s]: ERROR %s\n", rec.Index, rec.Faults, rec.Err)
 			continue

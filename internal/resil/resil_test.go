@@ -2,6 +2,7 @@ package resil
 
 import (
 	"context"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -112,6 +113,56 @@ func TestSingleEdgeCutCampaign(t *testing.T) {
 			}
 			t.Logf("%s: %d/%d cuts degrade the chip", name, degraded, len(outs))
 		})
+	}
+}
+
+// A lone missing net is blamed only for failures the cut can explain. An
+// opaque CPU fails PREPROCESSOR.Eoc and DISPLAY.AHi on its own, and
+// neither port's baseline path crosses the cut net, so next to that
+// fault the cut names neither; alone, it is named for the port it breaks.
+func TestSingleCutBlamedOnlyForNetFaults(t *testing.T) {
+	f := system1(t)
+	const net = "DISPLAY.PORT6 -> PO-PORT6"
+	for _, tc := range []struct {
+		spec string
+		want map[string]string // untestable core -> cut edge
+	}{
+		{"cut:DISPLAY.PORT6->PO-PORT6", map[string]string{"DISPLAY": net}},
+		{"opaque:CPU,cut:DISPLAY.PORT6->PO-PORT6", map[string]string{"PREPROCESSOR": "", "DISPLAY": ""}},
+	} {
+		faults, err := ParseFaults(f.Chip, tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, err := Inject(f.Chip, faults...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev, err := f.Fork(ch).EvaluateDegradedCtx(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.spec, err)
+		}
+		got := map[string]string{}
+		for _, d := range dev.Report.Diags {
+			if !d.Testable {
+				got[d.Core] = d.CutEdge
+			}
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: untestable cores and cut edges %v, want %v", tc.spec, got, tc.want)
+		}
+	}
+}
+
+// Checkpoints written by older builds carry a "completed" key in every
+// run record; decoding ignores it.
+func TestRunRecordIgnoresCompletedKey(t *testing.T) {
+	var rec RunRecord
+	if err := json.Unmarshal([]byte(`{"index":3,"faults":"opaque(CPU)","completed":true,"tat":7}`), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if want := (RunRecord{Index: 3, Faults: "opaque(CPU)", TAT: 7}); !reflect.DeepEqual(rec, want) {
+		t.Fatalf("decoded %+v, want %+v", rec, want)
 	}
 }
 

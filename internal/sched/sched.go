@@ -55,59 +55,60 @@ type CoreSchedule struct {
 	TAT          int
 }
 
-// Result is the chip-wide schedule.
+// Result is the chip-wide schedule. The chip's totals are derived from
+// the core schedules, which hold the only copy of each core's TAT and
+// inserted muxes.
 type Result struct {
-	Cores    []*CoreSchedule
-	MuxArea  cell.Area // system-level test multiplexers added
-	TotalTAT int       // sum over cores (sequential testing)
+	Cores []*CoreSchedule
+}
+
+// MuxArea is the area of the system-level test multiplexers the schedule
+// inserted.
+func (r *Result) MuxArea() cell.Area {
+	var a cell.Area
+	for _, cs := range r.Cores {
+		for _, m := range cs.Muxes {
+			a.Add(cell.Mux2, m.Width)
+		}
+	}
+	return a
+}
+
+// TotalTAT is the sum of the core TATs (sequential testing).
+func (r *Result) TotalTAT() int {
+	n := 0
+	for _, cs := range r.Cores {
+		n += cs.TAT
+	}
+	return n
 }
 
 // Schedule computes the chip test schedule on a freshly built CCG. The
 // graph is mutated: system-level test-mux edges are added where needed
 // (the PREPROCESSOR's Address output in Figure 9 gets exactly such a mux).
-// The first unschedulable core aborts the build; BuildPartial is the
-// degrading variant that skips and diagnoses instead.
+// It runs BuildPartial's loop and fails with the first unschedulable
+// core's error.
 func Schedule(ch *soc.Chip, g *ccg.Graph) (*Result, error) {
-	root := obs.Start(nil, "sched")
-	defer root.End()
-	res := &Result{}
-	fi := ccg.GetFinder()
-	defer ccg.PutFinder(fi)
-	for _, c := range ch.TestableCores() {
-		if c.Disabled != "" {
-			return nil, fmt.Errorf("sched: core %s disabled: %s", c.Name, c.Disabled)
-		}
-		sp := obs.Start(root, "sched/"+c.Name)
-		cs, err := scheduleCore(ch, g, fi, c, res, nil)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		res.Cores = append(res.Cores, cs)
-		res.TotalTAT += cs.TAT
-		obs.C("sched.cores_scheduled").Inc()
+	res, deg := BuildPartial(ch, g, false)
+	if deg.Degraded() {
+		return nil, deg.Failures[0].Err
 	}
 	return res, nil
 }
 
 // ScheduleCore plans one core's test on g exactly as a full Schedule run
-// would at this core's turn, accumulating inserted-mux area into res. It
-// is the per-core entry point of the incremental delta evaluator: after
-// replaying the unaffected prefix of a base schedule (muxes included),
-// re-scheduling only the invalidated cores through here reproduces the
-// full run bit-for-bit. fi may be nil; a shared Finder avoids per-call
-// buffer allocation.
-func ScheduleCore(ch *soc.Chip, g *ccg.Graph, fi *ccg.Finder, c *soc.Core, res *Result) (*CoreSchedule, error) {
-	if fi == nil {
-		fi = ccg.NewFinder()
-	}
-	return scheduleCore(ch, g, fi, c, res, nil)
+// would at this core's turn. It is the per-core entry point of the
+// incremental delta evaluator: after replaying the unaffected prefix of a
+// base schedule (muxes included), re-scheduling only the invalidated
+// cores through here reproduces the full run bit-for-bit.
+func ScheduleCore(ch *soc.Chip, g *ccg.Graph, fi *ccg.Finder, c *soc.Core) (*CoreSchedule, error) {
+	return scheduleCore(ch, g, fi, c, false)
 }
 
-// scheduleCore plans one core's test. allowMux gates the system-level
-// test-mux fallback per port (nil allows every insertion, the design-time
-// behaviour); a denied or futile insertion surfaces as *UnreachableError.
-func scheduleCore(ch *soc.Chip, g *ccg.Graph, fi *ccg.Finder, c *soc.Core, res *Result, allowMux func(core, port string, input bool) bool) (*CoreSchedule, error) {
+// scheduleCore plans one core's test. fixed denies the system-level
+// test-mux fallback (the chip's test muxes are fixed hardware); a denied
+// or futile insertion surfaces as *UnreachableError.
+func scheduleCore(ch *soc.Chip, g *ccg.Graph, fi *ccg.Finder, c *soc.Core, fixed bool) (*CoreSchedule, error) {
 	cs := &CoreSchedule{Core: c.Name}
 	resv := ccg.Reservations{}
 	pis := g.PINodes()
@@ -126,7 +127,7 @@ func scheduleCore(ch *soc.Chip, g *ccg.Graph, fi *ccg.Finder, c *soc.Core, res *
 		if p == nil {
 			// No existing path: connect the input to a PI with a
 			// system-level test multiplexer and retry.
-			if allowMux != nil && !allowMux(c.Name, port, true) {
+			if fixed {
 				return nil, &UnreachableError{Core: c.Name, Port: port, Input: true, MuxDenied: true}
 			}
 			width := portWidth(c, port)
@@ -135,7 +136,6 @@ func scheduleCore(ch *soc.Chip, g *ccg.Graph, fi *ccg.Finder, c *soc.Core, res *
 				return nil, fmt.Errorf("sched: test mux for %s.%s: %w", c.Name, port, err)
 			}
 			g.AddTestMux(pi, target)
-			res.MuxArea.Add(cell.Mux2, width)
 			cs.Muxes = append(cs.Muxes, Mux{From: pi, To: target, Port: port, Input: true, Width: width})
 			obs.C("sched.test_muxes_added").Inc()
 			added = true
@@ -167,7 +167,7 @@ func scheduleCore(ch *soc.Chip, g *ccg.Graph, fi *ccg.Finder, c *soc.Core, res *
 		p := fi.NearestPath(g, src, pos, oresv)
 		added := false
 		if p == nil {
-			if allowMux != nil && !allowMux(c.Name, port, false) {
+			if fixed {
 				return nil, &UnreachableError{Core: c.Name, Port: port, MuxDenied: true}
 			}
 			width := portWidth(c, port)
@@ -176,7 +176,6 @@ func scheduleCore(ch *soc.Chip, g *ccg.Graph, fi *ccg.Finder, c *soc.Core, res *
 				return nil, fmt.Errorf("sched: test mux for %s.%s: %w", c.Name, port, err)
 			}
 			g.AddTestMux(source, po)
-			res.MuxArea.Add(cell.Mux2, width)
 			cs.Muxes = append(cs.Muxes, Mux{From: source, To: po, Port: port, Input: false, Width: width})
 			obs.C("sched.test_muxes_added").Inc()
 			added = true

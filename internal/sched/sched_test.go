@@ -52,7 +52,7 @@ func TestScheduleAllCores(t *testing.T) {
 			t.Errorf("%s: no HSCAN vectors", cs.Core)
 		}
 	}
-	if res.TotalTAT <= 0 {
+	if res.TotalTAT() <= 0 {
 		t.Error("zero total TAT")
 	}
 }
@@ -104,7 +104,7 @@ func TestFasterVersionsShrinkDisplayPeriod(t *testing.T) {
 func TestSystemTestMuxesInserted(t *testing.T) {
 	f := section3Flow(t)
 	res, g := scheduleOf(t, f)
-	if res.MuxArea.Cells() == 0 {
+	if a := res.MuxArea(); a.Cells() == 0 {
 		t.Error("no system-level test muxes inserted (PREPROCESSOR.Address needs one)")
 	}
 	// The CCG now contains TestMux edges.

@@ -214,8 +214,8 @@ func TestCampaignStateRoundTrip(t *testing.T) {
 		Total: 10, Window: Range{Lo: 5, Hi: 10},
 		Done: []Range{{Lo: 5, Hi: 7}},
 		Records: []resil.RunRecord{
-			{Index: 5, Seed: 42, Faults: "cut(a->b)", Completed: true, TAT: 123, Coverage: 0.875, VectorsCovered: 7, VectorsTotal: 8, Untestable: []string{"X"}},
-			{Index: 6, Seed: 42, Faults: "opaque(X)", Completed: true, Err: "boom"},
+			{Index: 5, Seed: 42, Faults: "cut(a->b)", TAT: 123, Coverage: 0.875, VectorsCovered: 7, VectorsTotal: 8, Untestable: []string{"X"}},
+			{Index: 6, Seed: 42, Faults: "opaque(X)", Err: "boom"},
 		},
 	}
 	buf, err := AppendFrame(nil, s)
