@@ -792,6 +792,73 @@ func BenchmarkImproveWalk(b *testing.B) {
 	}
 }
 
+// BenchmarkPrepareStages times core prepare on the seed-1 256-core
+// RandomDAG socgen chip, one stage at a time: synthesis of every core,
+// HSCAN insertion, the RCG plus version ladder of every testable core
+// (over HSCAN results computed outside the timer), and the whole
+// core.Prepare with the generated chips' vector override, which skips
+// ATPG. socgen's core i depends only on the seed and i, so these are the
+// cores of every seed-1 `compare -study` chip.
+func BenchmarkPrepareStages(b *testing.B) {
+	ch, err := socgen.Generate(socgen.Params{Seed: 1, Cores: 256, Topology: socgen.RandomDAG})
+	if err != nil {
+		b.Fatal(err)
+	}
+	testable := ch.TestableCores()
+	scans := make([]*hscan.Result, len(testable))
+	for i, c := range testable {
+		if scans[i], err = hscan.Insert(c.RTL); err != nil {
+			b.Fatal(err)
+		}
+	}
+	stages := []struct {
+		name string
+		run  func() error
+	}{
+		{"synth", func() error {
+			for _, c := range ch.Cores {
+				if _, err := synth.Synthesize(c.RTL); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"hscan", func() error {
+			for _, c := range testable {
+				if _, err := hscan.Insert(c.RTL); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"versions", func() error {
+			for i, c := range testable {
+				g, err := trans.Build(c.RTL, scans[i])
+				if err != nil {
+					return err
+				}
+				if _, err := trans.Versions(g); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"prepare", func() error {
+			_, err := core.Prepare(ch, flowcmd.GenVectorOverride(ch))
+			return err
+		}},
+	}
+	for _, st := range stages {
+		b.Run("stage="+st.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := st.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkWrappedChip measures the wrapped-core/TAM baseline end to end
 // on the same socgen ladder: per-core chain balancing (exact partition
 // up to the exact-search cutoff, LPT above it) plus the chip-level TAM

@@ -267,7 +267,7 @@ func Insert(c *rtl.Core) (*Result, error) {
 	res := &Result{Core: c}
 	for ci := range chains {
 		ch := &chains[ci]
-		var links []Link
+		links := make([]Link, 0, len(ch.Regs)+1)
 		// Input tap for the head.
 		head := ch.Regs[0]
 		headReg, _ := c.RegByName(head)

@@ -18,6 +18,9 @@ import (
 
 // FuzzValidate asserts the builder's error contract on arbitrary netlist
 // scripts: Build never panics, and any core it accepts passes Validate.
+// It also runs Validate and the per-bit-map reference (RefValidate) on
+// the core Build would validate, and requires the same result from both:
+// both nil, or the same error text.
 func FuzzValidate(f *testing.F) {
 	for _, ch := range []*soc.Chip{systems.System1(), systems.System2()} {
 		for _, c := range ch.Cores {
@@ -29,7 +32,25 @@ func FuzzValidate(f *testing.F) {
 	f.Add("n sliced\ni A 8\no Z 4\nw A[7:4] Z\n")
 	f.Add("n bad\ni A 4\ni A 4\n")
 	f.Add("n mux\ni A 4\no Z 4\nm M 4 2\nw A M.in0\nw A M.in1\nw A[0] M.sel\nw M.out Z\n")
+	// One script per error class Validate reports. An empty name cannot
+	// be spelled in a script; TestValidateMatchesReference covers it.
+	f.Add("n dup\ni x 4\nr x 4\nw x x.d\n")
+	f.Add("n unknown\ni a 4\no z 4\nw ghost.q z\n")
+	f.Add("n range\ni a 4\no z 8\nw a[7:0] z\n")
+	f.Add("n widths\ni a 8\nr r 4\nw a r.d\n")
+	f.Add("n source\no z 4\nr r 4\nw z r.d\n")
+	f.Add("n sink\ni a 4\ni b 4\nw a b\n")
+	f.Add("n double\ni a 4\ni b 4\nr r 4\nw a r.d\nw b[1:0] r.d[2:1]\n")
+	// M.in1 and M.in01 once both passed as sinks of one 2-input mux, and
+	// synth then dropped B: the aliased pin must be rejected.
+	f.Add("n alias\ni A 4\ni B 4\no Z 4\nm M 4 2\nw A M.in1\nw B M.in01\nw A[0] M.sel\nw M.out Z\n")
 	f.Fuzz(func(t *testing.T, script string) {
+		if raw := rtl.DecodeUnvalidated(script); raw != nil {
+			got, want := raw.Validate(), rtl.RefValidate(raw)
+			if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+				t.Fatalf("Validate = %v, reference = %v", got, want)
+			}
+		}
 		c, err := rtl.DecodeScript(script).Build()
 		if err != nil {
 			return // malformed input rejected with an error: the contract holds

@@ -7,6 +7,8 @@ package rtl
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 )
 
 // Dir is a port direction.
@@ -177,6 +179,23 @@ type Conn struct {
 
 func (c Conn) String() string { return c.From.String() + " -> " + c.To.String() }
 
+// Pin names one pin of a component; Pin is "" for a port.
+type Pin struct {
+	Comp, Pin string
+}
+
+// SinkConns indexes the core's connections by sink pin: for each driven
+// pin, the indices into c.Conns of the connections into it, in Conns
+// order. The index belongs to the caller; the core keeps no copy.
+func SinkConns(c *Core) map[Pin][]int {
+	out := make(map[Pin][]int, len(c.Conns))
+	for i, cn := range c.Conns {
+		k := Pin{cn.To.Comp, cn.To.Pin}
+		out[k] = append(out[k], i)
+	}
+	return out
+}
+
 // Core is an RTL core.
 type Core struct {
 	Name  string
@@ -268,74 +287,111 @@ func (c *Core) MuxByName(name string) (Mux, bool) {
 	return c.Muxes[i], true
 }
 
+// InPin returns the name of data input k of a mux or unit: "in<k>".
+func InPin(k int) string {
+	if k >= 0 && k < len(inPinNames) {
+		return inPinNames[k]
+	}
+	return "in" + strconv.Itoa(k)
+}
+
+// inPinNames holds InPin(k) for every input a core script can declare,
+// so the synthesis and path walks that name inputs by index allocate no
+// strings.
+var inPinNames = func() []string {
+	out := make([]string, ScriptMaxWidth)
+	for k := range out {
+		out[k] = "in" + strconv.Itoa(k)
+	}
+	return out
+}()
+
+// inPinIndex parses an InPin name: "in" and k in decimal, without a sign,
+// a leading zero or anything after it. Any other spelling ("in01", "in+1",
+// "in1x") is a different pin, so it must not resolve to input k.
+func inPinIndex(pin string) (int, bool) {
+	d, ok := strings.CutPrefix(pin, "in")
+	if !ok || d == "" || (d[0] == '0' && d != "0") {
+		return 0, false
+	}
+	for i := 0; i < len(d); i++ {
+		if d[i] < '0' || d[i] > '9' {
+			return 0, false
+		}
+	}
+	k, err := strconv.Atoi(d)
+	return k, err == nil
+}
+
 // PinWidth returns the width of a component pin, or an error for unknown
 // pins. Output pins are sources; input pins are sinks.
 func (c *Core) PinWidth(comp, pin string) (int, error) {
+	_, w, err := c.pin(comp, pin)
+	return w, err
+}
+
+// pin resolves comp.pin to its component and width.
+func (c *Core) pin(comp, pin string) (compRef, int, error) {
 	k, i, ok := c.Lookup(comp)
 	if !ok {
-		return 0, fmt.Errorf("rtl: core %s: unknown component %q", c.Name, comp)
+		return compRef{}, 0, fmt.Errorf("rtl: core %s: unknown component %q", c.Name, comp)
 	}
+	r := compRef{k, i}
 	switch k {
 	case KindPort:
 		if pin != "" {
-			return 0, fmt.Errorf("rtl: port %s has no pin %q", comp, pin)
+			return r, 0, fmt.Errorf("rtl: port %s has no pin %q", comp, pin)
 		}
-		return c.Ports[i].Width, nil
+		return r, c.Ports[i].Width, nil
 	case KindReg:
-		r := c.Regs[i]
+		reg := c.Regs[i]
 		switch pin {
 		case "d", "q":
-			return r.Width, nil
+			return r, reg.Width, nil
 		case "ld":
-			if !r.HasLoad {
-				return 0, fmt.Errorf("rtl: register %s has no load pin", comp)
+			if !reg.HasLoad {
+				return r, 0, fmt.Errorf("rtl: register %s has no load pin", comp)
 			}
-			return 1, nil
+			return r, 1, nil
 		}
-		return 0, fmt.Errorf("rtl: register %s: unknown pin %q", comp, pin)
+		return r, 0, fmt.Errorf("rtl: register %s: unknown pin %q", comp, pin)
 	case KindMux:
 		m := c.Muxes[i]
 		if pin == "out" {
-			return m.Width, nil
+			return r, m.Width, nil
 		}
 		if pin == "sel" {
-			return m.SelWidth(), nil
+			return r, m.SelWidth(), nil
 		}
-		var n int
-		if _, err := fmt.Sscanf(pin, "in%d", &n); err == nil && n >= 0 && n < m.NumIn {
-			return m.Width, nil
+		if n, ok := inPinIndex(pin); ok && n < m.NumIn {
+			return r, m.Width, nil
 		}
-		return 0, fmt.Errorf("rtl: mux %s: unknown pin %q", comp, pin)
+		return r, 0, fmt.Errorf("rtl: mux %s: unknown pin %q", comp, pin)
 	case KindUnit:
 		u := c.Units[i]
 		if pin == "out" {
 			if u.OutWidth > 0 {
-				return u.OutWidth, nil
+				return r, u.OutWidth, nil
 			}
-			return u.Width, nil
+			return r, u.Width, nil
 		}
 		if pin == "op" && u.Op == OpAlu {
-			return SelBits(u.AluOps), nil
+			return r, SelBits(u.AluOps), nil
 		}
-		var n int
-		if _, err := fmt.Sscanf(pin, "in%d", &n); err == nil && n >= 0 && n < u.NumIn {
-			return u.Width, nil
+		if n, ok := inPinIndex(pin); ok && n < u.NumIn {
+			return r, u.Width, nil
 		}
-		return 0, fmt.Errorf("rtl: unit %s: unknown pin %q", comp, pin)
+		return r, 0, fmt.Errorf("rtl: unit %s: unknown pin %q", comp, pin)
 	}
-	return 0, fmt.Errorf("rtl: core %s: bad component kind", c.Name)
+	return r, 0, fmt.Errorf("rtl: core %s: bad component kind", c.Name)
 }
 
-// isSink reports whether (comp,pin) is a signal sink (an input pin of a
-// component, or an output port of the core).
-func (c *Core) isSink(comp, pin string) bool {
-	k, i, ok := c.Lookup(comp)
-	if !ok {
-		return false
-	}
-	switch k {
+// isSink reports whether pin of component r is a signal sink (an input
+// pin of a component, or an output port of the core).
+func (c *Core) isSink(r compRef, pin string) bool {
+	switch r.kind {
 	case KindPort:
-		return c.Ports[i].Dir == Out
+		return c.Ports[r.idx].Dir == Out
 	case KindReg:
 		return pin == "d" || pin == "ld"
 	case KindMux, KindUnit:
@@ -344,15 +400,11 @@ func (c *Core) isSink(comp, pin string) bool {
 	return false
 }
 
-// isSource reports whether (comp,pin) is a signal source.
-func (c *Core) isSource(comp, pin string) bool {
-	k, i, ok := c.Lookup(comp)
-	if !ok {
-		return false
-	}
-	switch k {
+// isSource reports whether pin of component r is a signal source.
+func (c *Core) isSource(r compRef, pin string) bool {
+	switch r.kind {
 	case KindPort:
-		return c.Ports[i].Dir == In
+		return c.Ports[r.idx].Dir == In
 	case KindReg:
 		return pin == "q"
 	case KindMux, KindUnit:
@@ -363,42 +415,51 @@ func (c *Core) isSource(comp, pin string) bool {
 
 // Validate checks structural well-formedness: unique names, legal pin
 // references, width-matched connections, and that every sink bit is driven
-// at most once. Sinks left undriven are permitted (synth ties them low) but
-// reported by Undriven.
+// at most once. Sinks left undriven are permitted (synth ties them low).
+//
+// Each connection is checked in turn: both pins and slices, the widths,
+// the source, the sink, then its sink bits, so the first error reported
+// is the first connection's first failed check.
 func (c *Core) Validate() error {
 	if err := c.buildIndex(); err != nil {
 		return err
 	}
-	type bitKey struct {
-		comp, pin string
-		bit       int
-	}
-	driven := make(map[bitKey]Conn)
-	for _, cn := range c.Conns {
-		for _, ep := range []Endpoint{cn.From, cn.To} {
-			w, err := c.PinWidth(ep.Comp, ep.Pin)
+	// drivers holds one entry per bit of each driven sink pin: 1 + the
+	// index of the connection driving it, 0 while the bit is undriven.
+	drivers := make(map[Pin][]int, len(c.Conns))
+	for ci, cn := range c.Conns {
+		var refs [2]compRef
+		var widths [2]int
+		for j, ep := range [2]Endpoint{cn.From, cn.To} {
+			r, w, err := c.pin(ep.Comp, ep.Pin)
 			if err != nil {
 				return fmt.Errorf("rtl: core %s: %s: %v", c.Name, cn, err)
 			}
 			if ep.Lo < 0 || ep.Hi >= w || ep.Lo > ep.Hi {
 				return fmt.Errorf("rtl: core %s: %s: slice %s out of range (pin width %d)", c.Name, cn, ep, w)
 			}
+			refs[j], widths[j] = r, w
 		}
 		if cn.From.Width() != cn.To.Width() {
 			return fmt.Errorf("rtl: core %s: %s: width mismatch %d vs %d", c.Name, cn, cn.From.Width(), cn.To.Width())
 		}
-		if !c.isSource(cn.From.Comp, cn.From.Pin) {
+		if !c.isSource(refs[0], cn.From.Pin) {
 			return fmt.Errorf("rtl: core %s: %s: %s is not a source", c.Name, cn, cn.From)
 		}
-		if !c.isSink(cn.To.Comp, cn.To.Pin) {
+		if !c.isSink(refs[1], cn.To.Pin) {
 			return fmt.Errorf("rtl: core %s: %s: %s is not a sink", c.Name, cn, cn.To)
 		}
+		k := Pin{cn.To.Comp, cn.To.Pin}
+		bits := drivers[k]
+		if bits == nil {
+			bits = make([]int, widths[1])
+			drivers[k] = bits
+		}
 		for b := cn.To.Lo; b <= cn.To.Hi; b++ {
-			k := bitKey{cn.To.Comp, cn.To.Pin, b}
-			if prev, dup := driven[k]; dup {
-				return fmt.Errorf("rtl: core %s: %s.%s[%d] driven by both %s and %s", c.Name, cn.To.Comp, cn.To.Pin, b, prev, cn)
+			if prev := bits[b]; prev != 0 {
+				return fmt.Errorf("rtl: core %s: %s.%s[%d] driven by both %s and %s", c.Name, cn.To.Comp, cn.To.Pin, b, c.Conns[prev-1], cn)
 			}
-			driven[k] = cn
+			bits[b] = ci + 1
 		}
 	}
 	return nil

@@ -135,7 +135,7 @@ func TestParseEndpoint(t *testing.T) {
 
 func TestTracePathsThroughMux(t *testing.T) {
 	c := figure1Core(t)
-	paths := TracePaths(c, Endpoint{"reg2", "d", 0, 15})
+	paths := tracePaths(c, SinkConns(c), Endpoint{"reg2", "d", 0, 15})
 	// reg1.q -> m1@0 -> reg2.d is a mux path; alu.out via m1@1 is blocked.
 	var found bool
 	for _, p := range paths {
@@ -156,7 +156,7 @@ func TestTracePathsThroughMux(t *testing.T) {
 
 func TestTracePathsDirect(t *testing.T) {
 	c := figure1Core(t)
-	paths := TracePaths(c, Endpoint{"reg3", "d", 0, 15})
+	paths := tracePaths(c, SinkConns(c), Endpoint{"reg3", "d", 0, 15})
 	if len(paths) != 1 {
 		t.Fatalf("got %d paths, want 1: %v", len(paths), paths)
 	}
@@ -168,7 +168,7 @@ func TestTracePathsDirect(t *testing.T) {
 
 func TestTracePathsToOutput(t *testing.T) {
 	c := figure1Core(t)
-	paths := TracePaths(c, Endpoint{"dout", "", 0, 15})
+	paths := tracePaths(c, SinkConns(c), Endpoint{"dout", "", 0, 15})
 	if len(paths) != 1 || paths[0].Src.Comp != "reg3" {
 		t.Fatalf("want single reg3->dout path, got %v", paths)
 	}
@@ -189,7 +189,7 @@ func TestTracePathsBitSliced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths := TracePaths(c, Endpoint{"r1", "d", 0, 7})
+	paths := tracePaths(c, SinkConns(c), Endpoint{"r1", "d", 0, 7})
 	if len(paths) != 2 {
 		t.Fatalf("got %d paths, want 2: %v", len(paths), paths)
 	}
@@ -265,7 +265,7 @@ func TestRegLdPin(t *testing.T) {
 	if !ok || !r.HasLoad {
 		t.Fatal("held register lost its load pin")
 	}
-	paths := TracePaths(c, Endpoint{"held", "ld", 0, 0})
+	paths := tracePaths(c, SinkConns(c), Endpoint{"held", "ld", 0, 0})
 	if len(paths) != 1 || paths[0].Src.Comp != "en" {
 		t.Errorf("ld pin paths = %v, want en->held.ld", paths)
 	}

@@ -40,20 +40,19 @@ func (p Path) String() string {
 // maxTraceDepth bounds path search in (illegal) cyclic mux structures.
 const maxTraceDepth = 64
 
-// TracePaths enumerates every mux-only path ending at the sink slice dst.
-// The sink may be covered piecewise by different sources; each piece yields
-// its own Path with a correspondingly narrowed Dst slice.
-func TracePaths(c *Core, dst Endpoint) []Path {
+// tracePaths enumerates every mux-only path ending at the sink slice dst,
+// over the core's SinkConns index. The sink may be covered piecewise by
+// different sources; each piece yields its own Path with a correspondingly
+// narrowed Dst slice.
+func tracePaths(c *Core, sinks map[Pin][]int, dst Endpoint) []Path {
 	var out []Path
 	var walk func(sink Endpoint, dstLo, dstHi int, hops []Hop, depth int)
 	walk = func(sink Endpoint, dstLo, dstHi int, hops []Hop, depth int) {
 		if depth > maxTraceDepth {
 			return
 		}
-		for _, cn := range c.Conns {
-			if cn.To.Comp != sink.Comp || cn.To.Pin != sink.Pin {
-				continue
-			}
+		for _, ci := range sinks[Pin{sink.Comp, sink.Pin}] {
+			cn := &c.Conns[ci]
 			ovLo, ovHi := cn.To.Lo, cn.To.Hi
 			if sink.Lo > ovLo {
 				ovLo = sink.Lo
@@ -90,7 +89,7 @@ func TracePaths(c *Core, dst Endpoint) []Path {
 					hh := make([]Hop, 0, len(hops)+1)
 					hh = append(hh, Hop{m.Name, k})
 					hh = append(hh, hops...)
-					walk(Endpoint{m.Name, fmt.Sprintf("in%d", k), srcLo, srcHi}, dLo, dHi, hh, depth+1)
+					walk(Endpoint{m.Name, InPin(k), srcLo, srcHi}, dLo, dHi, hh, depth+1)
 				}
 			case KindUnit:
 				// Data is transformed by functional units; such paths are
@@ -107,13 +106,14 @@ func TracePaths(c *Core, dst Endpoint) []Path {
 // output port of the core. This is the raw material for both HSCAN chain
 // construction and RCG extraction.
 func AllPaths(c *Core) []Path {
+	sinks := SinkConns(c)
 	var out []Path
 	for _, r := range c.Regs {
-		out = append(out, TracePaths(c, Endpoint{r.Name, "d", 0, r.Width - 1})...)
+		out = append(out, tracePaths(c, sinks, Endpoint{r.Name, "d", 0, r.Width - 1})...)
 	}
 	for _, p := range c.Ports {
 		if p.Dir == Out {
-			out = append(out, TracePaths(c, Endpoint{p.Name, "", 0, p.Width - 1})...)
+			out = append(out, tracePaths(c, sinks, Endpoint{p.Name, "", 0, p.Width - 1})...)
 		}
 	}
 	sortPaths(out)

@@ -212,7 +212,7 @@ func (s *Sim) evalSource(comp, pin string) uint64 {
 		if sel >= m.NumIn {
 			sel = m.NumIn - 1
 		}
-		v = s.evalSink(comp, fmt.Sprintf("in%d", sel), m.Width)
+		v = s.evalSink(comp, rtl.InPin(sel), m.Width)
 	case rtl.KindUnit:
 		v = s.evalUnit(s.c.Units[idx])
 	}
@@ -221,7 +221,7 @@ func (s *Sim) evalSource(comp, pin string) uint64 {
 }
 
 func (s *Sim) evalUnit(u rtl.Unit) uint64 {
-	in := func(k int) uint64 { return s.evalSink(u.Name, fmt.Sprintf("in%d", k), u.Width) }
+	in := func(k int) uint64 { return s.evalSink(u.Name, rtl.InPin(k), u.Width) }
 	w := mask(u.Width)
 	switch u.Op {
 	case rtl.OpAdd:

@@ -7,6 +7,7 @@ package synth
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/gate"
 	"repro/internal/rtl"
@@ -34,11 +35,12 @@ func (r *Result) LineOf(comp, pin string, bit int) (int, bool) {
 }
 
 type synthesizer struct {
-	c    *rtl.Core
-	n    *gate.Netlist
-	line map[PinBit]int
-	busy map[string]bool // components being elaborated (cycle guard)
-	err  error
+	c     *rtl.Core
+	n     *gate.Netlist
+	line  map[PinBit]int
+	sinks map[rtl.Pin][]int // this call's rtl.SinkConns index
+	busy  map[string]bool   // components being elaborated (cycle guard)
+	err   error
 }
 
 // Synthesize elaborates the core into a gate-level netlist. Input ports
@@ -50,10 +52,11 @@ func Synthesize(c *rtl.Core) (*Result, error) {
 		return nil, err
 	}
 	s := &synthesizer{
-		c:    c,
-		n:    &gate.Netlist{Name: c.Name},
-		line: make(map[PinBit]int),
-		busy: make(map[string]bool),
+		c:     c,
+		n:     &gate.Netlist{Name: c.Name},
+		line:  make(map[PinBit]int, lineCount(c)),
+		sinks: rtl.SinkConns(c),
+		busy:  make(map[string]bool),
 	}
 	// Phase 1: state and input skeleton, so combinational recursion can
 	// bottom out at register outputs and ports.
@@ -62,14 +65,14 @@ func Synthesize(c *rtl.Core) (*Result, error) {
 			continue
 		}
 		for b := 0; b < p.Width; b++ {
-			id := s.n.AddNamed(fmt.Sprintf("%s[%d]", p.Name, b), gate.Input)
+			id := s.n.AddNamed(bitName(p.Name, b), gate.Input)
 			s.line[PinBit{p.Name, "", b}] = id
 		}
 	}
 	for _, r := range c.Regs {
 		for b := 0; b < r.Width; b++ {
 			// Fanin patched in phase 3; temporarily self-feeding.
-			id := s.n.AddNamed(fmt.Sprintf("%s[%d]", r.Name, b), gate.DFF)
+			id := s.n.AddNamed(bitName(r.Name, b), gate.DFF)
 			s.n.Gates[id].Fanin = []int{id}
 			s.line[PinBit{r.Name, "q", b}] = id
 		}
@@ -81,7 +84,7 @@ func Synthesize(c *rtl.Core) (*Result, error) {
 		}
 		for b := 0; b < p.Width; b++ {
 			id := s.sinkLine(p.Name, "", b)
-			s.n.MarkPO(id, fmt.Sprintf("%s[%d]", p.Name, b))
+			s.n.MarkPO(id, bitName(p.Name, b))
 			s.line[PinBit{p.Name, "", b}] = id
 		}
 	}
@@ -108,6 +111,31 @@ func Synthesize(c *rtl.Core) (*Result, error) {
 		return nil, err
 	}
 	return &Result{Netlist: s.n, Line: s.line}, nil
+}
+
+// bitName names bit b of a port or register: "name[b]".
+func bitName(name string, b int) string {
+	return name + "[" + strconv.Itoa(b) + "]"
+}
+
+// lineCount is the number of Line entries a core's synthesis makes:
+// every port bit, register q and d bit and mux/unit output bit, plus the
+// two constants.
+func lineCount(c *rtl.Core) int {
+	n := 2
+	for _, p := range c.Ports {
+		n += p.Width
+	}
+	for _, r := range c.Regs {
+		n += 2 * r.Width
+	}
+	for _, m := range c.Muxes {
+		n += m.Width
+	}
+	for _, u := range c.Units {
+		n += max(u.OutWidth, u.Width)
+	}
+	return n
 }
 
 func (s *synthesizer) fail(format string, args ...interface{}) int {
@@ -138,8 +166,9 @@ func (s *synthesizer) const1() int {
 // sinkLine resolves the line driving one bit of a sink pin, elaborating
 // the driver on demand. Undriven bits tie low.
 func (s *synthesizer) sinkLine(comp, pin string, bit int) int {
-	for _, cn := range s.c.Conns {
-		if cn.To.Comp != comp || cn.To.Pin != pin || bit < cn.To.Lo || bit > cn.To.Hi {
+	for _, ci := range s.sinks[rtl.Pin{Comp: comp, Pin: pin}] {
+		cn := &s.c.Conns[ci]
+		if bit < cn.To.Lo || bit > cn.To.Hi {
 			continue
 		}
 		return s.srcLine(cn.From.Comp, cn.From.Pin, cn.From.Lo+(bit-cn.To.Lo))
@@ -185,10 +214,10 @@ func (s *synthesizer) elabMux(m rtl.Mux) {
 	for i := range sel {
 		sel[i] = s.sinkLine(m.Name, "sel", i)
 	}
+	ins := make([]int, m.NumIn)
 	for b := 0; b < m.Width; b++ {
-		ins := make([]int, m.NumIn)
 		for k := range ins {
-			ins[k] = s.sinkLine(m.Name, fmt.Sprintf("in%d", k), b)
+			ins[k] = s.sinkLine(m.Name, rtl.InPin(k), b)
 		}
 		s.line[PinBit{m.Name, "out", b}] = s.muxTree(ins, sel, 0)
 	}
@@ -217,7 +246,7 @@ func (s *synthesizer) muxTree(ins []int, sel []int, level int) int {
 func (s *synthesizer) elabUnit(u rtl.Unit) {
 	inBits := func(k int) []int {
 		out := make([]int, u.Width)
-		pin := fmt.Sprintf("in%d", k)
+		pin := rtl.InPin(k)
 		for b := range out {
 			out[b] = s.sinkLine(u.Name, pin, b)
 		}
@@ -437,7 +466,7 @@ func (s *synthesizer) elabCloud(u rtl.Unit) {
 	rng := newSplitMix(hashNames(s.c.Name, u.Name))
 	var pool []int
 	for k := 0; k < u.NumIn; k++ {
-		pin := fmt.Sprintf("in%d", k)
+		pin := rtl.InPin(k)
 		for b := 0; b < u.Width; b++ {
 			id := s.sinkLine(u.Name, pin, b)
 			// Constant (undriven) bits would breed dead minterms and

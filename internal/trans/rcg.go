@@ -220,9 +220,10 @@ func (g *RCG) Clone() *RCG {
 	c := &RCG{Core: g.Core, Scan: g.Scan, idx: g.idx}
 	c.Nodes = append([]Node(nil), g.Nodes...)
 	c.Edges = make([]*Edge, len(g.Edges))
+	block := make([]Edge, len(g.Edges))
 	for i, e := range g.Edges {
-		ce := *e
-		c.Edges[i] = &ce
+		block[i] = *e
+		c.Edges[i] = &block[i]
 	}
 	c.rebuildAdj()
 	return c

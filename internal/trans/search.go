@@ -6,6 +6,11 @@ import "sort"
 // nodes): the latency, the RCG edges used, the registers that must be
 // frozen to balance unequal parallel branches (paper Section 4), and the
 // terminal nodes reached.
+//
+// Every PathUse a search returns is new and owned by its caller: no other
+// search result shares it or its maps. Callers rely on that to extend a
+// sub-path in place rather than copy it, both the option-1 winner in
+// solveForward/solveBackward and each branch of a split cover.
 type PathUse struct {
 	Latency int
 	// Edges maps used RCG edge ids to the mask of source bits the path
@@ -92,17 +97,9 @@ func (g *RCG) solveForward(node, lo, hi int, hscanOnly bool, onPath map[searchKe
 	onPath[key] = true
 	defer delete(onPath, key)
 
+	// Option 1: a single edge carries the whole slice. The first fastest
+	// candidate wins, and only it is extended by its edge.
 	var best *PathUse
-	consider := func(p *PathUse) {
-		if p == nil {
-			return
-		}
-		if best == nil || p.Latency < best.Latency {
-			best = p
-		}
-	}
-
-	// Option 1: a single edge carries the whole slice.
 	for _, eid := range g.Out[node] {
 		e := g.Edges[eid]
 		if !allowed(e, hscanOnly) || e.SrcLo > lo || e.SrcHi < hi {
@@ -114,18 +111,18 @@ func (g *RCG) solveForward(node, lo, hi int, hscanOnly bool, onPath map[searchKe
 		if !ok {
 			continue
 		}
-		p := newPathUse()
-		p.merge(sub)
-		p.Edges[eid] |= maskRange(lo, hi)
-		p.Latency = g.hopLatency(e) + sub.Latency
-		consider(p)
+		if lat := g.hopLatency(e) + sub.Latency; best == nil || lat < best.Latency {
+			sub.Edges[eid] |= maskRange(lo, hi)
+			sub.Latency = lat
+			best = sub
+		}
 	}
 
 	// Option 2: O-split — the slice leaves in parts through several edges;
 	// all parts must reach outputs and arrive together (freeze logic
 	// balances early branches).
-	if split, ok := g.splitForward(node, lo, hi, hscanOnly, onPath); ok {
-		consider(split)
+	if split, ok := g.splitForward(node, lo, hi, hscanOnly, onPath); ok && (best == nil || split.Latency < best.Latency) {
+		best = split
 	}
 	if best == nil {
 		return nil, false
@@ -148,8 +145,8 @@ func (g *RCG) splitForward(node, lo, hi int, hscanOnly bool, onPath map[searchKe
 		if cur > hi {
 			if len(parts) >= 2 {
 				budget--
-				if p := combineParts(parts); best == nil || p.Latency < best.Latency {
-					best = p
+				if lat := splitLatency(parts); best == nil || lat < best.Latency {
+					best = combineParts(parts, lat)
 				}
 			}
 			return
@@ -215,18 +212,11 @@ func (g *RCG) solveBackward(node, lo, hi int, hscanOnly bool, onPath map[searchK
 	onPath[key] = true
 	defer delete(onPath, key)
 
-	// Loading a register costs one cycle; reading an output port is
-	// combinational; a created mux buffers in the output's register.
-	hop := func(e *Edge) int { return g.hopLatency(e) }
-
+	// Option 1: one incoming edge covers the slice. Loading a register
+	// costs one cycle; reading an output port is combinational; a created
+	// mux buffers in the output's register. The first fastest candidate
+	// wins, and only it is extended by its edge.
 	var best *PathUse
-	consider := func(p *PathUse) {
-		if p != nil && (best == nil || p.Latency < best.Latency) {
-			best = p
-		}
-	}
-
-	// Option 1: one incoming edge covers the slice.
 	for _, eid := range g.In[node] {
 		e := g.Edges[eid]
 		if !allowed(e, hscanOnly) || e.DstLo > lo || e.DstHi < hi {
@@ -238,18 +228,18 @@ func (g *RCG) solveBackward(node, lo, hi int, hscanOnly bool, onPath map[searchK
 		if !ok {
 			continue
 		}
-		p := newPathUse()
-		p.merge(sub)
-		p.Edges[eid] |= maskRange(sLo, sHi)
-		p.Latency = hop(e) + sub.Latency
-		consider(p)
+		if lat := g.hopLatency(e) + sub.Latency; best == nil || lat < best.Latency {
+			sub.Edges[eid] |= maskRange(sLo, sHi)
+			sub.Latency = lat
+			best = sub
+		}
 	}
 
 	// Option 2: C-split — the slice is loaded piecewise from several
 	// sources (all fanin edges used; unbalanced sub-paths freeze early
 	// data at the fanin source, as at the Status register in Figure 4).
-	if split, ok := g.splitBackward(node, lo, hi, hscanOnly, onPath); ok {
-		consider(split)
+	if split, ok := g.splitBackward(node, lo, hi, hscanOnly, onPath); ok && (best == nil || split.Latency < best.Latency) {
+		best = split
 	}
 	if best == nil {
 		return nil, false
@@ -268,8 +258,8 @@ func (g *RCG) splitBackward(node, lo, hi int, hscanOnly bool, onPath map[searchK
 		if cur > hi {
 			if len(parts) >= 2 {
 				budget--
-				if p := combineParts(parts); best == nil || p.Latency < best.Latency {
-					best = p
+				if lat := splitLatency(parts); best == nil || lat < best.Latency {
+					best = combineParts(parts, lat)
 				}
 			}
 			return
@@ -321,13 +311,12 @@ type part struct {
 	via    string
 }
 
-// combineParts merges split branches: branches with disjoint edge sets run
-// in parallel (overall latency is their max); branches that share an edge
-// cannot move data simultaneously and serialize (their latencies add — the
-// Section 3 CPU moves Data through Address(7:0) and Address(11:8) in
-// 6+2=8 cycles for exactly this reason). Early branches freeze until the
-// last one completes.
-func combineParts(parts []part) *PathUse {
+// splitLatency is the latency of split branches run together: branches
+// with disjoint edge sets run in parallel (overall latency is their max);
+// branches that share an edge cannot move data simultaneously and
+// serialize (their latencies add — the Section 3 CPU moves Data through
+// Address(7:0) and Address(11:8) in 6+2=8 cycles for exactly this reason).
+func splitLatency(parts []part) int {
 	n := len(parts)
 	parent := make([]int, n)
 	for i := range parent {
@@ -347,16 +336,20 @@ func combineParts(parts []part) *PathUse {
 			}
 		}
 	}
-	groupSum := map[int]int{}
-	for i := range parts {
-		groupSum[find(i)] += parts[i].arrive
-	}
+	groupSum := make([]int, n)
 	overall := 0
-	for _, s := range groupSum {
-		if s > overall {
-			overall = s
-		}
+	for i := range parts {
+		r := find(i)
+		groupSum[r] += parts[i].arrive
+		overall = max(overall, groupSum[r])
 	}
+	return overall
+}
+
+// combineParts merges split branches into one path of the given overall
+// latency (splitLatency's). Early branches freeze until the last one
+// completes.
+func combineParts(parts []part, overall int) *PathUse {
 	out := newPathUse()
 	for i := range parts {
 		out.merge(parts[i].p)
