@@ -17,8 +17,9 @@ bench:
 bench-delta:
 	sh scripts/bench.sh -delta
 
-# Capture the next BENCH_<n>.json perf-trajectory snapshot and diff it
-# against the previous one (fails on regressions; see scripts/bench.sh).
+# Capture the next BENCH_<n>.json perf-trajectory snapshot, measuring
+# HEAD and the working tree alternately (fails when the working tree
+# regresses against HEAD; see scripts/bench.sh).
 bench-snapshot:
 	sh scripts/bench.sh
 

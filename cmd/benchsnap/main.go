@@ -12,7 +12,9 @@
 //	benchsnap -diff BENCH_0.json,BENCH_1.json -threshold 0.25
 //
 // The capture date and revision are flags, never read from the clock or
-// the repo, so the same raw input always produces the same snapshot.
+// the repo, so the same raw input always produces the same snapshot on
+// one host. -parse records the host's CPU count (runtime.NumCPU), so it
+// runs on the host that ran the benchmarks.
 package main
 
 import (
@@ -21,6 +23,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"runtime"
 	"strings"
 
 	"repro/internal/obs/benchjson"
@@ -92,7 +95,7 @@ func runParse(in, out, rev, date string) error {
 	if err != nil {
 		return err
 	}
-	snap.Rev, snap.Date = rev, date
+	snap.Rev, snap.Date, snap.CPUs = rev, date, runtime.NumCPU()
 	if err := snap.Validate(); err != nil {
 		return fmt.Errorf("parsed output is not a valid snapshot: %w", err)
 	}

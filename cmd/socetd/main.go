@@ -41,7 +41,6 @@ import (
 	"repro/internal/obs/obscli"
 	"repro/internal/serve/api"
 	"repro/internal/serve/job"
-	"repro/internal/serve/pool"
 )
 
 func main() {
@@ -73,7 +72,7 @@ func main() {
 		Workers:    *workers,
 		QueueLimit: *queue,
 		LeaseTTL:   *lease,
-		Retry:      pool.Retry{Attempts: *retries},
+		Attempts:   *retries,
 		Timeout:    *jobTimeout,
 		Every:      *every,
 	})

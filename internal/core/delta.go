@@ -157,9 +157,6 @@ func NewDeltaEvaluator(f *Flow) *DeltaEvaluator {
 	return &DeltaEvaluator{f: f, AdoptCandidates: true}
 }
 
-// Flow returns the flow this evaluator is bound to.
-func (d *DeltaEvaluator) Flow() *Flow { return d.f }
-
 // Stats returns a snapshot of how requests have been served so far.
 func (d *DeltaEvaluator) Stats() DeltaStats {
 	d.mu.Lock()

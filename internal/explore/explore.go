@@ -9,12 +9,13 @@
 // and degenerates to system-level test multiplexers when a mux becomes
 // cheaper than any remaining version upgrade.
 //
-// Enumeration is evaluated by a bounded worker pool, so the |versions|^n
-// tree uses every CPU; the output is identical at any worker count. Every
-// evaluation goes through a core.DeltaEvaluator, the explorer's only
-// evaluation cache: a selection that differs from a recently evaluated
-// one in a single core is re-evaluated incrementally, bit-identical to a
-// full core.Flow.EvaluateSelection.
+// Enumeration fans out over internal/fanout's bounded workers, so the
+// |versions|^n tree uses every CPU; the points, and the error of a failed
+// enumeration, are identical at any worker count. Each EnumerateCtx or
+// ImproveCtx call evaluates through a core.DeltaEvaluator of its own, the
+// explorer's only evaluation cache: a selection that differs from a
+// recently evaluated one in a single core is re-evaluated incrementally,
+// bit-identical to a full core.Flow.EvaluateSelection.
 package explore
 
 import (
@@ -23,11 +24,10 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/ccg"
 	"repro/internal/core"
+	"repro/internal/fanout"
 	"repro/internal/obs"
 	"repro/internal/obs/progress"
 	"repro/internal/soc"
@@ -64,11 +64,6 @@ type Options struct {
 	// Workers bounds EnumerateCtx's evaluation worker pool; <= 0 selects
 	// runtime.GOMAXPROCS(0). The result is identical at any worker count.
 	Workers int
-	// Cache is the delta evaluator every evaluation goes through. It must
-	// be bound to the explored flow; an evaluator over any other flow is
-	// an error. Nil gives the call a private evaluator. Sharing one across
-	// calls over the same flow lets them reuse its recent bases.
-	Cache *core.DeltaEvaluator
 	// MaxPoints caps how many selections EnumerateCtx generates (<= 0 means
 	// every combination). Generation order is fixed, so a capped run
 	// evaluates a deterministic prefix of the full enumeration — the only
@@ -93,19 +88,6 @@ type Options struct {
 	// the point's global enumeration index, before EnumerateCtx returns.
 	// It may be called concurrently from worker goroutines.
 	Observer func(globalIndex int, p Point)
-}
-
-// evaluator returns the delta evaluator a call over f evaluates through:
-// o.Cache, or a private one when o.Cache is nil.
-func (o Options) evaluator(f *core.Flow) (*core.DeltaEvaluator, error) {
-	if o.Cache == nil {
-		return core.NewDeltaEvaluator(f), nil
-	}
-	if o.Cache.Flow() != f {
-		return nil, fmt.Errorf("explore: the evaluator is bound to another flow (chip %q) than the explored one (chip %q): one evaluator serves one prepared flow",
-			o.Cache.Flow().Chip.Name, f.Chip.Name)
-	}
-	return o.Cache, nil
 }
 
 // selectionsAt lists the count core-version combinations starting at
@@ -188,24 +170,24 @@ func selectionCount(cores []*soc.Core, max int) int {
 
 // EnumerateCtx evaluates every combination of core versions (or the
 // window o selects), returning the points sorted by chip overhead then
-// TAT (the x-axis ordering of Figure 10). Evaluation runs on a worker
-// pool; the chip's own version selection is never touched. Points, their
-// values and their order are identical at any worker count: selections
-// are generated in one deterministic order, evaluated selection-pure,
-// placed by index, and sorted from that index order.
+// TAT (the x-axis ordering of Figure 10). Evaluation fans out over
+// o.Workers goroutines; the chip's own version selection is never
+// touched. Points, their values and their order are identical at any
+// worker count: selections are generated in one deterministic order,
+// evaluated selection-pure, placed by index, and sorted from that index
+// order.
 //
 // Cancellation is checked between selections and inside each evaluation;
 // a cancelled enumeration returns the points completed so far — sorted
 // exactly as a full run sorts, so they form a consistent (if partial)
 // design-space sample — together with ctx.Err(). A panicking evaluation
-// is recovered into an error instead of killing the process.
+// is recovered into an error instead of killing the process. When
+// evaluations fail, the error is the one of the lowest failing index, at
+// any worker count.
 func EnumerateCtx(ctx context.Context, f *core.Flow, o Options) ([]Point, error) {
 	sp := obs.Start(nil, "explore/enumerate")
 	defer sp.End()
-	ev, err := o.evaluator(f)
-	if err != nil {
-		return nil, err
-	}
+	ev := core.NewDeltaEvaluator(f)
 	cPoints := obs.C("explore.points_evaluated")
 	cores := f.Chip.TestableCores()
 	space := selectionCount(cores, o.MaxPoints)
@@ -272,42 +254,13 @@ func EnumerateCtx(ctx context.Context, f *core.Flow, o Options) ([]Point, error)
 	for _, c := range f.Chip.Cores {
 		c.RTL.Lookup(c.RTL.Name)
 	}
-	var (
-		firstErr error
-		next     atomic.Int64
-		failed   atomic.Bool
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-	)
-	next.Store(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(sels) || failed.Load() || ctx.Err() != nil {
-					return
-				}
-				if err := evalAt(i); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	err := fanout.Each(ctx, len(sels), workers, evalAt)
 	if cerr := ctx.Err(); cerr != nil {
 		obs.C("explore.cancelled").Inc()
 		return sortPoints(gather(points, done)), cerr
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
 	// Skipped indices left holes; gather is a no-op copy when none were.
 	return sortPoints(gather(points, done)), nil
@@ -473,8 +426,9 @@ func Candidates(f *core.Flow, e *core.Evaluation, cost Cost) []Step {
 
 // ImproveCtx runs the iterative improvement from the current selection.
 // For MinimizeTAT, budget is the maximum chip-level DFT overhead in
-// cells; for MinimizeArea, budget is the maximum TAT in cycles. Of o only
-// Cache applies; the walk is inherently sequential. Every accepted move
+// cells; for MinimizeArea, budget is the maximum TAT in cycles. No field
+// of o applies: the walk is inherently sequential and evaluates through
+// a delta evaluator of its own. Every accepted move
 // strictly reduces the TAT — candidates whose estimated gain does not
 // materialize are rejected, never applied.
 //
@@ -485,10 +439,7 @@ func Candidates(f *core.Flow, e *core.Evaluation, cost Cost) []Step {
 func ImproveCtx(ctx context.Context, f *core.Flow, obj Objective, budget int, o Options) (*Result, error) {
 	root := obs.Start(nil, "explore/improve")
 	defer root.End()
-	ev, err := o.evaluator(f)
-	if err != nil {
-		return nil, err
-	}
+	ev := core.NewDeltaEvaluator(f)
 	prog := progress.Start("explore/improve", 0,
 		"explore.moves_accepted", "explore.moves_rejected", "explore.cache_hits", "explore.cache_misses")
 	defer prog.End()

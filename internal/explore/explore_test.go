@@ -2,8 +2,11 @@ package explore
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/ccg"
 	"repro/internal/core"
@@ -710,4 +713,41 @@ func TestCandidateStepsMatchPerCoreReference(t *testing.T) {
 		t.Fatalf("all %d compared estimates were 0", compared)
 	}
 	t.Logf("%d estimates compared over %d chips and %d moves, %d nonzero", compared, len(chips), moves, nonzero)
+}
+
+// TestEnumerateReturnsLowestFailingIndex: when evaluations at two global
+// indices fail, EnumerateCtx returns the lower index's error at any
+// worker count, even when the higher one fails first in time. The
+// failures are Observer panics, which the evaluation recovers into an
+// error naming the selection.
+func TestEnumerateReturnsLowestFailingIndex(t *testing.T) {
+	f := flow(t)
+	const lo, hi = 5, 11
+	cores := f.Chip.TestableCores()
+	loSel := fmt.Sprint(selectionsAt(cores, lo, 1)[0])
+	hiSel := fmt.Sprint(selectionsAt(cores, hi, 1)[0])
+	for _, workers := range []int{1, 2, 4, 8} {
+		_, err := EnumerateCtx(context.Background(), f, Options{
+			Workers: workers,
+			Observer: func(gi int, p Point) {
+				switch gi {
+				case lo:
+					time.Sleep(20 * time.Millisecond)
+					panic("observer at the lower index")
+				case hi:
+					panic("observer at the higher index")
+				}
+			},
+		})
+		if err == nil {
+			t.Fatalf("%d workers: no error", workers)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, "evaluating "+loSel+" panicked: observer at the lower index") {
+			t.Errorf("%d workers: error does not name index %d's selection %s:\n%.200s", workers, lo, loSel, msg)
+		}
+		if strings.Contains(msg, hiSel) {
+			t.Errorf("%d workers: error names index %d's selection %s", workers, hi, hiSel)
+		}
+	}
 }

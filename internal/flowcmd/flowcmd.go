@@ -110,9 +110,9 @@ func (s ChipSpec) Build() (*soc.Chip, *core.Options, error) {
 }
 
 // Key is the spec's canonical identity string — the flow-cache key the
-// daemon shares prepared flows and their delta evaluators under. Scripts are
-// collapsed to their SHA-256 so keys stay short; a collision-resistant
-// hash keeps two different scripts from sharing one prepared flow.
+// daemon shares prepared flows under. Scripts are collapsed to their
+// SHA-256 so keys stay short; a collision-resistant hash keeps two
+// different scripts from sharing one prepared flow.
 func (s ChipSpec) Key() string {
 	switch {
 	case s.System != 0:

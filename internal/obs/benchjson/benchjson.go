@@ -53,13 +53,16 @@ func (r Result) Key() string {
 	return r.Pkg + "." + r.Name
 }
 
-// Snapshot is one committed point of the perf trajectory.
+// Snapshot is one committed point of the perf trajectory. CPUs is the
+// host's CPU count, next to each result's Procs; like Rev and Date it is
+// passed in by the caller, and 0 means unrecorded (snapshots before it).
 type Snapshot struct {
 	Schema  int      `json:"schema"`
 	Rev     string   `json:"rev"`
 	Date    string   `json:"date"`
 	GoOS    string   `json:"goos,omitempty"`
 	GoArch  string   `json:"goarch,omitempty"`
+	CPUs    int      `json:"cpus,omitempty"`
 	Results []Result `json:"results"`
 }
 
@@ -245,9 +248,11 @@ type DiffReport struct {
 	OnlyNew     []string `json:"only_new,omitempty"` // benchmarks that appeared
 	Skipped     []string `json:"skipped,omitempty"`  // below the noise floor
 	// OldProcs and NewProcs are the GOMAXPROCS values each snapshot's
-	// benchmarks ran at.
+	// benchmarks ran at; OldCPUs and NewCPUs the host CPU counts.
 	OldProcs []int `json:"old_procs,omitempty"`
 	NewProcs []int `json:"new_procs,omitempty"`
+	OldCPUs  int   `json:"old_cpus,omitempty"`
+	NewCPUs  int   `json:"new_cpus,omitempty"`
 }
 
 // DiffFloor compares old and new ns/op per benchmark. threshold is the
@@ -272,7 +277,7 @@ func DiffFloor(old, new *Snapshot, threshold, floorNs float64) (*DiffReport, err
 	for _, r := range old.Results {
 		oldBy[r.Key()] = r
 	}
-	rep := &DiffReport{OldProcs: old.procs(), NewProcs: new.procs()}
+	rep := &DiffReport{OldProcs: old.procs(), NewProcs: new.procs(), OldCPUs: old.CPUs, NewCPUs: new.CPUs}
 	newSeen := map[string]bool{}
 	for _, nr := range new.Results {
 		newSeen[nr.Key()] = true
@@ -337,7 +342,20 @@ func (r *DiffReport) Format(threshold float64) string {
 		fmt.Fprintf(&b, "note: GOMAXPROCS differs: old snapshot ran at %v, new at %v; parallel benchmarks are not like for like\n",
 			r.OldProcs, r.NewProcs)
 	}
+	if r.OldCPUs != r.NewCPUs {
+		fmt.Fprintf(&b, "note: host CPU count differs: old snapshot ran on %s, new on %s; the hosts are not like for like\n",
+			cpuCount(r.OldCPUs), cpuCount(r.NewCPUs))
+	}
 	fmt.Fprintf(&b, "%d benchmarks compared, %d regressions (threshold %.0f%%)\n",
 		len(r.Deltas), len(r.Regressions), threshold*100)
 	return b.String()
+}
+
+// cpuCount spells a host CPU count for Format; 0 is a snapshot taken
+// before the count was recorded.
+func cpuCount(n int) string {
+	if n == 0 {
+		return "an unrecorded number of CPUs"
+	}
+	return fmt.Sprintf("%d CPUs", n)
 }

@@ -316,6 +316,41 @@ func TestProcsSuffixIsNotPartOfTheKey(t *testing.T) {
 	}
 }
 
+// TestDiffNotesHostCPUs: the host CPU count travels through Encode and
+// Decode, and a diff between hosts with different counts says so.
+func TestDiffNotesHostCPUs(t *testing.T) {
+	snap := func(cpus int) *Snapshot {
+		s := &Snapshot{Schema: SchemaVersion, Rev: "r", Date: "d", CPUs: cpus,
+			Results: []Result{{Pkg: "p", Name: "BenchmarkX", Procs: 2, Iterations: 1, NsPerOp: 5}}}
+		var buf bytes.Buffer
+		if err := s.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	for _, tc := range []struct {
+		old, new int
+		note     string
+	}{
+		{2, 2, ""},
+		{2, 4, "host CPU count differs: old snapshot ran on 2 CPUs, new on 4 CPUs"},
+		{0, 2, "host CPU count differs: old snapshot ran on an unrecorded number of CPUs, new on 2 CPUs"},
+	} {
+		rep, err := DiffFloor(snap(tc.old), snap(tc.new), 0.25, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := rep.Format(0.25)
+		if tc.note == "" && strings.Contains(out, "host CPU count") || tc.note != "" && !strings.Contains(out, tc.note) {
+			t.Errorf("%d vs %d CPUs: want note %q, got:\n%s", tc.old, tc.new, tc.note, out)
+		}
+	}
+}
+
 // TestDecodeSplitsLegacySuffix reads a snapshot written before results
 // had a procs field: the suffix still in the name is split off.
 func TestDecodeSplitsLegacySuffix(t *testing.T) {

@@ -14,7 +14,6 @@ import (
 	"repro/internal/flowcmd"
 	"repro/internal/obs"
 	"repro/internal/resil"
-	"repro/internal/serve/pool"
 	"repro/internal/shard"
 )
 
@@ -178,18 +177,18 @@ func TestFullEvalKeyIgnored(t *testing.T) {
 
 // TestFailingShardMakesRetryAttempts: the pool is the daemon's only
 // retrier. A shard whose every attempt fails is attempted exactly
-// Retry.Attempts times before its job fails.
+// Attempts times before its job fails.
 func TestFailingShardMakesRetryAttempts(t *testing.T) {
 	o := testOptions(t.TempDir())
-	o.Retry = pool.Retry{Attempts: 3, Base: time.Millisecond, Max: time.Millisecond}
+	o.Attempts = 3
 	m := newManager(t, o)
 	spec := Spec{Type: TypeExplore, Chip: testChip(), MaxPoints: 4}
-	fe, err := m.flow(spec.Chip)
+	f, err := m.flow(spec.Chip)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Every evaluation of this flow fails: the forced mux names no port.
-	fe.flow.ForcedMuxes = []core.ForcedMux{{Core: "nowhere", Port: "x", Input: true}}
+	f.ForcedMuxes = []core.ForcedMux{{Core: "nowhere", Port: "x", Input: true}}
 
 	tr, _ := obs.Enable(0)
 	defer obs.Disable()
@@ -210,8 +209,8 @@ func TestFailingShardMakesRetryAttempts(t *testing.T) {
 			attempts++
 		}
 	}
-	if attempts != o.Retry.Attempts {
-		t.Fatalf("the failing shard made %d attempts, want Retry.Attempts = %d", attempts, o.Retry.Attempts)
+	if attempts != o.Attempts {
+		t.Fatalf("the failing shard made %d attempts, want Attempts = %d", attempts, o.Attempts)
 	}
 }
 

@@ -40,11 +40,11 @@ type Options struct {
 	QueueLimit int
 	// LeaseTTL is the pool's heartbeat lease (default 30s).
 	LeaseTTL time.Duration
-	// Retry is the reassignment/backoff policy for failed or expired
-	// shard units. The pool is the only code that retries a shard: a
-	// shard run makes one attempt, so a failing shard makes exactly
-	// Retry.Attempts attempts.
-	Retry pool.Retry
+	// Attempts caps how often the pool runs a failed or expired shard
+	// unit (default 3). The pool is the only code that retries a shard:
+	// a shard run makes one attempt, so a failing shard makes exactly
+	// Attempts attempts.
+	Attempts int
 	// Timeout is the default per-job deadline (0 = none); a spec's own
 	// timeout overrides it.
 	Timeout time.Duration
@@ -61,12 +61,11 @@ func (o Options) withDefaults() Options {
 }
 
 // flowEntry is one prepared flow shared by every job naming the same
-// chip spec: the flow itself plus the delta evaluator its explore jobs
-// share. Preparation runs once (sync.Once) even under concurrent jobs.
+// chip spec. Preparation runs once (sync.Once) even under concurrent
+// jobs.
 type flowEntry struct {
 	once sync.Once
 	flow *core.Flow
-	eval *core.DeltaEvaluator
 	err  error
 }
 
@@ -114,7 +113,7 @@ func New(o Options) (*Manager, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		opts:    o,
-		pool:    pool.New(pool.Options{Workers: o.Workers, LeaseTTL: o.LeaseTTL, Retry: o.Retry}),
+		pool:    pool.New(pool.Options{Workers: o.Workers, LeaseTTL: o.LeaseTTL, Attempts: o.Attempts}),
 		ctx:     ctx,
 		cancel:  cancel,
 		journal: j,
@@ -349,11 +348,11 @@ func (m *Manager) run(e *jobEntry) {
 	m.setState(e, StateDone, result, "")
 }
 
-// flow returns the shared prepared flow (and evaluator) for a chip spec,
-// preparing it at most once across all jobs. Preparation takes each
-// core's test set from the store when an earlier flow, before or after
-// a restart, already generated it.
-func (m *Manager) flow(spec flowcmd.ChipSpec) (*flowEntry, error) {
+// flow returns the shared prepared flow for a chip spec, preparing it at
+// most once across all jobs. Preparation takes each core's test set from
+// the store when an earlier flow, before or after a restart, already
+// generated it.
+func (m *Manager) flow(spec flowcmd.ChipSpec) (*core.Flow, error) {
 	key := spec.Key()
 	m.flowMu.Lock()
 	fe, ok := m.flows[key]
@@ -374,14 +373,8 @@ func (m *Manager) flow(spec flowcmd.ChipSpec) (*flowEntry, error) {
 		}
 		o.TestSets = atpg.NewStore(filepath.Join(m.opts.Dir, "testsets"))
 		fe.flow, fe.err = core.Prepare(ch, &o)
-		if fe.err == nil {
-			fe.eval = core.NewDeltaEvaluator(fe.flow)
-		}
 	})
-	if fe.err != nil {
-		return nil, fe.err
-	}
-	return fe, nil
+	return fe.flow, fe.err
 }
 
 // checkpointPrefix is where a job's shard checkpoints live.
@@ -408,17 +401,17 @@ func (m *Manager) shardOptions(id string, spec Spec, index int, beat func()) sha
 // this goroutine — the merge re-evaluates nothing and is byte-identical
 // regardless of which worker ran which shard how many times.
 func (m *Manager) execute(ctx context.Context, id string, spec Spec) (string, error) {
-	fe, err := m.flow(spec.Chip)
+	f, err := m.flow(spec.Chip)
 	if err != nil {
 		return "", err
 	}
 	switch spec.Type {
 	case TypeEvaluate:
-		return m.runEvaluate(ctx, fe.flow, spec)
+		return m.runEvaluate(ctx, f, spec)
 	case TypeCampaign:
 		c := &resil.Campaign{
-			Flow: fe.flow,
-			Runs: resil.RandomSets(fe.flow.Chip, spec.Runs, spec.SetSize, spec.Seed),
+			Flow: f,
+			Runs: resil.RandomSets(f.Chip, spec.Runs, spec.SetSize, spec.Seed),
 			Seed: spec.Seed,
 		}
 		err := m.runUnits(ctx, id, spec, func(uctx context.Context, i int, beat func()) error {
@@ -440,17 +433,13 @@ func (m *Manager) execute(ctx context.Context, id string, spec Spec) (string, er
 		return res.Report.Format(), nil
 	case TypeExplore:
 		err := m.runUnits(ctx, id, spec, func(uctx context.Context, i int, beat func()) error {
-			o := m.shardOptions(id, spec, i, beat)
-			o.Cache = fe.eval
-			res, err := shard.RunExplore(uctx, fe.flow, o)
+			res, err := shard.RunExplore(uctx, f, m.shardOptions(id, spec, i, beat))
 			return unitErr(res == nil, err, res != nil && len(res.Incomplete) > 0)
 		})
 		if err != nil {
 			return "", err
 		}
-		opts := m.shardOptions(id, spec, shard.All, nil)
-		opts.Cache = fe.eval
-		res, err := shard.RunExplore(ctx, fe.flow, opts)
+		res, err := shard.RunExplore(ctx, f, m.shardOptions(id, spec, shard.All, nil))
 		if err != nil {
 			return "", err
 		}

@@ -5,13 +5,14 @@
 // it runs it must call its heartbeat. A unit silent past the lease TTL
 // is presumed dead: its lease is reclaimed, the attempt's context is
 // cancelled, the worker slot is freed and the unit is reassigned after
-// a capped exponential backoff (Retry.Backoff). A unit that fails is
-// retried the same way. The pool is the only code that retries a shard:
-// a shard run makes one attempt. Because every unit the daemon runs
-// checkpoints its progress and merges deterministically, reassignment —
-// even when the presumed-dead attempt is actually alive and later
-// finishes — costs at most duplicated work, never a wrong result; the
-// unit settles exactly once, first terminal outcome wins.
+// a capped exponential backoff (100 ms doubling per attempt, at most
+// 5 s). A unit that fails is retried the same way. The pool is the only
+// code that retries a shard: a shard run makes one attempt. Because every
+// unit the daemon runs checkpoints its progress and merges
+// deterministically, reassignment — even when the presumed-dead attempt
+// is actually alive and later finishes — costs at most duplicated work,
+// never a wrong result; the unit settles exactly once, first terminal
+// outcome wins.
 //
 // Worker panics are confined to the attempt that raised them: the
 // attempt fails, the backoff/retry path takes over, and the pool keeps
@@ -46,58 +47,40 @@ type Result struct {
 	Attempts int
 }
 
-// Retry caps how the pool handles failed or expired attempts: up to
-// Attempts tries with exponential backoff from Base, capped at Max.
-// Context cancellation is never retried — a deadline is a decision, not
-// a fault.
-type Retry struct {
-	Attempts int
-	Base     time.Duration
-	Max      time.Duration
-}
+// The reassignment backoff: the delay before retry attempt n starts at
+// retryBase and doubles per attempt, capped at retryMax.
+const (
+	retryBase = 100 * time.Millisecond
+	retryMax  = 5 * time.Second
+)
 
-func (r Retry) withDefaults() Retry {
-	if r.Attempts < 1 {
-		r.Attempts = 3
-	}
-	if r.Base <= 0 {
-		r.Base = 100 * time.Millisecond
-	}
-	if r.Max <= 0 {
-		r.Max = 5 * time.Second
-	}
-	return r
-}
-
-// Backoff is the deterministic delay before retry attempt n (n >= 1):
-// Base doubling per attempt, capped at Max.
-func (r Retry) Backoff(attempt int) time.Duration {
-	return r.withDefaults().backoff(attempt)
-}
-
-// backoff is the deterministic delay before retry attempt n (n >= 1).
-func (r Retry) backoff(attempt int) time.Duration {
-	d := r.Base
-	for i := 1; i < attempt && d < r.Max; i++ {
+// backoff is the deterministic delay before retry attempt n (n >= 1):
+// base doubling per attempt, capped at retryMax.
+func backoff(base time.Duration, attempt int) time.Duration {
+	d := base
+	for i := 1; i < attempt && d < retryMax; i++ {
 		d *= 2
 	}
-	if d > r.Max {
-		d = r.Max
+	if d > retryMax {
+		d = retryMax
 	}
 	return d
 }
 
 // Options configures a Pool. The zero value is usable: GOMAXPROCS
-// workers, a 30s lease TTL, and the default retry policy.
+// workers, a 30s lease TTL, and 3 attempts per unit.
 type Options struct {
 	// Workers bounds concurrently leased units.
 	Workers int
 	// LeaseTTL is how long a unit may go without a heartbeat before its
 	// lease is reclaimed and the unit reassigned.
 	LeaseTTL time.Duration
-	// Retry sets attempt count and reassignment backoff. A unit that
-	// fails or expires Retry.Attempts times settles with its last error.
-	Retry Retry
+	// Attempts caps how often a unit runs: a unit that fails or expires
+	// Attempts times settles with its last error. Context cancellation
+	// is never retried — a deadline is a decision, not a fault.
+	Attempts int
+	// backoffBase replaces retryBase; pool's own tests shorten it.
+	backoffBase time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -107,7 +90,12 @@ func (o Options) withDefaults() Options {
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 30 * time.Second
 	}
-	o.Retry = o.Retry.withDefaults()
+	if o.Attempts < 1 {
+		o.Attempts = 3
+	}
+	if o.backoffBase <= 0 {
+		o.backoffBase = retryBase
+	}
 	return o
 }
 
@@ -381,14 +369,14 @@ func (p *Pool) retryOrFail(t *task, err error) {
 	if !g.advance(t.index, t.attempt) {
 		return // settled meanwhile, or a newer instance owns the unit
 	}
-	if t.attempt >= p.opts.Retry.Attempts {
+	if t.attempt >= p.opts.Attempts {
 		g.settle(t.index, Result{ID: t.unit.ID, Err: err, Attempts: t.attempt})
 		return
 	}
 	obs.C("serve.lease_retries").Inc()
 	next := &task{unit: t.unit, attempt: t.attempt + 1, group: g, index: t.index}
 	p.timers.Add(1)
-	time.AfterFunc(p.opts.Retry.Backoff(t.attempt), func() {
+	time.AfterFunc(backoff(p.opts.backoffBase, t.attempt), func() {
 		defer p.timers.Done()
 		p.enqueue(next)
 	})

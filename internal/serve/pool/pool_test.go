@@ -11,8 +11,8 @@ import (
 	"time"
 )
 
-// fastRetry keeps test backoffs tiny.
-var fastRetry = Retry{Attempts: 3, Base: time.Millisecond, Max: 5 * time.Millisecond}
+// fastBackoff keeps test backoffs tiny.
+const fastBackoff = time.Millisecond
 
 // checkGoroutines fails the test if the goroutine count has not
 // returned to its starting level shortly after the pool closes.
@@ -33,10 +33,9 @@ func checkGoroutines(t *testing.T) func() {
 }
 
 func TestRetryBackoffCapped(t *testing.T) {
-	r := Retry{Attempts: 10, Base: 100 * time.Millisecond, Max: time.Second}.withDefaults()
-	want := []time.Duration{100, 200, 400, 800, 1000, 1000}
+	want := []time.Duration{100, 200, 400, 800, 1600, 3200, 5000, 5000}
 	for i, w := range want {
-		if got := r.backoff(i + 1); got != w*time.Millisecond {
+		if got := backoff(retryBase, i+1); got != w*time.Millisecond {
 			t.Fatalf("backoff(%d) = %v, want %v", i+1, got, w*time.Millisecond)
 		}
 	}
@@ -44,7 +43,7 @@ func TestRetryBackoffCapped(t *testing.T) {
 
 func TestAllUnitsRun(t *testing.T) {
 	check := checkGoroutines(t)
-	p := New(Options{Workers: 4, LeaseTTL: time.Second, Retry: fastRetry})
+	p := New(Options{Workers: 4, LeaseTTL: time.Second, backoffBase: fastBackoff})
 	var ran atomic.Int64
 	var units []Unit
 	for i := 0; i < 50; i++ {
@@ -155,7 +154,7 @@ func TestLeaseScenarios(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			check := checkGoroutines(t)
-			p := New(Options{Workers: 2, LeaseTTL: 50 * time.Millisecond, Retry: fastRetry})
+			p := New(Options{Workers: 2, LeaseTTL: 50 * time.Millisecond, backoffBase: fastBackoff})
 			var attempts atomic.Int64
 			res := p.Do(context.Background(), []Unit{{ID: "u", Run: tc.run(&attempts)}})
 			if len(res) != 1 {
@@ -181,7 +180,7 @@ func TestLeaseScenarios(t *testing.T) {
 // harmless.
 func TestExpiredAttemptLateSuccessIsHarmless(t *testing.T) {
 	check := checkGoroutines(t)
-	p := New(Options{Workers: 2, LeaseTTL: 40 * time.Millisecond, Retry: fastRetry})
+	p := New(Options{Workers: 2, LeaseTTL: 40 * time.Millisecond, backoffBase: fastBackoff})
 	var starts atomic.Int64
 	release := make(chan struct{})
 	res := p.Do(context.Background(), []Unit{{
@@ -210,7 +209,7 @@ func TestExpiredAttemptLateSuccessIsHarmless(t *testing.T) {
 // and running units with the context error and never retries them.
 func TestCancelSettlesEverything(t *testing.T) {
 	check := checkGoroutines(t)
-	p := New(Options{Workers: 1, LeaseTTL: time.Second, Retry: fastRetry})
+	p := New(Options{Workers: 1, LeaseTTL: time.Second, backoffBase: fastBackoff})
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	var units []Unit
@@ -248,7 +247,7 @@ func TestCancelSettlesEverything(t *testing.T) {
 func TestConcurrentGroupsShareThePool(t *testing.T) {
 	check := checkGoroutines(t)
 	const workers = 3
-	p := New(Options{Workers: workers, LeaseTTL: time.Second, Retry: fastRetry})
+	p := New(Options{Workers: workers, LeaseTTL: time.Second, backoffBase: fastBackoff})
 	var inFlight, peak atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -291,7 +290,7 @@ func TestConcurrentGroupsShareThePool(t *testing.T) {
 // TestCloseDrainsQueued: closing the pool drains — queued units still
 // run to completion instead of stranding their Do callers.
 func TestCloseDrainsQueued(t *testing.T) {
-	p := New(Options{Workers: 1, LeaseTTL: time.Second, Retry: fastRetry})
+	p := New(Options{Workers: 1, LeaseTTL: time.Second, backoffBase: fastBackoff})
 	started := make(chan struct{})
 	var once sync.Once
 	units := []Unit{

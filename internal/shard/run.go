@@ -106,35 +106,39 @@ func (s *shardRun) skip(gi int) bool {
 // observePoint records one completed design point and checkpoints when
 // the throttle interval has passed. Called concurrently from workers.
 func (s *shardRun) observePoint(gi int, p explore.Point) {
-	s.mu.Lock()
-	if _, ok := s.fresh[int64(gi)]; !ok && !inRanges(s.prior, int64(gi)) {
-		s.fresh[int64(gi)] = struct{}{}
-		s.pts = append(s.pts, FromPoint(p))
-		// Keep the buffer a front plus a bounded tail, so checkpoint
-		// frames stay O(front), not O(points completed).
-		if len(s.pts) > 256 {
-			s.pts = CanonFront(s.pts)
+	s.observe(func() {
+		if _, ok := s.fresh[int64(gi)]; !ok && !inRanges(s.prior, int64(gi)) {
+			s.fresh[int64(gi)] = struct{}{}
+			s.pts = append(s.pts, FromPoint(p))
+			// Keep the buffer a front plus a bounded tail, so checkpoint
+			// frames stay O(front), not O(points completed).
+			if len(s.pts) > 256 {
+				s.pts = CanonFront(s.pts)
+			}
+			s.prog.Step(1)
 		}
-		s.prog.Step(1)
-	}
-	s.maybeFlushLocked()
-	s.mu.Unlock()
-	if s.beat != nil {
-		s.beat()
-	}
+	})
 }
 
 // observeOutcome records one completed campaign run. Campaign execution
 // is sequential per shard, but the same locking keeps the flush path
 // uniform.
 func (s *shardRun) observeOutcome(rec resil.RunRecord) {
+	s.observe(func() {
+		i := int64(rec.Index)
+		if _, ok := s.recs[i]; !ok {
+			s.recs[i] = rec
+			s.fresh[i] = struct{}{}
+			s.prog.Step(1)
+		}
+	})
+}
+
+// observe runs record under the lock, checkpoints when the throttle
+// interval has passed, and beats the lease.
+func (s *shardRun) observe(record func()) {
 	s.mu.Lock()
-	i := int64(rec.Index)
-	if _, ok := s.recs[i]; !ok {
-		s.recs[i] = rec
-		s.fresh[i] = struct{}{}
-		s.prog.Step(1)
-	}
+	record()
 	s.maybeFlushLocked()
 	s.mu.Unlock()
 	if s.beat != nil {
@@ -169,14 +173,6 @@ func (s *shardRun) flushLocked() error {
 	return s.w.write(&st)
 }
 
-// finalFlush persists the shard's terminal state (always written, even on
-// failure, so the next resume starts from everything that completed).
-func (s *shardRun) finalFlush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flushLocked()
-}
-
 // records lists the completed run records in index order (caller holds mu).
 func (s *shardRun) records() []resil.RunRecord {
 	idx := make([]int64, 0, len(s.recs))
@@ -206,18 +202,72 @@ func (s *shardRun) front() []FrontPoint {
 	return s.pts
 }
 
-// finish checkpoints the shard's terminal state and attributes its
+// run works through the shard's window under its progress task, then
+// checkpoints the terminal state — always, even on failure, so the next
+// resume starts from everything that completed — and attributes the
 // failure: context errors pass through untouched, any other error gets
-// the shard's name. The shard ran its window once; evaluations are
+// the shard's name. The shard runs its window once; evaluations are
 // deterministic, so running it again would fail the same way.
-func (s *shardRun) finish(ctx context.Context, err error) error {
+func (s *shardRun) run(ctx context.Context, work func(s *shardRun) error) error {
+	s.prog = progress.Start(fmt.Sprintf("shard/%s[%d/%d]", s.kind, s.idx, s.state.Shards), s.window.Len(),
+		"shard.checkpoints_written")
+	defer s.prog.End()
+	s.mu.Lock()
+	s.prog.Step(countRanges(s.prior))
+	s.lastFlush = time.Now()
+	s.mu.Unlock()
+	err := work(s)
 	if err != nil && ctx.Err() == nil {
 		err = fmt.Errorf("shard %d (%s): %w", s.idx, s.kind, err)
 	}
-	if ferr := s.finalFlush(); err == nil {
+	s.mu.Lock()
+	ferr := s.flushLocked()
+	s.mu.Unlock()
+	if err == nil {
 		err = ferr
 	}
 	return err
+}
+
+// tally is what runShards accounts over the shards it ran: how many
+// indices completed and which ranges did not.
+type tally struct {
+	done       int64
+	incomplete []Range
+}
+
+// runShards is the one loop over a sharded run's plan, shared by
+// RunExplore and RunCampaign: it runs every shard o selects of the
+// kind's total work items through work, which processes the shard's
+// window and takes its partial result, and tallies what completed. A
+// shard whose checkpoint cannot be resumed refuses the whole run (nil
+// tally); a shard whose work fails degrades it, and the first such
+// error is returned with the tally of everything that completed.
+func runShards(ctx context.Context, o Options, kind string, fingerprint uint64, total int64, work func(s *shardRun) error) (*tally, error) {
+	o = o.withDefaults()
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
+	t := &tally{}
+	var firstErr error
+	for i, win := range Plan(total, o.Shards) {
+		if o.Index != All && i != o.Index {
+			continue
+		}
+		s, err := newShardRun(o, kind, fingerprint, i, win, total)
+		if err != nil {
+			return nil, err
+		}
+		err = s.run(ctx, work)
+		done := s.doneRanges()
+		t.done += countRanges(done)
+		t.incomplete = append(t.incomplete, subtract(win, done)...)
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	t.incomplete = normalize(t.incomplete)
+	return t, firstErr
 }
 
 // ExploreResult is the outcome of a sharded design-space sweep: the
@@ -238,64 +288,24 @@ type ExploreResult struct {
 // carries everything that completed, with the unfinished ranges
 // attributed in Incomplete.
 func RunExplore(ctx context.Context, f *core.Flow, o Options) (*ExploreResult, error) {
-	o = o.withDefaults()
-	if err := o.validate(); err != nil {
+	total := int64(explore.SelectionSpace(f, o.MaxPoints))
+	var fronts [][]FrontPoint
+	t, err := runShards(ctx, o, "explore", f.Fingerprint(), total, func(s *shardRun) error {
+		_, err := explore.EnumerateCtx(ctx, f, explore.Options{
+			Workers:   o.Workers,
+			MaxPoints: o.MaxPoints,
+			First:     int(s.window.Lo),
+			Count:     int(s.window.Len()),
+			Skip:      s.skip,
+			Observer:  s.observePoint,
+		})
+		fronts = append(fronts, s.front())
+		return err
+	})
+	if t == nil {
 		return nil, err
 	}
-	total := int64(explore.SelectionSpace(f, o.MaxPoints))
-	plan := Plan(total, o.Shards)
-	ev := o.Cache
-	if ev == nil {
-		ev = core.NewDeltaEvaluator(f)
-	} else if ev.Flow() != f {
-		return nil, fmt.Errorf("shard: the evaluator is bound to another flow (chip %q) than the explored one (chip %q)",
-			ev.Flow().Chip.Name, f.Chip.Name)
-	}
-	res := &ExploreResult{Total: total}
-	var fronts [][]FrontPoint
-	var firstErr error
-	for i, win := range plan {
-		if o.Index != All && i != o.Index {
-			continue
-		}
-		s, err := newShardRun(o, "explore", f.Fingerprint(), i, win, total)
-		if err != nil {
-			return nil, err
-		}
-		err = s.runExplore(ctx, f, o, ev)
-		fronts = append(fronts, s.front())
-		done := s.doneRanges()
-		res.Done += countRanges(done)
-		res.Incomplete = append(res.Incomplete, subtract(win, done)...)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	res.Front = MergeFronts(fronts...)
-	res.Incomplete = normalize(res.Incomplete)
-	return res, firstErr
-}
-
-// runExplore enumerates one shard's window, checkpointing along the way
-// and once more at the end.
-func (s *shardRun) runExplore(ctx context.Context, f *core.Flow, o Options, ev *core.DeltaEvaluator) error {
-	s.prog = progress.Start(fmt.Sprintf("shard/explore[%d/%d]", s.idx, s.state.Shards), s.window.Len(),
-		"shard.checkpoints_written")
-	defer s.prog.End()
-	s.mu.Lock()
-	s.prog.Step(countRanges(s.prior))
-	s.lastFlush = time.Now()
-	s.mu.Unlock()
-	_, err := explore.EnumerateCtx(ctx, f, explore.Options{
-		Workers:   o.Workers,
-		Cache:     ev,
-		MaxPoints: o.MaxPoints,
-		First:     int(s.window.Lo),
-		Count:     int(s.window.Len()),
-		Skip:      s.skip,
-		Observer:  s.observePoint,
-	})
-	return s.finish(ctx, err)
+	return &ExploreResult{Front: MergeFronts(fronts...), Total: total, Done: t.done, Incomplete: t.incomplete}, err
 }
 
 // CampaignResult is the outcome of a sharded fault campaign: the merged
@@ -313,63 +323,29 @@ type CampaignResult struct {
 // completed, and the merged report is bit-identical to c.Report over a
 // single-process Execute.
 func RunCampaign(ctx context.Context, c *resil.Campaign, o Options) (*CampaignResult, error) {
-	o = o.withDefaults()
-	if err := o.validate(); err != nil {
+	total := int64(len(c.Runs))
+	report := &resil.Report{Chip: c.Flow.Chip.Name, Seed: c.Seed, Total: int(total)}
+	t, err := runShards(ctx, o, "campaign", c.Flow.Fingerprint(), total, func(s *shardRun) error {
+		var pending []int
+		for gi := s.window.Lo; gi < s.window.Hi; gi++ {
+			if !s.skip(int(gi)) {
+				pending = append(pending, int(gi))
+			}
+		}
+		var err error
+		if len(pending) > 0 {
+			sub := *c
+			sub.Indices = pending
+			sub.OnOutcome = func(out resil.Outcome) { s.observeOutcome(c.Record(out)) }
+			_, err = sub.Execute(ctx)
+		}
+		s.mu.Lock()
+		report.Records = append(report.Records, s.records()...)
+		s.mu.Unlock()
+		return err
+	})
+	if t == nil {
 		return nil, err
 	}
-	total := int64(len(c.Runs))
-	plan := Plan(total, o.Shards)
-	res := &CampaignResult{Total: total}
-	var recs []resil.RunRecord
-	var firstErr error
-	for i, win := range plan {
-		if o.Index != All && i != o.Index {
-			continue
-		}
-		s, err := newShardRun(o, "campaign", c.Flow.Fingerprint(), i, win, total)
-		if err != nil {
-			return nil, err
-		}
-		err = s.runCampaign(ctx, c)
-		s.mu.Lock()
-		recs = append(recs, s.records()...)
-		s.mu.Unlock()
-		done := s.doneRanges()
-		res.Done += countRanges(done)
-		res.Incomplete = append(res.Incomplete, subtract(win, done)...)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	report := &resil.Report{Chip: c.Flow.Chip.Name, Seed: c.Seed, Total: int(total)}
-	report.Records = append(report.Records, recs...)
-	res.Report = resil.MergeReports(report)
-	res.Incomplete = normalize(res.Incomplete)
-	return res, firstErr
-}
-
-// runCampaign executes the still-missing indices of one shard's slice of
-// the campaign, checkpointing along the way and once more at the end.
-func (s *shardRun) runCampaign(ctx context.Context, c *resil.Campaign) error {
-	s.prog = progress.Start(fmt.Sprintf("shard/campaign[%d/%d]", s.idx, s.state.Shards), s.window.Len(),
-		"shard.checkpoints_written")
-	defer s.prog.End()
-	s.mu.Lock()
-	s.prog.Step(countRanges(s.prior))
-	s.lastFlush = time.Now()
-	s.mu.Unlock()
-	var pending []int
-	for gi := s.window.Lo; gi < s.window.Hi; gi++ {
-		if !s.skip(int(gi)) {
-			pending = append(pending, int(gi))
-		}
-	}
-	var err error
-	if len(pending) > 0 {
-		sub := *c
-		sub.Indices = pending
-		sub.OnOutcome = func(out resil.Outcome) { s.observeOutcome(c.Record(out)) }
-		_, err = sub.Execute(ctx)
-	}
-	return s.finish(ctx, err)
+	return &CampaignResult{Report: resil.MergeReports(report), Total: total, Done: t.done, Incomplete: t.incomplete}, err
 }

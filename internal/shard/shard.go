@@ -10,11 +10,13 @@
 // canonical partial Pareto front, or the completed campaign run records).
 // A killed shard resumes from its newest good frame; a corrupt or torn
 // checkpoint falls back to the last frame that checks out, or to an empty
-// shard — it is survived, never trusted. Each shard runs its window once:
-// evaluations are deterministic, so a shard that fails would fail the
-// same way again. A failed shard degrades the run to a partial result
-// whose unfinished ranges are attributed explicitly; retrying is the
-// caller's decision (socetd's lease pool, internal/serve/pool, does it).
+// shard — it is survived, never trusted. Both workloads run through one
+// loop over the plan; only the work a shard does and the merge differ.
+// Each shard runs its window once: evaluations are deterministic, so a
+// shard that fails would fail the same way again. A failed shard
+// degrades the run to a partial result whose unfinished ranges are
+// attributed explicitly; retrying is the caller's decision (socetd's
+// lease pool, internal/serve/pool, does it).
 //
 // Merging is deterministic and compositional: dominance filtering is
 // closed under partition (Pareto(A ∪ B) = Pareto(Pareto(A) ∪ Pareto(B))),
@@ -32,7 +34,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/explore"
 )
 
@@ -257,11 +258,6 @@ type Options struct {
 	// MaxPoints caps the global enumeration space exactly as
 	// explore.Options.MaxPoints does (explore only).
 	MaxPoints int
-	// Cache, when non-nil, is the delta evaluator every evaluation goes
-	// through (explore only); it must be bound to the explored flow. The
-	// daemon passes the one evaluator it keeps per flow. Nil builds one
-	// evaluator per RunExplore call, shared by its shards.
-	Cache *core.DeltaEvaluator
 	// OnProgress, when non-nil, is called after every completed work
 	// item (design point or campaign run) — the lease heartbeat hook: a
 	// shard silent past its lease TTL is presumed dead by the daemon's

@@ -287,24 +287,6 @@ func TestRunExploreRefusesForeignCheckpoint(t *testing.T) {
 	}
 }
 
-// TestRunExploreRejectsForeignEvaluator: an evaluator bound to another
-// flow is refused before any shard runs or writes a checkpoint.
-func TestRunExploreRejectsForeignEvaluator(t *testing.T) {
-	f := generatedFlow(t, 5, 6)
-	other := generatedFlow(t, 6, 6)
-	prefix := filepath.Join(t.TempDir(), "ck")
-	res, err := RunExplore(context.Background(), f, Options{
-		Shards: 2, Index: All, Checkpoint: prefix, MaxPoints: 40,
-		Cache: core.NewDeltaEvaluator(other),
-	})
-	if err == nil || res != nil {
-		t.Fatalf("RunExplore with a foreign evaluator: result %v, error %v; want only an error", res, err)
-	}
-	if files, _ := filepath.Glob(prefix + "*"); len(files) != 0 {
-		t.Fatalf("a rejected run wrote checkpoints: %v", files)
-	}
-}
-
 // TestRunExploreDegradesWithAttribution: a shard whose evaluations fail
 // runs its window once — evaluation failures are deterministic, so a
 // retry would fail the same way — and the run returns the other shard's

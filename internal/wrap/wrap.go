@@ -41,12 +41,13 @@
 package wrap
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/cell"
+	"repro/internal/fanout"
 	"repro/internal/hscan"
 	"repro/internal/obs"
 	"repro/internal/soc"
@@ -510,27 +511,13 @@ func Evaluate(ch *soc.Chip, w int, opts *Options) *Result {
 	res := &Result{Width: w}
 
 	// Per-core TAT at every width 1..w, computed in parallel but stored by
-	// index, so the result is independent of scheduling order.
+	// index, so the result is independent of scheduling order. Each
+	// cannot fail: no call does, and the context is never done.
 	table := make([][]*CoreResult, len(cores))
-	if workers > len(cores) {
-		workers = maxInt(len(cores), 1)
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for p := 0; p < workers; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				table[i] = wrapAllWidths(cores[i], w)
-			}
-		}()
-	}
-	for i := range cores {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+	_ = fanout.Each(context.Background(), len(cores), workers, func(i int) error {
+		table[i] = wrapAllWidths(cores[i], w)
+		return nil
+	})
 	obs.C("wrap.cores_wrapped").Add(int64(len(cores)))
 
 	// Static assignment order: descending width-1 TAT, names as tie-break.

@@ -1,8 +1,15 @@
 #!/bin/sh
 # Perf-trajectory harness: run the tracked benchmark suite, turn the
 # output into a structured BENCH_<n>.json snapshot (schema in
-# internal/obs/benchjson), and diff it against the previous committed
-# snapshot, failing on regressions above the threshold.
+# internal/obs/benchjson), and gate on regressions above the threshold.
+#
+# A full run measures the parent (the committed HEAD, extracted into a
+# temporary directory) and the change (the working tree) together,
+# alternating per benchmark family, and fails on a benchmark the
+# change makes slower than the parent by more than the threshold. A diff
+# against the previous committed snapshot, taken on another day and
+# maybe another host, is printed as trajectory information only: host
+# drift between the two captures reads as a regression there.
 #
 #   scripts/bench.sh             full run; writes the next BENCH_<n>.json
 #   scripts/bench.sh -smoke      1x iterations; schema + diff machinery
@@ -32,7 +39,8 @@ fi
 REV=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 DATE=$(date -u +%Y-%m-%d)
 RAW=$(mktemp)
-trap 'rm -f "$RAW" /tmp/bench_smoke_$$.json' EXIT
+WORK=$(mktemp -d)
+trap 'rm -rf "$RAW" "$WORK"' EXIT
 
 if [ "$MODE" = smoke ]; then
     BT=1x
@@ -42,24 +50,42 @@ else
     THRESHOLD=${THRESHOLD:-0.30}
 fi
 
-# The tracked suite: the enumeration benches (serial/parallel),
-# the generated-chip scaling ladder, the TAT walk on 64 and 256 generated
-# cores, core prepare stage by stage (synth, hscan, versions and the whole
-# prepare) on 256 generated cores, the wrapped-core/TAM evaluator, the
-# degradation campaign, ATPG (GCD), fault simulation (CPU) and
+# The tracked suite, one benchmark family per line: the package, then
+# its -bench regexp. The enumeration benches (serial/parallel), the
+# generated-chip scaling ladder, the TAT walk on 64 and 256 generated
+# cores, core prepare stage by stage (synth, hscan, versions and the
+# whole prepare) on 256 generated cores, the wrapped-core/TAM evaluator,
+# the degradation campaign, ATPG (GCD), fault simulation (CPU) and
 # reverse-order compaction, the interconnect plan and one justification
 # search (System 1 and 256 generated cores each), and the obs overhead
-# micro-benches. One raw stream; pkg: headers keep names unambiguous.
-echo "==> bench suite (-benchtime $BT)"
-go test -run '^$' -bench 'BenchmarkEnumerate' -benchmem -benchtime "$BT" ./internal/explore/ | tee "$RAW"
-go test -run '^$' -bench 'BenchmarkGeneratedChip|BenchmarkImproveWalk|BenchmarkPrepareStages|BenchmarkWrappedChip|BenchmarkDegradationCampaign|BenchmarkATPGGCD|BenchmarkFaultSimCPU|BenchmarkAblationCompaction|BenchmarkInterconnectPlan|BenchmarkCCGShortestPath' -benchmem -benchtime "$BT" . | tee -a "$RAW"
-go test -run '^$' -bench '.' -benchmem -benchtime "$BT" ./internal/obs/ | tee -a "$RAW"
+# micro-benches.
+FAMILIES='./internal/explore/ BenchmarkEnumerate
+. BenchmarkGeneratedChip
+. BenchmarkImproveWalk
+. BenchmarkPrepareStages
+. BenchmarkWrappedChip
+. BenchmarkDegradationCampaign
+. BenchmarkATPGGCD
+. BenchmarkFaultSimCPU
+. BenchmarkAblationCompaction
+. BenchmarkInterconnectPlan
+. BenchmarkCCGShortestPath
+./internal/obs/ .'
+
+# family DIR OUT PKG RE runs one family in the tree at DIR and appends
+# its output to OUT. One raw stream per tree; pkg: headers keep names
+# unambiguous.
+family() {
+    (cd "$1" && go test -run '^$' -bench "$4" -benchmem -benchtime "$BT" "$3") | tee -a "$2"
+}
 
 # Latest committed snapshot, if any (BENCH_10 sorts after BENCH_9).
 PREV=$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1 || true)
 
 if [ "$MODE" = smoke ]; then
-    OUT=/tmp/bench_smoke_$$.json
+    echo "==> bench suite (-benchtime $BT)"
+    echo "$FAMILIES" | while read -r pkg re; do family . "$RAW" "$pkg" "$re"; done
+    OUT=$WORK/smoke.json
     echo "==> benchsnap -parse (smoke)"
     go run ./cmd/benchsnap -parse -rev "$REV" -date "$DATE" -in "$RAW" -out "$OUT"
     echo "==> benchsnap -check"
@@ -77,6 +103,28 @@ if [ "$MODE" = smoke ]; then
     exit 0
 fi
 
+PARENT=$WORK/parent
+PRAW=$WORK/parent.txt
+mkdir "$PARENT"
+git archive HEAD | tar -x -C "$PARENT"
+# Run each family on both trees back to back, alternating which side
+# goes first, so neither always runs on a cooler or warmer host. A
+# family takes seconds, so host load that shifts within minutes falls
+# on both sides of it.
+k=0
+echo "$FAMILIES" | while read -r pkg re; do
+    k=$((k + 1))
+    if [ $((k % 2)) -eq 1 ]; then
+        echo "==> $re: parent ($REV), then change (-benchtime $BT)"
+        family "$PARENT" "$PRAW" "$pkg" "$re"
+        family . "$RAW" "$pkg" "$re"
+    else
+        echo "==> $re: change, then parent ($REV) (-benchtime $BT)"
+        family . "$RAW" "$pkg" "$re"
+        family "$PARENT" "$PRAW" "$pkg" "$re"
+    fi
+done
+
 if [ -n "$PREV" ]; then
     N=$(( $(printf '%s' "$PREV" | sed 's/BENCH_\([0-9]*\).json/\1/') + 1 ))
 else
@@ -84,10 +132,13 @@ else
 fi
 OUT=BENCH_$N.json
 echo "==> benchsnap -parse -> $OUT"
+go run ./cmd/benchsnap -parse -rev "$REV" -date "$DATE" -in "$PRAW" -out "$WORK/parent.json"
 go run ./cmd/benchsnap -parse -rev "$REV" -date "$DATE" -in "$RAW" -out "$OUT"
 go run ./cmd/benchsnap -check "$OUT"
 if [ -n "$PREV" ]; then
-    echo "==> benchsnap -diff $PREV,$OUT (threshold $THRESHOLD)"
-    go run ./cmd/benchsnap -diff "$PREV,$OUT" -threshold "$THRESHOLD"
+    echo "==> trajectory: benchsnap -diff $PREV,$OUT (information only, not the gate)"
+    go run ./cmd/benchsnap -diff "$PREV,$OUT" -threshold "$THRESHOLD" || true
 fi
+echo "==> gate: benchsnap -diff parent,change (threshold $THRESHOLD)"
+go run ./cmd/benchsnap -diff "$WORK/parent.json,$OUT" -threshold "$THRESHOLD"
 echo "==> wrote $OUT"
