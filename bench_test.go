@@ -25,6 +25,7 @@ import (
 	"repro/internal/gate"
 	"repro/internal/hier"
 	"repro/internal/hscan"
+	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/resil"
 	"repro/internal/rtl"
@@ -438,6 +439,39 @@ func BenchmarkATPGGCD(b *testing.B) {
 		if _, err := atpg.Generate(sr.Netlist, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkATPGSystem1 times ATPG on each System 1 logic core's
+// netlist, as core.Prepare hands it to ATPG. The netlists come from a
+// prepare with a vector override, so setup runs no ATPG. The search
+// counts per op and the vector count pin the search itself: a change
+// that only makes each step cheaper leaves them unchanged.
+func BenchmarkATPGSystem1(b *testing.B) {
+	ch := systems.System1()
+	vecs := map[string]int{}
+	for _, c := range ch.TestableCores() {
+		vecs[c.Name] = 1
+	}
+	f, err := core.Prepare(ch, &core.Options{VectorOverride: vecs})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range []string{"CPU", "PREPROCESSOR", "DISPLAY"} {
+		n := f.Cores[name].Synth.Netlist
+		b.Run("core="+name, func(b *testing.B) {
+			_, m := obs.Enable(0)
+			defer obs.Disable()
+			var res *atpg.Result
+			for i := 0; i < b.N; i++ {
+				if res, err = atpg.Generate(n, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(m.Counter("atpg.backtracks").Value())/float64(b.N), "backtracks/op")
+			b.ReportMetric(float64(m.Counter("atpg.implications").Value())/float64(b.N), "implications/op")
+			b.ReportMetric(float64(res.Stats.Vectors), "vectors")
+		})
 	}
 }
 

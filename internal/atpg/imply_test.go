@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/gate"
+	"repro/internal/rtl"
 	"repro/internal/rtlgen"
 	"repro/internal/synth"
 	"repro/internal/systems"
@@ -156,6 +157,10 @@ func faultKinds(n *gate.Netlist) []gate.Fault {
 	return out
 }
 
+// kinds names every case kindOf tells apart.
+var kinds = []string{"stem on PI", "stem on DFF output", "stem on constant", "stem on gate",
+	"branch into DFF", "branch into mux select", "branch into gate"}
+
 // kindOf names the case of f that the corpus test must cover.
 func kindOf(n *gate.Netlist, f gate.Fault) string {
 	t := n.Gates[f.Line].Type
@@ -215,11 +220,11 @@ func randomNetlist(seed uint64) *gate.Netlist {
 }
 
 // TestImplyMatchesFullPass drives the incremental engine through random
-// assign/flip/unassign/reset sequences on GCD, generated RTL cores and
-// random netlists, for every kind of fault site.
+// assign/flip/unassign/reset sequences on GCD, System 1's logic cores,
+// generated RTL cores and random netlists, for every kind of fault site.
 func TestImplyMatchesFullPass(t *testing.T) {
 	var nets []*gate.Netlist
-	cores := append(rtlgen.Many(8, 700), systems.GCD())
+	cores := append(rtlgen.Many(8, 700), systems.GCD(), systems.CPU(), systems.Preprocessor(), systems.Display())
 	if testing.Short() {
 		cores = cores[:3]
 	}
@@ -233,7 +238,7 @@ func TestImplyMatchesFullPass(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		nets = append(nets, randomNetlist(seed))
 	}
-	kinds := map[string]int{}
+	exercised := map[string]int{}
 	for i, n := range nets {
 		e, err := newEngine(n)
 		if err != nil {
@@ -247,22 +252,80 @@ func TestImplyMatchesFullPass(t *testing.T) {
 		choose := seededChooser(uint64(i) + 1)
 		for fi, f := range faults {
 			k := kindOf(n, f)
-			if fi < listed && fi%stride != 0 && kinds[k] > 0 {
+			if fi < listed && fi%stride != 0 && exercised[k] > 0 {
 				continue
 			}
-			kinds[k]++
+			exercised[k]++
 			e.reset(f)
 			checkImply(t, e)
 			drive(t, e, faults, choose, 24)
 		}
 	}
-	for _, k := range []string{"stem on PI", "stem on DFF output", "stem on constant", "stem on gate",
-		"branch into DFF", "branch into mux select", "branch into gate"} {
-		if kinds[k] == 0 {
+	for _, k := range kinds {
+		if exercised[k] == 0 {
 			t.Errorf("no %q fault exercised", k)
 		}
 	}
-	t.Logf("faults exercised by kind: %v", kinds)
+	t.Logf("faults exercised by kind: %v", exercised)
+}
+
+// TestEveryBacktrackPoint checks the state PODEM leaves right after each
+// backtrack of a real search, where the trail has just been undone to a
+// decision's mark and the decision flipped. The netlists are those ATPG
+// runs on for System 1's CPU, PREPROCESSOR and DISPLAY and System 2's
+// GCD: each core's RTL synthesized, as core.Prepare does before ATPG.
+// Every sampled fault is searched with backtrack limits 0, 1, 2, … up to
+// the default, so each search stops right after one more flip than the
+// last; implying from there must equal the full pass. Each search also
+// stays within the trail bound: along the search path, a line's values
+// change at most twice (DESIGN.md §11).
+func TestEveryBacktrackPoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("searches every sampled fault once per backtrack")
+	}
+	const perKind = 40
+	limit := (*Options)(nil).withDefaults().BacktrackLimit
+	for _, c := range []*rtl.Core{systems.CPU(), systems.Preprocessor(), systems.Display(), systems.GCD()} {
+		sr, err := synth.Synthesize(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := sr.Netlist
+		e, err := newEngine(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byKind := map[string][]gate.Fault{}
+		for _, f := range faultKinds(n) {
+			k := kindOf(n, f)
+			byKind[k] = append(byKind[k], f)
+		}
+		searched, flips := map[outcome]int{}, 0
+		for _, k := range kinds {
+			faults := byKind[k]
+			for i := 0; i < len(faults); i += max(1, len(faults)/perKind) {
+				f := faults[i]
+				for bt := 0; ; bt++ {
+					out := e.podem(f, bt)
+					checkImply(t, e)
+					if len(e.trail) > 2*len(n.Gates) {
+						t.Fatalf("%s fault %v, limit %d: trail holds %d entries for %d lines",
+							n.Name, f, bt, len(e.trail), len(n.Gates))
+					}
+					if out != outAborted || bt == limit {
+						searched[out]++
+						break
+					}
+					flips++
+				}
+			}
+		}
+		t.Logf("%s: %d flips checked; searches ended %d detected, %d untestable, %d aborted",
+			n.Name, flips, searched[outDetected], searched[outUntestable], searched[outAborted])
+		if searched[outUntestable] == 0 || searched[outAborted] == 0 {
+			t.Errorf("%s: the sample needs untestable and aborted faults, got %v", n.Name, searched)
+		}
+	}
 }
 
 // FuzzImply checks incremental implication against the full pass on

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/gate"
@@ -19,18 +20,25 @@ const (
 // engine holds per-netlist PODEM state, reused across faults.
 //
 // Implication is incremental. Each fault starts from the all-X good state
-// (every controllable line unassigned), precomputed once. Assigning,
-// flipping or unassigning a controllable line queues its fanouts, and
-// imply re-evaluates, level by level, only gates with a fanin that
+// (every controllable line unassigned), precomputed once. Assigning or
+// flipping a controllable line queues its fanouts, and imply
+// re-evaluates, in evaluation order, only gates with a fanin that
 // changed. Faulty values differ from good ones only inside the fault's
 // forward cone, so they are computed only there; everywhere else fv
-// mirrors gv.
+// mirrors gv. Every value change goes on a trail, and a backtrack undoes
+// the trail back to the flipped decision instead of re-implying.
 type engine struct {
 	n       *gate.Netlist
 	order   []int
 	topoPos []int32 // position in order; -1 for sources
-	level   []int32
-	fo      [][]int // combinational fanouts
+	// the netlist compiled by position in order: each gate's type and its
+	// fanin lines (slots the type does not use repeat fanin 0, which its
+	// truth table ignores).
+	typ []byte
+	fin [][3]int32
+	// combinational fanouts of each line, as positions in order:
+	// foList[foOff[line]:foOff[line+1]].
+	foOff, foList []int32
 	// good and faulty three-valued line values, and the all-X good state.
 	gv, fv, gvX []byte
 	// controllable lines (PIs, then DFF outputs under full scan), each
@@ -62,11 +70,13 @@ type engine struct {
 	inCone    []uint32
 	coneEp    uint32
 
-	// levelized event queue: gates of level l waiting for evaluation,
-	// none outside levels lo..hi.
-	buckets [][]int32
-	queued  []bool
-	lo, hi  int
+	// event queue: bit p of pending marks the gate at position p as
+	// waiting for evaluation; no word outside pendLo..pendHi has a bit
+	// set.
+	pending        []uint64
+	pendLo, pendHi int
+	// every line value change since reset, oldest first.
+	trail []change
 
 	// search buffers, reused across decisions and faults.
 	stack    []decision
@@ -80,12 +90,25 @@ type engine struct {
 	cBacktracks, cImplications *obs.Counter
 }
 
+// change is one trail entry: a line and its values before it changed.
+type change struct {
+	line   int32
+	gv, fv byte
+}
+
+// truth holds each gate type's three-valued function of its fanin
+// values a, b and c, at index 9a+3b+c.
+var truth = func() (t [gate.DFF + 1][27]byte) {
+	for typ := range t {
+		for i := range t[typ] {
+			t[typ][i] = eval3(gate.Type(typ), byte(i/9), byte(i/3%3), byte(i%3))
+		}
+	}
+	return t
+}()
+
 func newEngine(n *gate.Netlist) (*engine, error) {
 	order, err := n.Order()
-	if err != nil {
-		return nil, err
-	}
-	lv, err := n.Levels()
 	if err != nil {
 		return nil, err
 	}
@@ -94,29 +117,47 @@ func newEngine(n *gate.Netlist) (*engine, error) {
 		n:       n,
 		order:   order,
 		topoPos: make([]int32, ng),
-		level:   make([]int32, ng),
-		fo:      n.CombFanouts(),
+		typ:     make([]byte, len(order)),
+		fin:     make([][3]int32, len(order)),
+		foOff:   make([]int32, ng+1),
 		gv:      make([]byte, ng),
 		fv:      make([]byte, ng),
 		gvX:     make([]byte, ng),
 		ctlIdx:  make([]int32, ng),
 		isObs:   make([]bool, ng),
 		inCone:  make([]uint32, ng),
-		queued:  make([]bool, ng),
+		pending: make([]uint64, (len(order)+63)/64),
 		seen:    make([]uint32, ng),
 	}
-	top := 0
+	e.pendLo, e.pendHi = len(e.pending), -1
 	for i := range e.topoPos {
 		e.topoPos[i] = -1
 		e.ctlIdx[i] = -1
-		e.level[i] = int32(lv[i])
-		top = max(top, lv[i])
 	}
 	for pos, id := range order {
 		e.topoPos[id] = int32(pos)
+		g := &n.Gates[id]
+		e.typ[pos] = byte(g.Type)
+		for s := range e.fin[pos] {
+			e.fin[pos][s] = int32(g.Fanin[0])
+		}
+		for s, f := range g.Fanin {
+			e.fin[pos][s] = int32(f)
+			e.foOff[f+1]++
+		}
 	}
-	e.buckets = make([][]int32, top+1)
-	e.lo, e.hi = len(e.buckets), -1
+	// Fanout lists in CSR form: count, prefix-sum, fill in position order.
+	for i := 1; i <= ng; i++ {
+		e.foOff[i] += e.foOff[i-1]
+	}
+	e.foList = make([]int32, e.foOff[ng])
+	next := slices.Clone(e.foOff[:ng])
+	for pos, id := range order {
+		for _, f := range n.Gates[id].Fanin {
+			e.foList[next[f]] = int32(pos)
+			next[f]++
+		}
+	}
 	for _, pi := range n.PIs() {
 		e.ctlIdx[pi] = int32(len(e.ctl))
 		e.ctl = append(e.ctl, pi)
@@ -143,6 +184,11 @@ func newEngine(n *gate.Netlist) (*engine, error) {
 	e.cBacktracks = obs.C("atpg.backtracks")
 	e.cImplications = obs.C("atpg.implications")
 	return e, nil
+}
+
+// fanouts returns the positions in order of line's combinational fanouts.
+func (e *engine) fanouts(line int) []int32 {
+	return e.foList[e.foOff[line]:e.foOff[line+1]]
 }
 
 func (e *engine) computeObsDist() {
@@ -245,20 +291,9 @@ func (e *engine) computeAllX() {
 			e.gvX[id] = hi
 		}
 	}
-	for _, id := range e.order {
-		g := &e.n.Gates[id]
-		var a, b, c byte
-		switch len(g.Fanin) {
-		case 3:
-			c = e.gvX[g.Fanin[2]]
-			fallthrough
-		case 2:
-			b = e.gvX[g.Fanin[1]]
-			fallthrough
-		case 1:
-			a = e.gvX[g.Fanin[0]]
-		}
-		e.gvX[id] = eval3(g.Type, a, b, c)
+	for pos, id := range e.order {
+		in := &e.fin[pos]
+		e.gvX[id] = truth[e.typ[pos]][9*int(e.gvX[in[0]])+3*int(e.gvX[in[1]])+int(e.gvX[in[2]])]
 	}
 }
 
@@ -355,14 +390,12 @@ func (e *engine) reset(f gate.Fault) {
 	for i := range e.assign {
 		e.assign[i] = xx
 	}
-	// A search that ends in a backtrack leaves its last changes queued.
-	for l := e.lo; l <= e.hi; l++ {
-		for _, id := range e.buckets[l] {
-			e.queued[id] = false
-		}
-		e.buckets[l] = e.buckets[l][:0]
+	// An aborted search leaves its last flip queued.
+	for w := e.pendLo; w <= e.pendHi; w++ {
+		e.pending[w] = 0
 	}
-	e.lo, e.hi = len(e.buckets), -1
+	e.pendLo, e.pendHi = len(e.pending), -1
+	e.trail = e.trail[:0]
 	copy(e.gv, e.gvX)
 	copy(e.fv, e.gvX)
 	e.stem, e.victim = -1, -1
@@ -378,7 +411,7 @@ func (e *engine) reset(f gate.Fault) {
 		e.queueFanouts(e.stem)
 	}
 	if e.victim >= 0 {
-		e.queue(e.victim)
+		e.queue(e.topoPos[e.victim])
 	}
 }
 
@@ -403,8 +436,8 @@ func (e *engine) buildCone() {
 	e.inCone[root] = e.coneEp
 	e.cone = append(e.cone, root)
 	for i := 0; i < len(e.cone); i++ {
-		for _, s := range e.fo[e.cone[i]] {
-			if e.inCone[s] != e.coneEp {
+		for _, pos := range e.fanouts(e.cone[i]) {
+			if s := e.order[pos]; e.inCone[s] != e.coneEp {
 				e.inCone[s] = e.coneEp
 				e.cone = append(e.cone, s)
 			}
@@ -431,11 +464,13 @@ func (e *engine) buildCone() {
 	}
 }
 
-// set assigns value v (lo, hi or xx) to controllable line ci and queues
-// the change; imply propagates it.
+// set assigns value v (lo, hi or xx) to controllable line ci, records
+// the line's old values on the trail and queues its fanouts; imply
+// propagates the change.
 func (e *engine) set(ci int, v byte) {
 	e.assign[ci] = v
 	c := e.ctl[ci]
+	e.trail = append(e.trail, change{int32(c), e.gv[c], e.fv[c]})
 	e.gv[c] = v
 	if c != e.stem {
 		e.fv[c] = v
@@ -443,71 +478,64 @@ func (e *engine) set(ci int, v byte) {
 	e.queueFanouts(c)
 }
 
-func (e *engine) queue(id int) {
-	if e.queued[id] {
-		return
+// undo restores, newest first, every value change recorded since the
+// trail was mark entries long.
+func (e *engine) undo(mark int) {
+	for i := len(e.trail) - 1; i >= mark; i-- {
+		c := e.trail[i]
+		e.gv[c.line], e.fv[c.line] = c.gv, c.fv
 	}
-	e.queued[id] = true
-	l := int(e.level[id])
-	e.buckets[l] = append(e.buckets[l], int32(id))
-	e.lo, e.hi = min(e.lo, l), max(e.hi, l)
+	e.trail = e.trail[:mark]
+}
+
+// queue marks the gate at position pos in order for evaluation.
+func (e *engine) queue(pos int32) {
+	w := int(pos >> 6)
+	e.pending[w] |= 1 << (pos & 63)
+	e.pendLo, e.pendHi = min(e.pendLo, w), max(e.pendHi, w)
 }
 
 func (e *engine) queueFanouts(line int) {
-	for _, s := range e.fo[line] {
-		e.queue(s)
+	for _, pos := range e.fanouts(line) {
+		e.queue(pos)
 	}
 }
 
 // imply brings good and faulty values up to date with the assignment by
-// re-evaluating queued gates in level order. A gate only queues fanouts
-// of a higher level, so each bucket is complete when its level is
-// reached.
+// re-evaluating queued gates in ascending position. A gate queues only
+// fanouts, which sit at later positions, so every gate is evaluated
+// after all of its changed fanins, as in a full pass.
 func (e *engine) imply() {
-	for l := e.lo; l <= e.hi; l++ {
-		for _, id := range e.buckets[l] {
-			e.queued[id] = false
-			e.evalGate(int(id))
+	for w := e.pendLo; w <= e.pendHi; w++ {
+		for e.pending[w] != 0 {
+			b := bits.TrailingZeros64(e.pending[w])
+			e.pending[w] &^= 1 << b
+			e.evalGate(w<<6 | b)
 		}
-		e.buckets[l] = e.buckets[l][:0]
 	}
-	e.lo, e.hi = len(e.buckets), -1
+	e.pendLo, e.pendHi = len(e.pending), -1
 }
 
-// evalGate recomputes gate id and queues its fanouts if it changed.
-func (e *engine) evalGate(id int) {
-	g := &e.n.Gates[id]
-	in := g.Fanin
-	var a, b, c byte
-	switch len(in) {
-	case 3:
-		c = e.gv[in[2]]
-		fallthrough
-	case 2:
-		b = e.gv[in[1]]
-		fallthrough
-	case 1:
-		a = e.gv[in[0]]
-	}
-	gv := eval3(g.Type, a, b, c)
+// evalGate recomputes the gate at position pos in order. If it changed,
+// its old values go on the trail and its fanouts are queued.
+func (e *engine) evalGate(pos int) {
+	id := e.order[pos]
+	in := &e.fin[pos]
+	tt := &truth[e.typ[pos]]
+	gv := tt[9*int(e.gv[in[0]])+3*int(e.gv[in[1]])+int(e.gv[in[2]])]
 	fv := gv
 	if e.inCone[id] == e.coneEp {
-		switch len(in) {
-		case 3:
-			c = e.faninFv(id, 2)
-			fallthrough
-		case 2:
-			b = e.faninFv(id, 1)
-			fallthrough
-		case 1:
-			a = e.faninFv(id, 0)
+		f := [3]byte{e.fv[in[0]], e.fv[in[1]], e.fv[in[2]]}
+		if id == e.victim {
+			f[e.f.Branch] = e.f.Stuck
 		}
-		fv = eval3(g.Type, a, b, c)
+		fv = tt[9*int(f[0])+3*int(f[1])+int(f[2])]
 		if id == e.stem {
 			fv = e.f.Stuck
 		}
 	}
 	if gv != e.gv[id] || fv != e.fv[id] {
+		e.trail = append(e.trail, change{int32(id), e.gv[id], e.fv[id]})
 		e.gv[id], e.fv[id] = gv, fv
 		e.queueFanouts(id)
 	}
@@ -591,8 +619,8 @@ func (e *engine) xPathExists(frontier []int) bool {
 			e.dfs = stack
 			return true
 		}
-		for _, s := range e.fo[id] {
-			if e.gv[s] == xx || e.fv[s] == xx {
+		for _, pos := range e.fanouts(id) {
+			if s := e.order[pos]; e.gv[s] == xx || e.fv[s] == xx {
 				stack = append(stack, s)
 			}
 		}
@@ -757,8 +785,12 @@ func (e *engine) backtrace(line int, val byte) (ctlLine int, ctlVal byte, ok boo
 	return 0, 0, false
 }
 
+// decision is one assignment on the search stack. mark is the trail
+// length before the assignment: undoing to it restores the implied state
+// the decision was made in.
 type decision struct {
 	ctl     int // index into e.ctl
+	mark    int
 	flipped bool
 }
 
@@ -808,31 +840,33 @@ func (e *engine) podem(f gate.Fault, backtrackLimit int) outcome {
 			}
 		}
 		if fail {
-			// Backtrack: flip the most recent unflipped decision.
-			flipped := false
-			for len(e.stack) > 0 {
-				top := &e.stack[len(e.stack)-1]
-				if !top.flipped {
-					top.flipped = true
-					e.set(top.ctl, e.assign[top.ctl]^1)
-					flipped = true
-					backtracks++
-					break
-				}
-				e.set(top.ctl, xx)
+			// Backtrack: drop the flipped decisions on top, then flip the
+			// most recent unflipped one. The queue is empty here, and
+			// undoing the trail to a decision's mark restores the values
+			// implied before it was made, so only the flip is implied anew.
+			for len(e.stack) > 0 && e.stack[len(e.stack)-1].flipped {
+				top := e.stack[len(e.stack)-1]
+				e.undo(top.mark)
+				e.assign[top.ctl] = xx
 				e.stack = e.stack[:len(e.stack)-1]
 			}
-			if !flipped {
+			if len(e.stack) == 0 {
 				return outUntestable
 			}
+			top := &e.stack[len(e.stack)-1]
+			v := e.assign[top.ctl]
+			e.undo(top.mark)
+			top.flipped = true
+			e.set(top.ctl, v^1)
+			backtracks++
 			if backtracks > backtrackLimit {
 				return outAborted
 			}
 			continue
 		}
 		ci := int(e.ctlIdx[ctlLine])
+		e.stack = append(e.stack, decision{ctl: ci, mark: len(e.trail)})
 		e.set(ci, ctlVal)
-		e.stack = append(e.stack, decision{ctl: ci})
 	}
 }
 

@@ -130,7 +130,7 @@ func decodeEntry(payload []byte, key string, n *gate.Netlist) *Result {
 	}
 	nPI, nFF := len(n.PIs()), len(n.DFFs())
 	for _, p := range e.Result.Patterns {
-		if !bits(p.PI, nPI) || (nFF == 0) != (p.State == nil) || (nFF > 0 && !bits(p.State, nFF)) {
+		if !zeroOnes(p.PI, nPI) || (nFF == 0) != (p.State == nil) || (nFF > 0 && !zeroOnes(p.State, nFF)) {
 			return nil
 		}
 	}
@@ -149,8 +149,8 @@ func decodeEntry(payload []byte, key string, n *gate.Netlist) *Result {
 	return e.Result
 }
 
-// bits reports whether v holds exactly width values, each 0 or 1.
-func bits(v []byte, width int) bool {
+// zeroOnes reports whether v holds exactly width values, each 0 or 1.
+func zeroOnes(v []byte, width int) bool {
 	if len(v) != width {
 		return false
 	}

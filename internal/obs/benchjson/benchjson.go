@@ -25,12 +25,14 @@ import (
 // change so DiffFloor can refuse to compare apples to oranges.
 const SchemaVersion = 1
 
-// Result is one benchmark line. Name is the benchmark's name without the
-// -N suffix go test appends when GOMAXPROCS is not 1; Procs holds that N
-// (1 for an unsuffixed name). NsPerOp is always present; BytesPerOp and
-// AllocsPerOp only when the run used -benchmem (pointers distinguish
-// "absent" from a true zero). Metrics holds every custom unit reported
-// via b.ReportMetric (TAT-cycles, design-points, ...).
+// Result is one benchmark: one result line, or the median of its
+// repeated lines when the output holds several runs of it. Name is the
+// benchmark's name without the -N suffix go test appends when GOMAXPROCS
+// is not 1; Procs holds that N (1 for an unsuffixed name). Iterations is
+// the total over the repeated lines. NsPerOp is always present;
+// BytesPerOp and AllocsPerOp only when the run used -benchmem (pointers
+// distinguish "absent" from a true zero). Metrics holds every custom
+// unit reported via b.ReportMetric (TAT-cycles, design-points, ...).
 type Result struct {
 	Pkg         string             `json:"pkg,omitempty"`
 	Name        string             `json:"name"`
@@ -70,10 +72,19 @@ type Snapshot struct {
 // goos/goarch/pkg header lines annotate them, everything else (PASS, ok,
 // b.Logf output) is ignored. Lines that look like benchmark results but
 // do not parse are errors — a silently dropped benchmark would read as
-// "no regression".
+// "no regression". The lines of one benchmark run several times (go test
+// -count, or several go test runs in one stream) fold into one Result in
+// the order of its first line: one slow sample then moves the median, not
+// the gate, and a snapshot still holds each benchmark once.
 func Parse(r io.Reader) (*Snapshot, error) {
 	snap := &Snapshot{Schema: SchemaVersion}
 	pkg := ""
+	type runKey struct {
+		key   string
+		procs int
+	}
+	var runs []runKey
+	samples := map[runKey][]Result{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -93,14 +104,76 @@ func Parse(r io.Reader) (*Snapshot, error) {
 			if ok {
 				res.Pkg = pkg
 				res.Name, res.Procs = splitProcs(res.Name)
-				snap.Results = append(snap.Results, res)
+				k := runKey{res.Key(), res.Procs}
+				if samples[k] == nil {
+					runs = append(runs, k)
+				}
+				samples[k] = append(samples[k], res)
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("benchjson: %w", err)
 	}
+	for _, k := range runs {
+		snap.Results = append(snap.Results, fold(samples[k]))
+	}
 	return snap, nil
+}
+
+// fold merges the samples of one benchmark into one Result: the median
+// of ns/op, of B/op, of allocs/op and of each custom metric, each taken
+// over the samples that report it, and the total iteration count.
+func fold(rs []Result) Result {
+	if len(rs) == 1 {
+		return rs[0]
+	}
+	out := Result{Pkg: rs[0].Pkg, Name: rs[0].Name, Procs: rs[0].Procs}
+	var ns, bytes, allocs []float64
+	metrics := map[string][]float64{}
+	for _, r := range rs {
+		out.Iterations += r.Iterations
+		ns = append(ns, r.NsPerOp)
+		if r.BytesPerOp != nil {
+			bytes = append(bytes, *r.BytesPerOp)
+		}
+		if r.AllocsPerOp != nil {
+			allocs = append(allocs, *r.AllocsPerOp)
+		}
+		for unit, v := range r.Metrics {
+			metrics[unit] = append(metrics[unit], v)
+		}
+	}
+	out.NsPerOp = median(ns)
+	out.BytesPerOp, out.AllocsPerOp = medianOf(bytes), medianOf(allocs)
+	if len(metrics) > 0 {
+		out.Metrics = map[string]float64{}
+		for unit, vs := range metrics {
+			out.Metrics[unit] = median(vs)
+		}
+	}
+	return out
+}
+
+// medianOf is the median of a column that -benchmem may leave out: nil
+// when no sample reports it.
+func medianOf(xs []float64) *float64 {
+	if len(xs) == 0 {
+		return nil
+	}
+	m := median(xs)
+	return &m
+}
+
+// median returns the middle value of xs, or the mean of the two middle
+// values for an even count. It sorts xs in place.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // splitProcs splits go test's -N GOMAXPROCS suffix off a benchmark name.

@@ -2,6 +2,7 @@ package benchjson
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -385,5 +386,67 @@ func TestDiffDisjointSnapshotsError(t *testing.T) {
 	// An empty side has nothing to share and is not an error.
 	if _, err := DiffFloor(a, &Snapshot{Schema: SchemaVersion}, 0.25, 0); err != nil {
 		t.Fatalf("diff against an empty snapshot: %v", err)
+	}
+}
+
+// samples formats one `go test -count N` run of BenchmarkX: one result
+// line per ns/op value given, each with B/op, allocs/op and a custom
+// metric.
+func samples(ns ...float64) string {
+	var b strings.Builder
+	b.WriteString("pkg: p\n")
+	for i, v := range ns {
+		fmt.Fprintf(&b, "BenchmarkX-2\t100\t%g ns/op\t%d B/op\t7 allocs/op\t94 vectors\n", v, 1000+i)
+	}
+	b.WriteString("PASS\n")
+	return b.String()
+}
+
+// TestRepeatedSamplesFoldIntoMedian: with -count 5 go test prints each
+// benchmark five times. Parse keeps one result per benchmark holding the
+// medians, so the snapshot stays valid, one slow sample does not trip
+// the gate, and a real slowdown still does.
+func TestRepeatedSamplesFoldIntoMedian(t *testing.T) {
+	parse := func(raw string) *Snapshot {
+		t.Helper()
+		snap, err := Parse(strings.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.Rev, snap.Date = "r", "d"
+		if err := snap.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	regressions := func(old, new *Snapshot) int {
+		t.Helper()
+		rep, err := DiffFloor(old, new, 0.30, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(rep.Regressions)
+	}
+	parent := parse(samples(1000, 1010, 990, 1005, 995))
+	if len(parent.Results) != 1 {
+		t.Fatalf("five samples parsed into %d results, want 1", len(parent.Results))
+	}
+	r := parent.Results[0]
+	if r.Key() != "p.BenchmarkX" || r.Procs != 2 || r.Iterations != 500 || r.NsPerOp != 1000 ||
+		*r.BytesPerOp != 1002 || *r.AllocsPerOp != 7 || r.Metrics["vectors"] != 94 {
+		t.Fatalf("folded result %+v, want the medians over 500 iterations", r)
+	}
+	if n := regressions(parent, parse(samples(1000, 1500, 990, 1005, 995))); n != 0 {
+		t.Errorf("one 1.5x sample among five tripped the gate (%d regressions)", n)
+	}
+	// The same outlier as the only sample of its side trips it.
+	if n := regressions(parse(samples(1000)), parse(samples(1500))); n != 1 {
+		t.Errorf("a lone 1.5x sample: %d regressions, want 1", n)
+	}
+	if n := regressions(parent, parse(samples(2000, 2020, 1980, 2010, 1990))); n != 1 {
+		t.Errorf("a 2x slowdown in every sample: %d regressions, want 1", n)
+	}
+	if m := median([]float64{4, 1, 3, 2}); m != 2.5 {
+		t.Errorf("median of an even count = %g, want 2.5", m)
 	}
 }

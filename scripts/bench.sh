@@ -6,7 +6,11 @@
 # A full run measures the parent (the committed HEAD, extracted into a
 # temporary directory) and the change (the working tree) together,
 # alternating per benchmark family, and fails on a benchmark the
-# change makes slower than the parent by more than the threshold. A diff
+# change makes slower than the parent by more than the threshold. Each
+# family runs five rounds per side, the sides alternating within each
+# round, and the snapshot holds each benchmark's median over its five
+# samples, so neither one slow sample nor a burst of host load during
+# one side's run fails it. A diff
 # against the previous committed snapshot, taken on another day and
 # maybe another host, is printed as trajectory information only: host
 # drift between the two captures reads as a regression there.
@@ -47,6 +51,7 @@ if [ "$MODE" = smoke ]; then
     THRESHOLD=${THRESHOLD:-100}
 else
     BT=${BENCHTIME:-1s}
+    COUNT=5
     THRESHOLD=${THRESHOLD:-0.30}
 fi
 
@@ -55,9 +60,10 @@ fi
 # generated-chip scaling ladder, the TAT walk on 64 and 256 generated
 # cores, core prepare stage by stage (synth, hscan, versions and the
 # whole prepare) on 256 generated cores, the wrapped-core/TAM evaluator,
-# the degradation campaign, ATPG (GCD), fault simulation (CPU) and
-# reverse-order compaction, the interconnect plan and one justification
-# search (System 1 and 256 generated cores each), and the obs overhead
+# the degradation campaign, ATPG (GCD, and each of System 1's CPU,
+# PREPROCESSOR and DISPLAY), fault simulation (CPU) and reverse-order
+# compaction, the interconnect plan and one justification search
+# (System 1 and 256 generated cores each), and the obs overhead
 # micro-benches.
 FAMILIES='./internal/explore/ BenchmarkEnumerate
 . BenchmarkGeneratedChip
@@ -66,6 +72,7 @@ FAMILIES='./internal/explore/ BenchmarkEnumerate
 . BenchmarkWrappedChip
 . BenchmarkDegradationCampaign
 . BenchmarkATPGGCD
+. BenchmarkATPGSystem1
 . BenchmarkFaultSimCPU
 . BenchmarkAblationCompaction
 . BenchmarkInterconnectPlan
@@ -74,7 +81,8 @@ FAMILIES='./internal/explore/ BenchmarkEnumerate
 
 # family DIR OUT PKG RE runs one family in the tree at DIR and appends
 # its output to OUT. One raw stream per tree; pkg: headers keep names
-# unambiguous.
+# unambiguous, and benchsnap folds a benchmark's repeated samples into
+# their median.
 family() {
     (cd "$1" && go test -run '^$' -bench "$4" -benchmem -benchtime "$BT" "$3") | tee -a "$2"
 }
@@ -107,22 +115,27 @@ PARENT=$WORK/parent
 PRAW=$WORK/parent.txt
 mkdir "$PARENT"
 git archive HEAD | tar -x -C "$PARENT"
-# Run each family on both trees back to back, alternating which side
-# goes first, so neither always runs on a cooler or warmer host. A
-# family takes seconds, so host load that shifts within minutes falls
-# on both sides of it.
+# Run each family on both trees back to back, COUNT rounds, alternating
+# which side goes first, so neither always runs on a cooler or warmer
+# host. One side's run of a family takes seconds; a burst of host load
+# that lasts as long falls on one side's sample of one round, where
+# -count would have put all of that side's samples inside it.
 k=0
 echo "$FAMILIES" | while read -r pkg re; do
-    k=$((k + 1))
-    if [ $((k % 2)) -eq 1 ]; then
-        echo "==> $re: parent ($REV), then change (-benchtime $BT)"
-        family "$PARENT" "$PRAW" "$pkg" "$re"
-        family . "$RAW" "$pkg" "$re"
-    else
-        echo "==> $re: change, then parent ($REV) (-benchtime $BT)"
-        family . "$RAW" "$pkg" "$re"
-        family "$PARENT" "$PRAW" "$pkg" "$re"
-    fi
+    r=0
+    while [ $r -lt $COUNT ]; do
+        r=$((r + 1))
+        k=$((k + 1))
+        if [ $((k % 2)) -eq 1 ]; then
+            echo "==> $re round $r/$COUNT: parent ($REV), then change (-benchtime $BT)"
+            family "$PARENT" "$PRAW" "$pkg" "$re"
+            family . "$RAW" "$pkg" "$re"
+        else
+            echo "==> $re round $r/$COUNT: change, then parent ($REV) (-benchtime $BT)"
+            family . "$RAW" "$pkg" "$re"
+            family "$PARENT" "$PRAW" "$pkg" "$re"
+        fi
+    done
 done
 
 if [ -n "$PREV" ]; then

@@ -17,10 +17,11 @@ echo "==> go vet ./..."
 go vet ./...
 
 echo "==> go test -race (parallel enumeration)"
-go test -race -run 'TestEnumerateParallel|TestWarmEvaluator' ./internal/explore/
+go test -race -run 'TestEnumerateParallel|TestEnumerateReturnsLowestFailingIndex' ./internal/explore/
+go test -race ./internal/fanout/
 
 echo "==> go test -race (delta-vs-full equivalence)"
-go test -race -count=1 -run 'TestDelta|TestMultiMatchesSingle|TestMultiDuplicate|TestMultiUnreachable|TestFinderReuse|TestCloneWithVersion|TestForeignEvaluator|TestHeapMatchesContainerHeap|TestDistancesMatchSearch|TestInterconnectMatchesPerNetSearch|TestEqualEvaluationsComparesUntestableNets|TestConeSearchMatchesUnrestricted|TestFinderSurvivesEpochWrap|TestPutFinderDropsGraph|TestPinListsAreSharedAndCapped|TestEarliestFreeIsFIFO|TestNearestPathTie|TestBoundsThrough' \
+go test -race -count=1 -run 'TestDelta|TestMultiMatchesSingle|TestMultiDuplicate|TestMultiUnreachable|TestFinderReuse|TestCloneWithVersion|TestHeapMatchesContainerHeap|TestDistancesMatchSearch|TestInterconnectMatchesPerNetSearch|TestEqualEvaluationsComparesUntestableNets|TestConeSearchMatchesUnrestricted|TestFinderSurvivesEpochWrap|TestPutFinderDropsGraph|TestPinListsAreSharedAndCapped|TestEarliestFreeIsFIFO|TestNearestPathTie|TestBoundsThrough' \
     ./internal/core/ ./internal/ccg/ ./internal/explore/ ./internal/sched/ ./internal/proptest/
 
 echo "==> go test -race (delta-vs-full on 48-core SoCs: more flips than the 16-base registry holds)"
