@@ -727,9 +727,9 @@ func generatedFlow(b *testing.B, n int) *core.Flow {
 // BenchmarkGeneratedChip measures the explorer's hot loop on socgen
 // chips of growing core count: evaluating a candidate that differs from
 // an already-evaluated base in ONE core's version. The delta evaluator
-// is rebased once outside the timer with adoption off, so every timed
-// iteration is a pure incremental evaluation of a different single-core
-// flip. BenchmarkGeneratedChipFull times the same candidates through the
+// evaluates the base once outside the timer and adopts nothing after
+// it, so every timed iteration is a pure incremental evaluation of a
+// different single-core flip. BenchmarkGeneratedChipFull times the same candidates through the
 // full from-scratch path; the ratio between the two is the speedup the
 // BENCH_<n>.json series tracks per PR.
 func BenchmarkGeneratedChip(b *testing.B) {
@@ -739,7 +739,7 @@ func BenchmarkGeneratedChip(b *testing.B) {
 			d := core.NewDeltaEvaluator(f)
 			d.AdoptCandidates = false
 			base := f.CurrentSelection()
-			if _, err := d.Rebase(context.Background(), base); err != nil {
+			if _, err := d.EvaluateSelectionCtx(context.Background(), base); err != nil {
 				b.Fatal(err)
 			}
 			flippable := flippableCores(f)

@@ -55,9 +55,8 @@ var testOnlyKeep = map[string]string{
 	"obs/progress.Disable":   "harness: removes the process-global progress bus after a test",
 	"obs/progress.Enabled":   "harness: reports whether a test installed the progress bus",
 	// Invariant and observability accessors.
-	"obs.Tracer.Dropped":       "observability accessor: spans lost to ring wraparound",
-	"trans.Version.MaxLatency": "invariant accessor: the largest transparency latency of a version",
-	"trans.RCG.EndNames":       "invariant accessor: the named endpoints of an RCG",
+	"obs.Tracer.Dropped": "observability accessor: spans lost to ring wraparound",
+	"trans.RCG.EndNames": "invariant accessor: the named endpoints of an RCG",
 }
 
 // exportedDecl is one exported function or method declared in internal/.

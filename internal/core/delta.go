@@ -87,10 +87,11 @@ import (
 type DeltaEvaluator struct {
 	f *Flow
 
-	// AdoptCandidates controls whether every full or delta evaluation
-	// becomes a new base (the default, right for explorer walks where
-	// each accepted candidate seeds the next neighbourhood). Benchmarks
-	// pin a single base with Rebase and turn this off to measure the
+	// AdoptCandidates controls whether every delta evaluation becomes a
+	// new base (the default, right for explorer walks where each
+	// accepted candidate seeds the next neighbourhood). A full evaluation
+	// always becomes a base, so a new evaluator's first request pins its
+	// base; benchmarks turn this off to keep every later request on the
 	// pure delta path.
 	AdoptCandidates bool
 
@@ -243,19 +244,6 @@ func (d *DeltaEvaluator) EvaluateSelectionCtx(ctx context.Context, sel map[strin
 		d.mu.Unlock()
 	}
 	d.adopt(versions, e, pristine, forced)
-	return e, nil
-}
-
-// Rebase fully evaluates sel and pins it as a base, returning the
-// evaluation. Benchmarks call it once outside the timed loop so every
-// timed candidate exercises exactly the delta path.
-func (d *DeltaEvaluator) Rebase(ctx context.Context, sel map[string]int) (*Evaluation, error) {
-	sel = d.f.canonSelection(sel)
-	e, pristine, forced, err := d.f.evaluateFull(ctx, sel)
-	if err != nil {
-		return nil, err
-	}
-	d.adopt(versionsOf(d.f.Chip.TestableCores(), sel), e, pristine, forced)
 	return e, nil
 }
 

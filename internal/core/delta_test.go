@@ -42,8 +42,8 @@ func TestDeltaMatchesFullAcrossTopologies(t *testing.T) {
 			f := deltaFlow(t, socgen.Params{Seed: 7, Cores: 10, Topology: topo})
 			d := core.NewDeltaEvaluator(f)
 			base := f.CurrentSelection()
-			if _, err := d.Rebase(context.Background(), base); err != nil {
-				t.Fatalf("rebase: %v", err)
+			if _, err := d.EvaluateSelectionCtx(context.Background(), base); err != nil {
+				t.Fatalf("base: %v", err)
 			}
 			flips := 0
 			for _, c := range f.Chip.TestableCores() {
@@ -89,8 +89,8 @@ func TestDeltaWalk(t *testing.T) {
 	f := deltaFlow(t, socgen.Params{Seed: 13, Cores: 12, Topology: socgen.RandomDAG})
 	d := core.NewDeltaEvaluator(f)
 	sel := f.CurrentSelection()
-	if _, err := d.Rebase(context.Background(), sel); err != nil {
-		t.Fatalf("rebase: %v", err)
+	if _, err := d.EvaluateSelectionCtx(context.Background(), sel); err != nil {
+		t.Fatalf("base: %v", err)
 	}
 	cores := f.Chip.TestableCores()
 	for i := 0; i < 8; i++ {
@@ -122,9 +122,9 @@ func TestDeltaZeroDiffReturnsBase(t *testing.T) {
 	f := deltaFlow(t, socgen.Params{Seed: 3, Cores: 6, Topology: socgen.Chain})
 	d := core.NewDeltaEvaluator(f)
 	base := f.CurrentSelection()
-	e1, err := d.Rebase(context.Background(), base)
+	e1, err := d.EvaluateSelectionCtx(context.Background(), base)
 	if err != nil {
-		t.Fatalf("rebase: %v", err)
+		t.Fatalf("base: %v", err)
 	}
 	e2, err := d.EvaluateSelectionCtx(context.Background(), base)
 	if err != nil {
@@ -189,8 +189,8 @@ func TestDeltaTamperDetected(t *testing.T) {
 	d := core.NewDeltaEvaluator(f)
 	d.SetCrippleInvalidation(true)
 	base := f.CurrentSelection()
-	if _, err := d.Rebase(context.Background(), base); err != nil {
-		t.Fatalf("rebase: %v", err)
+	if _, err := d.EvaluateSelectionCtx(context.Background(), base); err != nil {
+		t.Fatalf("base: %v", err)
 	}
 	d.AdoptCandidates = false // keep every flip deltaing off the stale base
 	caught := false
@@ -229,7 +229,7 @@ func TestDeltaTamperDetected(t *testing.T) {
 }
 
 // TestDeltaBaseSurvivesAdoptedFlips flips 20 cores of a 32-core chip one
-// at a time off one rebased base, with adoption on, as the improvement
+// at a time off one base, with adoption on, as the improvement
 // walk's trials do. Each flip is adopted as a base, so past 16 flips the
 // registry is full; the base that serves the flips must stay in it, and
 // every flip must take the delta path and equal a full evaluation.
@@ -237,8 +237,8 @@ func TestDeltaBaseSurvivesAdoptedFlips(t *testing.T) {
 	f := deltaFlow(t, socgen.Params{Seed: 5, Cores: 32, Topology: socgen.RandomDAG})
 	d := core.NewDeltaEvaluator(f)
 	base := f.CurrentSelection()
-	if _, err := d.Rebase(context.Background(), base); err != nil {
-		t.Fatalf("rebase: %v", err)
+	if _, err := d.EvaluateSelectionCtx(context.Background(), base); err != nil {
+		t.Fatalf("base: %v", err)
 	}
 	flips := 0
 	for _, c := range f.Chip.TestableCores() {
@@ -269,8 +269,9 @@ func TestDeltaBaseSurvivesAdoptedFlips(t *testing.T) {
 	if flips != 20 {
 		t.Fatalf("only %d flippable cores; want 20", flips)
 	}
-	if st := d.Stats(); st.Fulls != 0 || st.Deltas+st.Fallbacks != flips {
-		t.Fatalf("the rebased base did not serve all %d flips (%+v)", flips, st)
+	// The one full evaluation is the base's own.
+	if st := d.Stats(); st.Fulls != 1 || st.Deltas+st.Fallbacks != flips {
+		t.Fatalf("the base did not serve all %d flips (%+v)", flips, st)
 	}
 }
 
@@ -282,8 +283,8 @@ func TestDeltaValidatesRescheduledCores(t *testing.T) {
 	f := deltaFlow(t, socgen.Params{Seed: 7, Cores: 10, Topology: socgen.Chain})
 	d := core.NewDeltaEvaluator(f)
 	base := f.CurrentSelection()
-	if _, err := d.Rebase(context.Background(), base); err != nil {
-		t.Fatalf("rebase: %v", err)
+	if _, err := d.EvaluateSelectionCtx(context.Background(), base); err != nil {
+		t.Fatalf("base: %v", err)
 	}
 	d.SetTamperRescheduled(true)
 	sel := map[string]int{}
@@ -312,7 +313,7 @@ func TestDeltaValidatesRescheduledCores(t *testing.T) {
 	}
 }
 
-// flipMatchesFull rebases a delta evaluator on the chip's initial
+// flipMatchesFull bases a delta evaluator on the chip's initial
 // selection, flips one core to version index v, requires the result to
 // equal a full evaluation and returns how the flip was served.
 func flipMatchesFull(t *testing.T, p socgen.Params, name string, v int) core.DeltaStats {
@@ -320,8 +321,8 @@ func flipMatchesFull(t *testing.T, p socgen.Params, name string, v int) core.Del
 	f := deltaFlow(t, p)
 	d := core.NewDeltaEvaluator(f)
 	base := f.CurrentSelection()
-	if _, err := d.Rebase(context.Background(), base); err != nil {
-		t.Fatalf("rebase: %v", err)
+	if _, err := d.EvaluateSelectionCtx(context.Background(), base); err != nil {
+		t.Fatalf("base: %v", err)
 	}
 	if c, ok := f.Chip.CoreByName(name); !ok || v >= len(c.Versions) || v == base[name] {
 		t.Fatalf("chip has no version index %d of %s to flip to", v, name)

@@ -125,17 +125,3 @@ func insertMux(nc *rtl.Core, muxN *int, ap *Applied, edgeIdx int, e Edge, dst, s
 	ap.MuxFor[edgeIdx] = name
 	return nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -282,7 +282,7 @@ func Insert(c *rtl.Core) (*Result, error) {
 			l := Link{Kind: TestMux, From: "", To: head, Dst: rtl.Endpoint{Comp: head, Pin: "d", Lo: 0, Hi: headReg.Width - 1}}
 			l.Cost.Add(cell.Mux2, headReg.Width)
 			links = append(links, l)
-			in := bestInputPort(c, headReg.Width)
+			in := bestPort(c, rtl.In)
 			w := headReg.Width
 			if p, ok := c.PortByName(in); ok && p.Width < w {
 				w = p.Width
@@ -365,7 +365,7 @@ func Insert(c *rtl.Core) (*Result, error) {
 				Src: rtl.Endpoint{Comp: tail, Pin: "q", Lo: 0, Hi: tailReg.Width - 1}}
 			l.Cost.Add(cell.Mux2, tailReg.Width)
 			links = append(links, l)
-			out := bestOutputPort(c, tailReg.Width)
+			out := bestPort(c, rtl.Out)
 			w := tailReg.Width
 			if p, ok := c.PortByName(out); ok && p.Width < w {
 				w = p.Width
@@ -416,32 +416,13 @@ func cheapest(cs []candidate) candidate {
 	return best
 }
 
-// bestInputPort picks the widest data input port as scan-in for created
-// chains (deterministic: widest, ties by name).
-func bestInputPort(c *rtl.Core, want int) string {
+// bestPort picks the widest data port of direction dir as the scan-in or
+// scan-out of a created chain end (deterministic: widest, ties by name),
+// or the first port of that direction when every one is a control port.
+func bestPort(c *rtl.Core, dir rtl.Dir) string {
 	name, width := "", -1
 	for _, p := range c.Ports {
-		if p.Dir != rtl.In || p.Control {
-			continue
-		}
-		if p.Width > width || (p.Width == width && p.Name < name) {
-			name, width = p.Name, p.Width
-		}
-	}
-	if name == "" && len(c.Ports) > 0 {
-		for _, p := range c.Ports {
-			if p.Dir == rtl.In {
-				return p.Name
-			}
-		}
-	}
-	return name
-}
-
-func bestOutputPort(c *rtl.Core, want int) string {
-	name, width := "", -1
-	for _, p := range c.Ports {
-		if p.Dir != rtl.Out || p.Control {
+		if p.Dir != dir || p.Control {
 			continue
 		}
 		if p.Width > width || (p.Width == width && p.Name < name) {
@@ -450,7 +431,7 @@ func bestOutputPort(c *rtl.Core, want int) string {
 	}
 	if name == "" {
 		for _, p := range c.Ports {
-			if p.Dir == rtl.Out {
+			if p.Dir == dir {
 				return p.Name
 			}
 		}

@@ -134,8 +134,8 @@ func Check(p socgen.Params) (*Stats, error) {
 func checkDeltaEquivalence(f *core.Flow, ch *soc.Chip) error {
 	d := core.NewDeltaEvaluator(f)
 	base := f.CurrentSelection()
-	if _, err := d.Rebase(context.Background(), base); err != nil {
-		return fmt.Errorf("delta rebase: %w", err)
+	if _, err := d.EvaluateSelectionCtx(context.Background(), base); err != nil {
+		return fmt.Errorf("delta base: %w", err)
 	}
 	flips := 0
 	for _, c := range ch.TestableCores() {
@@ -162,10 +162,11 @@ func checkDeltaEquivalence(f *core.Flow, ch *soc.Chip) error {
 	}
 	// Guard against a vacuous pass: the equivalence above only means
 	// something if the incremental path actually ran. Every flip is one
-	// core from the rebased base, so each must be a delta or a refused
-	// delta (a fallback); a full evaluation means the registry lost the
-	// base and the flip compared a full evaluation with a full one.
-	if st := d.Stats(); st.Deltas+st.Fallbacks != flips || st.Fulls != 0 || (flips > 0 && st.Deltas == 0) {
+	// core from the base, so each must be a delta or a refused delta (a
+	// fallback). The base itself is the one full evaluation; a second
+	// means the registry lost the base and the flip compared a full
+	// evaluation with a full one.
+	if st := d.Stats(); st.Deltas+st.Fallbacks != flips || st.Fulls != 1 || (flips > 0 && st.Deltas == 0) {
 		return fmt.Errorf("delta evaluator did not serve all %d flips incrementally (%+v)", flips, st)
 	}
 	return nil

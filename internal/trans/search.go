@@ -10,7 +10,7 @@ import "sort"
 // Every PathUse a search returns is new and owned by its caller: no other
 // search result shares it or its maps. Callers rely on that to extend a
 // sub-path in place rather than copy it, both the option-1 winner in
-// solveForward/solveBackward and each branch of a split cover.
+// solve and each branch of a split cover.
 type PathUse struct {
 	Latency int
 	// Edges maps used RCG edge ids to the mask of source bits the path
@@ -18,7 +18,11 @@ type PathUse struct {
 	// bit masks overlap: reconvergent branches that draw disjoint slices
 	// of one register load share the edge without serializing, while
 	// overlapping use means different values at different times and
-	// forces sequential transfer (Section 4).
+	// forces sequential transfer (Section 4). The mask is in the edge's
+	// source coordinates whichever way the search ran: a path found
+	// backward records the same mask as a path found forward that moves
+	// the same bits, even where the edge's source and destination slices
+	// start at different bits, and Pair.Edges carries it as is.
 	Edges   map[int]uint64
 	Freezes map[string]int // register/port name -> freeze cycles
 	Ends    map[int]bool   // outputs reached (propagation) or inputs (justification)
@@ -74,18 +78,73 @@ type searchKey struct {
 	node, lo, hi int
 }
 
+// direction is the way a transparency search walks the RCG (Section 4).
+// Propagation runs forward from an input over the edges leaving each
+// node until it reaches outputs; justification runs backward from an
+// output over the edges entering each node until it reaches inputs. A
+// hop moves the slice at the edge's near end to its far end.
+type direction struct {
+	forward bool
+	stop    NodeKind // the node kind that ends the search
+}
+
+var (
+	propagation   = direction{forward: true, stop: NodeOut}
+	justification = direction{stop: NodeIn}
+)
+
+// edges returns the ids of the edges a search may leave node by.
+func (d direction) edges(g *RCG, node int) []int {
+	if d.forward {
+		return g.Out[node]
+	}
+	return g.In[node]
+}
+
+// near returns the bit slice of e at the end a search enters it from.
+func (d direction) near(e *Edge) (lo, hi int) {
+	if d.forward {
+		return e.SrcLo, e.SrcHi
+	}
+	return e.DstLo, e.DstHi
+}
+
+// far returns the node and low bit of e at the end a search leaves it by.
+func (d direction) far(e *Edge) (node, lo int) {
+	if d.forward {
+		return e.To, e.DstLo
+	}
+	return e.From, e.SrcLo
+}
+
+// hop maps slice [lo,hi] at e's near end to the far node and slice, and
+// returns the mask of e's source bits the slice occupies: the near bits
+// going forward, the far bits going backward (see PathUse.Edges).
+func (d direction) hop(e *Edge, lo, hi int) (node, flo, fhi int, moved uint64) {
+	nlo, _ := d.near(e)
+	node, base := d.far(e)
+	off := lo - nlo
+	return node, base + off, base + off + hi - lo, maskRange(e.SrcLo+off, e.SrcLo+off+hi-lo)
+}
+
 // SolveProp finds a minimum-latency propagation path carrying the full
 // width of the input port to output port(s). The bool result reports
 // success.
 func (g *RCG) SolveProp(input int, hscanOnly bool) (*PathUse, bool) {
-	w := g.Nodes[input].Width
-	return g.solveForward(input, 0, w-1, hscanOnly, map[searchKey]bool{})
+	return g.solve(propagation, input, 0, g.Nodes[input].Width-1, hscanOnly, map[searchKey]bool{})
 }
 
-// solveForward moves value slice [lo,hi] (in node-local bit coordinates)
-// from node to output ports.
-func (g *RCG) solveForward(node, lo, hi int, hscanOnly bool, onPath map[searchKey]bool) (*PathUse, bool) {
-	if g.Nodes[node].Kind == NodeOut {
+// SolveJust finds a minimum-latency justification path controlling the
+// full width of the output port from input port(s).
+func (g *RCG) SolveJust(output int, hscanOnly bool) (*PathUse, bool) {
+	return g.solve(justification, output, 0, g.Nodes[output].Width-1, hscanOnly, map[searchKey]bool{})
+}
+
+// solve moves value slice [lo,hi] (in node-local bit coordinates) from
+// node to the nodes that end a search in direction d: it propagates the
+// slice to output ports, or justifies it from input ports.
+func (g *RCG) solve(d direction, node, lo, hi int, hscanOnly bool, onPath map[searchKey]bool) (*PathUse, bool) {
+	if g.Nodes[node].Kind == d.stop {
 		p := newPathUse()
 		p.Ends[node] = true
 		return p, true
@@ -97,148 +156,34 @@ func (g *RCG) solveForward(node, lo, hi int, hscanOnly bool, onPath map[searchKe
 	onPath[key] = true
 	defer delete(onPath, key)
 
-	// Option 1: a single edge carries the whole slice. The first fastest
-	// candidate wins, and only it is extended by its edge.
-	var best *PathUse
-	for _, eid := range g.Out[node] {
-		e := g.Edges[eid]
-		if !allowed(e, hscanOnly) || e.SrcLo > lo || e.SrcHi < hi {
-			continue
-		}
-		dLo := e.DstLo + (lo - e.SrcLo)
-		dHi := e.DstLo + (hi - e.SrcLo)
-		sub, ok := g.solveForward(e.To, dLo, dHi, hscanOnly, onPath)
-		if !ok {
-			continue
-		}
-		if lat := g.hopLatency(e) + sub.Latency; best == nil || lat < best.Latency {
-			sub.Edges[eid] |= maskRange(lo, hi)
-			sub.Latency = lat
-			best = sub
-		}
-	}
-
-	// Option 2: O-split — the slice leaves in parts through several edges;
-	// all parts must reach outputs and arrive together (freeze logic
-	// balances early branches).
-	if split, ok := g.splitForward(node, lo, hi, hscanOnly, onPath); ok && (best == nil || split.Latency < best.Latency) {
-		best = split
-	}
-	if best == nil {
-		return nil, false
-	}
-	return best, true
-}
-
-// splitForward covers [lo,hi] with >= 2 disjoint edges starting at lo,
-// enumerating candidate covers (bounded) and keeping the fastest.
-// Candidates spanning the whole slice are option 1's business and are
-// skipped here.
-func (g *RCG) splitForward(node, lo, hi int, hscanOnly bool, onPath map[searchKey]bool) (*PathUse, bool) {
-	var best *PathUse
-	budget := 32
-	var cover func(cur int, parts []part)
-	cover = func(cur int, parts []part) {
-		if budget <= 0 {
-			return
-		}
-		if cur > hi {
-			if len(parts) >= 2 {
-				budget--
-				if lat := splitLatency(parts); best == nil || lat < best.Latency {
-					best = combineParts(parts, lat)
-				}
-			}
-			return
-		}
-		var cands []*Edge
-		for _, eid := range g.Out[node] {
-			e := g.Edges[eid]
-			if !allowed(e, hscanOnly) {
-				continue
-			}
-			s := e.SrcLo
-			if s < lo {
-				s = lo
-			}
-			if s != cur || e.SrcHi < cur {
-				continue
-			}
-			if cur == lo && e.SrcHi >= hi {
-				continue // full cover: handled by the single-edge option
-			}
-			cands = append(cands, e)
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			return min(cands[i].SrcHi, hi) > min(cands[j].SrcHi, hi)
-		})
-		for _, pick := range cands {
-			end := min(pick.SrcHi, hi)
-			dLo := pick.DstLo + (cur - pick.SrcLo)
-			dHi := pick.DstLo + (end - pick.SrcLo)
-			sub, ok := g.solveForward(pick.To, dLo, dHi, hscanOnly, onPath)
-			if !ok {
-				continue
-			}
-			sub.Edges[pick.ID] |= maskRange(cur, end)
-			cover(end+1, append(parts, part{p: sub, arrive: g.hopLatency(pick) + sub.Latency, via: g.Nodes[pick.To].Name}))
-		}
-	}
-	cover(lo, nil)
-	if best == nil {
-		return nil, false
-	}
-	return best, true
-}
-
-// SolveJust finds a minimum-latency justification path controlling the
-// full width of the output port from input port(s).
-func (g *RCG) SolveJust(output int, hscanOnly bool) (*PathUse, bool) {
-	w := g.Nodes[output].Width
-	return g.solveBackward(output, 0, w-1, hscanOnly, map[searchKey]bool{})
-}
-
-// solveBackward justifies slice [lo,hi] of node from input ports.
-func (g *RCG) solveBackward(node, lo, hi int, hscanOnly bool, onPath map[searchKey]bool) (*PathUse, bool) {
-	if g.Nodes[node].Kind == NodeIn {
-		p := newPathUse()
-		p.Ends[node] = true
-		return p, true
-	}
-	key := searchKey{node: ^node, lo: lo, hi: hi} // distinct keyspace from forward
-	if onPath[key] {
-		return nil, false
-	}
-	onPath[key] = true
-	defer delete(onPath, key)
-
-	// Option 1: one incoming edge covers the slice. Loading a register
+	// Option 1: a single edge carries the whole slice. Loading a register
 	// costs one cycle; reading an output port is combinational; a created
 	// mux buffers in the output's register. The first fastest candidate
 	// wins, and only it is extended by its edge.
 	var best *PathUse
-	for _, eid := range g.In[node] {
+	for _, eid := range d.edges(g, node) {
 		e := g.Edges[eid]
-		if !allowed(e, hscanOnly) || e.DstLo > lo || e.DstHi < hi {
+		if nlo, nhi := d.near(e); !allowed(e, hscanOnly) || nlo > lo || nhi < hi {
 			continue
 		}
-		sLo := e.SrcLo + (lo - e.DstLo)
-		sHi := e.SrcLo + (hi - e.DstLo)
-		sub, ok := g.solveBackward(e.From, sLo, sHi, hscanOnly, onPath)
+		to, flo, fhi, moved := d.hop(e, lo, hi)
+		sub, ok := g.solve(d, to, flo, fhi, hscanOnly, onPath)
 		if !ok {
 			continue
 		}
 		if lat := g.hopLatency(e) + sub.Latency; best == nil || lat < best.Latency {
-			sub.Edges[eid] |= maskRange(sLo, sHi)
+			sub.Edges[eid] |= moved
 			sub.Latency = lat
 			best = sub
 		}
 	}
 
-	// Option 2: C-split — the slice is loaded piecewise from several
-	// sources (all fanin edges used; unbalanced sub-paths freeze early
-	// data at the fanin source, as at the Status register in Figure 4).
-	if split, ok := g.splitBackward(node, lo, hi, hscanOnly, onPath); ok && (best == nil || split.Latency < best.Latency) {
+	// Option 2: a split. Going forward (O-split) the slice leaves in parts
+	// through several edges; going backward (C-split) it is loaded
+	// piecewise from several sources. All parts must arrive together:
+	// freeze logic holds the early branches, as at the Status register in
+	// Figure 4.
+	if split, ok := g.split(d, node, lo, hi, hscanOnly, onPath); ok && (best == nil || split.Latency < best.Latency) {
 		best = split
 	}
 	if best == nil {
@@ -247,9 +192,17 @@ func (g *RCG) solveBackward(node, lo, hi int, hscanOnly bool, onPath map[searchK
 	return best, true
 }
 
-func (g *RCG) splitBackward(node, lo, hi int, hscanOnly bool, onPath map[searchKey]bool) (*PathUse, bool) {
+// split covers [lo,hi] with >= 2 disjoint edges starting at lo,
+// enumerating candidate covers (bounded) and keeping the fastest.
+// Candidates spanning the whole slice are option 1's business and are
+// skipped here.
+func (g *RCG) split(d direction, node, lo, hi int, hscanOnly bool, onPath map[searchKey]bool) (*PathUse, bool) {
 	var best *PathUse
 	budget := 32
+	reach := func(e *Edge) int {
+		_, nhi := d.near(e)
+		return min(nhi, hi)
+	}
 	var cover func(cur int, parts []part)
 	cover = func(cur int, parts []part) {
 		if budget <= 0 {
@@ -265,36 +218,27 @@ func (g *RCG) splitBackward(node, lo, hi int, hscanOnly bool, onPath map[searchK
 			return
 		}
 		var cands []*Edge
-		for _, eid := range g.In[node] {
+		for _, eid := range d.edges(g, node) {
 			e := g.Edges[eid]
-			if !allowed(e, hscanOnly) {
+			nlo, nhi := d.near(e)
+			if !allowed(e, hscanOnly) || max(nlo, lo) != cur || nhi < cur {
 				continue
 			}
-			s := e.DstLo
-			if s < lo {
-				s = lo
-			}
-			if s != cur || e.DstHi < cur {
-				continue
-			}
-			if cur == lo && e.DstHi >= hi {
+			if cur == lo && nhi >= hi {
 				continue // full cover: handled by the single-edge option
 			}
 			cands = append(cands, e)
 		}
-		sort.Slice(cands, func(i, j int) bool {
-			return min(cands[i].DstHi, hi) > min(cands[j].DstHi, hi)
-		})
+		sort.Slice(cands, func(i, j int) bool { return reach(cands[i]) > reach(cands[j]) })
 		for _, pick := range cands {
-			end := min(pick.DstHi, hi)
-			sLo := pick.SrcLo + (cur - pick.DstLo)
-			sHi := pick.SrcLo + (end - pick.DstLo)
-			sub, ok := g.solveBackward(pick.From, sLo, sHi, hscanOnly, onPath)
+			end := reach(pick)
+			to, flo, fhi, moved := d.hop(pick, cur, end)
+			sub, ok := g.solve(d, to, flo, fhi, hscanOnly, onPath)
 			if !ok {
 				continue
 			}
-			sub.Edges[pick.ID] |= maskRange(sLo, sHi)
-			cover(end+1, append(parts, part{p: sub, arrive: g.hopLatency(pick) + sub.Latency, via: g.Nodes[pick.From].Name}))
+			sub.Edges[pick.ID] |= moved
+			cover(end+1, append(parts, part{p: sub, arrive: g.hopLatency(pick) + sub.Latency, via: g.Nodes[to].Name}))
 		}
 	}
 	cover(lo, nil)
@@ -361,13 +305,6 @@ func combineParts(parts []part, overall int) *PathUse {
 	}
 	out.Latency = overall
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // EndNames returns the sorted names of the terminal nodes of a path.

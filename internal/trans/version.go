@@ -2,6 +2,7 @@ package trans
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cell"
@@ -143,7 +144,9 @@ func freezeCells(n Node) int {
 // falling back to all existing RCG edges, and only then to created
 // transparency muxes — the minimum-area order of Section 4. Without it
 // (Version 2 and beyond), the minimum-latency path over all edges is
-// taken directly.
+// taken directly. Every input is propagated before any output is
+// justified: the muxes created for one port change the edges the next
+// port's search and mux choice see.
 func solveAll(g *RCG, index int, preferHSCAN bool) (*Version, error) {
 	v := &Version{
 		Index: index,
@@ -152,49 +155,38 @@ func solveAll(g *RCG, index int, preferHSCAN bool) (*Version, error) {
 		Prop:  map[string]*PathUse{},
 		Just:  map[string]*PathUse{},
 	}
-	// Propagation per input.
-	for _, in := range g.InputNodes() {
-		name := g.Nodes[in].Name
-		var p *PathUse
-		var ok bool
-		if preferHSCAN {
-			p, ok = g.SolveProp(in, true)
-		}
-		if !ok {
-			p, ok = g.SolveProp(in, false)
-		}
-		if !ok {
-			if err := g.createPropEdges(in, false); err != nil {
-				return nil, err
+	for _, side := range []struct {
+		ports  []int
+		solve  func(port int, hscanOnly bool) (*PathUse, bool)
+		create func(port int) error
+		paths  map[string]*PathUse
+		fail   string // format of the error for a port no mux makes solvable
+	}{
+		{g.InputNodes(), g.SolveProp, func(in int) error { return g.createPropEdges(in, false) }, v.Prop,
+			"trans: core %s: input %s unpropagatable even with created muxes"},
+		{g.OutputNodes(), g.SolveJust, g.createJustEdges, v.Just,
+			"trans: core %s: output %s unjustifiable even with created muxes"},
+	} {
+		for _, port := range side.ports {
+			name := g.Nodes[port].Name
+			var p *PathUse
+			var ok bool
+			if preferHSCAN {
+				p, ok = side.solve(port, true)
 			}
-			p, ok = g.SolveProp(in, false)
 			if !ok {
-				return nil, fmt.Errorf("trans: core %s: input %s unpropagatable even with created muxes", g.Core.Name, name)
+				p, ok = side.solve(port, false)
 			}
-		}
-		v.Prop[name] = p
-	}
-	// Justification per output.
-	for _, out := range g.OutputNodes() {
-		name := g.Nodes[out].Name
-		var p *PathUse
-		var ok bool
-		if preferHSCAN {
-			p, ok = g.SolveJust(out, true)
-		}
-		if !ok {
-			p, ok = g.SolveJust(out, false)
-		}
-		if !ok {
-			if err := g.createJustEdges(out); err != nil {
-				return nil, err
-			}
-			p, ok = g.SolveJust(out, false)
 			if !ok {
-				return nil, fmt.Errorf("trans: core %s: output %s unjustifiable even with created muxes", g.Core.Name, name)
+				if err := side.create(port); err != nil {
+					return nil, err
+				}
+				if p, ok = side.solve(port, false); !ok {
+					return nil, fmt.Errorf(side.fail, g.Core.Name, name)
+				}
 			}
+			side.paths[name] = p
 		}
-		v.Just[name] = p
 	}
 	v.computeArea()
 	return v, nil
@@ -224,9 +216,9 @@ func (g *RCG) createPropEdges(in int, direct bool) error {
 	}
 	remaining := w
 	lo := 0
-	used := g.usedOutputs()
+	outputs, used := g.OutputNodes(), g.usedPorts(NodeOut)
 	for remaining > 0 {
-		o := g.pickOutput(remaining, used)
+		o := g.pickPort(outputs, remaining, used)
 		if o < 0 {
 			return fmt.Errorf("trans: core %s: no output ports available for created propagation mux", g.Core.Name)
 		}
@@ -246,9 +238,9 @@ func (g *RCG) createJustEdges(out int) error {
 	w := g.Nodes[out].Width
 	remaining := w
 	lo := 0
-	used := g.usedInputs()
+	inputs, used := g.InputNodes(), g.usedPorts(NodeIn)
 	for remaining > 0 {
-		i := g.pickInput(remaining, used)
+		i := g.pickPort(inputs, remaining, used)
 		if i < 0 {
 			return fmt.Errorf("trans: core %s: no input ports available for created justification mux", g.Core.Name)
 		}
@@ -262,87 +254,39 @@ func (g *RCG) createJustEdges(out int) error {
 	return nil
 }
 
-func (g *RCG) usedOutputs() map[int]bool {
+// usedPorts returns the ports of the given kind that created muxes
+// already use: the outputs they drive, or the inputs they read.
+func (g *RCG) usedPorts(kind NodeKind) map[int]bool {
 	used := map[int]bool{}
 	for _, e := range g.Edges {
-		if e.Created && g.Nodes[e.To].Kind == NodeOut {
-			used[e.To] = true
+		port := e.To
+		if kind == NodeIn {
+			port = e.From
+		}
+		if e.Created && g.Nodes[port].Kind == kind {
+			used[port] = true
 		}
 	}
 	return used
 }
 
-func (g *RCG) usedInputs() map[int]bool {
-	used := map[int]bool{}
-	for _, e := range g.Edges {
-		if e.Created && g.Nodes[e.From].Kind == NodeIn {
-			used[e.From] = true
-		}
-	}
-	return used
-}
-
-// pickOutput selects an output port for a created edge: prefer unused,
-// then width >= want, then widest, then name order.
-func (g *RCG) pickOutput(want int, used map[int]bool) int {
-	best := -1
-	score := func(n int) [4]int {
-		nd := g.Nodes[n]
-		s := [4]int{}
-		if !used[n] {
-			s[0] = 1
-		}
-		if nd.Width >= want {
-			s[1] = 1
-		}
-		s[2] = nd.Width
-		return s
-	}
-	for _, o := range g.OutputNodes() {
-		if best < 0 {
-			best = o
-			continue
-		}
-		a, b := score(o), score(best)
-		for k := 0; k < 3; k++ {
-			if a[k] != b[k] {
-				if a[k] > b[k] {
-					best = o
-				}
-				break
-			}
-		}
-	}
-	return best
-}
-
-func (g *RCG) pickInput(want int, used map[int]bool) int {
-	best := -1
+// pickPort selects one of the ports nodes for a created edge: prefer
+// unused, then width >= want, then widest, then the first in nodes.
+func (g *RCG) pickPort(nodes []int, want int, used map[int]bool) int {
 	score := func(n int) [3]int {
-		nd := g.Nodes[n]
-		s := [3]int{}
+		s := [3]int{0, 0, g.Nodes[n].Width}
 		if !used[n] {
 			s[0] = 1
 		}
-		if nd.Width >= want {
+		if g.Nodes[n].Width >= want {
 			s[1] = 1
 		}
-		s[2] = nd.Width
 		return s
 	}
-	for _, i := range g.InputNodes() {
-		if best < 0 {
-			best = i
-			continue
-		}
-		a, b := score(i), score(best)
-		for k := 0; k < 3; k++ {
-			if a[k] != b[k] {
-				if a[k] > b[k] {
-					best = i
-				}
-				break
-			}
+	best, top := -1, [3]int{}
+	for _, n := range nodes {
+		if s := score(n); best < 0 || slices.Compare(s[:], top[:]) > 0 {
+			best, top = n, s
 		}
 	}
 	return best
@@ -424,7 +368,7 @@ func Versions(base *RCG) ([]*Version, error) {
 		// Add transparency muxes for every port at the current worst
 		// latency (the paper reduces one input/output pair per version;
 		// batching ties keeps the ladder compact, like Figures 6 and 8).
-		_, _, lat := worstPort(prev)
+		lat := prev.MaxLatency()
 		if lat <= 1 {
 			break
 		}
@@ -513,32 +457,6 @@ func sortedPorts(m map[string]*PathUse) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// worstPort returns the port with the largest latency in the version.
-func worstPort(v *Version) (NodeKind, string, int) {
-	kind, name, lat := NodeIn, "", 0
-	var names []string
-	for n := range v.Just {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if l := v.Just[n].Latency; l > lat {
-			kind, name, lat = NodeOut, n, l
-		}
-	}
-	names = names[:0]
-	for n := range v.Prop {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if l := v.Prop[n].Latency; l > lat {
-			kind, name, lat = NodeIn, n, l
-		}
-	}
-	return kind, name, lat
 }
 
 // differs reports whether two versions have different latencies or areas.
