@@ -1,8 +1,10 @@
 // Package fsim performs single-stuck-at fault simulation on gate-level
 // netlists: combinational (full-scan, parallel-pattern serial-fault with
-// fault dropping and event-driven evaluation) and sequential
-// (parallel-fault, time-frame) modes. It supplies the fault coverage and
-// test efficiency numbers of the paper's Table 3.
+// fault dropping, by fanout-free regions: a fault climbs its region to
+// the region's stem, and one event-driven propagation per stem and
+// pattern word tells where a flip of the stem is observed) and
+// sequential (parallel-fault, time-frame) modes. It supplies the fault
+// coverage and test efficiency numbers of the paper's Table 3.
 package fsim
 
 import (
@@ -183,12 +185,17 @@ func (r *Result) Coverage() float64 {
 // persist, and every call leaves them ready for the next. A Simulator
 // is not safe for concurrent use.
 //
-// Faults are simulated serially against 64 pattern lanes. A fault's
-// divergence from the good machine propagates by events, level by level,
-// and only while it differs from the good value in a lane that can still
-// change the answer: a lane loaded with a pattern and below the lowest
-// lane already known to detect the fault. Gates the divergence never
-// reaches keep their good value, so no per-fault cone is built.
+// Faults are simulated serially against a word of 64 pattern lanes. A
+// stem is a line that is observable (a PO or a DFF data input) or that
+// does not feed exactly one gate pin; every other line belongs to the
+// region of the stem its single fanout path reaches. A fault climbs its
+// region one gate at a time, keeping the lanes in which the gate's
+// output flips when its input does. The lanes in which a flip of the
+// stem reaches an observable line come from one event-driven
+// propagation per stem and word, which stops tracking a lane once it is
+// observed and is cached until the next word. The result is exact:
+// lanes are independent, and a fault can leave its region only through
+// the stem, as a flip of its value.
 type Simulator struct {
 	n     *gate.Netlist
 	good  *gate.Sim
@@ -196,7 +203,8 @@ type Simulator struct {
 	// Combinational fanouts: a DFF's corrupted data input is already an
 	// observation point, so propagation stops there.
 	fo    [][]int
-	isObs []bool // POs and DFF data inputs (scan capture)
+	isObs []bool  // POs and DFF data inputs (scan capture)
+	next  []int32 // the one gate a line of a region feeds; -1 for a stem
 	// fv[i] is line i's faulty value while epoch[i] == cur; any other
 	// line reads its good value.
 	fv     []uint64
@@ -204,10 +212,16 @@ type Simulator struct {
 	queued []uint32 // gate i is in buckets[level[i]] while queued[i] == cur
 	cur    uint32
 	// buckets[l] holds the gates of level l waiting for evaluation, none
-	// above level hi; all are empty between faults.
+	// above level hi; all are empty between propagations.
 	buckets [][]int32
 	hi      int
-	pending []int // fault indices still undetected (reused by Detect)
+	// seen[i] holds the lanes in which a flip of stem i is observed while
+	// seenAt[i] == word, the stamp of the loaded word.
+	seen    []uint64
+	seenAt  []uint32
+	word    uint32
+	lanes   uint64 // the lanes of the word loaded with a pattern
+	pending []int  // fault indices still undetected (reused by Detect)
 }
 
 // NewSimulator builds a simulator for n.
@@ -226,9 +240,12 @@ func NewSimulator(n *gate.Netlist) (*Simulator, error) {
 		level:  make([]int32, len(n.Gates)),
 		fo:     n.CombFanouts(),
 		isObs:  make([]bool, len(n.Gates)),
+		next:   make([]int32, len(n.Gates)),
 		fv:     make([]uint64, len(n.Gates)),
 		epoch:  make([]uint32, len(n.Gates)),
 		queued: make([]uint32, len(n.Gates)),
+		seen:   make([]uint64, len(n.Gates)),
+		seenAt: make([]uint32, len(n.Gates)),
 	}
 	top := 0
 	for i, l := range lv {
@@ -241,6 +258,14 @@ func NewSimulator(n *gate.Netlist) (*Simulator, error) {
 	}
 	for _, d := range n.DFFs() {
 		s.isObs[n.Gates[d].Fanin[0]] = true
+	}
+	// A line feeding two pins of one gate has two entries, so it is a
+	// stem: a flip of a region line enters exactly one gate pin.
+	for i, fo := range s.fo {
+		s.next[i] = -1
+		if len(fo) == 1 && !s.isObs[i] {
+			s.next[i] = int32(fo[0])
+		}
 	}
 	return s, nil
 }
@@ -266,18 +291,12 @@ func (s *Simulator) Detect(pats []gate.Pattern, faults []gate.Fault, by []int) (
 	s.pending = pending // dropping filters in place; keep the buffer
 	found := 0
 	for base := 0; base < len(pats) && len(pending) > 0; base += 64 {
-		k, err := s.good.ApplyPatterns(pats[base:min(base+64, len(pats))])
-		if err != nil {
+		if err := s.load(pats[base:min(base+64, len(pats))]); err != nil {
 			return found, err
 		}
-		lanes := ^uint64(0)
-		if k < 64 {
-			lanes = uint64(1)<<uint(k) - 1
-		}
-		s.good.Eval()
 		still := pending[:0]
 		for _, fi := range pending {
-			if diff := s.simulate(faults[fi], lanes); diff != 0 {
+			if diff := s.simulate(faults[fi]); diff != 0 {
 				by[fi] = base + bits.TrailingZeros64(diff)
 				found++
 			} else {
@@ -289,12 +308,38 @@ func (s *Simulator) Detect(pats []gate.Pattern, faults []gate.Fault, by []int) (
 	return found, nil
 }
 
+// load applies up to 64 patterns to the good machine and evaluates them
+// as a new word.
+func (s *Simulator) load(pats []gate.Pattern) error {
+	k, err := s.good.ApplyPatterns(pats)
+	if err != nil {
+		return err
+	}
+	s.good.Eval()
+	if s.word++; s.word == 0 { // the word stamps wrapped: forget every old one
+		clear(s.seenAt)
+		s.word = 1
+	}
+	s.lanes = ^uint64(0) >> uint(64-k)
+	return nil
+}
+
 // stuckWord is the value of a line stuck at v in every lane.
 func stuckWord(v byte) uint64 {
 	if v == 0 {
 		return 0
 	}
 	return ^uint64(0)
+}
+
+// stamp starts a fresh faulty machine: every line reads its good value
+// and no gate is queued.
+func (s *Simulator) stamp() {
+	if s.cur++; s.cur == 0 { // the stamps wrapped: forget every old one
+		clear(s.epoch)
+		clear(s.queued)
+		s.cur = 1
+	}
 }
 
 // value reads the faulty value of a line for the current fault.
@@ -356,48 +401,57 @@ func (s *Simulator) diverge(id int, v uint64) {
 	}
 }
 
-// simulate evaluates fault f against the current good values and returns
-// the lanes of mask in which it is detected, down to the lowest one:
-// lanes above a detecting lane stop being tracked.
-func (s *Simulator) simulate(f gate.Fault, mask uint64) uint64 {
-	s.cur++
-	if s.cur == 0 { // the stamps wrapped: forget every old one
-		clear(s.epoch)
-		clear(s.queued)
-		s.cur = 1
-	}
+// simulate evaluates fault f against the loaded word and returns the
+// lanes in which it is detected.
+func (s *Simulator) simulate(f gate.Fault) uint64 {
+	s.stamp()
 	good := s.good.Val
-	root := f.Line
+	line := f.Line
 	var v uint64
 	if f.Branch < 0 {
 		v = stuckWord(f.Stuck)
 	} else {
-		g := &s.n.Gates[root]
+		g := &s.n.Gates[line]
 		if g.Type == gate.DFF {
 			// Corrupted scan capture, observed directly.
-			return (good[g.Fanin[0]] ^ stuckWord(f.Stuck)) & mask
+			return (good[g.Fanin[0]] ^ stuckWord(f.Stuck)) & s.lanes
 		}
 		// The victim gate sees a corrupted fanin.
 		fan := g.Fanin[f.Branch]
 		saved := good[fan]
 		good[fan] = stuckWord(f.Stuck)
-		v = s.eval(root)
+		v = s.eval(line)
 		good[fan] = saved
 	}
-	d := (v ^ good[root]) & mask
-	if d == 0 {
-		return 0
+	// d holds the lanes in which the fault flips line. Climb to the stem,
+	// keeping the lanes in which the next gate flips with line.
+	d := (v ^ good[line]) & s.lanes
+	for d != 0 && s.next[line] >= 0 {
+		g := int(s.next[line])
+		s.fv[line], s.epoch[line] = ^good[line], s.cur
+		d &= s.eval(g) ^ good[g]
+		line = g
 	}
-	var diff uint64
-	if s.isObs[root] {
-		diff = d
-		if mask &= lowBelow(d); mask == 0 {
-			return diff
-		}
+	if d == 0 || s.isObs[line] {
+		return d
 	}
+	return d & s.observe(line)
+}
+
+// observe returns the lanes of the loaded word in which a flip of stem
+// reaches an observable line. The flip propagates by events, level by
+// level, in every loaded lane not yet observed; the answer is cached
+// until the next word.
+func (s *Simulator) observe(stem int) uint64 {
+	if s.seenAt[stem] == s.word {
+		return s.seen[stem]
+	}
+	s.stamp()
+	good := s.good.Val
+	mask, seen := s.lanes, uint64(0)
 	s.hi = 0
-	s.diverge(root, v)
-	for l := int(s.level[root]) + 1; l <= s.hi; l++ {
+	s.diverge(stem, ^good[stem])
+	for l := int(s.level[stem]) + 1; l <= s.hi; l++ {
 		for _, id := range s.buckets[l] {
 			v := s.eval(int(id))
 			d := (v ^ good[id]) & mask
@@ -405,8 +459,8 @@ func (s *Simulator) simulate(f gate.Fault, mask uint64) uint64 {
 				continue
 			}
 			if s.isObs[id] {
-				diff |= d
-				if mask &= lowBelow(d); mask == 0 {
+				seen |= d
+				if mask &^= d; mask == 0 {
 					break
 				}
 			}
@@ -419,11 +473,9 @@ func (s *Simulator) simulate(f gate.Fault, mask uint64) uint64 {
 			}
 		}
 	}
-	return diff
+	s.seen[stem], s.seenAt[stem] = seen, s.word
+	return seen
 }
-
-// lowBelow returns the lanes below the lowest set lane of d.
-func lowBelow(d uint64) uint64 { return d&-d - 1 }
 
 // Combinational fault-simulates full-scan patterns on a fresh Simulator
 // (see Simulator.Detect for the observation model). Patterns run in

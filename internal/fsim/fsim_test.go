@@ -233,36 +233,69 @@ func TestCombinationalRejectsBadInput(t *testing.T) {
 	}
 }
 
+// c17 is the ISCAS-85 benchmark c17: six NANDs with three internal
+// fanout stems (3, 11 and 16 in the benchmark's numbering).
+func c17() *gate.Netlist {
+	n := &gate.Netlist{Name: "c17"}
+	i1, i2, i3, i6, i7 := n.Add(gate.Input), n.Add(gate.Input), n.Add(gate.Input), n.Add(gate.Input), n.Add(gate.Input)
+	g10 := n.Add(gate.Nand, i1, i3)
+	g11 := n.Add(gate.Nand, i3, i6)
+	g16 := n.Add(gate.Nand, i2, g11)
+	g19 := n.Add(gate.Nand, g11, i7)
+	n.MarkPO(n.Add(gate.Nand, g10, g16), "22")
+	n.MarkPO(n.Add(gate.Nand, g16, g19), "23")
+	return n
+}
+
 func TestSimulatorSurvivesStampWrap(t *testing.T) {
-	// The per-fault stamps wrap around after 2^32 faults. Start fresh
-	// simulators just below the wrap so that it lands on each fault in
-	// turn; every one must agree with a simulator far from it.
-	n := xorChain()
+	// The per-fault stamps wrap around after 2^32 faulty machines, the
+	// per-word stamps after 2^32 words. Start simulators just below both
+	// wraps, so that they land on each fault and each word in turn; every
+	// one must agree with a fresh simulator. Each starts once clean, and
+	// once with the entries an earlier round leaves behind: every line
+	// stamped 1 with a faulty value of all ones, a queued gate and a stem
+	// observed in every lane.
+	n := c17()
+	pat := func(v int) gate.Pattern {
+		return gate.Pattern{PI: []byte{byte(v & 1), byte(v >> 1 & 1), byte(v >> 2 & 1), byte(v >> 3 & 1), byte(v >> 4 & 1)}}
+	}
+	// One input value per word keeps faults pending from word to word.
+	const words = 4
 	var pats []gate.Pattern
-	for v := 0; v < 8; v++ {
-		pats = append(pats, gate.Pattern{PI: []byte{byte(v & 1), byte(v >> 1 & 1), byte(v >> 2 & 1)}})
+	for i := 0; i < words*64; i++ {
+		pats = append(pats, pat(i/64*13+5))
 	}
 	faults := n.Faults()
 	want, err := Combinational(n, pats, faults)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for off := 0; off <= len(faults); off++ {
-		s, err := NewSimulator(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.cur = ^uint32(0) - uint32(off)
-		by := make([]int, len(faults))
-		for i := range by {
-			by[i] = -1
-		}
-		if _, err := s.Detect(pats, faults, by); err != nil {
-			t.Fatal(err)
-		}
-		for i := range by {
-			if by[i] != want.DetectedBy[i] {
-				t.Fatalf("wrap at fault %d: fault %v first detected by %d, want %d", off, faults[i], by[i], want.DetectedBy[i])
+	for _, stale := range []bool{false, true} {
+		for off := 0; off <= len(faults); off++ {
+			s, err := NewSimulator(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stale {
+				for i := range n.Gates {
+					s.fv[i], s.epoch[i], s.queued[i] = ^uint64(0), 1, 1
+					s.seen[i], s.seenAt[i] = ^uint64(0), 1
+				}
+			}
+			s.cur = ^uint32(0) - uint32(off)
+			s.word = ^uint32(0) - uint32(off%(words+1))
+			by := make([]int, len(faults))
+			for i := range by {
+				by[i] = -1
+			}
+			if _, err := s.Detect(pats, faults, by); err != nil {
+				t.Fatal(err)
+			}
+			for i := range by {
+				if by[i] != want.DetectedBy[i] {
+					t.Fatalf("wrap at offset %d (stale entries %v): fault %v first detected by %d, want %d",
+						off, stale, faults[i], by[i], want.DetectedBy[i])
+				}
 			}
 		}
 	}

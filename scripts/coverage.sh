@@ -10,9 +10,17 @@ cd "$(dirname "$0")/.."
 BASELINE=90.1
 
 profile=$(mktemp /tmp/cover.XXXXXX.out)
-trap 'rm -f "$profile"' EXIT
+log=$(mktemp /tmp/cover.XXXXXX.log)
+trap 'rm -f "$profile" "$log"' EXIT
 
-go test -count=1 -coverprofile="$profile" -coverpkg=./internal/... ./... > /dev/null
+# The suite's output goes to a file; on failure, name what failed.
+if ! go test -count=1 -coverprofile="$profile" -coverpkg=./internal/... ./... > "$log" 2>&1; then
+    echo "coverage: the test suite failed" >&2
+    grep -E '^[[:space:]]*--- FAIL|^FAIL|^panic:' "$log" >&2 || true
+    echo "--- last 40 lines of go test output ---" >&2
+    tail -n 40 "$log" >&2
+    exit 1
+fi
 
 total=$(go tool cover -func="$profile" | awk '/^total:/ {sub(/%/, "", $3); print $3}')
 
