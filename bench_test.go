@@ -470,6 +470,7 @@ func BenchmarkATPGSystem1(b *testing.B) {
 			}
 			b.ReportMetric(float64(m.Counter("atpg.backtracks").Value())/float64(b.N), "backtracks/op")
 			b.ReportMetric(float64(m.Counter("atpg.implications").Value())/float64(b.N), "implications/op")
+			b.ReportMetric(float64(m.Counter("atpg.gate_evals").Value())/float64(b.N), "evals/op")
 			b.ReportMetric(float64(res.Stats.Vectors), "vectors")
 		})
 	}

@@ -103,6 +103,7 @@ func GenerateFor(n *gate.Netlist, faults []gate.Fault, opts *Options) (*Result, 
 	res := &Result{Stats: Stats{Faults: len(faults)}}
 	// by[i] >= 0 once faults[i] is detected. Only the random pre-pass
 	// reads the value: the index of its pattern that detected the fault.
+	// After it, only the sign is read.
 	by := make([]int, len(faults))
 	for i := range by {
 		by[i] = -1
@@ -146,10 +147,22 @@ func GenerateFor(n *gate.Netlist, faults []gate.Fault, opts *Options) (*Result, 
 		}
 	}
 
-	// Phase 2: deterministic PODEM on the survivors.
+	// Phase 2: deterministic PODEM on the survivors, dropping every fault
+	// a pattern made for an earlier fault detects. The patterns made since
+	// the last flush are the simulator's loaded word, and each fault is
+	// checked against it at its turn. A full word is flushed against
+	// every later fault at once, so each fault meets every older pattern.
+	var word []gate.Pattern
 	for fi, f := range faults {
 		if by[fi] >= 0 {
 			continue
+		}
+		if len(word) > 0 {
+			if lane := sim.First(f); lane >= 0 {
+				by[fi] = len(res.Patterns) - len(word) + lane
+				res.Stats.Detected++
+				continue
+			}
 		}
 		outcome := eng.podem(f, o.BacktrackLimit)
 		switch outcome {
@@ -158,12 +171,18 @@ func GenerateFor(n *gate.Netlist, faults []gate.Fault, opts *Options) (*Result, 
 			res.Patterns = append(res.Patterns, pat)
 			by[fi] = len(res.Patterns) - 1
 			res.Stats.Detected++
-			// Drop other faults caught by this pattern.
-			found, err := sim.Detect([]gate.Pattern{pat}, faults[fi+1:], by[fi+1:])
+			word = append(word, pat)
+			if len(word) < 64 {
+				err = sim.Load(word)
+			} else {
+				var found int
+				found, err = sim.Detect(word, faults[fi+1:], by[fi+1:])
+				res.Stats.Detected += found
+				word = word[:0]
+			}
 			if err != nil {
 				return nil, err
 			}
-			res.Stats.Detected += found
 		case outUntestable:
 			res.Stats.Untestable++
 		case outAborted:

@@ -227,8 +227,9 @@ func TestCompactKeepsSetThatDetectsNothing(t *testing.T) {
 }
 
 func TestEngineSurvivesStampWrap(t *testing.T) {
-	// The cone and X-path stamps wrap around after 2^32 faults; an engine
-	// just below the wrap must search exactly like a fresh one.
+	// The cone, relevance and X-path stamps wrap around after 2^32
+	// faults; an engine just below the wrap must search exactly like a
+	// fresh one.
 	sr, err := synth.Synthesize(must(rtl.NewCore("muxy").
 		In("a", 2).In("b", 2).In("s", 1).Out("z", 2).
 		Mux("m", 2, 2).
@@ -246,7 +247,7 @@ func TestEngineSurvivesStampWrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old.coneEp, old.seenEp = ^uint32(0)-2, ^uint32(0)-2
+	old.coneEp, old.seenEp, old.relEp = ^uint32(0)-2, ^uint32(0)-2, ^uint32(0)-2
 	for _, f := range n.Faults() {
 		a, b := fresh.podem(f, 16), old.podem(f, 16)
 		if a != b || string(fresh.assign) != string(old.assign) {

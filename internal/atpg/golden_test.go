@@ -11,7 +11,10 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/rtl"
+	"repro/internal/rtlgen"
 	"repro/internal/soc"
+	"repro/internal/socgen"
 	"repro/internal/synth"
 	"repro/internal/systems"
 )
@@ -87,4 +90,61 @@ func goldenLine(t *testing.T, c *soc.Core, store *Store) string {
 	return fmt.Sprintf("%s faults=%d detected=%d untestable=%d aborted=%d vectors=%d backtracks=%d implications=%d sha256=%x\n",
 		c.Name, s.Faults, s.Detected, s.Untestable, s.Aborted, s.Vectors,
 		m.Counter("atpg.backtracks").Value(), m.Counter("atpg.implications").Value(), h.Sum(nil))
+}
+
+// TestGenerateDigest pins Generate on a wider corpus than the goldens:
+// the logic cores of Systems 1 and 2, the rtlgen cores of seeds 77 to
+// 136 and the logic cores of the 24-core socgen chips of seeds 3 and 11,
+// in that order, each at the default options and at a low backtrack limit with no random pre-pass,
+// which searches every fault. One SHA-256 covers each run's Stats, its
+// backtrack and implication counts and every pattern's bytes, so a
+// change to the search, the fault dropping or the compaction shows here
+// even where the goldens' cores do not exercise it.
+func TestGenerateDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs ATPG twice on 114 netlists")
+	}
+	const want = "2a6716aaa62e905c82dd530e9256721c6b964caa9d42cbe82f5336fa4f7685f7"
+	var cores []*rtl.Core
+	logic := func(ch *soc.Chip) {
+		for _, c := range ch.Cores {
+			if !c.Memory {
+				cores = append(cores, c.RTL)
+			}
+		}
+	}
+	logic(systems.System1())
+	logic(systems.System2())
+	cores = append(cores, rtlgen.Many(60, 77)...)
+	for _, seed := range []uint64{3, 11} {
+		ch, err := socgen.Generate(socgen.Params{Seed: seed, Cores: 24})
+		if err != nil {
+			t.Fatal(err)
+		}
+		logic(ch)
+	}
+	h := sha256.New()
+	for _, c := range cores {
+		sr, err := synth.Synthesize(c)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		for _, o := range []*Options{nil, {BacktrackLimit: 8, RandomPatterns: -1}} {
+			_, m := obs.Enable(0)
+			res, err := Generate(sr.Netlist, o)
+			obs.Disable()
+			if err != nil {
+				t.Fatalf("%s: %v", c.Name, err)
+			}
+			fmt.Fprintf(h, "%+v %d %d|", res.Stats,
+				m.Counter("atpg.backtracks").Value(), m.Counter("atpg.implications").Value())
+			for _, p := range res.Patterns {
+				h.Write(p.PI)
+				h.Write(p.State)
+			}
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("%d netlists: digest %s, want %s", len(cores), got, want)
+	}
 }

@@ -1,10 +1,11 @@
 package atpg
 
 import (
-	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/gate"
+	"repro/internal/obs"
 	"repro/internal/rtl"
 	"repro/internal/rtlgen"
 	"repro/internal/synth"
@@ -86,18 +87,54 @@ func bytesChooser(b []byte) chooser {
 	}
 }
 
-// checkImply runs an implication and compares every line with the full
-// pass.
+// relevantClosure walks, on its own, the lines the search may read for
+// fault f: the fault's forward cone through combinational gates, the
+// fault site, and their transitive combinational fanin, which stops at
+// PIs, DFF outputs and constants.
+func relevantClosure(n *gate.Netlist, f gate.Fault) []bool {
+	order, err := n.Order()
+	if err != nil {
+		panic(err)
+	}
+	rel := make([]bool, len(n.Gates))
+	// A faulty constant keeps its value and a faulty DFF data input is
+	// observed at capture: neither diverges a line.
+	t := n.Gates[f.Line].Type
+	rel[f.Line] = t != gate.Const0 && t != gate.Const1 && !(f.Branch >= 0 && t == gate.DFF)
+	for _, id := range order {
+		for _, in := range n.Gates[id].Fanin {
+			rel[id] = rel[id] || rel[in]
+		}
+	}
+	rel[n.FaultSite(f)] = true
+	// In reverse evaluation order every fanout of a gate comes first.
+	for i := len(order) - 1; i >= 0; i-- {
+		if id := order[i]; rel[id] {
+			for _, in := range n.Gates[id].Fanin {
+				rel[in] = true
+			}
+		}
+	}
+	return rel
+}
+
+// checkImply runs an implication and compares every line the search may
+// read with the full pass. The engine's relevant gates must be exactly
+// the combinational gates of relevantClosure; no other line is read, so
+// no other line is compared.
 func checkImply(t testing.TB, e *engine) {
 	t.Helper()
 	e.imply()
 	gv, fv := referenceImply(e)
-	if !bytes.Equal(gv, e.gv) || !bytes.Equal(fv, e.fv) {
-		for id := range gv {
-			if gv[id] != e.gv[id] || fv[id] != e.fv[id] {
-				t.Fatalf("%s fault %v assign %v: line %d (%s) good/faulty = %d/%d, full pass %d/%d",
-					e.n.Name, e.f, e.assign, id, e.n.Gates[id].Type, e.gv[id], e.fv[id], gv[id], fv[id])
-			}
+	rel := relevantClosure(e.n, e.f)
+	for id := range gv {
+		if pos := e.topoPos[id]; pos >= 0 && rel[id] != (e.relevant[pos] == e.relEp) {
+			t.Fatalf("%s fault %v: line %d (%s) relevant = %v, closure says %v",
+				e.n.Name, e.f, id, e.n.Gates[id].Type, !rel[id], rel[id])
+		}
+		if rel[id] && (gv[id] != e.gv[id] || fv[id] != e.fv[id]) {
+			t.Fatalf("%s fault %v assign %v: line %d (%s) good/faulty = %d/%d, full pass %d/%d",
+				e.n.Name, e.f, e.assign, id, e.n.Gates[id].Type, e.gv[id], e.fv[id], gv[id], fv[id])
 		}
 	}
 }
@@ -283,41 +320,26 @@ func TestEveryBacktrackPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("searches every sampled fault once per backtrack")
 	}
-	const perKind = 40
 	limit := (*Options)(nil).withDefaults().BacktrackLimit
-	for _, c := range []*rtl.Core{systems.CPU(), systems.Preprocessor(), systems.Display(), systems.GCD()} {
-		sr, err := synth.Synthesize(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := sr.Netlist
+	for _, n := range coreNetlists(t) {
 		e, err := newEngine(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		byKind := map[string][]gate.Fault{}
-		for _, f := range faultKinds(n) {
-			k := kindOf(n, f)
-			byKind[k] = append(byKind[k], f)
-		}
 		searched, flips := map[outcome]int{}, 0
-		for _, k := range kinds {
-			faults := byKind[k]
-			for i := 0; i < len(faults); i += max(1, len(faults)/perKind) {
-				f := faults[i]
-				for bt := 0; ; bt++ {
-					out := e.podem(f, bt)
-					checkImply(t, e)
-					if len(e.trail) > 2*len(n.Gates) {
-						t.Fatalf("%s fault %v, limit %d: trail holds %d entries for %d lines",
-							n.Name, f, bt, len(e.trail), len(n.Gates))
-					}
-					if out != outAborted || bt == limit {
-						searched[out]++
-						break
-					}
-					flips++
+		for _, f := range sampleKinds(n, 40) {
+			for bt := 0; ; bt++ {
+				out := e.podem(f, bt)
+				checkImply(t, e)
+				if len(e.trail) > 2*len(n.Gates) {
+					t.Fatalf("%s fault %v, limit %d: trail holds %d entries for %d lines",
+						n.Name, f, bt, len(e.trail), len(n.Gates))
 				}
+				if out != outAborted || bt == limit {
+					searched[out]++
+					break
+				}
+				flips++
 			}
 		}
 		t.Logf("%s: %d flips checked; searches ended %d detected, %d untestable, %d aborted",
@@ -326,6 +348,112 @@ func TestEveryBacktrackPoint(t *testing.T) {
 			t.Errorf("%s: the sample needs untestable and aborted faults, got %v", n.Name, searched)
 		}
 	}
+}
+
+// coreNetlists synthesizes the cores ATPG runs on for System 1's CPU,
+// PREPROCESSOR and DISPLAY and System 2's GCD, as core.Prepare does
+// before ATPG.
+func coreNetlists(t *testing.T) []*gate.Netlist {
+	t.Helper()
+	var nets []*gate.Netlist
+	for _, c := range []*rtl.Core{systems.CPU(), systems.Preprocessor(), systems.Display(), systems.GCD()} {
+		sr, err := synth.Synthesize(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, sr.Netlist)
+	}
+	return nets
+}
+
+// sampleKinds returns an even sample of up to about perKind faults of
+// each kind from faultKinds(n), kind by kind.
+func sampleKinds(n *gate.Netlist, perKind int) []gate.Fault {
+	byKind := map[string][]gate.Fault{}
+	for _, f := range faultKinds(n) {
+		k := kindOf(n, f)
+		byKind[k] = append(byKind[k], f)
+	}
+	var out []gate.Fault
+	for _, k := range kinds {
+		faults := byKind[k]
+		for i := 0; i < len(faults); i += max(1, len(faults)/perKind) {
+			out = append(out, faults[i])
+		}
+	}
+	return out
+}
+
+// relevantLines lists the lines of e's relevant set for its current
+// fault: the relevant gates, the lines they read and the fault site.
+func relevantLines(e *engine) []bool {
+	in := make([]bool, len(e.n.Gates))
+	in[e.site] = true
+	for pos, id := range e.order {
+		if e.relevant[pos] == e.relEp {
+			in[id] = true
+			for _, f := range e.n.Gates[id].Fanin {
+				in[f] = true
+			}
+		}
+	}
+	return in
+}
+
+// TestSearchReadsOnlyRelevantLines checks that the search reads no line
+// outside the fault's relevant set. Before each search, every other line
+// of the all-X state is poisoned with 3, a value outside {0, 1, X}: a
+// search that reads one, or evaluates a gate on one, ends differently or
+// fails on the truth table. Each search must end as on a clean engine,
+// with the same assignment and the same counts. The netlists are those
+// of TestEveryBacktrackPoint and the random netlists.
+func TestSearchReadsOnlyRelevantLines(t *testing.T) {
+	const poison = 3
+	nets := coreNetlists(t)
+	for seed := uint64(1); seed <= 40; seed++ {
+		nets = append(nets, randomNetlist(seed))
+	}
+	limit := (*Options)(nil).withDefaults().BacktrackLimit
+	counted := func(n *gate.Netlist) *engine {
+		e, err := newEngine(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.cBacktracks, e.cImplications, e.cGateEvals = new(obs.Counter), new(obs.Counter), new(obs.Counter)
+		return e
+	}
+	counts := func(e *engine) [3]int64 {
+		return [3]int64{e.cBacktracks.Value(), e.cImplications.Value(), e.cGateEvals.Value()}
+	}
+	search := func(e *engine, f gate.Fault) (out outcome, failure any) {
+		defer func() { failure = recover() }()
+		return e.podem(f, limit), nil
+	}
+	searched := 0
+	for _, n := range nets {
+		clean, dirty := counted(n), counted(n)
+		allX := slices.Clone(dirty.gvX)
+		for _, f := range sampleKinds(n, 40) {
+			dirty.reset(f) // marks f's relevant set
+			for id, r := range relevantLines(dirty) {
+				if !r {
+					dirty.gvX[id] = poison
+				}
+			}
+			want := clean.podem(f, limit)
+			got, failure := search(dirty, f)
+			copy(dirty.gvX, allX)
+			if failure != nil {
+				t.Fatalf("%s fault %v: the search on poisoned lines failed: %v", n.Name, f, failure)
+			}
+			if got != want || string(dirty.assign) != string(clean.assign) || counts(dirty) != counts(clean) {
+				t.Fatalf("%s fault %v: search on poisoned lines ended %v with assign %v and counts %v, clean %v %v %v",
+					n.Name, f, got, dirty.assign, counts(dirty), want, clean.assign, counts(clean))
+			}
+			searched++
+		}
+	}
+	t.Logf("%d searches on %d netlists read only relevant lines", searched, len(nets))
 }
 
 // FuzzImply checks incremental implication against the full pass on

@@ -23,10 +23,13 @@ const (
 // (every controllable line unassigned), precomputed once. Assigning or
 // flipping a controllable line queues its fanouts, and imply
 // re-evaluates, in evaluation order, only gates with a fanin that
-// changed. Faulty values differ from good ones only inside the fault's
-// forward cone, so they are computed only there; everywhere else fv
-// mirrors gv. Every value change goes on a trail, and a backtrack undoes
-// the trail back to the flipped decision instead of re-implying.
+// changed. It evaluates only the fault's relevant gates: the search
+// reads no line outside the fault's forward cone, the fault site and
+// their combinational fanin, and every other line keeps its all-X value.
+// Faulty values differ from good ones only inside the cone, so they are
+// computed only there; everywhere else fv mirrors gv. Every value change
+// goes on a trail, and a backtrack undoes the trail back to the flipped
+// decision instead of re-implying.
 type engine struct {
 	n       *gate.Netlist
 	order   []int
@@ -69,6 +72,11 @@ type engine struct {
 	coneObs   []int // observable cone members
 	inCone    []uint32
 	coneEp    uint32
+	// relevant[p] == relEp marks the gate at position p in order as
+	// relevant to the fault: in the cone, the site or their transitive
+	// combinational fanin.
+	relevant []uint32
+	relEp    uint32
 
 	// event queue: bit p of pending marks the gate at position p as
 	// waiting for evaluation; no word outside pendLo..pendHi has a bit
@@ -87,7 +95,7 @@ type engine struct {
 
 	// observability hooks (nil when obs is disabled; Add on nil is a
 	// no-op, so the search pays one pointer check per podem run).
-	cBacktracks, cImplications *obs.Counter
+	cBacktracks, cImplications, cGateEvals *obs.Counter
 }
 
 // change is one trail entry: a line and its values before it changed.
@@ -114,20 +122,21 @@ func newEngine(n *gate.Netlist) (*engine, error) {
 	}
 	ng := len(n.Gates)
 	e := &engine{
-		n:       n,
-		order:   order,
-		topoPos: make([]int32, ng),
-		typ:     make([]byte, len(order)),
-		fin:     make([][3]int32, len(order)),
-		foOff:   make([]int32, ng+1),
-		gv:      make([]byte, ng),
-		fv:      make([]byte, ng),
-		gvX:     make([]byte, ng),
-		ctlIdx:  make([]int32, ng),
-		isObs:   make([]bool, ng),
-		inCone:  make([]uint32, ng),
-		pending: make([]uint64, (len(order)+63)/64),
-		seen:    make([]uint32, ng),
+		n:        n,
+		order:    order,
+		topoPos:  make([]int32, ng),
+		typ:      make([]byte, len(order)),
+		fin:      make([][3]int32, len(order)),
+		foOff:    make([]int32, ng+1),
+		gv:       make([]byte, ng),
+		fv:       make([]byte, ng),
+		gvX:      make([]byte, ng),
+		ctlIdx:   make([]int32, ng),
+		isObs:    make([]bool, ng),
+		inCone:   make([]uint32, ng),
+		relevant: make([]uint32, len(order)),
+		pending:  make([]uint64, (len(order)+63)/64),
+		seen:     make([]uint32, ng),
 	}
 	e.pendLo, e.pendHi = len(e.pending), -1
 	for i := range e.topoPos {
@@ -183,6 +192,7 @@ func newEngine(n *gate.Netlist) (*engine, error) {
 	e.computeAllX()
 	e.cBacktracks = obs.C("atpg.backtracks")
 	e.cImplications = obs.C("atpg.implications")
+	e.cGateEvals = obs.C("atpg.gate_evals")
 	return e, nil
 }
 
@@ -406,6 +416,7 @@ func (e *engine) reset(f gate.Fault) {
 		e.victim = f.Line
 	}
 	e.buildCone()
+	e.markRelevant()
 	if e.stem >= 0 && e.fv[e.stem] != f.Stuck {
 		e.fv[e.stem] = f.Stuck
 		e.queueFanouts(e.stem)
@@ -464,6 +475,40 @@ func (e *engine) buildCone() {
 	}
 }
 
+// markRelevant marks the gates whose values the search can read for the
+// current fault: the cone, the site and everything they read, through
+// combinational fanins. The walk stops at sources: PIs, constants, and
+// DFF outputs, which are scan cut points whose values the pattern sets.
+// Every fanin of a relevant gate is a relevant gate or a source, so
+// implying only relevant gates gives each of them the value a full pass
+// would.
+func (e *engine) markRelevant() {
+	e.relEp++
+	if e.relEp == 0 { // the stamps wrapped: forget every old one
+		clear(e.relevant)
+		e.relEp = 1
+	}
+	stack := e.dfs[:0]
+	mark := func(line int) {
+		if pos := e.topoPos[line]; pos >= 0 && e.relevant[pos] != e.relEp {
+			e.relevant[pos] = e.relEp
+			stack = append(stack, int(pos))
+		}
+	}
+	mark(e.site)
+	for _, id := range e.cone {
+		mark(id)
+	}
+	for len(stack) > 0 {
+		pos := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, f := range e.fin[pos] {
+			mark(int(f))
+		}
+	}
+	e.dfs = stack
+}
+
 // set assigns value v (lo, hi or xx) to controllable line ci, records
 // the line's old values on the trail and queues its fanouts; imply
 // propagates the change.
@@ -495,25 +540,31 @@ func (e *engine) queue(pos int32) {
 	e.pendLo, e.pendHi = min(e.pendLo, w), max(e.pendHi, w)
 }
 
+// queueFanouts queues the relevant fanouts of line.
 func (e *engine) queueFanouts(line int) {
 	for _, pos := range e.fanouts(line) {
-		e.queue(pos)
+		if e.relevant[pos] == e.relEp {
+			e.queue(pos)
+		}
 	}
 }
 
 // imply brings good and faulty values up to date with the assignment by
-// re-evaluating queued gates in ascending position. A gate queues only
-// fanouts, which sit at later positions, so every gate is evaluated
-// after all of its changed fanins, as in a full pass.
-func (e *engine) imply() {
+// re-evaluating queued gates in ascending position, and returns how many
+// it evaluated. A gate queues only fanouts, which sit at later
+// positions, so every gate is evaluated after all of its changed fanins,
+// as in a full pass.
+func (e *engine) imply() (evals int) {
 	for w := e.pendLo; w <= e.pendHi; w++ {
 		for e.pending[w] != 0 {
 			b := bits.TrailingZeros64(e.pending[w])
 			e.pending[w] &^= 1 << b
 			e.evalGate(w<<6 | b)
+			evals++
 		}
 	}
 	e.pendLo, e.pendHi = len(e.pending), -1
+	return evals
 }
 
 // evalGate recomputes the gate at position pos in order. If it changed,
@@ -798,13 +849,14 @@ type decision struct {
 func (e *engine) podem(f gate.Fault, backtrackLimit int) outcome {
 	e.reset(f)
 	e.stack = e.stack[:0]
-	backtracks, implications := 0, 0
+	backtracks, implications, evals := 0, 0, 0
 	defer func() {
 		e.cBacktracks.Add(int64(backtracks))
 		e.cImplications.Add(int64(implications))
+		e.cGateEvals.Add(int64(evals))
 	}()
 	for {
-		e.imply()
+		evals += e.imply()
 		implications++
 		if e.detected() {
 			return outDetected

@@ -182,8 +182,9 @@ func (r *Result) Coverage() float64 {
 // Simulator fault-simulates full-scan patterns on one netlist. It is
 // built once per netlist and reused across calls: the good-machine
 // simulator, the levelized event queue and the faulty-value buffers
-// persist, and every call leaves them ready for the next. A Simulator
-// is not safe for concurrent use.
+// persist, and every call leaves them ready for the next. Load and
+// First check faults one at a time against a word kept between calls.
+// A Simulator is not safe for concurrent use.
 //
 // Faults are simulated serially against a word of 64 pattern lanes. A
 // stem is a line that is observable (a PO or a DFF data input) or that
@@ -291,7 +292,7 @@ func (s *Simulator) Detect(pats []gate.Pattern, faults []gate.Fault, by []int) (
 	s.pending = pending // dropping filters in place; keep the buffer
 	found := 0
 	for base := 0; base < len(pats) && len(pending) > 0; base += 64 {
-		if err := s.load(pats[base:min(base+64, len(pats))]); err != nil {
+		if err := s.Load(pats[base:min(base+64, len(pats))]); err != nil {
 			return found, err
 		}
 		still := pending[:0]
@@ -308,9 +309,10 @@ func (s *Simulator) Detect(pats []gate.Pattern, faults []gate.Fault, by []int) (
 	return found, nil
 }
 
-// load applies up to 64 patterns to the good machine and evaluates them
-// as a new word.
-func (s *Simulator) load(pats []gate.Pattern) error {
+// Load applies up to 64 patterns to the good machine and evaluates them
+// as a new word, the loaded word First reads. Detect loads words of its
+// own, so a Detect call replaces the loaded word.
+func (s *Simulator) Load(pats []gate.Pattern) error {
 	k, err := s.good.ApplyPatterns(pats)
 	if err != nil {
 		return err
@@ -322,6 +324,14 @@ func (s *Simulator) load(pats []gate.Pattern) error {
 	}
 	s.lanes = ^uint64(0) >> uint(64-k)
 	return nil
+}
+
+// First returns the lowest lane of the loaded word that detects f, or -1.
+func (s *Simulator) First(f gate.Fault) int {
+	if d := s.simulate(f); d != 0 {
+		return bits.TrailingZeros64(d)
+	}
+	return -1
 }
 
 // stuckWord is the value of a line stuck at v in every lane.

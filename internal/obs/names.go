@@ -15,6 +15,7 @@ var KnownCounters = []string{
 	"atpg.backtracks",                  // PODEM decision reversals
 	"atpg.detected",                    // faults detected by generated or simulated vectors
 	"atpg.faults",                      // faults targeted by ATPG
+	"atpg.gate_evals",                  // gates PODEM evaluated during implication
 	"atpg.implications",                // PODEM implication steps
 	"atpg.store_errors",                // test-set store reads or writes that failed with an I/O error
 	"atpg.store_hits",                  // test sets served from the test-set store instead of ATPG
