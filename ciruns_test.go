@@ -61,9 +61,16 @@ func TestCIPatternsNameTests(t *testing.T) {
 		return n
 	}
 
+	// The workflow may hand every -run pattern to check.sh, so the
+	// vacuous-scan guard counts patterns over both files; each file must
+	// still yield its go test commands.
+	checked := 0
 	for _, file := range []string{"scripts/check.sh", ".github/workflows/ci.yml"} {
 		cmds := goTestCommands(t, file)
-		checked := 0
+		if len(cmds) == 0 {
+			t.Errorf("%s: found no go test command (vacuous scan)", file)
+		}
+		before := checked
 		for _, cmd := range cmds {
 			var dirs []string
 			for _, pkg := range cmd.pkgs {
@@ -76,10 +83,10 @@ func TestCIPatternsNameTests(t *testing.T) {
 				checked += check(file, "-fuzz", cmd.fuzz, "Fuzz", dirs)
 			}
 		}
-		if checked == 0 {
-			t.Errorf("%s: found %d go test commands but no -run or -fuzz pattern to check (vacuous scan)", file, len(cmds))
-		}
-		t.Logf("%s: %d go test commands, %d pattern alternatives", file, len(cmds), checked)
+		t.Logf("%s: %d go test commands, %d pattern alternatives", file, len(cmds), checked-before)
+	}
+	if checked == 0 {
+		t.Error("found no -run or -fuzz pattern to check (vacuous scan)")
 	}
 
 	families := benchFamilies(t, "scripts/bench.sh")

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"repro/internal/ccg"
-	"repro/internal/cell"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/soc"
@@ -117,39 +116,10 @@ func (f *Flow) EvaluateDegradedCtx(ctx context.Context) (*DegradedEvaluation, er
 	return f.evaluateDegraded(ctx, f.CurrentSelection())
 }
 
-// baselineInfo is what degraded evaluation learns from scheduling the
-// pristine chip: the system-level test muxes the design provisioned (its
-// core schedules' Muxes) and the CCG path that served each port when
-// everything worked.
-type baselineInfo struct {
-	graph *ccg.Graph
-	sched *sched.Result
-}
-
-// baselineFor schedules the pristine baseline chip under the equivalent
-// selection. A nil return (with nil error) means the flow has no fault
-// baseline: the chip itself is the design, every mux insertion is allowed
-// and no cut-edge diagnosis is possible.
-func (f *Flow) baselineFor(root *obs.Span, sel map[string]int) (*baselineInfo, error) {
-	if f.Baseline == nil {
-		return nil, nil
-	}
-	bsel := canonSelectionOn(f.Baseline, sel)
-	bg, _, err := f.buildGraph(root, f.Baseline, bsel)
-	if err != nil {
-		return nil, fmt.Errorf("core: degraded baseline: %w", err)
-	}
-	bs, err := sched.Schedule(f.Baseline, bg)
-	if err != nil {
-		return nil, fmt.Errorf("core: degraded baseline schedule: %w", err)
-	}
-	return &baselineInfo{graph: bg, sched: bs}, nil
-}
-
-// steps returns the steps of the baseline path that served the failed
-// port, or nil.
-func (b *baselineInfo) steps(pf sched.PortFailure) []ccg.Step {
-	for _, cs := range b.sched.Cores {
+// steps returns the steps of the path that served the failed port in
+// this (baseline) pass, or nil.
+func (p *pass) steps(pf sched.PortFailure) []ccg.Step {
+	for _, cs := range p.s.Cores {
 		if cs.Core != pf.Core {
 			continue
 		}
@@ -166,56 +136,31 @@ func (b *baselineInfo) steps(pf sched.PortFailure) []ccg.Step {
 	return nil
 }
 
-// degradedPass is one partial build under one selection.
-type degradedPass struct {
-	sel    map[string]int
-	g      *ccg.Graph
-	s      *sched.Result
-	deg    *sched.Degradation
-	forced cell.Area
-	base   *baselineInfo
-}
-
-func (f *Flow) runDegradedPass(root *obs.Span, sel map[string]int) (*degradedPass, error) {
-	base, err := f.baselineFor(root, sel)
-	if err != nil {
-		return nil, err
-	}
-	g, forced, err := f.buildGraph(root, f.Chip, sel)
-	if err != nil {
-		return nil, err
-	}
-	if base != nil {
-		// The baseline's test muxes are fixed silicon: re-create their
-		// edges up front (with their area) so any core may route through
-		// them, and refuse new insertions — broken interconnect found on
-		// the test floor cannot be patched with hardware the design never
-		// had.
-		for _, cs := range base.sched.Cores {
-			for _, m := range cs.Muxes {
-				obs.C("core.baseline_muxes_preinstalled").Inc()
-				fi, fok := g.NodeIndex(base.graph.Nodes[m.From].Name())
-				ti, tok := g.NodeIndex(base.graph.Nodes[m.To].Name())
-				if !fok || !tok {
-					continue
-				}
-				g.AddTestMux(fi, ti)
-				forced.Add(cell.Mux2, m.Width)
-			}
-		}
-	}
-	s, deg := sched.BuildPartial(f.Chip, g, base != nil)
-	return &degradedPass{sel: sel, g: g, s: s, deg: deg, forced: forced, base: base}, nil
-}
-
 func (f *Flow) evaluateDegraded(ctx context.Context, sel map[string]int) (*DegradedEvaluation, error) {
 	root := obs.Start(nil, "evaluate-degraded")
 	defer root.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	csel := canonSelectionOn(f.Chip, sel)
-	best, err := f.runDegradedPass(root, csel)
+	// One pass per selection. Over a fault baseline, the pristine chip is
+	// scheduled first under the equivalent selection: its test muxes are
+	// the ones the design provisioned, and its paths diagnose cut nets.
+	// Without one, the chip itself is the design, every mux insertion is
+	// allowed and no cut-edge diagnosis is possible.
+	run := func(sel map[string]int) (*pass, error) {
+		if f.Baseline == nil {
+			return f.schedule(root, f.Chip, sel, nil)
+		}
+		base, err := f.schedule(root, f.Baseline, canonSelectionOn(f.Baseline, sel), nil)
+		if err != nil {
+			return nil, fmt.Errorf("core: degraded baseline: %w", err)
+		}
+		if base.deg.Degraded() {
+			return nil, fmt.Errorf("core: degraded baseline schedule: %w", base.deg.Failures[0].Err)
+		}
+		return f.schedule(root, f.Chip, sel, base)
+	}
+	best, err := run(canonSelectionOn(f.Chip, sel))
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +184,7 @@ func (f *Flow) evaluateDegraded(ctx context.Context, sel map[string]int) (*Degra
 					trial[k] = v
 				}
 				trial[c.Name] = idx
-				p, err := f.runDegradedPass(root, trial)
+				p, err := run(trial)
 				if err != nil {
 					continue
 				}
@@ -278,7 +223,7 @@ func (f *Flow) evaluateDegraded(ctx context.Context, sel map[string]int) (*Degra
 }
 
 // buildReport assembles the per-core diagnoses, cut-net list and coverage.
-func (f *Flow) buildReport(p *degradedPass, fallbacks []FallbackStep) *DegradationReport {
+func (f *Flow) buildReport(p *pass, fallbacks []FallbackStep) *DegradationReport {
 	r := &DegradationReport{Chip: f.Chip.Name, Fallbacks: fallbacks}
 	netsOnly := false
 	if f.Baseline != nil {
@@ -312,7 +257,7 @@ func (f *Flow) buildReport(p *degradedPass, fallbacks []FallbackStep) *Degradati
 // net (the failure cascaded through a skipped neighbour, say) but exactly
 // one net is missing and the faults changed nothing else (netsOnly), that
 // net is the only possible culprit.
-func diagnoseCut(base *baselineInfo, pf sched.PortFailure, cutNets []string, netsOnly bool) string {
+func diagnoseCut(base *pass, pf sched.PortFailure, cutNets []string, netsOnly bool) string {
 	if base == nil || len(cutNets) == 0 || pf.Port == "" {
 		// No baseline, no missing nets, or no failing port (a disabled
 		// core, say, fails for reasons unrelated to the interconnect).
@@ -326,7 +271,7 @@ func diagnoseCut(base *baselineInfo, pf sched.PortFailure, cutNets []string, net
 		if step.Edge.Kind != ccg.Wire {
 			continue
 		}
-		name := base.graph.Nodes[step.Edge.From].Name() + " -> " + base.graph.Nodes[step.Edge.To].Name()
+		name := base.g.Nodes[step.Edge.From].Name() + " -> " + base.g.Nodes[step.Edge.To].Name()
 		if cut[name] {
 			return name
 		}

@@ -50,15 +50,16 @@
 //     core that inserts other muxes voids the delta). By induction over
 //     the ports X's searches see the same graph region and reservations.
 //
-// Spared cores replay their recorded test muxes so the graph evolves
-// edge-for-edge as a full run would; a delta evaluation returns the same
-// numbers AND the same schedule signature as Flow.EvaluateSelection — a
-// property the proptest differential harness checks across the whole
-// socgen corpus.
+// Spared cores go to sched.BuildPartial's keep list, which replays their
+// recorded test muxes so the graph evolves edge-for-edge as a full run
+// would; a delta evaluation returns the same numbers AND the same
+// schedule signature as Flow.EvaluateSelection — a property the proptest
+// differential harness checks across the whole socgen corpus.
 //
 // Anything that threatens that guarantee (a recomputed core inserting
-// different muxes than the base did, a disabled core, a stale forced-mux
-// set, a failed splice) falls back to a full evaluation instead.
+// different muxes than the base did, a core that fails to schedule, a
+// stale forced-mux set, a failed splice) falls back to a full evaluation
+// instead.
 package core
 
 import (
@@ -234,7 +235,7 @@ func (d *DeltaEvaluator) EvaluateSelectionCtx(ctx context.Context, sel map[strin
 		d.mu.Unlock()
 	}
 
-	e, pristine, forced, err := d.f.evaluateFull(ctx, sel)
+	e, p, err := d.f.evaluateFull(ctx, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +244,7 @@ func (d *DeltaEvaluator) EvaluateSelectionCtx(ctx context.Context, sel map[strin
 		d.stats.Fulls++
 		d.mu.Unlock()
 	}
-	d.adopt(versions, e, pristine, forced)
+	d.adopt(versions, e, p.pristine, p.forced)
 	return e, nil
 }
 
@@ -255,12 +256,8 @@ func (d *DeltaEvaluator) EvaluateSelectionCtx(ctx context.Context, sel map[strin
 // caller's fallback, only speed does.
 func (d *DeltaEvaluator) deltaEvaluate(ctx context.Context, b *deltaBase, cores []*soc.Core, at int, sel map[string]int) (*Evaluation, int, int, error) {
 	f := d.f
-	ch := f.Chip
 	c := cores[at]
 	changed := c.Name
-	if c.Memory || c.Disabled != "" {
-		return nil, 0, 0, nil
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, 0, 0, err
 	}
@@ -268,8 +265,9 @@ func (d *DeltaEvaluator) deltaEvaluate(ctx context.Context, b *deltaBase, cores 
 	defer root.End()
 
 	bg := b.eval.Graph
+	base := b.eval.Sched.Cores
 	ng := bg.CloneWithVersion(b.pristine, c, c.VersionAt(sel[changed]))
-	if ng == nil {
+	if ng == nil || len(base) != len(cores) {
 		return nil, 0, 0, nil
 	}
 	pristine := ng.EdgeCount()
@@ -277,53 +275,40 @@ func (d *DeltaEvaluator) deltaEvaluate(ctx context.Context, b *deltaBase, cores 
 	if !d.crippleInvalidation {
 		stale = invalidated(b.graphBounds(), bg, ng.TransEdges(changed), changed)
 	}
+	// Keep the base schedule of every core the rules spare. It passed
+	// sched.Validate in the evaluation that computed it, and stays valid:
+	// Validate reads only the CoreSchedule and the *ccg.Edge values its
+	// steps point to, and neither is written once the core is scheduled
+	// (CloneWithVersion copies every edge it renumbers, AddTestMux
+	// allocates a new edge).
+	keep := make([]*sched.CoreSchedule, len(cores))
+	for i, bcs := range base {
+		if i != at && bcs.Core == cores[i].Name && (stale == nil || !stale(bcs)) {
+			keep[i] = bcs
+		}
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, 0, 0, err
 	}
 
-	s := &sched.Result{Cores: make([]*sched.CoreSchedule, 0, len(b.eval.Sched.Cores))}
-	var fresh []*sched.CoreSchedule // the re-scheduled cores, validated below
-	fi := ccg.GetFinder()
-	defer ccg.PutFinder(fi)
-	if len(cores) != len(b.eval.Sched.Cores) {
-		return nil, 0, 0, nil
+	s, deg := sched.BuildPartial(f.Chip, ng, false, keep)
+	if deg.Degraded() {
+		return nil, 0, 0, nil // let the full path surface the error faithfully
 	}
-	for i, cc := range cores {
-		if cc.Disabled != "" {
-			return nil, 0, 0, nil // full Schedule reports this properly
-		}
-		bcs := b.eval.Sched.Cores[i]
-		if bcs.Core != cc.Name {
-			return nil, 0, 0, nil
-		}
-		if i != at && (stale == nil || !stale(bcs)) {
-			// Reuse the base schedule; replay its test muxes so later
-			// cores see the graph a full run would. bcs passed
-			// sched.Validate in the evaluation that computed it, and
-			// stays valid: Validate reads only the CoreSchedule and the
-			// *ccg.Edge values its steps point to, and neither is written
-			// once ScheduleCore returns (CloneWithVersion copies every
-			// edge it renumbers, AddTestMux allocates a new edge).
-			for _, m := range bcs.Muxes {
-				ng.AddTestMux(m.From, m.To)
-			}
-			s.Cores = append(s.Cores, bcs)
+	var fresh []*sched.CoreSchedule // the re-scheduled cores, validated below
+	for i, cs := range s.Cores {
+		if cs == base[i] {
 			continue
 		}
-		cs, err := sched.ScheduleCore(ch, ng, fi, cc)
-		if err != nil {
-			return nil, 0, 0, nil // let the full path surface the error faithfully
-		}
-		if !slices.Equal(cs.Muxes, bcs.Muxes) {
+		if cs.Core != base[i].Core || !slices.Equal(cs.Muxes, base[i].Muxes) {
 			// A recomputed core changed its mux insertions: cores after
-			// it would see a different graph than the base did, voiding
-			// the reuse argument. Rare — punt to the full path.
+			// it saw a different graph than the base did, voiding the
+			// reuse argument. Rare — punt to the full path.
 			return nil, 0, 0, nil
 		}
 		if d.tamperRescheduled {
 			cs.TAT++
 		}
-		s.Cores = append(s.Cores, cs)
 		fresh = append(fresh, cs)
 	}
 	if err := ctx.Err(); err != nil {

@@ -222,10 +222,10 @@ func (f *Flow) Evaluate() (*Evaluation, error) {
 }
 
 // EvaluateCtx is Evaluate honoring ctx: cancellation is checked at phase
-// boundaries (after CCG build and after scheduling) and surfaces as
+// boundaries (before CCG build and after scheduling) and surfaces as
 // ctx.Err().
 func (f *Flow) EvaluateCtx(ctx context.Context) (*Evaluation, error) {
-	e, _, _, err := f.evaluateFull(ctx, f.CurrentSelection())
+	e, _, err := f.evaluateFull(ctx, f.CurrentSelection())
 	return e, err
 }
 
@@ -243,7 +243,7 @@ func (f *Flow) EvaluateSelection(sel map[string]int) (*Evaluation, error) {
 // EvaluateSelectionCtx is EvaluateSelection honoring ctx; the parallel
 // explorer threads its cancellation context through here.
 func (f *Flow) EvaluateSelectionCtx(ctx context.Context, sel map[string]int) (*Evaluation, error) {
-	e, _, _, err := f.evaluateFull(ctx, f.canonSelection(sel))
+	e, _, err := f.evaluateFull(ctx, f.canonSelection(sel))
 	return e, err
 }
 
@@ -288,56 +288,84 @@ func canonSelectionOn(ch *soc.Chip, sel map[string]int) map[string]int {
 // evaluateFull is the selection-pure core of every full evaluation: sel
 // must be canonical (every testable core present, indices in range). It
 // must not write any state reachable from f — the parallel explorer runs
-// many evaluations over one flow at once. Cancellation is checked at the
-// phase boundaries; a cancelled evaluation returns ctx.Err(). Besides the
-// evaluation it returns the two facts the delta evaluator snapshots with
-// a base: the pristine edge count (edges in the graph before scheduling
-// appended any test muxes — the splice point of ccg.CloneWithVersion) and
-// the forced-mux area.
-func (f *Flow) evaluateFull(ctx context.Context, sel map[string]int) (*Evaluation, int, cell.Area, error) {
+// many evaluations over one flow at once. Cancellation is checked before
+// building the CCG and after scheduling; a cancelled evaluation returns
+// ctx.Err(). Besides the evaluation it returns the pass, which holds the
+// two facts the delta evaluator snapshots with a base: the pristine edge
+// count and the forced-mux area.
+func (f *Flow) evaluateFull(ctx context.Context, sel map[string]int) (*Evaluation, *pass, error) {
 	root := obs.Start(nil, "evaluate")
 	defer root.End()
-	var noArea cell.Area
 	if err := ctx.Err(); err != nil {
-		return nil, 0, noArea, err
+		return nil, nil, err
 	}
-	g, forcedArea, err := f.buildGraph(root, f.Chip, sel)
+	p, err := f.schedule(root, f.Chip, sel, nil)
 	if err != nil {
-		return nil, 0, noArea, err
+		return nil, nil, err
 	}
-	pristine := g.EdgeCount()
-	if err := ctx.Err(); err != nil {
-		return nil, 0, noArea, err
-	}
-	s, err := sched.Schedule(f.Chip, g)
-	if err != nil {
-		return nil, 0, noArea, err
+	if p.deg.Degraded() {
+		return nil, nil, p.deg.Failures[0].Err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, 0, noArea, err
+		return nil, nil, err
 	}
-	e, err := f.finishEvaluation(root, sel, g, s, forcedArea, s.Cores)
-	return e, pristine, forcedArea, err
+	e, err := f.finishEvaluation(root, sel, p.g, p.s, p.forced, p.s.Cores)
+	return e, p, err
 }
 
-// buildGraph assembles the CCG for ch under sel and wires in the flow's
-// forced muxes, returning the graph and the forced-mux area.
-func (f *Flow) buildGraph(root *obs.Span, ch *soc.Chip, sel map[string]int) (*ccg.Graph, cell.Area, error) {
+// pass is one schedule of a chip under one selection.
+type pass struct {
+	sel    map[string]int
+	g      *ccg.Graph // the CCG, test muxes included
+	s      *sched.Result
+	deg    *sched.Degradation
+	forced cell.Area // the muxes wired in before scheduling
+	// pristine is the edge count after the forced muxes and before any
+	// other test mux: the splice point of ccg.CloneWithVersion.
+	pristine int
+	// base is the baseline chip's pass whose muxes were installed, or nil.
+	base *pass
+}
+
+// schedule builds the CCG of ch under sel, wires in the flow's forced
+// muxes and runs sched.BuildPartial on it: the one graph-and-schedule
+// step behind full, baseline and degraded evaluation. With base, the
+// baseline's test muxes are fixed silicon: their edges are re-created up
+// front (with their area) so any core may route through them, and new
+// insertions are refused — broken interconnect found on the test floor
+// cannot be patched with hardware the design never had.
+func (f *Flow) schedule(root *obs.Span, ch *soc.Chip, sel map[string]int, base *pass) (*pass, error) {
 	sp := obs.Start(root, "ccg/build")
 	g, err := ccg.BuildSelection(ch, sel)
 	sp.End()
-	var forcedArea cell.Area
 	if err != nil {
-		return nil, forcedArea, err
+		return nil, err
 	}
+	p := &pass{sel: sel, g: g, base: base}
 	for _, fm := range f.ForcedMuxes {
 		width, err := applyForcedMux(ch, g, fm)
 		if err != nil {
-			return nil, forcedArea, err
+			return nil, err
 		}
-		forcedArea.Add(cell.Mux2, width)
+		p.forced.Add(cell.Mux2, width)
 	}
-	return g, forcedArea, nil
+	p.pristine = g.EdgeCount()
+	if base != nil {
+		for _, cs := range base.s.Cores {
+			for _, m := range cs.Muxes {
+				obs.C("core.baseline_muxes_preinstalled").Inc()
+				fi, fok := g.NodeIndex(base.g.Nodes[m.From].Name())
+				ti, tok := g.NodeIndex(base.g.Nodes[m.To].Name())
+				if !fok || !tok {
+					continue
+				}
+				g.AddTestMux(fi, ti)
+				p.forced.Add(cell.Mux2, m.Width)
+			}
+		}
+	}
+	p.s, p.deg = sched.BuildPartial(ch, g, base != nil, nil)
+	return p, nil
 }
 
 // finishEvaluation replays the core schedules this evaluation computed,

@@ -62,20 +62,27 @@ func (d *Degradation) FailureFor(core string) (PortFailure, bool) {
 }
 
 // BuildPartial is the per-core schedule loop of Section 5.1, shared by
-// full and degraded evaluation. Instead of aborting the whole chip on the
-// first unservable port, it skips the affected core, rolls back any test
-// muxes speculatively inserted for it, records a diagnosis, and schedules
-// every remaining core. The returned Result covers exactly the testable
-// subset and passes Validate; the Degradation names what was lost and
-// why. fixed means the chip's test muxes are fixed hardware: a port no
-// path serves fails instead of getting a new mux. Degraded evaluation of
-// a faulted chip pre-installs the muxes the healthy design provisioned
-// and sets it — broken interconnect discovered on the test floor cannot
-// be patched with new silicon.
-func BuildPartial(ch *soc.Chip, g *ccg.Graph, fixed bool) (*Result, *Degradation) {
+// full, delta and degraded evaluation. Instead of aborting the whole chip
+// on the first unservable port, it skips the affected core, rolls back
+// any test muxes speculatively inserted for it, records a diagnosis, and
+// schedules every remaining core. The returned Result covers exactly the
+// testable subset and passes Validate; the Degradation names what was
+// lost and why. fixed means the chip's test muxes are fixed hardware: a
+// port no path serves fails instead of getting a new mux. Degraded
+// evaluation of a faulted chip pre-installs the muxes the healthy design
+// provisioned and sets it — broken interconnect discovered on the test
+// floor cannot be patched with new silicon.
+//
+// keep, when non-nil, holds one entry per testable core. A non-nil entry
+// stands in for its core: it is appended to the result as is, and its
+// recorded test muxes are added to g in order, so the cores after it see
+// the graph scheduling it would have left. The delta evaluator keeps the
+// schedules a one-core version flip cannot change.
+func BuildPartial(ch *soc.Chip, g *ccg.Graph, fixed bool, keep []*CoreSchedule) (*Result, *Degradation) {
 	root := obs.Start(nil, "sched")
 	defer root.End()
-	res := &Result{}
+	cores := ch.TestableCores()
+	res := &Result{Cores: make([]*CoreSchedule, 0, len(cores))}
 	deg := &Degradation{}
 	fi := ccg.GetFinder()
 	defer ccg.PutFinder(fi)
@@ -83,7 +90,14 @@ func BuildPartial(ch *soc.Chip, g *ccg.Graph, fixed bool) (*Result, *Degradation
 		deg.Failures = append(deg.Failures, pf)
 		obs.C("sched.cores_skipped").Inc()
 	}
-	for _, c := range ch.TestableCores() {
+	for i, c := range cores {
+		if keep != nil && keep[i] != nil {
+			for _, m := range keep[i].Muxes {
+				g.AddTestMux(m.From, m.To)
+			}
+			res.Cores = append(res.Cores, keep[i])
+			continue
+		}
 		if c.Disabled != "" {
 			skip(PortFailure{Core: c.Name, Reason: "core disabled: " + c.Disabled,
 				Err: fmt.Errorf("sched: core %s disabled: %s", c.Name, c.Disabled)})
@@ -92,7 +106,10 @@ func BuildPartial(ch *soc.Chip, g *ccg.Graph, fixed bool) (*Result, *Degradation
 		// A failing core leaves no trace: test muxes inserted for its
 		// earlier ports are rolled back.
 		edgeMark := g.EdgeCount()
-		sp := obs.Start(root, "sched/"+c.Name)
+		var sp *obs.Span
+		if root != nil { // the span name allocates; build it only when tracing
+			sp = root.Start("sched/" + c.Name)
+		}
 		cs, err := scheduleCore(ch, g, fi, c, fixed)
 		sp.End()
 		if err != nil {

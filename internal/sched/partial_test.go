@@ -77,7 +77,7 @@ func TestPartialRollsBackFailingCore(t *testing.T) {
 	g := buildGraph(t, built)
 	before := g.EdgeCount()
 	cpu, _ := ghosted.CoreByName("CPU")
-	if _, err := sched.ScheduleCore(ghosted, g, ccg.NewFinder(), cpu); err == nil ||
+	if _, err := sched.ScheduleOne(ghosted, g, ccg.NewFinder(), cpu, false); err == nil ||
 		!strings.Contains(err.Error(), "!ghost missing from the CCG") {
 		t.Fatalf("CPU should fail on the missing pin, got %v", err)
 	}
@@ -87,7 +87,7 @@ func TestPartialRollsBackFailingCore(t *testing.T) {
 
 	g = buildGraph(t, built)
 	before = g.EdgeCount()
-	res, deg := sched.BuildPartial(ghosted, g, false)
+	res, deg := sched.BuildPartial(ghosted, g, false, nil)
 	if !deg.Degraded() || deg.Failures[0].Core != "CPU" {
 		t.Fatalf("failures %+v, want CPU first", deg.Failures)
 	}
@@ -98,7 +98,7 @@ func TestPartialRollsBackFailingCore(t *testing.T) {
 	// Without CPU's Read mux PREPROCESSOR.Eoc needs one too, and fails the
 	// same way in both runs; DISPLAY is scheduled.
 	gd := buildGraph(t, built)
-	want, wdeg := sched.BuildPartial(withDisabled(ghosted, "CPU"), gd, false)
+	want, wdeg := sched.BuildPartial(withDisabled(ghosted, "CPU"), gd, false, nil)
 	if len(res.Cores) == 0 || !reflect.DeepEqual(res.Cores, want.Cores) {
 		t.Fatal("the cores after the failing one schedule differently than with it disabled")
 	}
@@ -116,13 +116,59 @@ func TestPartialRollsBackFailingCore(t *testing.T) {
 	}
 }
 
+// A kept schedule stands in for its core: whichever cores are kept, the
+// result holds the kept schedules themselves, the others schedule as in
+// a full run, and the replayed test muxes leave the graph edge for edge
+// as the full run left it.
+func TestPartialKeepReplaysMuxes(t *testing.T) {
+	f := section3Flow(t)
+	full, g := scheduleOf(t, f)
+	if muxCount(full) == 0 {
+		t.Fatal("System 1 inserts no test mux; the test proves nothing")
+	}
+	n := len(full.Cores)
+	for mask := 0; mask < 1<<n; mask++ {
+		keep := make([]*sched.CoreSchedule, n)
+		for i := range keep {
+			if mask&(1<<i) != 0 {
+				keep[i] = full.Cores[i]
+			}
+		}
+		kg := buildGraph(t, f.Chip)
+		res, deg := sched.BuildPartial(f.Chip, kg, false, keep)
+		if deg.Degraded() {
+			t.Fatalf("mask %b: failures %+v", mask, deg.Failures)
+		}
+		if len(res.Cores) != n {
+			t.Fatalf("mask %b: %d cores, want %d", mask, len(res.Cores), n)
+		}
+		for i, cs := range res.Cores {
+			if keep[i] != nil && cs != keep[i] {
+				t.Errorf("mask %b: %s is not the kept schedule", mask, cs.Core)
+			}
+			if keep[i] == nil && !reflect.DeepEqual(cs, full.Cores[i]) {
+				t.Errorf("mask %b: %s schedules differently than in the full run", mask, cs.Core)
+			}
+		}
+		if len(kg.Edges) != len(g.Edges) {
+			t.Fatalf("mask %b: %d edges, full run %d", mask, len(kg.Edges), len(g.Edges))
+		}
+		for j, e := range kg.Edges {
+			w := g.Edges[j]
+			if e.From != w.From || e.To != w.To || e.Latency != w.Latency || e.Kind != w.Kind {
+				t.Fatalf("mask %b: edge %d is %+v, full run %+v", mask, j, *e, *w)
+			}
+		}
+	}
+}
+
 // With fixed test muxes a port no path serves fails as MuxDenied, and no
 // edge is added.
 func TestPartialFixedDeniesMuxes(t *testing.T) {
 	f := section3Flow(t)
 	g := buildGraph(t, f.Chip)
 	before := g.EdgeCount()
-	res, deg := sched.BuildPartial(f.Chip, g, true)
+	res, deg := sched.BuildPartial(f.Chip, g, true, nil)
 	if g.EdgeCount() != before || muxCount(res) != 0 {
 		t.Fatalf("fixed run added %d edges", g.EdgeCount()-before)
 	}
@@ -153,7 +199,7 @@ func TestScheduleReturnsFirstFailure(t *testing.T) {
 			"core disabled: switched off by the test"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, deg := sched.BuildPartial(tc.ch, buildGraph(t, built), false)
+			_, deg := sched.BuildPartial(tc.ch, buildGraph(t, built), false, nil)
 			if !deg.Degraded() {
 				t.Fatal("nothing failed")
 			}

@@ -89,20 +89,11 @@ func (r *Result) TotalTAT() int {
 // It runs BuildPartial's loop and fails with the first unschedulable
 // core's error.
 func Schedule(ch *soc.Chip, g *ccg.Graph) (*Result, error) {
-	res, deg := BuildPartial(ch, g, false)
+	res, deg := BuildPartial(ch, g, false, nil)
 	if deg.Degraded() {
 		return nil, deg.Failures[0].Err
 	}
 	return res, nil
-}
-
-// ScheduleCore plans one core's test on g exactly as a full Schedule run
-// would at this core's turn. It is the per-core entry point of the
-// incremental delta evaluator: after replaying the unaffected prefix of a
-// base schedule (muxes included), re-scheduling only the invalidated
-// cores through here reproduces the full run bit-for-bit.
-func ScheduleCore(ch *soc.Chip, g *ccg.Graph, fi *ccg.Finder, c *soc.Core) (*CoreSchedule, error) {
-	return scheduleCore(ch, g, fi, c, false)
 }
 
 // scheduleCore plans one core's test. fixed denies the system-level

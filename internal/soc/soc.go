@@ -97,7 +97,7 @@ func (ch *Chip) CoreByName(name string) (*Core, bool) {
 
 // TestableCores returns the non-memory cores in declaration order.
 func (ch *Chip) TestableCores() []*Core {
-	var out []*Core
+	out := make([]*Core, 0, len(ch.Cores))
 	for _, c := range ch.Cores {
 		if !c.Memory {
 			out = append(out, c)
