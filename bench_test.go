@@ -443,11 +443,19 @@ func BenchmarkATPGGCD(b *testing.B) {
 }
 
 // BenchmarkATPGSystem1 times ATPG on each System 1 logic core's
-// netlist, as core.Prepare hands it to ATPG. The netlists come from a
-// prepare with a vector override, so setup runs no ATPG. The search
-// counts per op and the vector count pin the search itself: a change
-// that only makes each step cheaper leaves them unchanged.
-func BenchmarkATPGSystem1(b *testing.B) {
+// netlist, as core.Prepare hands it to ATPG, on the default worker
+// count. The netlists come from a prepare with a vector override, so
+// setup runs no ATPG. The search counts per op and the vector count pin
+// the search itself: a change that only makes each step cheaper leaves
+// them unchanged, and so does the worker count.
+func BenchmarkATPGSystem1(b *testing.B) { benchATPGSystem1(b, false) }
+
+// BenchmarkATPGSystem1Serial is BenchmarkATPGSystem1 on one worker
+// (GOMAXPROCS 1 for its run), so the snapshots keep the single-worker
+// cost of each step.
+func BenchmarkATPGSystem1Serial(b *testing.B) { benchATPGSystem1(b, true) }
+
+func benchATPGSystem1(b *testing.B, serial bool) {
 	ch := systems.System1()
 	vecs := map[string]int{}
 	for _, c := range ch.TestableCores() {
@@ -460,6 +468,11 @@ func BenchmarkATPGSystem1(b *testing.B) {
 	for _, name := range []string{"CPU", "PREPROCESSOR", "DISPLAY"} {
 		n := f.Cores[name].Synth.Netlist
 		b.Run("core="+name, func(b *testing.B) {
+			if serial {
+				// The testing package sets GOMAXPROCS before each
+				// sub-benchmark's run, so the pin goes here.
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			}
 			_, m := obs.Enable(0)
 			defer obs.Disable()
 			var res *atpg.Result

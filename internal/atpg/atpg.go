@@ -7,8 +7,12 @@
 package atpg
 
 import (
+	"context"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 
+	"repro/internal/fanout"
 	"repro/internal/fsim"
 	"repro/internal/gate"
 	"repro/internal/obs"
@@ -89,17 +93,34 @@ func Generate(n *gate.Netlist, opts *Options) (*Result, error) {
 	return GenerateFor(n, n.Faults(), opts)
 }
 
-// GenerateFor runs test generation for an explicit fault list.
+// GenerateFor runs test generation for an explicit fault list, on one
+// worker per CPU (runtime.GOMAXPROCS). The test set, the Stats and the
+// counters are the same at any worker count.
 func GenerateFor(n *gate.Netlist, faults []gate.Fault, opts *Options) (*Result, error) {
-	o := opts.withDefaults()
-	eng, err := newEngine(n)
-	if err != nil {
-		return nil, err
+	return generateOn(n, faults, opts.withDefaults(), runtime.GOMAXPROCS(0))
+}
+
+// generateOn is GenerateFor on the given number of workers.
+func generateOn(n *gate.Netlist, faults []gate.Fault, o Options, workers int) (*Result, error) {
+	workers = max(1, min(workers, len(faults)))
+	// Every engine and simulator is built here, before any worker starts:
+	// building them fills the netlist's lazily built caches, which the
+	// workers then only read. engines is the free list of the searches,
+	// one engine per worker.
+	engines := make(chan *engine, workers)
+	sims := make([]*fsim.Simulator, workers)
+	for w := range sims {
+		e, err := newEngine(n)
+		if err != nil {
+			return nil, err
+		}
+		engines <- e
+		if sims[w], err = fsim.NewSimulator(n); err != nil {
+			return nil, err
+		}
 	}
-	sim, err := fsim.NewSimulator(n)
-	if err != nil {
-		return nil, err
-	}
+	sim := sims[0] // also holds phase 2's loaded word
+	cBacktracks, cImplications, cGateEvals := obs.C("atpg.backtracks"), obs.C("atpg.implications"), obs.C("atpg.gate_evals")
 	res := &Result{Stats: Stats{Faults: len(faults)}}
 	// by[i] >= 0 once faults[i] is detected. Only the random pre-pass
 	// reads the value: the index of its pattern that detected the fault.
@@ -109,12 +130,12 @@ func GenerateFor(n *gate.Netlist, faults []gate.Fault, opts *Options) (*Result, 
 		by[i] = -1
 	}
 	rng := splitMix{o.FillSeed}
+	nPI := len(n.PIs())
 
 	// Phase 1: random-pattern pre-pass with fault dropping. Patterns that
 	// detect nothing first are discarded immediately.
 	if o.RandomPatterns > 0 {
 		rpats := make([]gate.Pattern, o.RandomPatterns)
-		nPI := len(n.PIs())
 		nFF := len(n.DFFs())
 		for i := range rpats {
 			p := gate.Pattern{PI: make([]byte, nPI)}
@@ -129,7 +150,7 @@ func GenerateFor(n *gate.Netlist, faults []gate.Fault, opts *Options) (*Result, 
 			}
 			rpats[i] = p
 		}
-		found, err := sim.Detect(rpats, faults, by)
+		found, err := detect(sims, rpats, faults, by)
 		if err != nil {
 			return nil, err
 		}
@@ -152,45 +173,94 @@ func GenerateFor(n *gate.Netlist, faults []gate.Fault, opts *Options) (*Result, 
 	// the last flush are the simulator's loaded word, and each fault is
 	// checked against it at its turn. A full word is flushed against
 	// every later fault at once, so each fault meets every older pattern.
+	//
+	// The searches run ahead in rounds of up to 8 undetected faults per
+	// worker, and each round commits in fault order exactly as a loop
+	// over the faults decides (DESIGN.md §11): a member whose turn finds
+	// it detected is dropped with its search.
 	var word []gate.Pattern
-	for fi, f := range faults {
+	// dropped reports whether an older pattern detects faults[fi]:
+	// by[fi] is set, or the loaded word detects it, which it then counts.
+	dropped := func(fi int) bool {
 		if by[fi] >= 0 {
-			continue
+			return true
 		}
 		if len(word) > 0 {
-			if lane := sim.First(f); lane >= 0 {
+			if lane := sim.First(faults[fi]); lane >= 0 {
 				by[fi] = len(res.Patterns) - len(word) + lane
 				res.Stats.Detected++
-				continue
+				return true
 			}
 		}
-		outcome := eng.podem(f, o.BacktrackLimit)
-		switch outcome {
-		case outDetected:
-			pat := eng.extractPattern(&rng)
-			res.Patterns = append(res.Patterns, pat)
-			by[fi] = len(res.Patterns) - 1
-			res.Stats.Detected++
-			word = append(word, pat)
-			if len(word) < 64 {
-				err = sim.Load(word)
-			} else {
-				var found int
-				found, err = sim.Detect(word, faults[fi+1:], by[fi+1:])
-				res.Stats.Detected += found
-				word = word[:0]
+		return false
+	}
+	size := 1
+	if workers > 1 {
+		size = 8 * workers
+	}
+	round := make([]searched, size)
+	for next := 0; next < len(faults); {
+		k := 0
+		for ; next < len(faults) && k < size; next++ {
+			if !dropped(next) {
+				round[k].fi = next
+				k++
 			}
-			if err != nil {
-				return nil, err
+		}
+		batch := round[:k]
+		// run keeps a panic as the member's error, which the commit
+		// returns in fault order, so Each has no error to return.
+		_ = fanout.Each(context.Background(), k, workers, func(i int) error {
+			e := <-engines
+			batch[i].run(e, faults[batch[i].fi], o.BacktrackLimit)
+			engines <- e
+			return nil
+		})
+		for i := range batch {
+			s := &batch[i]
+			// Member 0 was checked at gather time, and nothing has
+			// changed since.
+			if i > 0 && dropped(s.fi) {
+				continue
 			}
-		case outUntestable:
-			res.Stats.Untestable++
-		case outAborted:
-			res.Stats.Aborted++
+			if s.err != nil {
+				return nil, s.err
+			}
+			cBacktracks.Add(s.effort.backtracks)
+			cImplications.Add(s.effort.implications)
+			cGateEvals.Add(s.effort.evals)
+			switch s.out {
+			case outDetected:
+				pat := fill(s.assign, nPI, &rng)
+				res.Patterns = append(res.Patterns, pat)
+				by[s.fi] = len(res.Patterns) - 1
+				res.Stats.Detected++
+				word = append(word, pat)
+				var err error
+				switch {
+				case len(word) == 1:
+					err = sim.Load(word)
+				case len(word) < 64:
+					err = sim.Append(pat)
+				default:
+					var found int
+					found, err = detect(sims, word, faults[s.fi+1:], by[s.fi+1:])
+					res.Stats.Detected += found
+					word = word[:0]
+				}
+				if err != nil {
+					return nil, err
+				}
+			case outUntestable:
+				res.Stats.Untestable++
+			case outAborted:
+				res.Stats.Aborted++
+			}
 		}
 	}
 	if o.Compact && len(res.Patterns) > 1 {
-		if res.Patterns, err = compact(sim, res.Patterns, faults); err != nil {
+		var err error
+		if res.Patterns, err = compact(sims, res.Patterns, faults); err != nil {
 			return nil, err
 		}
 	}
@@ -203,6 +273,84 @@ func GenerateFor(n *gate.Netlist, faults []gate.Fault, opts *Options) (*Result, 
 	return res, nil
 }
 
+// searched is one search of a round: the fault's index, how the search
+// ended and what it cost, the assignment that detects the fault, and
+// the error a panic of the search became.
+type searched struct {
+	fi     int
+	out    outcome
+	effort effort
+	assign []byte
+	err    error
+}
+
+// searchHook, when not nil, runs before each search of generateOn. Tests
+// set it to see which faults are searched and to make a search panic.
+var searchHook func(gate.Fault)
+
+// run searches f on e. The search runs on a fanout goroutine, where a
+// panic would end the process, so a panic becomes s.err, which the
+// commit returns if the search counts.
+func (s *searched) run(e *engine, f gate.Fault, backtrackLimit int) {
+	s.err = nil
+	defer func() {
+		if r := recover(); r != nil {
+			s.err = fmt.Errorf("atpg: searching fault %v panicked: %v\n%s", f, r, debug.Stack())
+		}
+	}()
+	if searchHook != nil {
+		searchHook(f)
+	}
+	s.out, s.effort = e.search(f, backtrackLimit)
+	if s.out == outDetected {
+		s.assign = append(s.assign[:0], e.assign...)
+	}
+}
+
+// fill turns an assignment of the controllable lines, the nPI PIs first
+// and then the DFF outputs, into a concrete pattern, filling its
+// don't-cares from rng.
+func fill(assign []byte, nPI int, rng *splitMix) gate.Pattern {
+	p := gate.Pattern{PI: make([]byte, nPI)}
+	if nFF := len(assign) - nPI; nFF > 0 {
+		p.State = make([]byte, nFF)
+	}
+	for i, v := range assign {
+		if v == xx {
+			v = byte(rng.next() & 1)
+		}
+		if i < nPI {
+			p.PI[i] = v
+		} else {
+			p.State[i-nPI] = v
+		}
+	}
+	return p
+}
+
+// detect runs sims[w].Detect on the w-th of len(sims) contiguous shares
+// of the faults, all shares at once, and returns the number of faults
+// newly detected. It is exact: a fault's first detecting pattern does
+// not depend on the other faults.
+func detect(sims []*fsim.Simulator, pats []gate.Pattern, faults []gate.Fault, by []int) (int, error) {
+	found := make([]int, len(sims))
+	err := fanout.Each(context.Background(), len(sims), len(sims), func(w int) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("atpg: fault simulation panicked: %v\n%s", r, debug.Stack())
+			}
+		}()
+		lo, hi := w*len(faults)/len(sims), (w+1)*len(faults)/len(sims)
+		found[w], err = sims[w].Detect(pats, faults[lo:hi], by[lo:hi])
+		return err
+	})
+	total := 0
+	for _, f := range found {
+		total += f
+	}
+	return total, err
+}
+
 // Compact keeps only patterns that detect new faults when the set is
 // fault-simulated in reverse order (classic reverse-order compaction).
 // It fails when the patterns cannot be simulated on n, for example when
@@ -212,14 +360,14 @@ func Compact(n *gate.Netlist, pats []gate.Pattern, faults []gate.Fault) ([]gate.
 	if err != nil {
 		return nil, err
 	}
-	return compact(sim, pats, faults)
+	return compact([]*fsim.Simulator{sim}, pats, faults)
 }
 
 // compact simulates the reversed list in one run with fault dropping and
 // keeps each pattern that is the first detector of some fault: exactly
 // the patterns that detect a fault none of their predecessors in reverse
 // order detects. A set that detects nothing is returned unchanged.
-func compact(sim *fsim.Simulator, pats []gate.Pattern, faults []gate.Fault) ([]gate.Pattern, error) {
+func compact(sims []*fsim.Simulator, pats []gate.Pattern, faults []gate.Fault) ([]gate.Pattern, error) {
 	rev := make([]gate.Pattern, len(pats))
 	for i, p := range pats {
 		rev[len(pats)-1-i] = p
@@ -228,7 +376,7 @@ func compact(sim *fsim.Simulator, pats []gate.Pattern, faults []gate.Fault) ([]g
 	for i := range by {
 		by[i] = -1
 	}
-	if _, err := sim.Detect(rev, faults, by); err != nil {
+	if _, err := detect(sims, rev, faults, by); err != nil {
 		return nil, fmt.Errorf("atpg: compact: %w", err)
 	}
 	first := make([]bool, len(rev))

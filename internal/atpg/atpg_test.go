@@ -1,12 +1,17 @@
 package atpg
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/fsim"
 	"repro/internal/gate"
 	"repro/internal/rtl"
 	"repro/internal/synth"
+	"repro/internal/systems"
 )
 
 func fullAdder() *gate.Netlist {
@@ -249,7 +254,8 @@ func TestEngineSurvivesStampWrap(t *testing.T) {
 	}
 	old.coneEp, old.seenEp, old.relEp = ^uint32(0)-2, ^uint32(0)-2, ^uint32(0)-2
 	for _, f := range n.Faults() {
-		a, b := fresh.podem(f, 16), old.podem(f, 16)
+		a, _ := fresh.search(f, 16)
+		b, _ := old.search(f, 16)
 		if a != b || string(fresh.assign) != string(old.assign) {
 			t.Fatalf("fault %v: outcome %v assign %v after the wrap, want %v %v", f, b, old.assign, a, fresh.assign)
 		}
@@ -284,4 +290,74 @@ func TestDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSearchPanicIsAnError makes one search of System 1's DISPLAY panic
+// through searchHook, at one and at four workers. The searches run on
+// fanout goroutines, where a panic would end the process; it must come
+// back from generateOn as the same error at both counts. A panic in a
+// search that four workers ran ahead and then dropped must not count:
+// that run ends as one worker ends without any panic.
+func TestSearchPanicIsAnError(t *testing.T) {
+	sr, err := synth.Synthesize(systems.Display())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, faults, o := sr.Netlist, sr.Netlist.Faults(), (*Options)(nil).withDefaults()
+	run := func(workers int, hook func(gate.Fault)) (*Result, error) {
+		searchHook = hook
+		defer func() { searchHook = nil }()
+		return generateOn(n, faults, o, workers)
+	}
+	searchedAt := func(workers int) map[gate.Fault]bool {
+		var mu sync.Mutex
+		seen := map[gate.Fault]bool{}
+		if _, err := run(workers, func(f gate.Fault) {
+			mu.Lock()
+			seen[f] = true
+			mu.Unlock()
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return seen
+	}
+	panicOn := func(target gate.Fault) func(gate.Fault) {
+		return func(f gate.Fault) {
+			if f == target {
+				panic("boom")
+			}
+		}
+	}
+	serial, ahead := searchedAt(1), searchedAt(4)
+	var committed, discarded []gate.Fault
+	for _, f := range faults {
+		if serial[f] {
+			committed = append(committed, f)
+		} else if ahead[f] {
+			discarded = append(discarded, f)
+		}
+	}
+	if len(committed) == 0 || len(discarded) == 0 {
+		t.Fatalf("%d faults searched at one worker, %d searched ahead and dropped at four: need both", len(committed), len(discarded))
+	}
+
+	target := committed[len(committed)/2]
+	want := fmt.Sprintf("atpg: searching fault %v panicked: boom\n", target)
+	for _, workers := range []int{1, 4} {
+		if _, err := run(workers, panicOn(target)); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%d workers: error %v, want one starting %q", workers, err, want)
+		}
+	}
+
+	ref, err := run(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := run(4, panicOn(discarded[0]))
+	if err != nil {
+		t.Errorf("a panic in the dropped search of %v failed the run: %v", discarded[0], err)
+	} else if !reflect.DeepEqual(got, ref) {
+		t.Errorf("a panic in the dropped search of %v changed the result", discarded[0])
+	}
+	t.Logf("%d searches at one worker; four workers ran %d more ahead and dropped them", len(committed), len(discarded))
 }

@@ -4,12 +4,14 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"hash"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/gate"
 	"repro/internal/obs"
 	"repro/internal/rtl"
 	"repro/internal/rtlgen"
@@ -92,6 +94,9 @@ func goldenLine(t *testing.T, c *soc.Core, store *Store) string {
 		m.Counter("atpg.backtracks").Value(), m.Counter("atpg.implications").Value(), h.Sum(nil))
 }
 
+// workerCounts are the worker counts the identity tests run ATPG on.
+var workerCounts = []int{1, 2, 3, 8}
+
 // TestGenerateDigest pins Generate on a wider corpus than the goldens:
 // the logic cores of Systems 1 and 2, the rtlgen cores of seeds 77 to
 // 136 and the logic cores of the 24-core socgen chips of seeds 3 and 11,
@@ -99,7 +104,8 @@ func goldenLine(t *testing.T, c *soc.Core, store *Store) string {
 // which searches every fault. One SHA-256 covers each run's Stats, its
 // backtrack and implication counts and every pattern's bytes, so a
 // change to the search, the fault dropping or the compaction shows here
-// even where the goldens' cores do not exercise it.
+// even where the goldens' cores do not exercise it. Every worker count
+// of workerCounts must give the same digest.
 func TestGenerateDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs ATPG twice on 114 netlists")
@@ -123,28 +129,93 @@ func TestGenerateDigest(t *testing.T) {
 		}
 		logic(ch)
 	}
-	h := sha256.New()
+	hs := make([]hash.Hash, len(workerCounts))
+	for i := range hs {
+		hs[i] = sha256.New()
+	}
 	for _, c := range cores {
 		sr, err := synth.Synthesize(c)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
+		n := sr.Netlist
 		for _, o := range []*Options{nil, {BacktrackLimit: 8, RandomPatterns: -1}} {
+			for i, workers := range workerCounts {
+				_, m := obs.Enable(0)
+				res, err := generateOn(n, n.Faults(), o.withDefaults(), workers)
+				obs.Disable()
+				if err != nil {
+					t.Fatalf("%s, %d workers: %v", c.Name, workers, err)
+				}
+				fmt.Fprintf(hs[i], "%+v %d %d|", res.Stats,
+					m.Counter("atpg.backtracks").Value(), m.Counter("atpg.implications").Value())
+				for _, p := range res.Patterns {
+					hs[i].Write(p.PI)
+					hs[i].Write(p.State)
+				}
+			}
+		}
+	}
+	for i, workers := range workerCounts {
+		if got := fmt.Sprintf("%x", hs[i].Sum(nil)); got != want {
+			t.Errorf("%d netlists, %d workers: digest %s, want %s", len(cores), workers, got, want)
+		}
+	}
+}
+
+// TestWorkerCountsAgree runs ATPG on System 1's logic cores at every
+// worker count of workerCounts. Each core's Stats and pattern bytes and
+// its backtrack, implication and gate-evaluation counts must be those of
+// one worker, and the System 1 totals of the counts those that
+// `socet -system 1 -metrics` reports.
+func TestWorkerCountsAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs ATPG on System 1 once per worker count")
+	}
+	var nets []*gate.Netlist
+	for _, c := range systems.System1().Cores {
+		if c.Memory {
+			continue
+		}
+		sr, err := synth.Synthesize(c.RTL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, sr.Netlist)
+	}
+	var want []string
+	for _, workers := range workerCounts {
+		var got []string
+		var totals [3]int64
+		for _, n := range nets {
 			_, m := obs.Enable(0)
-			res, err := Generate(sr.Netlist, o)
+			res, err := generateOn(n, n.Faults(), (*Options)(nil).withDefaults(), workers)
 			obs.Disable()
 			if err != nil {
-				t.Fatalf("%s: %v", c.Name, err)
+				t.Fatalf("%s, %d workers: %v", n.Name, workers, err)
 			}
-			fmt.Fprintf(h, "%+v %d %d|", res.Stats,
-				m.Counter("atpg.backtracks").Value(), m.Counter("atpg.implications").Value())
+			counts := [3]int64{m.Counter("atpg.backtracks").Value(), m.Counter("atpg.implications").Value(), m.Counter("atpg.gate_evals").Value()}
+			for i := range totals {
+				totals[i] += counts[i]
+			}
+			h := sha256.New()
 			for _, p := range res.Patterns {
 				h.Write(p.PI)
 				h.Write(p.State)
 			}
+			got = append(got, fmt.Sprintf("%s %+v backtracks, implications, gate evaluations %v sha256=%x", n.Name, res.Stats, counts, h.Sum(nil)))
 		}
-	}
-	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
-		t.Errorf("%d netlists: digest %s, want %s", len(cores), got, want)
+		if pinned := [3]int64{29489, 77809, 7280693}; totals != pinned {
+			t.Errorf("%d workers: System 1 backtracks, implications, gate evaluations %v, want %v", workers, totals, pinned)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("%d workers: %s\n%d workers: %s", workers, got[i], workerCounts[0], want[i])
+			}
+		}
 	}
 }

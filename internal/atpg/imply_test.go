@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/gate"
-	"repro/internal/obs"
 	"repro/internal/rtl"
 	"repro/internal/rtlgen"
 	"repro/internal/synth"
@@ -168,7 +167,7 @@ func drive(t testing.TB, e *engine, faults []gate.Fault, choose chooser, steps i
 			e.set(ci, xx)
 		case op == 6:
 			// PODEM may stop with changes queued but not implied.
-			e.podem(faults[ci%len(faults)], 2)
+			e.search(faults[ci%len(faults)], 2)
 		default:
 			checkImply(t, e)
 		}
@@ -329,7 +328,7 @@ func TestEveryBacktrackPoint(t *testing.T) {
 		searched, flips := map[outcome]int{}, 0
 		for _, f := range sampleKinds(n, 40) {
 			for bt := 0; ; bt++ {
-				out := e.podem(f, bt)
+				out, _ := e.search(f, bt)
 				checkImply(t, e)
 				if len(e.trail) > 2*len(n.Gates) {
 					t.Fatalf("%s fault %v, limit %d: trail holds %d entries for %d lines",
@@ -414,24 +413,21 @@ func TestSearchReadsOnlyRelevantLines(t *testing.T) {
 		nets = append(nets, randomNetlist(seed))
 	}
 	limit := (*Options)(nil).withDefaults().BacktrackLimit
-	counted := func(n *gate.Netlist) *engine {
+	fresh := func(n *gate.Netlist) *engine {
 		e, err := newEngine(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.cBacktracks, e.cImplications, e.cGateEvals = new(obs.Counter), new(obs.Counter), new(obs.Counter)
 		return e
 	}
-	counts := func(e *engine) [3]int64 {
-		return [3]int64{e.cBacktracks.Value(), e.cImplications.Value(), e.cGateEvals.Value()}
-	}
-	search := func(e *engine, f gate.Fault) (out outcome, failure any) {
+	search := func(e *engine, f gate.Fault) (out outcome, ef effort, failure any) {
 		defer func() { failure = recover() }()
-		return e.podem(f, limit), nil
+		out, ef = e.search(f, limit)
+		return out, ef, nil
 	}
 	searched := 0
 	for _, n := range nets {
-		clean, dirty := counted(n), counted(n)
+		clean, dirty := fresh(n), fresh(n)
 		allX := slices.Clone(dirty.gvX)
 		for _, f := range sampleKinds(n, 40) {
 			dirty.reset(f) // marks f's relevant set
@@ -440,15 +436,15 @@ func TestSearchReadsOnlyRelevantLines(t *testing.T) {
 					dirty.gvX[id] = poison
 				}
 			}
-			want := clean.podem(f, limit)
-			got, failure := search(dirty, f)
+			want, wantEffort := clean.search(f, limit)
+			got, gotEffort, failure := search(dirty, f)
 			copy(dirty.gvX, allX)
 			if failure != nil {
 				t.Fatalf("%s fault %v: the search on poisoned lines failed: %v", n.Name, f, failure)
 			}
-			if got != want || string(dirty.assign) != string(clean.assign) || counts(dirty) != counts(clean) {
-				t.Fatalf("%s fault %v: search on poisoned lines ended %v with assign %v and counts %v, clean %v %v %v",
-					n.Name, f, got, dirty.assign, counts(dirty), want, clean.assign, counts(clean))
+			if got != want || string(dirty.assign) != string(clean.assign) || gotEffort != wantEffort {
+				t.Fatalf("%s fault %v: search on poisoned lines ended %v with assign %v and effort %+v, clean %v %v %+v",
+					n.Name, f, got, dirty.assign, gotEffort, want, clean.assign, wantEffort)
 			}
 			searched++
 		}

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"repro/internal/gate"
-	"repro/internal/obs"
 )
 
 // outcome of a PODEM run.
@@ -92,10 +91,6 @@ type engine struct {
 	dfs      []int
 	seen     []uint32
 	seenEp   uint32
-
-	// observability hooks (nil when obs is disabled; Add on nil is a
-	// no-op, so the search pays one pointer check per podem run).
-	cBacktracks, cImplications, cGateEvals *obs.Counter
 }
 
 // change is one trail entry: a line and its values before it changed.
@@ -190,9 +185,6 @@ func newEngine(n *gate.Netlist) (*engine, error) {
 	e.computeObsDist()
 	e.computeControllability()
 	e.computeAllX()
-	e.cBacktracks = obs.C("atpg.backtracks")
-	e.cImplications = obs.C("atpg.implications")
-	e.cGateEvals = obs.C("atpg.gate_evals")
 	return e, nil
 }
 
@@ -845,21 +837,23 @@ type decision struct {
 	flipped bool
 }
 
-// podem runs the PODEM search for fault f.
-func (e *engine) podem(f gate.Fault, backtrackLimit int) outcome {
+// effort is the work of one search: its backtracks, its implications
+// and the gates they evaluated.
+type effort struct{ backtracks, implications, evals int64 }
+
+// search runs the PODEM search for fault f and returns how it ended and
+// what it cost. A detected fault's assignment is left in e.assign. The
+// outcome, the effort and the assignment depend on f alone: reset starts
+// every search from the all-X state.
+func (e *engine) search(f gate.Fault, backtrackLimit int) (outcome, effort) {
 	e.reset(f)
 	e.stack = e.stack[:0]
-	backtracks, implications, evals := 0, 0, 0
-	defer func() {
-		e.cBacktracks.Add(int64(backtracks))
-		e.cImplications.Add(int64(implications))
-		e.cGateEvals.Add(int64(evals))
-	}()
+	var ef effort
 	for {
-		evals += e.imply()
-		implications++
+		ef.evals += int64(e.imply())
+		ef.implications++
 		if e.detected() {
-			return outDetected
+			return outDetected, ef
 		}
 		// A DFF victim is detected as soon as it is activated, so past
 		// this point an activated fault has a D-frontier to work on.
@@ -903,16 +897,16 @@ func (e *engine) podem(f gate.Fault, backtrackLimit int) outcome {
 				e.stack = e.stack[:len(e.stack)-1]
 			}
 			if len(e.stack) == 0 {
-				return outUntestable
+				return outUntestable, ef
 			}
 			top := &e.stack[len(e.stack)-1]
 			v := e.assign[top.ctl]
 			e.undo(top.mark)
 			top.flipped = true
 			e.set(top.ctl, v^1)
-			backtracks++
-			if backtracks > backtrackLimit {
-				return outAborted
+			ef.backtracks++
+			if ef.backtracks > int64(backtrackLimit) {
+				return outAborted, ef
 			}
 			continue
 		}
@@ -920,26 +914,4 @@ func (e *engine) podem(f gate.Fault, backtrackLimit int) outcome {
 		e.stack = append(e.stack, decision{ctl: ci, mark: len(e.trail)})
 		e.set(ci, ctlVal)
 	}
-}
-
-// extractPattern converts the current assignment into a concrete pattern,
-// randomly filling don't-cares. The assignment lists PIs first, then DFF
-// outputs, in the pattern's own order.
-func (e *engine) extractPattern(rng *splitMix) gate.Pattern {
-	nPI := len(e.n.PIs())
-	p := gate.Pattern{PI: make([]byte, nPI)}
-	if nFF := len(e.ctl) - nPI; nFF > 0 {
-		p.State = make([]byte, nFF)
-	}
-	for i, v := range e.assign {
-		if v == xx {
-			v = byte(rng.next() & 1)
-		}
-		if i < nPI {
-			p.PI[i] = v
-		} else {
-			p.State[i-nPI] = v
-		}
-	}
-	return p
 }

@@ -183,7 +183,8 @@ func (r *Result) Coverage() float64 {
 // built once per netlist and reused across calls: the good-machine
 // simulator, the levelized event queue and the faulty-value buffers
 // persist, and every call leaves them ready for the next. Load and
-// First check faults one at a time against a word kept between calls.
+// Append build a word kept between calls, and First checks faults one
+// at a time against it.
 // A Simulator is not safe for concurrent use.
 //
 // Faults are simulated serially against a word of 64 pattern lanes. A
@@ -318,12 +319,57 @@ func (s *Simulator) Load(pats []gate.Pattern) error {
 		return err
 	}
 	s.good.Eval()
+	s.newWord(^uint64(0) >> uint(64-k))
+	return nil
+}
+
+// Append adds p to the loaded word as its next lane and evaluates the
+// word, as a Load of the word's patterns followed by p would, without
+// applying the older patterns again. The loaded word must hold fewer
+// than 64 patterns.
+func (s *Simulator) Append(p gate.Pattern) error {
+	lane := bits.OnesCount64(s.lanes)
+	if lane == 64 {
+		panic("fsim: Append to a full word")
+	}
+	pis, dffs := s.n.PIs(), s.n.DFFs()
+	if len(p.PI) != len(pis) {
+		return fmt.Errorf("fsim: pattern has %d PI values, netlist has %d PIs", len(p.PI), len(pis))
+	}
+	if p.State != nil && len(p.State) != len(dffs) {
+		return fmt.Errorf("fsim: pattern has %d state values, netlist has %d DFFs", len(p.State), len(dffs))
+	}
+	bit := uint64(1) << lane
+	set := func(line int, v byte) {
+		if v != 0 {
+			s.good.Val[line] |= bit
+		} else {
+			s.good.Val[line] &^= bit
+		}
+	}
+	for i, line := range pis {
+		set(line, p.PI[i])
+	}
+	for i, line := range dffs {
+		var v byte
+		if p.State != nil {
+			v = p.State[i]
+		}
+		set(line, v)
+	}
+	s.good.Eval()
+	s.newWord(s.lanes | bit)
+	return nil
+}
+
+// newWord starts a new word of the given lanes on the evaluated good
+// machine: stem observations cached for an older word no longer apply.
+func (s *Simulator) newWord(lanes uint64) {
 	if s.word++; s.word == 0 { // the word stamps wrapped: forget every old one
 		clear(s.seenAt)
 		s.word = 1
 	}
-	s.lanes = ^uint64(0) >> uint(64-k)
-	return nil
+	s.lanes = lanes
 }
 
 // First returns the lowest lane of the loaded word that detects f, or -1.

@@ -81,8 +81,11 @@ func randomPatterns(n *gate.Netlist, k int, seed uint64) []gate.Pattern {
 // must report the reference's lowest detecting lane, or -1 where the
 // reference detects nothing. One simulator serves all pattern sets of a
 // netlist, so a stem's cached observability must never outlive its
-// word. Detect must then report, for every fault, the first detecting
-// pattern the reference finds.
+// word. Appending a word's patterns one lane at a time to an empty word
+// must give every fault the same First as loading the word; First runs
+// on every fault after the first lane too, so a stem cached for the
+// one-lane word would show. Detect must then report, for every fault,
+// the first detecting pattern the reference finds.
 func TestDetectMatchesReference(t *testing.T) {
 	runs, bad := 0, 0
 	corpus := referenceCorpus(t)
@@ -99,12 +102,15 @@ func TestDetectMatchesReference(t *testing.T) {
 			for i := range want {
 				want[i] = -1
 			}
+			firsts := make([]int, len(faults))
 			for base := 0; base < k; base += 64 {
-				if err := s.Load(pats[base:min(base+64, k)]); err != nil {
+				word := pats[base:min(base+64, k)]
+				if err := s.Load(word); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				for i, f := range faults {
 					got, ref := s.First(f), s.RefSimulate(f)
+					firsts[i] = got
 					runs++
 					lowest := -1
 					if ref != 0 {
@@ -118,6 +124,26 @@ func TestDetectMatchesReference(t *testing.T) {
 					}
 					if lowest >= 0 && want[i] < 0 {
 						want[i] = base + lowest
+					}
+				}
+				if err := s.Load(nil); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for j, p := range word {
+					if err := s.Append(p); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if j > 0 && j < len(word)-1 {
+						continue
+					}
+					for i, f := range faults {
+						got := s.First(f)
+						if j == len(word)-1 && got != firsts[i] {
+							if bad++; bad <= 10 {
+								t.Errorf("%s, %d patterns, word %d: fault %v first detected in lane %d after %d appends, %d after a load",
+									name, k, base/64, f, got, len(word), firsts[i])
+							}
+						}
 					}
 				}
 			}

@@ -61,10 +61,10 @@ fi
 # cores, core prepare stage by stage (synth, hscan, versions and the
 # whole prepare) on 256 generated cores, the wrapped-core/TAM evaluator,
 # the degradation campaign, ATPG (GCD, and each of System 1's CPU,
-# PREPROCESSOR and DISPLAY), fault simulation (CPU) and reverse-order
-# compaction, the interconnect plan and one justification search
-# (System 1 and 256 generated cores each), and the obs overhead
-# micro-benches.
+# PREPROCESSOR and DISPLAY, at the default worker count and at one),
+# fault simulation (CPU) and reverse-order compaction, the
+# interconnect plan and one justification search (System 1 and 256
+# generated cores each), and the obs overhead micro-benches.
 FAMILIES='./internal/explore/ BenchmarkEnumerate
 . BenchmarkGeneratedChip
 . BenchmarkImproveWalk

@@ -33,6 +33,17 @@ go test -race -count=1 -run 'TestWrappedChips|TestWrapReplayDetectsLies' ./inter
 echo "==> go test -race ./..."
 go test -race ./...
 
+echo "==> ATPG worker-count smoke (socet -system 1 at GOMAXPROCS=1 and 4)"
+smoke=$(mktemp -d)
+trap 'rm -rf "$smoke"' EXIT
+go build -o "$smoke/socet" ./cmd/socet
+for procs in 1 4; do
+    GOMAXPROCS=$procs "$smoke/socet" -system 1 -metrics "$smoke/metrics$procs.json" > "$smoke/out$procs.txt"
+    grep '"atpg\.' "$smoke/metrics$procs.json" > "$smoke/atpg$procs.txt"
+done
+cmp "$smoke/out1.txt" "$smoke/out4.txt"
+cmp "$smoke/atpg1.txt" "$smoke/atpg4.txt"
+
 echo "==> go test -fuzz=FuzzValidate (10s smoke)"
 go test -fuzz=FuzzValidate -fuzztime=10s -run '^$' ./internal/rtl/
 
