@@ -843,7 +843,8 @@ func BenchmarkImproveWalk(b *testing.B) {
 // BenchmarkPrepareStages times core prepare on the seed-1 256-core
 // RandomDAG socgen chip, one stage at a time: synthesis of every core,
 // HSCAN insertion, the RCG plus version ladder of every testable core
-// (over HSCAN results computed outside the timer), and the whole
+// (over HSCAN results computed outside the timer, whose register-path
+// walks trans.Build reuses, as in core.Prepare), and the whole
 // core.Prepare with the generated chips' vector override, which skips
 // ATPG. socgen's core i depends only on the seed and i, so these are the
 // cores of every seed-1 `compare -study` chip.

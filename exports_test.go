@@ -37,7 +37,6 @@ import (
 var testOnlyKeep = map[string]string{
 	// Independent references: tests check the flow against them.
 	"ctrl.BuildRTL":       "independent reference: synthesizes the test controller and simulates it",
-	"hscan.Apply":         "independent reference: elaborates an HSCAN result into the physical scan core",
 	"gate.NewInjectedSim": "the rtlgen property test's reference fault simulator",
 	"gate.Sim.POWords":    "the rtlgen property test's reference fault simulator reads the outputs through it",
 	// The make bench pipelining ablation in bench_test.go.

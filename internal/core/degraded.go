@@ -284,7 +284,7 @@ func diagnoseCut(base *pass, pf sched.PortFailure, cutNets []string, netsOnly bo
 
 // coresIntact reports whether every core of ch keeps base's Disabled text
 // and version objects, that is, whether ch differs from base in its nets
-// alone. resil.CloneChip shares version objects and the version faults
+// alone. soc.Chip.Clone shares version objects and the version faults
 // replace them, so pointer equality is exact.
 func coresIntact(base, ch *soc.Chip) bool {
 	if len(base.Cores) != len(ch.Cores) {

@@ -83,6 +83,9 @@ type Result struct {
 	Edges    []Edge
 	Area     cell.Area // added test logic
 	MaxDepth int       // registers in the longest chain
+	// Paths is rtl.AllPaths(Core), the walk the insertion chose its
+	// links from; trans.Build reads it rather than walking Core again.
+	Paths []rtl.Path
 }
 
 // ScanCyclesPerVector returns the number of clock cycles needed to apply
@@ -264,7 +267,7 @@ func Insert(c *rtl.Core) (*Result, error) {
 	sort.Slice(chains, func(i, j int) bool { return chains[i].Regs[0] < chains[j].Regs[0] })
 
 	// Materialize links, taps and edges; accumulate area.
-	res := &Result{Core: c}
+	res := &Result{Core: c, Paths: paths}
 	for ci := range chains {
 		ch := &chains[ci]
 		links := make([]Link, 0, len(ch.Regs)+1)

@@ -129,23 +129,17 @@ func checkTruncation(f *core.Flow, ch *soc.Chip, pts []explore.Point, minTAT int
 	return nil
 }
 
-// truncatedChip clones the chip's core list with coreName's ladder one
-// version shorter. Nets, RTL, scan results and the surviving versions are
-// shared (read-only downstream).
+// truncatedChip clones the chip with coreName's ladder one version
+// shorter. RTL, scan results and the surviving versions are shared
+// (read-only downstream).
 func truncatedChip(ch *soc.Chip, coreName string) *soc.Chip {
-	nch := *ch
-	nch.Cores = make([]*soc.Core, len(ch.Cores))
-	for i, c := range ch.Cores {
-		nc := *c
-		if c.Name == coreName {
-			nc.Versions = c.Versions[:len(c.Versions)-1]
-			if nc.Selected >= len(nc.Versions) {
-				nc.Selected = len(nc.Versions) - 1
-			}
-		}
-		nch.Cores[i] = &nc
+	nch := ch.Clone()
+	c, _ := nch.CoreByName(coreName)
+	c.Versions = c.Versions[:len(c.Versions)-1]
+	if c.Selected >= len(c.Versions) {
+		c.Selected = len(c.Versions) - 1
 	}
-	return &nch
+	return nch
 }
 
 // checkImproveBound runs the greedy improvement walk under an unlimited

@@ -323,22 +323,19 @@ func simFor(ch *soc.Chip, hops []transHop) (*chipsim.Sim, map[string]map[int]str
 	for _, h := range hops {
 		byCore[h.core] = h
 	}
-	nch := *ch
-	nch.Cores = make([]*soc.Core, len(ch.Cores))
+	nch := ch.Clone()
 	muxNames := map[string]map[int]string{}
-	for i, c := range ch.Cores {
-		nc := *c
+	for _, c := range nch.Cores {
 		if h, ok := byCore[c.Name]; ok {
-			ert, names, err := elaborateCore(c.RTL, h.ver)
+			ert, names, err := h.ver.RCG.Elaborate()
 			if err != nil {
 				return nil, nil, err
 			}
-			nc.RTL = ert
+			c.RTL = ert
 			muxNames[c.Name] = names
 		}
-		nch.Cores[i] = &nc
 	}
-	sim, err := chipsim.New(&nch)
+	sim, err := chipsim.New(nch)
 	return sim, muxNames, err
 }
 

@@ -46,7 +46,7 @@ func TestDegradedDigest(t *testing.T) {
 			if err != nil {
 				t.Fatalf("prepare %s: %v", ch.Name, err)
 			}
-			d, err := f.Fork(CloneChip(ch)).EvaluateDegradedCtx(context.Background())
+			d, err := f.Fork(ch.Clone()).EvaluateDegradedCtx(context.Background())
 			if err != nil {
 				t.Fatalf("%s: zero-fault fork: %v", ch.Name, err)
 			}

@@ -139,28 +139,10 @@ func (f DisableHSCAN) Apply(ch *soc.Chip) error {
 	return nil
 }
 
-// CloneChip deep-copies the chip's mutable surface: cores (struct and
-// version-slice headers), pins and nets. RTL, scan results and version
-// objects are shared — faults that rewrite versions clone their own.
-func CloneChip(ch *soc.Chip) *soc.Chip {
-	nc := &soc.Chip{
-		Name: ch.Name,
-		PIs:  append([]soc.Pin(nil), ch.PIs...),
-		POs:  append([]soc.Pin(nil), ch.POs...),
-		Nets: append([]soc.Net(nil), ch.Nets...),
-	}
-	for _, c := range ch.Cores {
-		cc := *c
-		cc.Versions = append([]*trans.Version(nil), c.Versions...)
-		nc.Cores = append(nc.Cores, &cc)
-	}
-	return nc
-}
-
 // Inject clones the chip and applies the faults in order. The base chip is
 // never modified.
 func Inject(base *soc.Chip, faults ...Fault) (*soc.Chip, error) {
-	ch := CloneChip(base)
+	ch := base.Clone()
 	for _, f := range faults {
 		if err := f.Apply(ch); err != nil {
 			return nil, err
@@ -194,7 +176,7 @@ func FaultSetString(fs []Fault) string {
 // net, say, is rejected here rather than at injection time).
 func ParseFaults(ch *soc.Chip, spec string) ([]Fault, error) {
 	var out []Fault
-	probe := CloneChip(ch)
+	probe := ch.Clone()
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {

@@ -208,6 +208,20 @@ type Core struct {
 	index map[string]compRef // built by Freeze/Validate
 }
 
+// Clone copies the core's component and connection lists, so the copy
+// can be extended or rewired without touching c. The copy builds its own
+// name index on first use.
+func (c *Core) Clone() *Core {
+	return &Core{
+		Name:  c.Name,
+		Ports: append([]Port(nil), c.Ports...),
+		Regs:  append([]Register(nil), c.Regs...),
+		Muxes: append([]Mux(nil), c.Muxes...),
+		Units: append([]Unit(nil), c.Units...),
+		Conns: append([]Conn(nil), c.Conns...),
+	}
+}
+
 type compRef struct {
 	kind CompKind
 	idx  int

@@ -85,6 +85,26 @@ type Chip struct {
 	Nets  []Net
 }
 
+// Clone copies the chip's mutable surface: its pin and net lists, each
+// core struct and each core's version-slice header, so a fault, an
+// elaboration or a truncated ladder can change the copy alone. RTL,
+// scan results and version objects are shared; a change to one of those
+// must copy it first.
+func (ch *Chip) Clone() *Chip {
+	nc := &Chip{
+		Name: ch.Name,
+		PIs:  append([]Pin(nil), ch.PIs...),
+		POs:  append([]Pin(nil), ch.POs...),
+		Nets: append([]Net(nil), ch.Nets...),
+	}
+	for _, c := range ch.Cores {
+		cc := *c
+		cc.Versions = append([]*trans.Version(nil), c.Versions...)
+		nc.Cores = append(nc.Cores, &cc)
+	}
+	return nc
+}
+
 // CoreByName returns the named core.
 func (ch *Chip) CoreByName(name string) (*Core, bool) {
 	for _, c := range ch.Cores {

@@ -107,7 +107,8 @@ func (g *RCG) OutputNodes() []int {
 // Build extracts the RCG from a core and its HSCAN insertion result. Every
 // mux-only RTL path between ports and registers becomes an edge; edges
 // that carry the scan chains (including test-mux paths created by HSCAN)
-// are flagged HSCAN.
+// are flagged HSCAN. When scan was inserted on c itself, its path walk
+// is reused.
 func Build(c *rtl.Core, scan *hscan.Result) (*RCG, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -135,7 +136,13 @@ func Build(c *rtl.Core, scan *hscan.Result) (*RCG, error) {
 		return ep
 	}
 
-	for _, p := range rtl.AllPaths(c) {
+	var paths []rtl.Path
+	if scan != nil && scan.Core == c && scan.Paths != nil {
+		paths = scan.Paths
+	} else {
+		paths = rtl.AllPaths(c)
+	}
+	for _, p := range paths {
 		if p.Dst.Pin == "ld" {
 			continue // load-enable wiring is control, not a data path
 		}

@@ -425,3 +425,25 @@ func TestCloneIndependence(t *testing.T) {
 		t.Error("created edge not added to clone")
 	}
 }
+
+func TestRerouteDriversSplitsStraddlingConns(t *testing.T) {
+	conns := []rtl.Conn{{
+		From: rtl.Endpoint{Comp: "R0", Pin: "q", Lo: 0, Hi: 7},
+		To:   rtl.Endpoint{Comp: "OUT", Lo: 0, Hi: 7},
+	}}
+	dst := rtl.Endpoint{Comp: "OUT", Lo: 2, Hi: 5}
+	got := rerouteDrivers(conns, dst, "XM1")
+	if len(got) != 3 {
+		t.Fatalf("want 3 split conns, got %d: %v", len(got), got)
+	}
+	// Below, overlap into the mux, above — in order.
+	if got[0].To.Comp != "OUT" || got[0].To.Lo != 0 || got[0].To.Hi != 1 || got[0].From.Lo != 0 {
+		t.Fatalf("low remainder wrong: %v", got[0])
+	}
+	if got[1].To.Comp != "XM1" || got[1].To.Pin != "in0" || got[1].To.Lo != 0 || got[1].To.Hi != 3 || got[1].From.Lo != 2 {
+		t.Fatalf("mux feed wrong: %v", got[1])
+	}
+	if got[2].To.Comp != "OUT" || got[2].To.Lo != 6 || got[2].To.Hi != 7 || got[2].From.Lo != 6 {
+		t.Fatalf("high remainder wrong: %v", got[2])
+	}
+}

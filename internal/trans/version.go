@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cell"
 	"repro/internal/obs"
+	"repro/internal/rtl"
 )
 
 // Version is one transparency configuration of a core: the solved
@@ -332,6 +333,112 @@ func (v *Version) computeArea() {
 		}
 	}
 	v.Area = a
+}
+
+// Elaborate builds a copy of the core's RTL in which the RCG's DFT
+// hardware physically exists: every created transparency mux and every
+// HSCAN scan mux becomes a real 2-to-1 multiplexer (named XM<edge id>)
+// spliced in front of its destination slice, with the original drivers
+// rerouted to in0 and the edge's source wired to in1. The mux selects
+// stay undriven, so the elaborated core runs in mission mode until a
+// simulator forces them. Created muxes landing on an output port get a
+// pipeline register XR<edge id> behind in1, matching hopLatency's
+// one-cycle cost for such edges. The returned map resolves edge ids to
+// mux names (for chipsim.EngageElaboratedPath); when the RCG has no DFT
+// edges the core is returned unchanged with a nil map.
+func (g *RCG) Elaborate() (*rtl.Core, map[int]string, error) {
+	c := g.Core
+	var dft []*Edge
+	for _, e := range g.Edges {
+		if e.Created || e.ScanMux {
+			dft = append(dft, e)
+		}
+	}
+	if len(dft) == 0 {
+		return c, nil, nil
+	}
+	nc := c.Clone()
+	names := map[int]string{}
+	for _, e := range dft {
+		w := e.DstHi - e.DstLo + 1
+		if e.SrcWidth() != w {
+			return nil, nil, fmt.Errorf("elaborate %s: edge %d slice widths differ (%d vs %d)",
+				c.Name, e.ID, e.SrcWidth(), w)
+		}
+		mux := fmt.Sprintf("XM%d", e.ID)
+		dst := g.endpoint(e.To, e.DstLo, e.DstHi, true)
+		src := g.endpoint(e.From, e.SrcLo, e.SrcHi, false)
+		nc.Conns = rerouteDrivers(nc.Conns, dst, mux)
+		nc.Muxes = append(nc.Muxes, rtl.Mux{Name: mux, Width: w, NumIn: 2})
+		in1 := rtl.Endpoint{Comp: mux, Pin: "in1", Lo: 0, Hi: w - 1}
+		if e.Created && g.Nodes[e.To].Kind == NodeOut {
+			// The created mux buffers in the register driving the output
+			// (one cycle); realize that as a dedicated pipeline register.
+			reg := fmt.Sprintf("XR%d", e.ID)
+			nc.Regs = append(nc.Regs, rtl.Register{Name: reg, Width: w})
+			nc.Conns = append(nc.Conns,
+				rtl.Conn{From: src, To: rtl.Endpoint{Comp: reg, Pin: "d", Lo: 0, Hi: w - 1}},
+				rtl.Conn{From: rtl.Endpoint{Comp: reg, Pin: "q", Lo: 0, Hi: w - 1}, To: in1})
+		} else {
+			nc.Conns = append(nc.Conns, rtl.Conn{From: src, To: in1})
+		}
+		nc.Conns = append(nc.Conns,
+			rtl.Conn{From: rtl.Endpoint{Comp: mux, Pin: "out", Lo: 0, Hi: w - 1}, To: dst})
+		names[e.ID] = mux
+	}
+	if err := nc.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("elaborate %s: %w", c.Name, err)
+	}
+	return nc, names, nil
+}
+
+// endpoint maps an RCG node slice to its RTL endpoint: registers are
+// written at d and read at q, ports are their own pins.
+func (g *RCG) endpoint(node, lo, hi int, sink bool) rtl.Endpoint {
+	n := g.Nodes[node]
+	ep := rtl.Endpoint{Comp: n.Name, Lo: lo, Hi: hi}
+	if n.Kind == NodeReg {
+		if sink {
+			ep.Pin = "d"
+		} else {
+			ep.Pin = "q"
+		}
+	}
+	return ep
+}
+
+// rerouteDrivers redirects every connection bit currently driving the dst
+// slice into the in0 pin of the named mux (which will drive dst instead),
+// splitting connections that straddle the slice boundary. Muxes inserted
+// earlier chain naturally: their out connection is itself a driver and
+// gets rerouted like any other.
+func rerouteDrivers(conns []rtl.Conn, dst rtl.Endpoint, mux string) []rtl.Conn {
+	out := make([]rtl.Conn, 0, len(conns)+2)
+	for _, cn := range conns {
+		if cn.To.Comp != dst.Comp || cn.To.Pin != dst.Pin || cn.To.Hi < dst.Lo || cn.To.Lo > dst.Hi {
+			out = append(out, cn)
+			continue
+		}
+		if cn.To.Lo < dst.Lo { // below the mux slice: keep driving dst's component
+			out = append(out, rtl.Conn{
+				From: rtl.Endpoint{Comp: cn.From.Comp, Pin: cn.From.Pin,
+					Lo: cn.From.Lo, Hi: cn.From.Lo + (dst.Lo - cn.To.Lo) - 1},
+				To: rtl.Endpoint{Comp: cn.To.Comp, Pin: cn.To.Pin, Lo: cn.To.Lo, Hi: dst.Lo - 1}})
+		}
+		a := max(cn.To.Lo, dst.Lo)
+		b := min(cn.To.Hi, dst.Hi)
+		out = append(out, rtl.Conn{
+			From: rtl.Endpoint{Comp: cn.From.Comp, Pin: cn.From.Pin,
+				Lo: cn.From.Lo + (a - cn.To.Lo), Hi: cn.From.Lo + (b - cn.To.Lo)},
+			To: rtl.Endpoint{Comp: mux, Pin: "in0", Lo: a - dst.Lo, Hi: b - dst.Lo}})
+		if cn.To.Hi > dst.Hi { // above the mux slice
+			out = append(out, rtl.Conn{
+				From: rtl.Endpoint{Comp: cn.From.Comp, Pin: cn.From.Pin,
+					Lo: cn.From.Lo + (dst.Hi + 1 - cn.To.Lo), Hi: cn.From.Hi},
+				To: rtl.Endpoint{Comp: cn.To.Comp, Pin: cn.To.Pin, Lo: dst.Hi + 1, Hi: cn.To.Hi}})
+		}
+	}
+	return out
 }
 
 // Versions generates the core's version ladder: Version 1 uses HSCAN

@@ -44,21 +44,16 @@ func Elaborate(ch *soc.Chip, r *Result) (*soc.Chip, []ChainProbe, error) {
 	for _, cr := range r.Cores {
 		byName[cr.Core] = cr
 	}
-	nch := *ch
-	nch.Cores = make([]*soc.Core, len(ch.Cores))
-	nch.PIs = append([]soc.Pin(nil), ch.PIs...)
-	nch.POs = append([]soc.Pin(nil), ch.POs...)
-	nch.Nets = append([]soc.Net(nil), ch.Nets...)
+	nch := ch.Clone()
 	var probes []ChainProbe
-	for i, c := range ch.Cores {
-		nc := *c
+	for _, c := range nch.Cores {
 		cr := byName[c.Name]
 		if cr != nil && !c.Memory {
 			ert, ps, err := elaborateWrappedCore(c.RTL, cr)
 			if err != nil {
 				return nil, nil, err
 			}
-			nc.RTL = ert
+			c.RTL = ert
 			for j := range ps {
 				// Lift the core-port probes to chip pins.
 				pi := fmt.Sprintf("XTAMI_%s_%d", c.Name, j)
@@ -80,26 +75,18 @@ func Elaborate(ch *soc.Chip, r *Result) (*soc.Chip, []ChainProbe, error) {
 				probes = append(probes, ps[j])
 			}
 		}
-		nch.Cores[i] = &nc
 	}
 	if err := nch.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("wrap: elaborated chip: %w", err)
 	}
-	return &nch, probes, nil
+	return nch, probes, nil
 }
 
 // elaborateWrappedCore splices the wrapper chains into a clone of the
 // core RTL. The returned probes reference core-local port names; the
 // caller lifts them to chip pins.
 func elaborateWrappedCore(c *rtl.Core, cr *CoreResult) (*rtl.Core, []ChainProbe, error) {
-	nc := &rtl.Core{
-		Name:  c.Name,
-		Ports: append([]rtl.Port(nil), c.Ports...),
-		Regs:  append([]rtl.Register(nil), c.Regs...),
-		Muxes: append([]rtl.Mux(nil), c.Muxes...),
-		Units: append([]rtl.Unit(nil), c.Units...),
-		Conns: append([]rtl.Conn(nil), c.Conns...),
-	}
+	nc := c.Clone()
 	probes := make([]ChainProbe, 0, len(cr.Chains))
 	for j, wc := range cr.Chains {
 		p := ChainProbe{Core: c.Name, Chain: j}

@@ -602,10 +602,11 @@ func snakeSlot(pos, b int) int {
 }
 
 // SplitScanChain clones the chip with one core's internal HSCAN chain
-// split in two after register position at (1 ≤ at < depth). Only the
-// scan-chain structure is cloned — RTL, versions and nets are shared —
-// so the clone is suitable for wrapper evaluation and the metamorphic
-// "splitting never increases chip TAT" check.
+// split in two after register position at (1 ≤ at < depth). Beyond
+// soc.Chip.Clone's copy only the split core's scan-chain structure is
+// copied — RTL and versions are shared — so the clone is suitable for
+// wrapper evaluation and the metamorphic "splitting never increases chip
+// TAT" check.
 func SplitScanChain(ch *soc.Chip, coreName string, chainIdx, at int) (*soc.Chip, error) {
 	src, ok := ch.CoreByName(coreName)
 	if !ok {
@@ -618,27 +619,19 @@ func SplitScanChain(ch *soc.Chip, coreName string, chainIdx, at int) (*soc.Chip,
 	if at < 1 || at >= depth {
 		return nil, fmt.Errorf("wrap: split point %d outside chain %d of depth %d", at, chainIdx, depth)
 	}
-	nch := *ch
-	nch.Cores = make([]*soc.Core, len(ch.Cores))
-	for i, c := range ch.Cores {
-		nc := *c
-		if c.Name == coreName {
-			scan := *c.Scan
-			scan.Chains = append([]hchain(nil), c.Scan.Chains...)
-			old := scan.Chains[chainIdx]
-			first := hchain{Regs: old.Regs[:at]}
-			second := hchain{Regs: old.Regs[at:]}
-			scan.Chains[chainIdx] = first
-			scan.Chains = append(scan.Chains, second)
-			scan.MaxDepth = 0
-			for _, cc := range scan.Chains {
-				scan.MaxDepth = maxInt(scan.MaxDepth, cc.Depth())
-			}
-			nc.Scan = &scan
-		}
-		nch.Cores[i] = &nc
+	nch := ch.Clone()
+	c, _ := nch.CoreByName(coreName)
+	scan := *src.Scan
+	scan.Chains = append([]hchain(nil), src.Scan.Chains...)
+	old := scan.Chains[chainIdx]
+	scan.Chains[chainIdx] = hchain{Regs: old.Regs[:at]}
+	scan.Chains = append(scan.Chains, hchain{Regs: old.Regs[at:]})
+	scan.MaxDepth = 0
+	for _, cc := range scan.Chains {
+		scan.MaxDepth = maxInt(scan.MaxDepth, cc.Depth())
 	}
-	return &nch, nil
+	c.Scan = &scan
+	return nch, nil
 }
 
 func maxInt(a, b int) int {

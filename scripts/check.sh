@@ -16,6 +16,9 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> perfbench module: go vet + go test (its own go.mod; the root ./... skips it)"
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "==> go test -race (parallel enumeration)"
 go test -race -run 'TestEnumerateParallel|TestEnumerateReturnsLowestFailingIndex' ./internal/explore/
 go test -race ./internal/fanout/
