@@ -963,34 +963,61 @@ func flipOne(base map[string]int, cores []*soc.Core, i int) map[string]int {
 
 // --- Robustness: degradation campaign under random interconnect cuts ----
 
-// BenchmarkDegradationCampaign injects k random CCG-edge cuts into
-// system1 (k = 1..3, eight seeded draws each) and evaluates the degraded
-// flow: the campaign must finish with zero flow errors, and the mean
-// vector-weighted coverage of the testable subset traces the degradation
-// curve reported in EXPERIMENTS.md.
+// BenchmarkDegradationCampaign times degraded evaluation over campaigns
+// of random fault sets. system1 injects k random faults into System 1
+// (k = 1..3, eight seeded draws each): the campaign must finish with zero
+// flow errors, and the mean vector-weighted coverage of the testable
+// subset traces the degradation curve reported in EXPERIMENTS.md.
+// cores=64 runs the campaign socetd-mix submits for its generated chip,
+// 8 sets of 2 faults on the seed-1998 64-core RandomDAG chip, where the
+// fallback trials are most of the cost.
 func BenchmarkDegradationCampaign(b *testing.B) {
-	f1, _, _, _ := flows(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, k := range []int{1, 2, 3} {
-			c := resil.Campaign{Flow: f1, Runs: resil.RandomSets(f1.Chip, 8, k, 1998)}
-			outs, err := c.Execute(context.Background())
-			if err != nil {
-				b.Fatal(err)
+	b.Run("system1", func(b *testing.B) {
+		f1, _, _, _ := flows(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, k := range []int{1, 2, 3} {
+				mean := runCampaign(b, f1, resil.RandomSets(f1.Chip, 8, k, 1998))
+				b.ReportMetric(mean, "mean-coverage-k"+string(rune('0'+k)))
 			}
-			sum, degraded := 0.0, 0
-			for _, o := range outs {
-				if o.Err != nil {
-					b.Fatalf("run %d (%s): %v", o.Index, resil.FaultSetString(o.Faults), o.Err)
-				}
-				sum += o.Eval.Report.Coverage
-				if o.Eval.Report.Degraded() {
-					degraded++
-				}
-			}
-			mean := sum / float64(len(outs))
-			b.ReportMetric(mean, "mean-coverage-k"+string(rune('0'+k)))
-			b.Logf("k=%d cuts: %d/%d runs degraded, mean coverage %.3f", k, degraded, len(outs), mean)
+		}
+	})
+	b.Run("cores=64", func(b *testing.B) {
+		ch, err := socgen.Generate(socgen.Params{Seed: 1998, Cores: 64, Topology: socgen.RandomDAG})
+		if err != nil {
+			b.Fatal(err)
+		}
+		f, err := core.Prepare(ch, flowcmd.GenVectorOverride(ch))
+		if err != nil {
+			b.Fatal(err)
+		}
+		runs := resil.RandomSets(ch, 8, 2, 1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.ReportMetric(runCampaign(b, f, runs), "mean-coverage")
+		}
+	})
+}
+
+// runCampaign executes a campaign of runs over f, fails on any flow
+// error and returns the mean coverage.
+func runCampaign(b *testing.B, f *core.Flow, runs [][]resil.Fault) float64 {
+	c := resil.Campaign{Flow: f, Runs: runs}
+	outs, err := c.Execute(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sum, degraded := 0.0, 0
+	for _, o := range outs {
+		if o.Err != nil {
+			b.Fatalf("run %d (%s): %v", o.Index, resil.FaultSetString(o.Faults), o.Err)
+		}
+		sum += o.Eval.Report.Coverage
+		if o.Eval.Report.Degraded() {
+			degraded++
 		}
 	}
+	mean := sum / float64(len(outs))
+	b.Logf("%d faults: %d/%d runs degraded, mean coverage %.3f", len(runs[0]), degraded, len(outs), mean)
+	return mean
 }

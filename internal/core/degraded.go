@@ -142,25 +142,23 @@ func (f *Flow) evaluateDegraded(ctx context.Context, sel map[string]int) (*Degra
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// One pass per selection. Over a fault baseline, the pristine chip is
-	// scheduled first under the equivalent selection: its test muxes are
-	// the ones the design provisioned, and its paths diagnose cut nets.
-	// Without one, the chip itself is the design, every mux insertion is
-	// allowed and no cut-edge diagnosis is possible.
-	run := func(sel map[string]int) (*pass, error) {
-		if f.Baseline == nil {
-			return f.schedule(root, f.Chip, sel, nil)
-		}
-		base, err := f.schedule(root, f.Baseline, canonSelectionOn(f.Baseline, sel), nil)
-		if err != nil {
+	// Over a fault baseline, the pristine chip is scheduled first under
+	// the equivalent selection: its test muxes are the ones the design
+	// provisioned, and its paths diagnose cut nets. Without one, the chip
+	// itself is the design, every mux insertion is allowed and no cut-edge
+	// diagnosis is possible.
+	sel = canonSelectionOn(f.Chip, sel)
+	var base *pass
+	if f.Baseline != nil {
+		var err error
+		if base, err = f.schedule(root, f.Baseline, canonSelectionOn(f.Baseline, sel), nil); err != nil {
 			return nil, fmt.Errorf("core: degraded baseline: %w", err)
 		}
 		if base.deg.Degraded() {
 			return nil, fmt.Errorf("core: degraded baseline schedule: %w", base.deg.Failures[0].Err)
 		}
-		return f.schedule(root, f.Chip, sel, base)
 	}
-	best, err := run(canonSelectionOn(f.Chip, sel))
+	best, err := f.schedule(root, f.Chip, sel, base)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +182,7 @@ func (f *Flow) evaluateDegraded(ctx context.Context, sel map[string]int) (*Degra
 					trial[k] = v
 				}
 				trial[c.Name] = idx
-				p, err := run(trial)
+				p, err := f.trial(best, trial, c)
 				if err != nil {
 					continue
 				}
@@ -211,7 +209,7 @@ func (f *Flow) evaluateDegraded(ctx context.Context, sel map[string]int) (*Degra
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	e, err := f.finishEvaluation(root, best.sel, best.g, best.s, best.forced, best.s.Cores)
+	e, err := f.finishEvaluation(root, best, best.s.Cores)
 	if err != nil {
 		return nil, err
 	}
@@ -220,6 +218,82 @@ func (f *Flow) evaluateDegraded(ctx context.Context, sel map[string]int) (*Degra
 		obs.C("core.degraded_evaluations").Inc()
 	}
 	return &DegradedEvaluation{Evaluation: e, Report: report}, nil
+}
+
+// trial is one fallback trial: the chip's pass under sel, which differs
+// from best.sel in core c alone, as the flip step's second caller (see
+// delta.go). Over a fault baseline it runs two flips. The baseline pass
+// is a non-fixed flip of best.base under the explorer's rules, or
+// best.base itself when the baseline's ladder clamps c to the version it
+// already has. The chip's pass is then a fixed flip of best when the
+// baseline pass provisions the same test muxes as best.base, and a
+// spliced full pass otherwise. Either way each pass equals one scheduled
+// from scratch. A degraded baseline is an error, as it is for the first
+// pass.
+func (f *Flow) trial(best *pass, sel map[string]int, c *soc.Core) (p *pass, err error) {
+	obs.C("core.fallback_trials").Inc()
+	rule := keepSpared
+	if f.trials != nil && f.trials.cripple {
+		rule = keepStale
+	}
+	base := best.base
+	if f.trials != nil && f.trials.check != nil {
+		defer func() { f.trials.check(f, best, base, p) }()
+	}
+	if base != nil {
+		bsel := canonSelectionOn(f.Baseline, sel)
+		if bsel[c.Name] == base.sel[c.Name] {
+			obs.C("core.fallback_cores_reused").Add(int64(len(bsel)))
+		} else {
+			bc, _ := f.Baseline.CoreByName(c.Name)
+			if base, err = f.reflip(best.base, bsel, bc, nil, rule); err != nil {
+				return nil, err
+			}
+		}
+		if base.deg.Degraded() {
+			return nil, fmt.Errorf("core: degraded baseline schedule: %w", base.deg.Failures[0].Err)
+		}
+		if !sameMuxes(base, best.base) {
+			rule = keepNone
+		}
+	}
+	return f.reflip(best, sel, c, base, rule)
+}
+
+// reflip is flip falling back to a spliced full pass when the flip
+// is refused. It counts the cores the pass scheduled again and the ones
+// it kept.
+func (f *Flow) reflip(from *pass, sel map[string]int, c *soc.Core, base *pass, rule keepRule) (*pass, error) {
+	p, fresh := flip(from, sel, c, base, rule)
+	if p == nil && rule != keepNone {
+		p, fresh = flip(from, sel, c, base, keepNone)
+	}
+	if p == nil {
+		return nil, fmt.Errorf("core: fallback trial: cannot splice %s into the CCG", c.Name)
+	}
+	reused := len(p.s.Cores) - len(fresh)
+	obs.C("core.fallback_cores_reused").Add(int64(reused))
+	obs.C("core.fallback_cores_rescheduled").Add(int64(len(sel) - reused))
+	return p, nil
+}
+
+// trialHook is a test hook on degraded fallback trials: cripple makes
+// every flip keep all of its source's schedules but the flipped core's,
+// and check sees each trial's flipped pass best, its baseline pass (nil
+// without a baseline) and its chip pass (nil when the baseline pass is
+// degraded).
+type trialHook struct {
+	cripple bool
+	check   func(f *Flow, best, base, p *pass)
+}
+
+// sameMuxes reports whether every core of two baseline passes inserted
+// the same test muxes, so that a fixed pass installs the same edges from
+// either.
+func sameMuxes(a, b *pass) bool {
+	return a == b || slices.EqualFunc(a.s.Cores, b.s.Cores, func(x, y *sched.CoreSchedule) bool {
+		return slices.Equal(x.Muxes, y.Muxes)
+	})
 }
 
 // buildReport assembles the per-core diagnoses, cut-net list and coverage.

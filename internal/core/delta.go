@@ -1,9 +1,10 @@
 // Delta evaluation: re-evaluating a selection that differs from an
 // already-evaluated base in a single core without rebuilding the CCG or
-// re-scheduling the whole chip. This is the explorer's hot loop — both
-// enumeration neighbours and improvement steps change one core at a
-// time — and the mechanism behind the ROADMAP's "incremental
-// re-evaluation" item.
+// re-scheduling the whole chip. One pass-level flip step (flip)
+// does it for two callers: the explorer's hot loop, where enumeration
+// neighbours and improvement steps change one core at a time, and the
+// degraded fallback trials, which flip one core of a faulted chip's pass
+// and of its baseline's (degraded.go).
 //
 // # Invalidation model
 //
@@ -59,7 +60,23 @@
 // Anything that threatens that guarantee (a recomputed core inserting
 // different muxes than the base did, a core that fails to schedule, a
 // stale forced-mux set, a failed splice) falls back to a full evaluation
-// instead.
+// instead; a fallback trial falls back to a spliced full pass, which
+// keeps no schedule.
+//
+// # Fixed passes
+//
+// A fallback trial's chip pass is fixed: the baseline's provisioned test
+// muxes are installed before scheduling, and no core may insert another
+// (sched.BuildPartial with fixed set). The trial flips it only when its
+// baseline pass provisions the same muxes as the pass it flips, so the
+// two graphs differ in c's transparency edges alone. The rules then hold
+// as written, and more simply. A fixed pass inserts no muxes, and
+// reservations are per core, so each core's schedule, or its failure,
+// depends on the graph alone: the bounds are over the one graph every
+// search saw, no port is muxed, and no mux-equality check is needed. A
+// spared core finds the same paths by the argument above, so it cannot
+// fail. A core that failed in the source pass has no schedule to keep
+// and is always re-scheduled.
 package core
 
 import (
@@ -68,7 +85,6 @@ import (
 	"sync"
 
 	"repro/internal/ccg"
-	"repro/internal/cell"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/soc"
@@ -138,20 +154,8 @@ const maxBases = 16
 type deltaBase struct {
 	versions []int // the selection, as versionsOf lists it
 	eval     *Evaluation
-	pristine int         // edge count before scheduling muxes: the splice point
-	forced   cell.Area   // forced-mux area at build time
+	pass     *pass       // the pass eval finished: what a delta flips
 	muxes    []ForcedMux // the flow's forced-mux list at build time
-
-	// bounds of eval.Graph, computed when the base first serves a delta;
-	// EnumerateCtx's workers share bases, hence the Once.
-	boundsOnce sync.Once
-	bounds     *ccg.Bounds
-}
-
-// graphBounds returns the bounds of the base's graph.
-func (b *deltaBase) graphBounds() *ccg.Bounds {
-	b.boundsOnce.Do(func() { b.bounds = b.eval.Graph.Bounds() })
-	return b.bounds
 }
 
 // NewDeltaEvaluator returns a delta evaluator over f.
@@ -210,7 +214,7 @@ func (d *DeltaEvaluator) EvaluateSelectionCtx(ctx context.Context, sel map[strin
 	obs.C("explore.cache_misses").Inc()
 
 	if base != nil {
-		e, pristine, rescheduled, err := d.deltaEvaluate(ctx, base, cores, flip, sel)
+		e, p, rescheduled, err := d.deltaEvaluate(ctx, base, cores[flip], sel)
 		if err != nil {
 			return nil, err
 		}
@@ -225,7 +229,7 @@ func (d *DeltaEvaluator) EvaluateSelectionCtx(ctx context.Context, sel map[strin
 			d.stats.Reused += reused
 			d.mu.Unlock()
 			if d.AdoptCandidates {
-				d.adopt(versions, e, pristine, base.forced)
+				d.adopt(versions, e, p)
 			}
 			return e, nil
 		}
@@ -244,82 +248,125 @@ func (d *DeltaEvaluator) EvaluateSelectionCtx(ctx context.Context, sel map[strin
 		d.stats.Fulls++
 		d.mu.Unlock()
 	}
-	d.adopt(versions, e, p.pristine, p.forced)
+	d.adopt(versions, e, p)
 	return e, nil
 }
 
 // deltaEvaluate runs the incremental path against base, which differs
-// from sel in the testable core cores[at] alone, and returns the
-// evaluation, its pristine edge count and how many cores it
-// re-scheduled. A nil evaluation with a nil error means "cannot do this
-// incrementally, run the full path" — correctness never depends on the
-// caller's fallback, only speed does.
-func (d *DeltaEvaluator) deltaEvaluate(ctx context.Context, b *deltaBase, cores []*soc.Core, at int, sel map[string]int) (*Evaluation, int, int, error) {
-	f := d.f
-	c := cores[at]
-	changed := c.Name
+// from sel in the testable core c alone: the flip step plus
+// finishEvaluation. It returns the evaluation, its pass and how many
+// cores it re-scheduled. A nil evaluation with a nil error means "cannot
+// do this incrementally, run the full path" — correctness never depends
+// on the caller's fallback, only speed does.
+func (d *DeltaEvaluator) deltaEvaluate(ctx context.Context, b *deltaBase, c *soc.Core, sel map[string]int) (*Evaluation, *pass, int, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, 0, 0, err
+		return nil, nil, 0, err
 	}
 	root := obs.Start(nil, "evaluate/delta")
 	defer root.End()
+	rule := keepSpared
+	if d.crippleInvalidation {
+		rule = keepStale
+	}
+	p, fresh := flip(b.pass, sel, c, nil, rule)
+	if p == nil || p.deg.Degraded() {
+		return nil, nil, 0, nil // let the full path surface the error faithfully
+	}
+	if d.tamperRescheduled {
+		for _, cs := range fresh {
+			cs.TAT++
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, 0, err
+	}
+	e, err := d.f.finishEvaluation(root, p, fresh)
+	if err != nil {
+		return nil, nil, 0, nil
+	}
+	return e, p, len(fresh), nil
+}
 
-	bg := b.eval.Graph
-	base := b.eval.Sched.Cores
-	ng := bg.CloneWithVersion(b.pristine, c, c.VersionAt(sel[changed]))
-	if ng == nil || len(base) != len(cores) {
-		return nil, 0, 0, nil
+// keepRule says which of a flip's source schedules the flip keeps.
+type keepRule int
+
+const (
+	keepNone   keepRule = iota // none: a spliced full pass
+	keepSpared                 // those the invalidation rules spare
+	keepStale                  // all but the flipped core's: a test hook
+)
+
+// graphBounds returns the bounds of the pass's graph.
+func (p *pass) graphBounds() *ccg.Bounds {
+	p.boundsOnce.Do(func() { p.bounds = p.g.Bounds() })
+	return p.bounds
+}
+
+// flip is the one-core delta step (see the package comment) behind the
+// explorer's delta evaluations and the degraded fallback trials: the pass
+// of from's chip under sel, which differs from from.sel in core c alone
+// (c is a core of from's chip). It splices the CCG from from's pristine
+// edges, installs base's test muxes when base is non-nil (a fixed pass)
+// and schedules every core but the ones rule keeps from from. A non-fixed
+// pass keeps nothing when from is degraded. It returns the pass and the
+// core schedules it computed. The pass is nil when the splice fails, or
+// when a non-fixed flip that kept schedules came out degraded or
+// re-scheduled a core into other muxes than from's: the cores after it
+// then saw another graph than the kept schedules assume.
+func flip(from *pass, sel map[string]int, c *soc.Core, base *pass, rule keepRule) (*pass, []*sched.CoreSchedule) {
+	g := from.g.CloneWithVersion(from.pristine, c, c.VersionAt(sel[c.Name]))
+	if g == nil {
+		return nil, nil
 	}
-	pristine := ng.EdgeCount()
+	fixed := base != nil
+	p := &pass{sel: sel, cores: from.cores, g: g, forced: from.forced}
+	if rule == keepNone || (!fixed && from.deg.Degraded()) {
+		p.run(base, nil)
+		return p, p.s.Cores
+	}
+	cores := from.cores
 	var stale func(*sched.CoreSchedule) bool
-	if !d.crippleInvalidation {
-		stale = invalidated(b.graphBounds(), bg, ng.TransEdges(changed), changed)
+	if rule == keepSpared {
+		stale = invalidated(from.graphBounds(), from.g, g.TransEdges(c.Name), c.Name)
 	}
-	// Keep the base schedule of every core the rules spare. It passed
+	// Keep from's schedule of every core the rules spare. It passed
 	// sched.Validate in the evaluation that computed it, and stays valid:
 	// Validate reads only the CoreSchedule and the *ccg.Edge values its
 	// steps point to, and neither is written once the core is scheduled
 	// (CloneWithVersion copies every edge it renumbers, AddTestMux
-	// allocates a new edge).
+	// allocates a new edge). from.s lists the cores it scheduled in chip
+	// order; the others failed in from and are scheduled again.
 	keep := make([]*sched.CoreSchedule, len(cores))
-	for i, bcs := range base {
-		if i != at && bcs.Core == cores[i].Name && (stale == nil || !stale(bcs)) {
-			keep[i] = bcs
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, 0, 0, err
-	}
-
-	s, deg := sched.BuildPartial(f.Chip, ng, false, keep)
-	if deg.Degraded() {
-		return nil, 0, 0, nil // let the full path surface the error faithfully
-	}
-	var fresh []*sched.CoreSchedule // the re-scheduled cores, validated below
-	for i, cs := range s.Cores {
-		if cs == base[i] {
+	j := 0
+	for i, x := range cores {
+		if j == len(from.s.Cores) || from.s.Cores[j].Core != x.Name {
 			continue
 		}
-		if cs.Core != base[i].Core || !slices.Equal(cs.Muxes, base[i].Muxes) {
-			// A recomputed core changed its mux insertions: cores after
-			// it saw a different graph than the base did, voiding the
-			// reuse argument. Rare — punt to the full path.
-			return nil, 0, 0, nil
+		if bcs := from.s.Cores[j]; x.Name != c.Name && (stale == nil || !stale(bcs)) {
+			keep[i] = bcs
 		}
-		if d.tamperRescheduled {
-			cs.TAT++
+		j++
+	}
+	p.run(base, keep)
+	if !fixed && p.deg.Degraded() {
+		return nil, nil
+	}
+	var fresh []*sched.CoreSchedule
+	i := 0
+	for k, cs := range p.s.Cores {
+		for cores[i].Name != cs.Core {
+			i++
+		}
+		if cs == keep[i] {
+			continue
+		}
+		if !fixed && !slices.Equal(cs.Muxes, from.s.Cores[k].Muxes) {
+			// Neither pass is degraded, so both list every core.
+			return nil, nil
 		}
 		fresh = append(fresh, cs)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, 0, 0, err
-	}
-
-	e, err := f.finishEvaluation(root, sel, ng, s, b.forced, fresh)
-	if err != nil {
-		return nil, 0, 0, nil
-	}
-	return e, pristine, len(fresh), nil
+	return p, fresh
 }
 
 // invalidated returns the test of the invalidation model (see the
@@ -386,12 +433,12 @@ func diffCores(a, b []int) (n, at int) {
 	return n, at
 }
 
-// adopt stores an evaluation as the most recently used base. It replaces
-// the base with the same selection and forced-mux list, if there is one,
-// and otherwise evicts the least recently used base past maxBases.
-func (d *DeltaEvaluator) adopt(versions []int, e *Evaluation, pristine int, forced cell.Area) {
-	nb := &deltaBase{versions: versions, eval: e, pristine: pristine, forced: forced,
-		muxes: slices.Clone(d.f.ForcedMuxes)}
+// adopt stores an evaluation and its pass as the most recently used
+// base. It replaces the base with the same selection and forced-mux list,
+// if there is one, and otherwise evicts the least recently used base past
+// maxBases.
+func (d *DeltaEvaluator) adopt(versions []int, e *Evaluation, p *pass) {
+	nb := &deltaBase{versions: versions, eval: e, pass: p, muxes: slices.Clone(d.f.ForcedMuxes)}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for i, b := range d.bases {

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"sync"
 
 	"repro/internal/atpg"
 	"repro/internal/bist"
@@ -81,6 +82,10 @@ type Flow struct {
 	// Prepare sets it; fault injection leaves memory cores alone, so a
 	// Fork keeps it.
 	bistCycles int
+
+	// trials, when non-nil, is a test hook on the degraded fallback trials
+	// of this flow and of every Fork of it.
+	trials *trialHook
 }
 
 // Fork returns a flow over ch that shares this flow's prepared artifacts,
@@ -290,9 +295,8 @@ func canonSelectionOn(ch *soc.Chip, sel map[string]int) map[string]int {
 // must not write any state reachable from f — the parallel explorer runs
 // many evaluations over one flow at once. Cancellation is checked before
 // building the CCG and after scheduling; a cancelled evaluation returns
-// ctx.Err(). Besides the evaluation it returns the pass, which holds the
-// two facts the delta evaluator snapshots with a base: the pristine edge
-// count and the forced-mux area.
+// ctx.Err(). Besides the evaluation it returns the pass, which the delta
+// evaluator keeps as a base to flip.
 func (f *Flow) evaluateFull(ctx context.Context, sel map[string]int) (*Evaluation, *pass, error) {
 	root := obs.Start(nil, "evaluate")
 	defer root.End()
@@ -309,31 +313,37 @@ func (f *Flow) evaluateFull(ctx context.Context, sel map[string]int) (*Evaluatio
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	e, err := f.finishEvaluation(root, sel, p.g, p.s, p.forced, p.s.Cores)
+	e, err := f.finishEvaluation(root, p, p.s.Cores)
 	return e, p, err
 }
 
 // pass is one schedule of a chip under one selection.
 type pass struct {
-	sel    map[string]int
-	g      *ccg.Graph // the CCG, test muxes included
-	s      *sched.Result
-	deg    *sched.Degradation
-	forced cell.Area // the muxes wired in before scheduling
-	// pristine is the edge count after the forced muxes and before any
-	// other test mux: the splice point of ccg.CloneWithVersion.
+	sel   map[string]int
+	cores []*soc.Core // the chip's testable cores, as TestableCores lists them
+	g     *ccg.Graph  // the CCG, test muxes included
+	s     *sched.Result
+	deg   *sched.Degradation
+	// forced is the area of the flow's forced muxes, and pristine the
+	// edge count after them and before any other test mux: the splice
+	// point of ccg.CloneWithVersion.
+	forced   cell.Area
 	pristine int
-	// base is the baseline chip's pass whose muxes were installed, or nil.
-	base *pass
+	// base is the baseline chip's pass whose muxes a fixed pass installed
+	// after pristine, or nil; provisioned is their area.
+	base        *pass
+	provisioned cell.Area
+
+	// bounds of g, computed when the pass first serves a flip; the
+	// explorer's workers share bases, hence the Once.
+	boundsOnce sync.Once
+	bounds     *ccg.Bounds
 }
 
 // schedule builds the CCG of ch under sel, wires in the flow's forced
-// muxes and runs sched.BuildPartial on it: the one graph-and-schedule
-// step behind full, baseline and degraded evaluation. With base, the
-// baseline's test muxes are fixed silicon: their edges are re-created up
-// front (with their area) so any core may route through them, and new
-// insertions are refused — broken interconnect found on the test floor
-// cannot be patched with hardware the design never had.
+// muxes and schedules it (pass.run): the one graph-and-schedule step
+// behind full, baseline and degraded evaluation, and the source every
+// flip splices from.
 func (f *Flow) schedule(root *obs.Span, ch *soc.Chip, sel map[string]int, base *pass) (*pass, error) {
 	sp := obs.Start(root, "ccg/build")
 	g, err := ccg.BuildSelection(ch, sel)
@@ -341,7 +351,7 @@ func (f *Flow) schedule(root *obs.Span, ch *soc.Chip, sel map[string]int, base *
 	if err != nil {
 		return nil, err
 	}
-	p := &pass{sel: sel, g: g, base: base}
+	p := &pass{sel: sel, cores: ch.TestableCores(), g: g}
 	for _, fm := range f.ForcedMuxes {
 		width, err := applyForcedMux(ch, g, fm)
 		if err != nil {
@@ -349,49 +359,61 @@ func (f *Flow) schedule(root *obs.Span, ch *soc.Chip, sel map[string]int, base *
 		}
 		p.forced.Add(cell.Mux2, width)
 	}
-	p.pristine = g.EdgeCount()
+	p.run(base, nil)
+	return p, nil
+}
+
+// run schedules p's graph, which holds the forced muxes and nothing after
+// them, with sched.BuildPartial and keep. With base, p is a fixed pass:
+// the baseline's test muxes are fixed silicon, so their edges are
+// re-created up front (with their area) for any core to route through,
+// and new insertions are refused — broken interconnect found on the test
+// floor cannot be patched with hardware the design never had.
+func (p *pass) run(base *pass, keep []*sched.CoreSchedule) {
+	p.pristine = p.g.EdgeCount()
+	p.base = base
 	if base != nil {
 		for _, cs := range base.s.Cores {
 			for _, m := range cs.Muxes {
 				obs.C("core.baseline_muxes_preinstalled").Inc()
-				fi, fok := g.NodeIndex(base.g.Nodes[m.From].Name())
-				ti, tok := g.NodeIndex(base.g.Nodes[m.To].Name())
+				fi, fok := p.g.NodeIndex(base.g.Nodes[m.From].Name())
+				ti, tok := p.g.NodeIndex(base.g.Nodes[m.To].Name())
 				if !fok || !tok {
 					continue
 				}
-				g.AddTestMux(fi, ti)
-				p.forced.Add(cell.Mux2, m.Width)
+				p.g.AddTestMux(fi, ti)
+				p.provisioned.Add(cell.Mux2, m.Width)
 			}
 		}
 	}
-	p.s, p.deg = sched.BuildPartial(ch, g, base != nil, nil)
-	return p, nil
+	p.s, p.deg = sched.BuildPartial(p.g.Chip, p.g, base != nil, keep)
 }
 
 // finishEvaluation replays the core schedules this evaluation computed,
 // fresh, for physical consistency and fills in the controller, areas and
-// bottom line. It is shared by the full, degraded and delta evaluation
-// paths. The full and degraded paths compute every core schedule of s
-// (for the degraded path, s covers only the testable subset); the delta
-// path computes only the cores it re-schedules and reuses the others
-// from a base whose evaluation validated them. Each core schedule is
-// thus validated once, when it is computed. The mux area and the TAT are
-// derived from s's core schedules; forcedArea adds the muxes wired in
-// before scheduling (the explorer's forced muxes and, in a degraded
-// pass, the baseline's).
-func (f *Flow) finishEvaluation(root *obs.Span, sel map[string]int, g *ccg.Graph, s *sched.Result, forcedArea cell.Area, fresh []*sched.CoreSchedule) (*Evaluation, error) {
+// bottom line of pass p. It is shared by the full, degraded and delta
+// evaluation paths. The full and degraded paths compute every core
+// schedule of p (for the degraded path, p.s covers only the testable
+// subset); the delta path computes only the cores it re-schedules and
+// reuses the others from a base whose evaluation validated them. Each
+// core schedule is thus validated once, when it is computed. The mux area
+// is the muxes wired in before scheduling (the explorer's forced muxes
+// and, in a fixed pass, the baseline's) plus the ones the schedule
+// inserted; the TAT is derived from p's core schedules.
+func (f *Flow) finishEvaluation(root *obs.Span, p *pass, fresh []*sched.CoreSchedule) (*Evaluation, error) {
 	if err := sched.Validate(&sched.Result{Cores: fresh}); err != nil {
 		return nil, fmt.Errorf("core: schedule failed replay validation: %w", err)
 	}
-	e := &Evaluation{Graph: g, Sched: s}
-	e.MuxArea = forcedArea
-	e.MuxArea.AddArea(s.MuxArea())
+	e := &Evaluation{Graph: p.g, Sched: p.s}
+	e.MuxArea = p.forced
+	e.MuxArea.AddArea(p.provisioned)
+	e.MuxArea.AddArea(p.s.MuxArea())
 	sp := obs.Start(root, "ctrl/generate")
-	e.Controller = ctrl.GenerateSelection(f.Chip, s, sel)
+	e.Controller = ctrl.GenerateSelection(f.Chip, p.s, p.sel)
 	sp.End()
 	e.CtrlArea = e.Controller.Area
 	for _, c := range f.Chip.TestableCores() {
-		if v := c.VersionAt(sel[c.Name]); v != nil {
+		if v := c.VersionAt(p.sel[c.Name]); v != nil {
 			e.TransArea.AddArea(v.Area)
 		}
 	}
@@ -399,7 +421,7 @@ func (f *Flow) finishEvaluation(root *obs.Span, sel map[string]int, g *ccg.Graph
 	e.MuxCells = e.MuxArea.Cells()
 	e.CtrlCells = e.CtrlArea.Cells()
 	e.BISTCycles = f.bistCycles
-	e.TAT = s.TotalTAT()
+	e.TAT = p.s.TotalTAT()
 	obs.C("core.evaluations").Inc()
 	return e, nil
 }

@@ -36,6 +36,9 @@ var KnownCounters = []string{
 	"core.delta_evaluations",           // selections evaluated via the incremental delta path
 	"core.delta_fallbacks",             // delta attempts that punted to a full evaluation
 	"core.evaluations",                 // full chip evaluations (Evaluate/EvaluateSelection)
+	"core.fallback_cores_rescheduled",  // cores a degraded fallback trial's passes scheduled again
+	"core.fallback_cores_reused",       // cores a degraded fallback trial's passes kept from the passes they flip
+	"core.fallback_trials",             // degraded fallback trials: one-core version flips tried
 	"core.forced_muxes",                // system-level test muxes force-installed
 	"explore.cache_hits",               // delta-evaluator requests answered by an exact base match
 	"explore.cache_misses",             // delta-evaluator requests that computed a result

@@ -10,8 +10,9 @@ import (
 // VerifyEdge checks one RCG edge against the RTL: a value placed at the
 // edge's source appears at the destination slice after one cycle (register
 // destinations, with the load asserted and the multiplexer hops forced) or
-// combinationally (output ports). Created transparency-mux edges have no
-// RTL counterpart and are skipped. The return values are (skipped, error).
+// combinationally (output ports, which covers port-to-port feedthroughs).
+// Created transparency-mux edges have no RTL counterpart and are skipped.
+// The return values are (skipped, error).
 func VerifyEdge(c *rtl.Core, g *trans.RCG, e *trans.Edge, seed uint64) (bool, error) {
 	if e.Created || e.ScanMux {
 		// Transparency muxes and HSCAN scan muxes are inserted hardware
@@ -20,9 +21,6 @@ func VerifyEdge(c *rtl.Core, g *trans.RCG, e *trans.Edge, seed uint64) (bool, er
 	}
 	from := g.Nodes[e.From]
 	to := g.Nodes[e.To]
-	if from.Kind == trans.NodeIn && to.Kind == trans.NodeOut {
-		// Port-to-port feedthrough: combinational.
-	}
 	for trial := 0; trial < 4; trial++ {
 		v := mix(seed + uint64(trial)*0x9e3779b97f4a7c15)
 		s, err := New(c)
