@@ -95,30 +95,19 @@ func (g *Graph) NodeIndex(name string) (int, bool) {
 }
 
 // Build assembles the CCG from the chip using each testable core's
-// currently selected transparency version. Memory cores are excluded
-// (they are tested by BIST, Section 5).
+// currently selected transparency version (ch.Resolve(nil)). Memory cores
+// are excluded (they are tested by BIST, Section 5).
 func Build(ch *soc.Chip) (*Graph, error) {
-	return BuildSelection(ch, nil)
+	return BuildSelection(ch, ch.Resolve(nil))
 }
 
-// versionFor resolves the transparency version the graph should use for a
-// core: the explicit selection when one is given, the core's own Selected
-// otherwise.
-func versionFor(c *soc.Core, sel map[string]int) *trans.Version {
-	if sel != nil {
-		if idx, ok := sel[c.Name]; ok {
-			return c.VersionAt(idx)
-		}
-	}
-	return c.Version()
-}
-
-// BuildSelection assembles the CCG using an explicit version index per
-// core; cores missing from sel (or all of them, when sel is nil) fall
-// back to their currently selected version. The chip is only read, never
-// written, so concurrent builds over one chip are safe — this is what
-// lets the design-space explorer evaluate version combinations in
-// parallel.
+// BuildSelection assembles the CCG using a resolved selection
+// (soc.Chip.Resolve): one version index per testable core, taken as
+// given, with an index outside a core's ladder meaning no transparency.
+// A selection that leaves out a testable core is an error. The chip is
+// only read, never written, so concurrent builds over one chip are safe
+// — this is what lets the design-space explorer evaluate version
+// combinations in parallel.
 func BuildSelection(ch *soc.Chip, sel map[string]int) (*Graph, error) {
 	if err := ch.Validate(); err != nil {
 		return nil, err
@@ -188,8 +177,12 @@ func BuildSelection(ch *soc.Chip, sel map[string]int) (*Graph, error) {
 	// Transparency pairs of each selected version, one contiguous edge ID
 	// range per core (recorded for incremental version splicing).
 	for _, c := range ch.TestableCores() {
+		idx, ok := sel[c.Name]
+		if !ok {
+			return nil, fmt.Errorf("ccg: chip %s: selection leaves out core %s", ch.Name, c.Name)
+		}
 		lo := len(g.Edges)
-		appendCoreTrans(g, c, versionFor(c, sel), func(e Edge) { addEdge(e) })
+		appendCoreTrans(g, c, c.VersionAt(idx), func(e Edge) { addEdge(e) })
 		g.transRange[c.Name] = [2]int{lo, len(g.Edges)}
 	}
 	g.rebuildOut()

@@ -2,6 +2,7 @@ package ccg_test
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/ccg"
@@ -22,6 +23,21 @@ func system1Graph(t *testing.T) (*ccg.Graph, *core.Flow) {
 		t.Fatalf("Build: %v", err)
 	}
 	return g, f
+}
+
+// TestBuildSelectionRejectsIncompleteSelection requires BuildSelection
+// to refuse a selection that leaves out a testable core, instead of
+// reading that core's Selected.
+func TestBuildSelectionRejectsIncompleteSelection(t *testing.T) {
+	_, f := system1Graph(t)
+	sel := f.Chip.Resolve(nil)
+	delete(sel, "CPU")
+	if _, err := ccg.BuildSelection(f.Chip, sel); err == nil || !strings.Contains(err.Error(), "CPU") {
+		t.Fatalf("selection without CPU: err = %v, want one naming CPU", err)
+	}
+	if _, err := ccg.BuildSelection(f.Chip, nil); err == nil {
+		t.Fatal("nil selection accepted")
+	}
 }
 
 func TestBuildFigure9Nodes(t *testing.T) {
@@ -138,7 +154,7 @@ func TestShortestPathUnreachable(t *testing.T) {
 func TestPinListsAreSharedAndCapped(t *testing.T) {
 	g, f := system1Graph(t)
 	c := f.Chip.TestableCores()[0]
-	clone := g.CloneWithVersion(g.EdgeCount(), c, c.Version())
+	clone := g.CloneWithVersion(g.EdgeCount(), c, c.VersionAt(c.Selected))
 	if clone == nil {
 		t.Fatal("CloneWithVersion refused the current version")
 	}

@@ -82,10 +82,7 @@ func graphSignature(ch *soc.Chip, g *ccg.Graph) (string, error) {
 func TestPathFindingDeterministic(t *testing.T) {
 	for _, ch := range detSystems(t) {
 		t.Run(ch.Name, func(t *testing.T) {
-			sel := map[string]int{}
-			for _, c := range ch.TestableCores() {
-				sel[c.Name] = c.Selected
-			}
+			sel := ch.Resolve(nil)
 			g0, err := ccg.BuildSelection(ch, sel)
 			if err != nil {
 				t.Fatal(err)
@@ -115,11 +112,7 @@ func TestPathFindingDeterministic(t *testing.T) {
 // scheduler for speculative test-mux insertion.
 func TestTruncateEdgesRollback(t *testing.T) {
 	ch := detSystems(t)[0]
-	sel := map[string]int{}
-	for _, c := range ch.TestableCores() {
-		sel[c.Name] = c.Selected
-	}
-	g, err := ccg.BuildSelection(ch, sel)
+	g, err := ccg.BuildSelection(ch, ch.Resolve(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -234,10 +234,7 @@ func TestCloneWithVersionMatchesRebuild(t *testing.T) {
 	if _, err := core.Prepare(ch, &core.Options{VectorOverride: vecs}); err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
-	base := map[string]int{}
-	for _, c := range ch.TestableCores() {
-		base[c.Name] = c.Selected
-	}
+	base := ch.Resolve(nil)
 	g, err := ccg.BuildSelection(ch, base)
 	if err != nil {
 		t.Fatalf("BuildSelection: %v", err)
@@ -277,10 +274,10 @@ func TestCloneWithVersionMatchesRebuild(t *testing.T) {
 	}
 	// An out-of-range pristine cursor must refuse, not corrupt.
 	c := ch.TestableCores()[0]
-	if g.CloneWithVersion(-1, c, c.Version()) != nil {
+	if g.CloneWithVersion(-1, c, c.VersionAt(base[c.Name])) != nil {
 		t.Error("negative pristine cursor accepted")
 	}
-	if g.CloneWithVersion(g.EdgeCount()+1, c, c.Version()) != nil {
+	if g.CloneWithVersion(g.EdgeCount()+1, c, c.VersionAt(base[c.Name])) != nil {
 		t.Error("past-the-end pristine cursor accepted")
 	}
 }

@@ -109,9 +109,9 @@ type DegradedEvaluation struct {
 // giving up on the first unreachable port: unservable cores are diagnosed
 // and skipped, single-core version fallbacks are tried to reroute around
 // the damage, and the result covers the testable subset with a coverage
-// fraction. On a healthy flow (no fault-injected Fork) it produces an
-// Evaluation bit-identical to Evaluate. Cancellation surfaces as
-// ctx.Err().
+// fraction. Its Selection names the versions in use, fallbacks included.
+// On a healthy flow (no fault-injected Fork) it produces an Evaluation
+// bit-identical to Evaluate. Cancellation surfaces as ctx.Err().
 func (f *Flow) EvaluateDegradedCtx(ctx context.Context) (*DegradedEvaluation, error) {
 	return f.evaluateDegraded(ctx, f.CurrentSelection())
 }
@@ -136,6 +136,8 @@ func (p *pass) steps(pf sched.PortFailure) []ccg.Step {
 	return nil
 }
 
+// evaluateDegraded is EvaluateDegradedCtx under sel, a selection resolved
+// on f.Chip.
 func (f *Flow) evaluateDegraded(ctx context.Context, sel map[string]int) (*DegradedEvaluation, error) {
 	root := obs.Start(nil, "evaluate-degraded")
 	defer root.End()
@@ -147,11 +149,10 @@ func (f *Flow) evaluateDegraded(ctx context.Context, sel map[string]int) (*Degra
 	// provisioned, and its paths diagnose cut nets. Without one, the chip
 	// itself is the design, every mux insertion is allowed and no cut-edge
 	// diagnosis is possible.
-	sel = canonSelectionOn(f.Chip, sel)
 	var base *pass
 	if f.Baseline != nil {
 		var err error
-		if base, err = f.schedule(root, f.Baseline, canonSelectionOn(f.Baseline, sel), nil); err != nil {
+		if base, err = f.schedule(root, f.Baseline, f.Baseline.Resolve(sel), nil); err != nil {
 			return nil, fmt.Errorf("core: degraded baseline: %w", err)
 		}
 		if base.deg.Degraded() {
@@ -232,16 +233,13 @@ func (f *Flow) evaluateDegraded(ctx context.Context, sel map[string]int) (*Degra
 // pass.
 func (f *Flow) trial(best *pass, sel map[string]int, c *soc.Core) (p *pass, err error) {
 	obs.C("core.fallback_trials").Inc()
-	rule := keepSpared
-	if f.trials != nil && f.trials.cripple {
-		rule = keepStale
-	}
+	rule := f.flipRule()
 	base := best.base
-	if f.trials != nil && f.trials.check != nil {
-		defer func() { f.trials.check(f, best, base, p) }()
+	if f.checkTrial != nil {
+		defer func() { f.checkTrial(f, best, base, p) }()
 	}
 	if base != nil {
-		bsel := canonSelectionOn(f.Baseline, sel)
+		bsel := f.Baseline.Resolve(sel)
 		if bsel[c.Name] == base.sel[c.Name] {
 			obs.C("core.fallback_cores_reused").Add(int64(len(bsel)))
 		} else {
@@ -275,16 +273,6 @@ func (f *Flow) reflip(from *pass, sel map[string]int, c *soc.Core, base *pass, r
 	obs.C("core.fallback_cores_reused").Add(int64(reused))
 	obs.C("core.fallback_cores_rescheduled").Add(int64(len(sel) - reused))
 	return p, nil
-}
-
-// trialHook is a test hook on degraded fallback trials: cripple makes
-// every flip keep all of its source's schedules but the flipped core's,
-// and check sees each trial's flipped pass best, its baseline pass (nil
-// without a baseline) and its chip pass (nil when the baseline pass is
-// degraded).
-type trialHook struct {
-	cripple bool
-	check   func(f *Flow, best, base, p *pass)
 }
 
 // sameMuxes reports whether every core of two baseline passes inserted

@@ -112,12 +112,6 @@ type DeltaEvaluator struct {
 	// pure delta path.
 	AdoptCandidates bool
 
-	// crippleInvalidation is a test hook: it skips the invalidation
-	// rules, so only the changed core is recomputed. The differential
-	// harness uses it to prove the delta-vs-full equivalence check
-	// actually catches a stale-invalidation bug.
-	crippleInvalidation bool
-
 	// tamperRescheduled is a test hook: it corrupts the TAT of every core
 	// the delta path re-schedules, before validation, to prove those
 	// schedules are still validated.
@@ -175,7 +169,7 @@ func (d *DeltaEvaluator) Stats() DeltaStats {
 // Flow.EvaluateSelectionCtx otherwise. The result is bit-identical to
 // the full evaluation either way.
 func (d *DeltaEvaluator) EvaluateSelectionCtx(ctx context.Context, sel map[string]int) (*Evaluation, error) {
-	sel = d.f.canonSelection(sel)
+	sel = d.f.Chip.Resolve(sel)
 	cores := d.f.Chip.TestableCores()
 	versions := versionsOf(cores, sel)
 
@@ -264,11 +258,7 @@ func (d *DeltaEvaluator) deltaEvaluate(ctx context.Context, b *deltaBase, c *soc
 	}
 	root := obs.Start(nil, "evaluate/delta")
 	defer root.End()
-	rule := keepSpared
-	if d.crippleInvalidation {
-		rule = keepStale
-	}
-	p, fresh := flip(b.pass, sel, c, nil, rule)
+	p, fresh := flip(b.pass, sel, c, nil, d.f.flipRule())
 	if p == nil || p.deg.Degraded() {
 		return nil, nil, 0, nil // let the full path surface the error faithfully
 	}
@@ -295,6 +285,16 @@ const (
 	keepSpared                 // those the invalidation rules spare
 	keepStale                  // all but the flipped core's: a test hook
 )
+
+// flipRule is the rule a flip of the flow keeps schedules by: the
+// invalidation rules, or none of them when the flow's crippled test hook
+// is set.
+func (f *Flow) flipRule() keepRule {
+	if f.crippled {
+		return keepStale
+	}
+	return keepSpared
+}
 
 // graphBounds returns the bounds of the pass's graph.
 func (p *pass) graphBounds() *ccg.Bounds {
@@ -408,7 +408,7 @@ func invalidated(bounds *ccg.Bounds, bg *ccg.Graph, added []*ccg.Edge, changed s
 	}
 }
 
-// versionsOf lists a canonical selection's version index for each of
+// versionsOf lists a resolved selection's version index for each of
 // cores, in order: the form the registry compares selections in.
 func versionsOf(cores []*soc.Core, sel map[string]int) []int {
 	v := make([]int, len(cores))

@@ -186,8 +186,8 @@ func TestDeltaRegistryMatchesForcedMuxes(t *testing.T) {
 // the check could not distinguish correct from broken invalidation.
 func TestDeltaTamperDetected(t *testing.T) {
 	f := deltaFlow(t, socgen.Params{Seed: 7, Cores: 10, Topology: socgen.Chain})
+	f.SetCrippleInvalidation(true)
 	d := core.NewDeltaEvaluator(f)
-	d.SetCrippleInvalidation(true)
 	base := f.CurrentSelection()
 	if _, err := d.EvaluateSelectionCtx(context.Background(), base); err != nil {
 		t.Fatalf("base: %v", err)

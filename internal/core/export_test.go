@@ -10,12 +10,13 @@ import (
 	"repro/internal/sched"
 )
 
-// SetCrippleInvalidation flips the delta evaluator's test-only hook that
-// skips the invalidation rules, deliberately reusing stale schedules for
-// every core but the changed one. The differential tests use it to prove
-// the delta-vs-full equivalence check actually detects a
-// stale-invalidation bug.
-func (d *DeltaEvaluator) SetCrippleInvalidation(v bool) { d.crippleInvalidation = v }
+// SetCrippleInvalidation flips the flow's test-only hook that skips the
+// invalidation rules: every flip of f and of every Fork of f made
+// afterwards, in a delta evaluator or a degraded fallback trial, keeps
+// stale schedules for every core but the changed one. The differential
+// tests use it to prove their comparisons detect a stale-invalidation
+// bug.
+func (f *Flow) SetCrippleInvalidation(v bool) { f.crippled = v }
 
 // SetTamperRescheduled flips the delta evaluator's test-only hook that
 // corrupts the TAT of every core the delta path re-schedules, before
@@ -40,17 +41,15 @@ type TrialCheck struct {
 // CheckFallbackTrials installs a test hook on the degraded fallback
 // trials of f and of every Fork of f made afterwards: each trial's
 // baseline and chip passes are compared with from-scratch passes of the
-// same selections, and report receives the outcome. cripple makes every
-// flip keep all of its source's schedules but the flipped core's, so the
-// comparison must catch stale schedules.
-func (f *Flow) CheckFallbackTrials(cripple bool, report func(TrialCheck)) {
-	f.trials = &trialHook{cripple: cripple, check: func(f *Flow, best, base, p *pass) {
+// same selections, and report receives the outcome.
+func (f *Flow) CheckFallbackTrials(report func(TrialCheck)) {
+	f.checkTrial = func(f *Flow, best, base, p *pass) {
 		report(TrialCheck{
 			Err:           compareTrial(f, base, p),
 			Reused:        reusedFrom(best.base, base) + reusedFrom(best, p),
-			AfterFallback: !maps.Equal(best.sel, canonSelectionOn(f.Chip, f.CurrentSelection())),
+			AfterFallback: !maps.Equal(best.sel, f.CurrentSelection()),
 		})
-	}}
+	}
 }
 
 // reusedFrom counts the core schedules p shares with from.

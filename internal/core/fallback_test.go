@@ -44,7 +44,8 @@ func fallbackCampaigns(t *testing.T, cripple bool, report func(core.TrialCheck),
 			if err != nil {
 				t.Fatalf("prepare %s: %v", ch.Name, err)
 			}
-			f.CheckFallbackTrials(cripple, func(tc core.TrialCheck) {
+			f.SetCrippleInvalidation(cripple)
+			f.CheckFallbackTrials(func(tc core.TrialCheck) {
 				if tc.AfterFallback {
 					flipsAfter++
 				}
@@ -60,6 +61,17 @@ func fallbackCampaigns(t *testing.T, cripple bool, report func(core.TrialCheck),
 					t.Fatalf("%s run %d: %v", ch.Name, o.Index, o.Err)
 				}
 				fallbacks += len(o.Eval.Report.Fallbacks)
+				// The evaluation names the versions its fallbacks chose;
+				// a later fallback on the same core replaces an earlier.
+				chose := map[string]int{}
+				for _, fb := range o.Eval.Report.Fallbacks {
+					chose[fb.Core] = fb.Version
+				}
+				for c, v := range chose {
+					if got := o.Eval.Selection[c]; got != v {
+						t.Fatalf("%s run %d: Selection[%s] = %d, the fallback chose %d", ch.Name, o.Index, c, got, v)
+					}
+				}
 			}
 		}
 	}

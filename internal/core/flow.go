@@ -83,9 +83,16 @@ type Flow struct {
 	// Fork keeps it.
 	bistCycles int
 
-	// trials, when non-nil, is a test hook on the degraded fallback trials
-	// of this flow and of every Fork of it.
-	trials *trialHook
+	// Test hooks, shared by every Fork made after they are set. crippled
+	// makes every flip, the delta evaluator's and the fallback trials',
+	// keep all of its source's schedules but the flipped core's, skipping
+	// the invalidation rules, so the differential tests can prove they
+	// catch stale schedules. checkTrial, when non-nil, sees each fallback
+	// trial's flipped pass best, its baseline pass (nil without a
+	// baseline) and its chip pass (nil when the baseline pass is
+	// degraded).
+	crippled   bool
+	checkTrial func(f *Flow, best, base, p *pass)
 }
 
 // Fork returns a flow over ch that shares this flow's prepared artifacts,
@@ -184,6 +191,10 @@ func Prepare(ch *soc.Chip, opts *Options) (*Flow, error) {
 // graph, so sched.ScheduleInterconnect(e.Graph.Chip, e.Graph) derives it
 // for any evaluation that needs it.
 type Evaluation struct {
+	// Selection is the resolved selection (soc.Chip.Resolve) the
+	// evaluation ran: one version index per testable core, a degraded
+	// evaluation's fallbacks included. It is shared; do not modify it.
+	Selection map[string]int
 	// Graph is the CCG the schedule ran on, test muxes included.
 	Graph      *ccg.Graph
 	Sched      *sched.Result
@@ -236,11 +247,12 @@ func (f *Flow) EvaluateCtx(ctx context.Context) (*Evaluation, error) {
 
 // EvaluateSelection builds the CCG and schedule for an explicit version
 // selection (core name -> version index) without touching the chip's own
-// selection: cores missing from sel keep their current version,
-// out-of-range indices are clamped exactly as SelectVersions would. The
-// flow and chip are only read, so concurrent EvaluateSelection calls over
-// one prepared flow are safe — this is the reentrant entry point the
-// parallel design-space explorer uses.
+// selection. sel is resolved by soc.Chip.Resolve, as SelectVersions
+// resolves it: cores missing from it keep their current version and
+// out-of-range indices are clamped; the evaluation's Selection is the
+// result. The flow and chip are only read, so concurrent
+// EvaluateSelection calls over one prepared flow are safe — this is the
+// reentrant entry point the parallel design-space explorer uses.
 func (f *Flow) EvaluateSelection(sel map[string]int) (*Evaluation, error) {
 	return f.EvaluateSelectionCtx(context.Background(), sel)
 }
@@ -248,55 +260,23 @@ func (f *Flow) EvaluateSelection(sel map[string]int) (*Evaluation, error) {
 // EvaluateSelectionCtx is EvaluateSelection honoring ctx; the parallel
 // explorer threads its cancellation context through here.
 func (f *Flow) EvaluateSelectionCtx(ctx context.Context, sel map[string]int) (*Evaluation, error) {
-	e, _, err := f.evaluateFull(ctx, f.canonSelection(sel))
+	e, _, err := f.evaluateFull(ctx, f.Chip.Resolve(sel))
 	return e, err
 }
 
-// CurrentSelection returns the selected version index per testable core.
+// CurrentSelection returns the chip's own selection, resolved: one
+// version index per testable core.
 func (f *Flow) CurrentSelection() map[string]int {
-	out := map[string]int{}
-	for _, c := range f.Chip.TestableCores() {
-		out[c.Name] = c.Selected
-	}
-	return out
-}
-
-// canonSelection completes sel against the current selection and clamps
-// indices into each core's ladder, mirroring SelectVersions, so every
-// distinct chip configuration has exactly one canonical map.
-func (f *Flow) canonSelection(sel map[string]int) map[string]int {
-	return canonSelectionOn(f.Chip, sel)
-}
-
-// canonSelectionOn canonicalizes sel against an explicit chip; degraded
-// evaluation clamps the same requested selection against both the faulted
-// chip and its pristine baseline (whose version ladders can differ when a
-// fault stripped a core's transparency).
-func canonSelectionOn(ch *soc.Chip, sel map[string]int) map[string]int {
-	out := map[string]int{}
-	for _, c := range ch.TestableCores() {
-		idx, ok := sel[c.Name]
-		if !ok {
-			idx = c.Selected
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(c.Versions) {
-			idx = len(c.Versions) - 1
-		}
-		out[c.Name] = idx
-	}
-	return out
+	return f.Chip.Resolve(nil)
 }
 
 // evaluateFull is the selection-pure core of every full evaluation: sel
-// must be canonical (every testable core present, indices in range). It
-// must not write any state reachable from f — the parallel explorer runs
-// many evaluations over one flow at once. Cancellation is checked before
-// building the CCG and after scheduling; a cancelled evaluation returns
-// ctx.Err(). Besides the evaluation it returns the pass, which the delta
-// evaluator keeps as a base to flip.
+// must be resolved on f.Chip (soc.Chip.Resolve). It must not write any
+// state reachable from f — the parallel explorer runs many evaluations
+// over one flow at once. Cancellation is checked before building the CCG
+// and after scheduling; a cancelled evaluation returns ctx.Err(). Besides
+// the evaluation it returns the pass, which the delta evaluator keeps as
+// a base to flip.
 func (f *Flow) evaluateFull(ctx context.Context, sel map[string]int) (*Evaluation, *pass, error) {
 	root := obs.Start(nil, "evaluate")
 	defer root.End()
@@ -404,7 +384,7 @@ func (f *Flow) finishEvaluation(root *obs.Span, p *pass, fresh []*sched.CoreSche
 	if err := sched.Validate(&sched.Result{Cores: fresh}); err != nil {
 		return nil, fmt.Errorf("core: schedule failed replay validation: %w", err)
 	}
-	e := &Evaluation{Graph: p.g, Sched: p.s}
+	e := &Evaluation{Selection: p.sel, Graph: p.g, Sched: p.s}
 	e.MuxArea = p.forced
 	e.MuxArea.AddArea(p.provisioned)
 	e.MuxArea.AddArea(p.s.MuxArea())
@@ -516,19 +496,13 @@ func (f *Flow) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// SelectVersions applies a version index per core (missing cores keep
-// their selection). Out-of-range indices are clamped.
+// SelectVersions makes sel, resolved by soc.Chip.Resolve, the chip's own
+// selection: missing cores keep their version, out-of-range indices are
+// clamped.
 func (f *Flow) SelectVersions(sel map[string]int) {
+	r := f.Chip.Resolve(sel)
 	for _, c := range f.Chip.TestableCores() {
-		if idx, ok := sel[c.Name]; ok {
-			if idx < 0 {
-				idx = 0
-			}
-			if idx >= len(c.Versions) {
-				idx = len(c.Versions) - 1
-			}
-			c.Selected = idx
-		}
+		c.Selected = r[c.Name]
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/cell"
 	"repro/internal/sched"
 	"repro/internal/soc"
-	"repro/internal/trans"
 )
 
 // Controller is the generated test controller.
@@ -22,16 +21,17 @@ type Controller struct {
 // GenerateSelection sizes the controller from a schedule: one state per
 // testable core plus setup/done, and one control line per clock gate and
 // per transparency-mode select. Every scheduled core gets a clock gate;
-// every testable core with a version under sel gets a mode select. sel
-// gives an explicit version index per core; cores missing from it (or
-// every core, when sel is nil) use their currently selected version. The
-// chip is only read, so selection-pure evaluations can generate
-// controllers concurrently. BuildRTL emits the same control lines as RTL.
+// every testable core with a version under sel gets a mode select. sel is
+// a resolved selection (soc.Chip.Resolve), taken as given; a core it
+// leaves out reads index 0, which names a version exactly when the
+// resolved index does (an empty ladder has neither). The chip is only
+// read, so selection-pure evaluations can generate controllers
+// concurrently. BuildRTL emits the same control lines as RTL.
 func GenerateSelection(ch *soc.Chip, res *sched.Result, sel map[string]int) *Controller {
 	cores := ch.TestableCores()
 	modes := 0
 	for _, core := range cores {
-		if versionUnder(core, sel) != nil {
+		if core.VersionAt(sel[core.Name]) != nil {
 			modes++
 		}
 	}
@@ -44,15 +44,6 @@ func GenerateSelection(ch *soc.Chip, res *sched.Result, sel map[string]int) *Con
 	c.Area.Add(cell.And2, len(cores))
 	c.Area.Add(cell.Buf, len(res.Cores)+modes)
 	return c
-}
-
-// versionUnder returns core's version under sel, or its selected version
-// when sel does not name the core.
-func versionUnder(core *soc.Core, sel map[string]int) *trans.Version {
-	if idx, ok := sel[core.Name]; ok {
-		return core.VersionAt(idx)
-	}
-	return core.Version()
 }
 
 func bits(n int) int {

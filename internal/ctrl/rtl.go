@@ -10,7 +10,8 @@ import (
 )
 
 // BuildRTL emits the test controller GenerateSelection sizes for res and
-// sel as a synthesizable RTL core: a state counter stepping through one
+// sel, a resolved selection read as GenerateSelection reads it, as a
+// synthesizable RTL core: a state counter stepping through one
 // state per tested core (plus idle/done), a state decoder, and one
 // registered control line per clock gate and mode select. The core can be
 // run through internal/synth to cross-check the Area estimate, and
@@ -34,7 +35,7 @@ func BuildRTL(ch *soc.Chip, res *sched.Result, sel map[string]int) (*rtl.Core, e
 		gates = append(gates, sc.Core)
 	}
 	for _, core := range cores {
-		if versionUnder(core, sel) != nil {
+		if core.VersionAt(sel[core.Name]) != nil {
 			modes = append(modes, core.Name)
 		}
 	}

@@ -131,14 +131,12 @@ func checkTruncation(f *core.Flow, ch *soc.Chip, pts []explore.Point, minTAT int
 
 // truncatedChip clones the chip with coreName's ladder one version
 // shorter. RTL, scan results and the surviving versions are shared
-// (read-only downstream).
+// (read-only downstream); soc.Chip.Resolve clamps a Selected the cut
+// leaves past the ladder.
 func truncatedChip(ch *soc.Chip, coreName string) *soc.Chip {
 	nch := ch.Clone()
 	c, _ := nch.CoreByName(coreName)
 	c.Versions = c.Versions[:len(c.Versions)-1]
-	if c.Selected >= len(c.Versions) {
-		c.Selected = len(c.Versions) - 1
-	}
 	return nch
 }
 

@@ -10,6 +10,7 @@ package proptest
 import (
 	"context"
 	"fmt"
+	"maps"
 
 	"repro/internal/core"
 	"repro/internal/sched"
@@ -107,7 +108,7 @@ func Check(p socgen.Params) (*Stats, error) {
 				return st, fmt.Errorf("evaluate %s selection: %w", run.name, err)
 			}
 		}
-		rst, err := ReplayEvaluation(ch, ev, canon(ch, run.sel))
+		rst, err := ReplayEvaluation(ch, ev)
 		st.add(rst)
 		if err != nil {
 			return st, fmt.Errorf("%s selection: %w", run.name, err)
@@ -173,10 +174,14 @@ func checkDeltaEquivalence(f *core.Flow, ch *soc.Chip) error {
 }
 
 // EqualEvaluations compares two evaluations of the same selection for
-// bit-identity: every reported number, the interconnect test plans of
-// their graphs net by net, tested or untestable, and the canonical
-// schedule signature. A non-nil error names the first difference.
+// bit-identity: their resolved selections, every reported number, the
+// interconnect test plans of their graphs net by net, tested or
+// untestable, and the canonical schedule signature. A non-nil error names
+// the first difference.
 func EqualEvaluations(a, b *core.Evaluation) error {
+	if !maps.Equal(a.Selection, b.Selection) {
+		return fmt.Errorf("Selection differs: %v vs %v", a.Selection, b.Selection)
+	}
 	type num struct {
 		name string
 		a, b int
@@ -346,24 +351,4 @@ func scheduleSignature(e *core.Evaluation) string {
 	}
 	app(fmt.Sprintf("mux=%d ctrl=%d trans=%d\n", e.MuxCells, e.CtrlCells, e.TransCells))
 	return string(b)
-}
-
-// canon completes sel to a full canonical core->version map the way the
-// flow does: missing cores use their current selection, indices clamp.
-func canon(ch *soc.Chip, sel map[string]int) map[string]int {
-	out := map[string]int{}
-	for _, c := range ch.TestableCores() {
-		idx, ok := sel[c.Name]
-		if !ok {
-			idx = c.Selected
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(c.Versions) {
-			idx = len(c.Versions) - 1
-		}
-		out[c.Name] = idx
-	}
-	return out
 }

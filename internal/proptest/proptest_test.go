@@ -119,7 +119,7 @@ func TestReplayDetectsLatencyLies(t *testing.T) {
 		if err != nil {
 			continue // the lie broke scheduling outright: also a detection
 		}
-		st, err := ReplayEvaluation(ch, e, canon(ch, f.CurrentSelection()))
+		st, err := ReplayEvaluation(ch, e)
 		if err != nil {
 			return // caught: simulation disagreed with the tampered claim
 		}

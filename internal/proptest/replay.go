@@ -16,16 +16,17 @@ import (
 
 // ReplayEvaluation replays every scheduled justification and propagation
 // path of e on the cycle-accurate chip simulator, asserting that the test
-// value arrives with exactly the analytic latency. sel must be the
-// canonical selection the evaluation was built from. Transit cores whose
-// transparency path rides created muxes or scan muxes get those muxes
-// physically elaborated into their simulation model first, so DFT paths
-// replay like any wire. Paths the chip model still cannot execute —
-// system-level test muxes, bit-split or frozen transparency paths — count
-// as virtual and are skipped; for cores whose every path replays without
-// reservation waits, the core TAT is recomputed from simulated cycle
-// counts alone and checked against the analytic value.
-func ReplayEvaluation(ch *soc.Chip, e *core.Evaluation, sel map[string]int) (*Stats, error) {
+// value arrives with exactly the analytic latency. Each transit core runs
+// the version e.Selection names, the one the evaluation scheduled.
+// Transit cores whose transparency path rides created muxes or scan muxes
+// get those muxes physically elaborated into their simulation model
+// first, so DFT paths replay like any wire. Paths the chip model still
+// cannot execute — system-level test muxes, bit-split or frozen
+// transparency paths — count as virtual and are skipped; for cores whose
+// every path replays without reservation waits, the core TAT is
+// recomputed from simulated cycle counts alone and checked against the
+// analytic value.
+func ReplayEvaluation(ch *soc.Chip, e *core.Evaluation) (*Stats, error) {
 	st := &Stats{}
 	total := 0
 	for _, cs := range e.Sched.Cores {
@@ -39,7 +40,7 @@ func ReplayEvaluation(ch *soc.Chip, e *core.Evaluation, sel map[string]int) (*St
 		simPeriod, simObserve := 0, 0
 		run := func(ps portSched, input bool) error {
 			st.Paths++
-			res, err := replayPath(ch, e.Graph, sel, cs.Core, ps, input)
+			res, err := replayPath(ch, e.Graph, e.Selection, cs.Core, ps, input)
 			prog.Step(1)
 			if err != nil {
 				return fmt.Errorf("core %s %s path for %s: %w", cs.Core, pathKind(input), ps.Port, err)

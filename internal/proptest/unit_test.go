@@ -2,6 +2,7 @@ package proptest
 
 import (
 	"context"
+	"maps"
 	"strings"
 	"testing"
 
@@ -41,17 +42,19 @@ func TestWindowApply(t *testing.T) {
 	}
 }
 
-func TestCanonClamps(t *testing.T) {
-	f, _ := preparedEval(t)
-	ch := f.Chip
-	name := ch.TestableCores()[0].Name
-	got := canon(ch, map[string]int{name: -3})
-	if got[name] != 0 {
-		t.Fatalf("negative index clamps to 0, got %d", got[name])
+// TestEqualEvaluationsComparesSelection requires EqualEvaluations to
+// report two evaluations that agree in every number and schedule but name
+// different versions for a core.
+func TestEqualEvaluationsComparesSelection(t *testing.T) {
+	f, e := preparedEval(t)
+	if err := EqualEvaluations(e, e); err != nil {
+		t.Fatalf("evaluation differs from itself: %v", err)
 	}
-	got = canon(ch, map[string]int{name: 99})
-	if got[name] != len(ch.TestableCores()[0].Versions)-1 {
-		t.Fatalf("oversized index clamps to last version, got %d", got[name])
+	other := *e
+	other.Selection = maps.Clone(e.Selection)
+	other.Selection[f.Chip.TestableCores()[0].Name]++
+	if err := EqualEvaluations(e, &other); err == nil || !strings.Contains(err.Error(), "Selection") {
+		t.Fatalf("differing selections not reported: %v", err)
 	}
 }
 

@@ -99,7 +99,7 @@ type Section3Row struct {
 // WorkedExample computes the Section 3 numbers on System 1: the DISPLAY
 // core tested through PREPROCESSOR and CPU transparency, sweeping the CPU
 // version (V1..Vn) with the PREPROCESSOR at its fastest (the paper assumes
-// NUM->DB in one cycle).
+// NUM->DB in one cycle). The chip's own selection is left as it is.
 func WorkedExample(f *core.Flow) (*Section3, error) {
 	disp, ok := f.Chip.CoreByName("DISPLAY")
 	if !ok {
@@ -111,12 +111,10 @@ func WorkedExample(f *core.Flow) (*Section3, error) {
 	}
 	prep, _ := f.Chip.CoreByName("PREPROCESSOR")
 	out := &Section3{}
-	saved := map[string]int{"CPU": cpu.Selected, "PREPROCESSOR": prep.Selected, "DISPLAY": disp.Selected}
-	defer f.SelectVersions(saved)
-	f.SelectVersions(map[string]int{"PREPROCESSOR": len(prep.Versions) - 1, "DISPLAY": 0})
+	sel := map[string]int{"PREPROCESSOR": len(prep.Versions) - 1, "DISPLAY": 0}
 	for vi := range cpu.Versions {
-		f.SelectVersions(map[string]int{"CPU": vi})
-		e, err := f.Evaluate()
+		sel["CPU"] = vi
+		e, err := f.EvaluateSelection(sel)
 		if err != nil {
 			return nil, err
 		}
@@ -226,23 +224,16 @@ func MakeTable2(f *core.Flow, points []explore.Point) (*Table2, error) {
 	t := &Table2{
 		System:    f.Chip.Name,
 		OrigCells: f.OrigCells(),
-		FscanPct:  pct(scanGrids, origGrids),
-		HscanPct:  pct(f.HSCANGrids(), origGrids),
-		BscanPct:  pct(bscanGrids, origGrids),
+		FscanPct:  core.Percent(scanGrids, origGrids),
+		HscanPct:  core.Percent(f.HSCANGrids(), origGrids),
+		BscanPct:  core.Percent(bscanGrids, origGrids),
 	}
-	t.SocetMinAreaPct = pct(minArea.Eval.ChipDFTGrids(), origGrids)
-	t.SocetMinTATPct = pct(minTAT.Eval.ChipDFTGrids(), origGrids)
+	t.SocetMinAreaPct = core.Percent(minArea.Eval.ChipDFTGrids(), origGrids)
+	t.SocetMinTATPct = core.Percent(minTAT.Eval.ChipDFTGrids(), origGrids)
 	t.FscanBscanTotalPct = t.FscanPct + t.BscanPct
 	t.SocetMinAreaTotalPct = t.HscanPct + t.SocetMinAreaPct
 	t.SocetMinTATTotalPct = t.HscanPct + t.SocetMinTATPct
 	return t, nil
-}
-
-func pct(part, whole int) float64 {
-	if whole == 0 {
-		return 0
-	}
-	return 100 * float64(part) / float64(whole)
 }
 
 // Table3 is the testability comparison for one system.

@@ -68,7 +68,6 @@ func (f Opaque) Apply(ch *soc.Chip) error {
 		return fmt.Errorf("resil: %s: no such core on chip %s", f, ch.Name)
 	}
 	c.Versions = nil
-	c.Selected = 0
 	return nil
 }
 

@@ -130,7 +130,7 @@ func subtract(window Range, done []Range) []Range {
 			break
 		}
 		if d.Lo > lo {
-			out = append(out, Range{Lo: lo, Hi: min64(d.Lo, window.Hi)})
+			out = append(out, Range{Lo: lo, Hi: min(d.Lo, window.Hi)})
 		}
 		if d.Hi > lo {
 			lo = d.Hi
@@ -148,13 +148,6 @@ func countRanges(rs []Range) int64 {
 		n += r.Len()
 	}
 	return n
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // FrontPoint is the compact, serializable form of one design point on a

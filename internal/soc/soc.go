@@ -33,16 +33,10 @@ type Core struct {
 	Disabled string
 }
 
-// Version returns the currently selected transparency version (nil when
-// the flow has not run).
-func (c *Core) Version() *trans.Version {
-	return c.VersionAt(c.Selected)
-}
-
 // VersionAt returns the transparency version at the given index, or nil
-// when out of range. Unlike Version it does not read Selected, so
-// selection-pure evaluation can look versions up concurrently while the
-// chip's own selection stays untouched.
+// when out of range. It does not read Selected, so selection-pure
+// evaluation can look versions up concurrently while the chip's own
+// selection stays untouched.
 func (c *Core) VersionAt(idx int) *trans.Version {
 	if idx < 0 || idx >= len(c.Versions) {
 		return nil
@@ -103,6 +97,28 @@ func (ch *Chip) Clone() *Chip {
 		nc.Cores = append(nc.Cores, &cc)
 	}
 	return nc
+}
+
+// Resolve returns the design point sel names on this chip: one version
+// index per testable core. A core sel leaves out keeps its Selected
+// index, and every index is clamped into the core's ladder, so a core
+// with an empty ladder (an opaque one) resolves to -1. Names of memory
+// or unknown cores are dropped. sel, which may be nil, is only read; the
+// result is a new map. This is the one rule every evaluation of a
+// selection applies.
+func (ch *Chip) Resolve(sel map[string]int) map[string]int {
+	out := make(map[string]int, len(ch.Cores))
+	for _, c := range ch.Cores {
+		if c.Memory {
+			continue
+		}
+		idx, ok := sel[c.Name]
+		if !ok {
+			idx = c.Selected
+		}
+		out[c.Name] = min(max(idx, 0), len(c.Versions)-1)
+	}
+	return out
 }
 
 // CoreByName returns the named core.

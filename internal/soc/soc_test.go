@@ -1,12 +1,14 @@
 package soc_test
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
 	"repro/internal/rtl"
 	"repro/internal/soc"
 	"repro/internal/systems"
+	"repro/internal/trans"
 )
 
 func tinyCore(name string) *rtl.Core {
@@ -98,12 +100,63 @@ func TestDriversAndSinks(t *testing.T) {
 
 func TestVersionAccessor(t *testing.T) {
 	c := &soc.Core{Name: "x", RTL: tinyCore("x")}
-	if c.Version() != nil {
+	if c.VersionAt(0) != nil {
 		t.Error("unprepared core has a version")
 	}
-	c.Selected = 5
-	if c.Version() != nil {
-		t.Error("out-of-range selection returned a version")
+	v := &trans.Version{Label: "V1"}
+	c.Versions = []*trans.Version{v}
+	if c.VersionAt(0) != v {
+		t.Error("index 0 did not return the first version")
+	}
+	if c.VersionAt(-1) != nil || c.VersionAt(1) != nil {
+		t.Error("out-of-range index returned a version")
+	}
+}
+
+// TestResolve pins the one rule that turns a requested selection into a
+// design point: a missing core keeps Selected, an index clamps into the
+// core's ladder, an empty ladder resolves to -1, and memory or unknown
+// cores are left out.
+func TestResolve(t *testing.T) {
+	ladder := func(n int) []*trans.Version {
+		vs := make([]*trans.Version, n)
+		for i := range vs {
+			vs[i] = &trans.Version{}
+		}
+		return vs
+	}
+	ch := &soc.Chip{Cores: []*soc.Core{
+		{Name: "A", Versions: ladder(3), Selected: 1},
+		{Name: "B", Versions: ladder(2), Selected: 4}, // Selected past the ladder
+		{Name: "O", Selected: 0},                      // opaque: empty ladder
+		{Name: "M", Memory: true, Versions: ladder(2)},
+	}}
+	cases := []struct {
+		name string
+		sel  map[string]int
+		want map[string]int
+	}{
+		{"nil selection", nil, map[string]int{"A": 1, "B": 1, "O": -1}},
+		{"missing core", map[string]int{"A": 2}, map[string]int{"A": 2, "B": 1, "O": -1}},
+		{"negative index", map[string]int{"A": -3, "B": -1}, map[string]int{"A": 0, "B": 0, "O": -1}},
+		{"index past the ladder", map[string]int{"A": 7, "B": 2}, map[string]int{"A": 2, "B": 1, "O": -1}},
+		{"empty ladder of an opaque core", map[string]int{"O": 2}, map[string]int{"A": 1, "B": 1, "O": -1}},
+		{"memory and unknown cores left out", map[string]int{"M": 1, "X": 0}, map[string]int{"A": 1, "B": 1, "O": -1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			in := maps.Clone(tc.sel)
+			got := ch.Resolve(tc.sel)
+			if !maps.Equal(got, tc.want) {
+				t.Errorf("Resolve(%v) = %v, want %v", tc.sel, got, tc.want)
+			}
+			if !maps.Equal(tc.sel, in) {
+				t.Errorf("Resolve wrote its argument: %v, was %v", tc.sel, in)
+			}
+		})
+	}
+	if ch.Cores[1].Selected != 4 {
+		t.Error("Resolve wrote a core's Selected")
 	}
 }
 

@@ -56,7 +56,7 @@ func Evaluate(ch *soc.Chip) *Result {
 		cr.MuxArea.Add(cell.Mux2, bits)
 		if c.Scan != nil {
 			cr.Depth = c.Scan.MaxDepth
-			cr.TAT = c.Scan.VectorsFor(c.Vectors) + maxInt(cr.Depth-1, 0)
+			cr.TAT = c.Scan.VectorsFor(c.Vectors) + max(cr.Depth-1, 0)
 		} else {
 			cr.TAT = c.Vectors
 		}
@@ -66,11 +66,4 @@ func Evaluate(ch *soc.Chip) *Result {
 	// Bus repeaters/drivers, a buffer per bit.
 	res.BusArea.Add(cell.Buf, 2*busWidth)
 	return res
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -72,8 +72,8 @@ func FuzzTAMAssign(f *testing.F) {
 				if csi != wc.SI || cso != wc.SO {
 					t.Fatalf("chain items (%d/%d) disagree with SI/SO (%d/%d)", csi, cso, wc.SI, wc.SO)
 				}
-				si = maxInt(si, wc.SI)
-				so = maxInt(so, wc.SO)
+				si = max(si, wc.SI)
+				so = max(so, wc.SO)
 			}
 			if si != cr.SI || so != cr.SO {
 				t.Fatalf("chain maxima %d/%d disagree with core SI/SO %d/%d", si, so, cr.SI, cr.SO)

@@ -191,7 +191,7 @@ func coreTAT(si, so, vectors int) int {
 	if vectors <= 0 {
 		return 0
 	}
-	return (1+maxInt(si, so))*vectors + minInt(si, so)
+	return (1+max(si, so))*vectors + min(si, so)
 }
 
 // wrapAllWidths returns one core's wrapper at every width 1..w. It runs
@@ -228,8 +228,8 @@ func wrapAllWidths(c *soc.Core, w int) []*CoreResult {
 			Chains:  best.chains(loads),
 		}
 		for _, wc := range cr.Chains {
-			cr.SI = maxInt(cr.SI, wc.SI)
-			cr.SO = maxInt(cr.SO, wc.SO)
+			cr.SI = max(cr.SI, wc.SI)
+			cr.SO = max(cr.SO, wc.SO)
 		}
 		cr.Width = len(cr.Chains)
 		cr.TAT = coreTAT(cr.SI, cr.SO, c.Vectors)
@@ -263,8 +263,8 @@ type candidate struct {
 func (c *candidate) fill(in, out int) {
 	c.inAlloc, c.si = waterfill(c.ffs, in)
 	c.outAlloc, c.so = waterfill(c.ffs, out)
-	c.hi = maxInt(c.si, c.so)
-	c.lo = minInt(c.si, c.so)
+	c.hi = max(c.si, c.so)
+	c.lo = min(c.si, c.so)
 }
 
 // better orders candidates: smaller max chain first (the TAT multiplier),
@@ -448,7 +448,7 @@ func waterfill(base []int, bits int) ([]int, int) {
 	alloc := make([]int, len(base))
 	high := 0
 	for _, b := range base {
-		high = maxInt(high, b)
+		high = max(high, b)
 	}
 	if bits == 0 || len(base) == 0 {
 		return alloc, high
@@ -478,7 +478,7 @@ func waterfill(base []int, bits int) ([]int, int) {
 	// Fill every slot to level-1, then hand out the remainder from slot 0.
 	rem := bits
 	for j, b := range base {
-		take := minInt(maxInt(level-1-b, 0), rem)
+		take := min(max(level-1-b, 0), rem)
 		alloc[j] = take
 		rem -= take
 	}
@@ -490,7 +490,7 @@ func waterfill(base []int, bits int) ([]int, int) {
 	}
 	m := 0
 	for j, b := range base {
-		m = maxInt(m, b+alloc[j])
+		m = max(m, b+alloc[j])
 	}
 	return alloc, m
 }
@@ -539,7 +539,7 @@ func Evaluate(ch *soc.Chip, w int, opts *Options) *Result {
 	var bestBuses [][]int
 	var bestWidths []int
 	var bestBusTATs []int
-	for b := 1; b <= w && b <= maxInt(len(cores), 1); b++ {
+	for b := 1; b <= w && b <= max(len(cores), 1); b++ {
 		widths := make([]int, b)
 		for t := 0; t < b; t++ {
 			widths[t] = w / b
@@ -560,7 +560,7 @@ func Evaluate(ch *soc.Chip, w int, opts *Options) *Result {
 				sum += table[ci][widths[t]-1].TAT
 			}
 			busTATs[t] = sum
-			chip = maxInt(chip, sum)
+			chip = max(chip, sum)
 		}
 		if bestTAT < 0 || chip < bestTAT {
 			bestTAT, bestBuses, bestWidths, bestBusTATs = chip, buses, widths, busTATs
@@ -628,22 +628,8 @@ func SplitScanChain(ch *soc.Chip, coreName string, chainIdx, at int) (*soc.Chip,
 	scan.Chains = append(scan.Chains, hchain{Regs: old.Regs[at:]})
 	scan.MaxDepth = 0
 	for _, cc := range scan.Chains {
-		scan.MaxDepth = maxInt(scan.MaxDepth, cc.Depth())
+		scan.MaxDepth = max(scan.MaxDepth, cc.Depth())
 	}
 	c.Scan = &scan
 	return nch, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -67,8 +67,8 @@ func refWrapCore(c *soc.Core, w int) *CoreResult {
 	}
 	cr := &CoreResult{Core: c.Name, Vectors: c.Vectors, Exact: exact, Chains: best.chains(loads)}
 	for _, wc := range cr.Chains {
-		cr.SI = maxInt(cr.SI, wc.SI)
-		cr.SO = maxInt(cr.SO, wc.SO)
+		cr.SI = max(cr.SI, wc.SI)
+		cr.SO = max(cr.SO, wc.SO)
 	}
 	cr.Width = len(cr.Chains)
 	cr.TAT = coreTAT(cr.SI, cr.SO, c.Vectors)

@@ -106,7 +106,7 @@ func TestMetricSnapshotNamesRegistered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := proptest.ReplayEvaluation(ch, e, f.CurrentSelection()); err != nil {
+	if _, err := proptest.ReplayEvaluation(ch, e); err != nil {
 		t.Fatal(err)
 	}
 

@@ -19,14 +19,6 @@ go vet ./...
 echo "==> perfbench module: go vet + go test (its own go.mod; the root ./... skips it)"
 (cd perfbench && go vet ./... && go test ./...)
 
-echo "==> go test -race (parallel enumeration)"
-go test -race -run 'TestEnumerateParallel|TestEnumerateReturnsLowestFailingIndex' ./internal/explore/
-go test -race ./internal/fanout/
-
-echo "==> go test -race (delta-vs-full equivalence)"
-go test -race -count=1 -run 'TestDelta|TestMultiMatchesSingle|TestMultiDuplicate|TestMultiUnreachable|TestFinderReuse|TestCloneWithVersion|TestHeapMatchesContainerHeap|TestDistancesMatchSearch|TestInterconnectMatchesPerNetSearch|TestEqualEvaluationsComparesUntestableNets|TestConeSearchMatchesUnrestricted|TestFinderSurvivesEpochWrap|TestPutFinderDropsGraph|TestPinListsAreSharedAndCapped|TestEarliestFreeIsFIFO|TestNearestPathTie|TestBoundsThrough' \
-    ./internal/core/ ./internal/ccg/ ./internal/explore/ ./internal/sched/ ./internal/proptest/
-
 echo "==> go test -race (delta-vs-full on 48-core SoCs: more flips than the 16-base registry holds)"
 go test -race -count=1 -run TestGeneratedChips ./internal/proptest/ -proptest.n=4 -proptest.cores=48
 
