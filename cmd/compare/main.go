@@ -161,7 +161,7 @@ func printArch(f *core.Flow, arch string, tamWidth int) {
 		fmt.Printf("  %-8s %9d %10d  %s\n", r.Arch, r.TAT, r.DFTCells, r.Detail)
 	}
 	if arch == flowcmd.ArchWrapper {
-		fmt.Print(f.EvaluateWrapper(tamWidth, nil).Format())
+		fmt.Print(rows[0].Wrapper.Format())
 	}
 	fmt.Println()
 }

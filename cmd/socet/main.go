@@ -134,8 +134,7 @@ func main() {
 	}
 	if report != nil {
 		fmt.Printf("\n%s", report.Format())
-	}
-	if cands := explore.Candidates(f, e, explore.Cost{W1: 1}); report == nil && len(cands) > 0 {
+	} else if cands := explore.Candidates(f, e, explore.Cost{W1: 1}); len(cands) > 0 {
 		best := cands[0]
 		fmt.Printf("  explorer:           %d candidate version upgrades (best: %s -> V%d, est. dTAT %d, dA %d)\n",
 			len(cands), best.Core, best.Version+1, best.DeltaTAT, best.DeltaArea)

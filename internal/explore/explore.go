@@ -9,18 +9,23 @@
 // and degenerates to system-level test multiplexers when a mux becomes
 // cheaper than any remaining version upgrade.
 //
-// Enumeration fans out over internal/fanout's bounded workers, so the
-// |versions|^n tree uses every CPU; the points, and the error of a failed
-// enumeration, are identical at any worker count. Each EnumerateCtx or
-// ImproveCtx call evaluates through a core.DeltaEvaluator of its own, the
-// explorer's only evaluation cache: a selection that differs from a
-// recently evaluated one in a single core is re-evaluated incrementally,
-// bit-identical to a full core.Flow.EvaluateSelection.
+// Enumeration is one index loop, Visit: it evaluates the design points at
+// a list of global indices of the fixed enumeration order, fanning out
+// over internal/fanout's bounded workers so the |versions|^n tree uses
+// every CPU. EnumerateCtx visits the whole (capped) space, and a shard of
+// a sharded sweep visits the indices it still owes. The points, and the
+// error of a failed enumeration, are identical at any worker count. Each
+// Visit or ImproveCtx call evaluates through a core.DeltaEvaluator of its
+// own, the explorer's only evaluation cache: a selection that differs
+// from a recently evaluated one in a single core is re-evaluated
+// incrementally, bit-identical to a full core.Flow.EvaluateSelection.
 package explore
 
 import (
 	"context"
 	"fmt"
+	"maps"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -59,7 +64,7 @@ func (p Point) Label() string {
 	return s
 }
 
-// Options tunes the explorer.
+// Options tunes EnumerateCtx.
 type Options struct {
 	// Workers bounds EnumerateCtx's evaluation worker pool; <= 0 selects
 	// runtime.GOMAXPROCS(0). The result is identical at any worker count.
@@ -69,212 +74,149 @@ type Options struct {
 	// evaluates a deterministic prefix of the full enumeration — the only
 	// way to sweep a chip whose |versions|^n product is astronomical.
 	MaxPoints int
-	// First offsets the enumeration: generation starts at global index
-	// First of the (MaxPoints-capped) enumeration order instead of 0.
-	// The mixed-radix odometer is fast-forwarded, so a deep window costs
-	// O(window), not O(First + window). Out-of-range values clamp.
-	First int
-	// Count limits how many selections are generated from First (<= 0
-	// means through the end of the capped space). First/Count windows of
-	// one enumeration tile it exactly: the concatenation of [0,k), [k,m),
-	// [m,total) is the full enumeration — the shard partitioning contract.
-	Count int
-	// Skip, when non-nil, drops individual global indices from the window
-	// without evaluating them (checkpoint resume: work finished by an
-	// earlier attempt). Skipped indices appear in neither the returned
-	// points nor Observer calls.
-	Skip func(globalIndex int) bool
-	// Observer, when non-nil, is called once per completed evaluation with
-	// the point's global enumeration index, before EnumerateCtx returns.
-	// It may be called concurrently from worker goroutines.
-	Observer func(globalIndex int, p Point)
 }
 
-// selectionsAt lists the count core-version combinations starting at
-// global index start of the fixed enumeration order (the first core
-// varies slowest). start is decomposed into mixed-radix odometer digits
-// (first core most significant), so a window deep in the space costs
-// O(count). The caller bounds start+count by selectionCount; generation
-// also stops at the odometer's natural end. A core with an empty version
-// ladder yields no combinations.
-func selectionsAt(cores []*soc.Core, start, count int) []map[string]int {
-	if count <= 0 {
-		return nil
-	}
-	idx := make([]int, len(cores))
-	rem := start
+// selectionAt decodes global index gi of the enumeration order into its
+// selection: the digits of gi in the mixed radix of the cores' ladder
+// lengths, first core most significant (it varies slowest). The caller
+// has checked gi against selectionCount.
+func selectionAt(cores []*soc.Core, gi int) map[string]int {
+	sel := make(map[string]int, len(cores))
 	for i := len(cores) - 1; i >= 0; i-- {
 		n := len(cores[i].Versions)
-		if n == 0 {
-			return nil
-		}
-		idx[i] = rem % n
-		rem /= n
+		sel[cores[i].Name] = gi % n
+		gi /= n
 	}
-	if rem > 0 {
-		return nil // start beyond the end of the space
-	}
-	out := make([]map[string]int, 0, count)
-	for {
-		sel := make(map[string]int, len(cores))
-		for i, c := range cores {
-			sel[c.Name] = idx[i]
-		}
-		out = append(out, sel)
-		if len(out) == count {
-			break
-		}
-		k := len(cores) - 1
-		for k >= 0 {
-			idx[k]++
-			if idx[k] < len(cores[k].Versions) {
-				break
-			}
-			idx[k] = 0
-			k--
-		}
-		if k < 0 {
-			break
-		}
-	}
-	return out
+	return sel
 }
 
 // SelectionSpace reports how many design points the flow's enumeration
-// covers under a MaxPoints cap (<= 0 means uncapped) — the global index
-// space that Options.First/Count windows partition.
-func SelectionSpace(f *core.Flow, maxPoints int) int {
-	return selectionCount(f.Chip.TestableCores(), maxPoints)
+// covers under a MaxPoints cap (<= 0 means uncapped): the global indices
+// [0, space) that EnumerateCtx visits and shards partition. An uncapped
+// space that an int cannot count is an error; such a chip needs a cap.
+func SelectionSpace(f *core.Flow, maxPoints int) (int, error) {
+	n := selectionCount(f.Chip.TestableCores(), maxPoints)
+	if maxPoints <= 0 && n == math.MaxInt {
+		return 0, fmt.Errorf("explore: %s has more design points than an int counts; set MaxPoints", f.Chip.Name)
+	}
+	return n, nil
 }
 
-// selectionCount returns min(product of ladder lengths, max) without
-// overflowing (max <= 0 means uncapped; 0 is returned only for an empty
-// ladder somewhere).
+// selectionCount returns the product of the cores' ladder lengths capped
+// at max (max <= 0 means math.MaxInt, so an uncapped product saturates
+// instead of wrapping). It is 0 when some ladder is empty.
 func selectionCount(cores []*soc.Core, max int) int {
+	if max <= 0 {
+		max = math.MaxInt
+	}
 	total := 1
 	for _, c := range cores {
 		n := len(c.Versions)
 		if n == 0 {
 			return 0
 		}
-		if max > 0 && total > max/n {
-			return max // product already exceeds the cap; stop multiplying
+		if total > max/n {
+			total = max // past the cap; keep looking for an empty ladder
+			continue
 		}
 		total *= n
-	}
-	if max > 0 && total > max {
-		return max
 	}
 	return total
 }
 
-// EnumerateCtx evaluates every combination of core versions (or the
-// window o selects), returning the points sorted by chip overhead then
-// TAT (the x-axis ordering of Figure 10). Evaluation fans out over
-// o.Workers goroutines; the chip's own version selection is never
-// touched. Points, their values and their order are identical at any
-// worker count: selections are generated in one deterministic order,
-// evaluated selection-pure, placed by index, and sorted from that index
-// order.
+// Visit evaluates the design points at the given global indices of the
+// enumeration order and hands each to fn with its index, before Visit
+// returns. The point at index gi selects, for each testable core, the
+// core's digit of gi in the mixed radix of the ladder lengths, first core
+// most significant; a MaxPoints-capped enumeration is the prefix
+// [0, MaxPoints). Evaluation fans out over workers goroutines (<= 0
+// selects runtime.GOMAXPROCS(0)) through one delta evaluator of its own,
+// so fn may be called concurrently. The chip's own version selection is
+// never touched.
 //
-// Cancellation is checked between selections and inside each evaluation;
-// a cancelled enumeration returns the points completed so far — sorted
-// exactly as a full run sorts, so they form a consistent (if partial)
-// design-space sample — together with ctx.Err(). A panicking evaluation
-// is recovered into an error instead of killing the process. When
-// evaluations fail, the error is the one of the lowest failing index, at
-// any worker count.
-func EnumerateCtx(ctx context.Context, f *core.Flow, o Options) ([]Point, error) {
+// An index outside the design space is refused before anything is
+// evaluated. A panicking evaluation, fn included, is recovered into an
+// error instead of killing the process. When evaluations fail, the error
+// is the one of the earliest failing entry of indices, at any worker
+// count. Cancellation is checked between indices and inside each
+// evaluation; a cancelled Visit returns ctx.Err().
+func Visit(ctx context.Context, f *core.Flow, workers int, indices []int, fn func(gi int, p Point)) error {
+	cores := f.Chip.TestableCores()
+	space := selectionCount(cores, 0)
+	for _, gi := range indices {
+		if gi < 0 || gi >= space {
+			return fmt.Errorf("explore: index %d outside the %d-point design space of %s", gi, space, f.Chip.Name)
+		}
+	}
 	sp := obs.Start(nil, "explore/enumerate")
 	defer sp.End()
 	ev := core.NewDeltaEvaluator(f)
 	cPoints := obs.C("explore.points_evaluated")
-	cores := f.Chip.TestableCores()
-	space := selectionCount(cores, o.MaxPoints)
-	first := o.First
-	if first < 0 {
-		first = 0
-	}
-	if first > space {
-		first = space
-	}
-	count := space - first
-	if o.Count > 0 && o.Count < count {
-		count = o.Count
-	}
-	sels := selectionsAt(cores, first, count)
-	prog := progress.Start("explore/enumerate", int64(len(sels)),
+	prog := progress.Start("explore/enumerate", int64(len(indices)),
 		"explore.points_evaluated", "explore.cache_hits", "explore.cache_misses")
 	defer prog.End()
-	workers := o.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(sels) {
-		workers = len(sels)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(min(workers, len(indices)), 1)
 	obs.G("explore.parallel_workers").Set(int64(workers))
-	points := make([]Point, len(sels))
-	done := make([]bool, len(sels))
-	evalAt := func(i int) (err error) {
+	err := fanout.Each(ctx, len(indices), workers, func(i int) (err error) {
+		sel := selectionAt(cores, indices[i])
 		defer func() {
 			if r := recover(); r != nil {
 				obs.C("explore.eval_panics").Inc()
-				err = fmt.Errorf("explore: evaluating %v panicked: %v\n%s", sels[i], r, debug.Stack())
+				err = fmt.Errorf("explore: evaluating %v panicked: %v\n%s", sel, r, debug.Stack())
 			}
 		}()
-		gi := first + i
-		if o.Skip != nil && o.Skip(gi) {
-			prog.Step(1)
-			return nil
-		}
-		e, err := ev.EvaluateSelectionCtx(ctx, sels[i])
+		e, err := ev.EvaluateSelectionCtx(ctx, sel)
 		if err != nil {
 			return err
 		}
-		points[i] = Point{
-			Selection: sels[i],
-			ChipCells: e.ChipDFTCells(),
-			TAT:       e.TAT,
-			Eval:      e,
-		}
-		done[i] = true
 		cPoints.Inc()
 		prog.Step(1)
-		if o.Observer != nil {
-			o.Observer(gi, points[i])
-		}
+		fn(indices[i], Point{Selection: sel, ChipCells: e.ChipDFTCells(), TAT: e.TAT, Eval: e})
 		return nil
-	}
-	// Force the lazily built rtl name indexes into existence before the
-	// workers share them read-only.
-	for _, c := range f.Chip.Cores {
-		c.RTL.Lookup(c.RTL.Name)
-	}
-	err := fanout.Each(ctx, len(sels), workers, evalAt)
+	})
 	if cerr := ctx.Err(); cerr != nil {
 		obs.C("explore.cancelled").Inc()
-		return sortPoints(gather(points, done)), cerr
+		return cerr
 	}
+	return err
+}
+
+// EnumerateCtx evaluates every combination of core versions, or the
+// first o.MaxPoints of them, returning the points sorted by chip overhead
+// then TAT (the x-axis ordering of Figure 10). It is Visit over
+// [0, SelectionSpace) on o.Workers goroutines. Points, their values and
+// their order are identical at any worker count: each point is placed by
+// its index and sorted from that index order.
+//
+// A cancelled enumeration returns the points completed so far — sorted
+// exactly as a full run sorts, so they form a consistent (if partial)
+// design-space sample — together with ctx.Err(). A failed one returns
+// Visit's error and no points.
+func EnumerateCtx(ctx context.Context, f *core.Flow, o Options) ([]Point, error) {
+	space, err := SelectionSpace(f, o.MaxPoints)
 	if err != nil {
 		return nil, err
 	}
-	// Skipped indices left holes; gather is a no-op copy when none were.
-	return sortPoints(gather(points, done)), nil
-}
-
-// gather keeps the completed points in selection order.
-func gather(points []Point, done []bool) []Point {
-	var out []Point
-	for i := range points {
-		if done[i] {
-			out = append(out, points[i])
+	indices := make([]int, space)
+	for i := range indices {
+		indices[i] = i
+	}
+	points := make([]Point, space)
+	err = Visit(ctx, f, o.Workers, indices, func(gi int, p Point) { points[gi] = p })
+	if err != nil && ctx.Err() == nil {
+		return nil, err
+	}
+	// A cancelled run leaves holes: keep the evaluated points, in order.
+	done := points[:0]
+	for _, p := range points {
+		if p.Eval != nil {
+			done = append(done, p)
 		}
 	}
-	return out
+	return sortPoints(done), err
 }
 
 // sortPoints orders points by chip overhead then TAT, in place.
@@ -393,20 +335,24 @@ func (c Cost) Eval(deltaTAT, deltaArea int) float64 {
 // schedule, weight by the pair's latency, and compare against the next
 // version's latency for the same input/output pair. One sweep over the
 // schedule (pairUsage) tallies the pairs of every core at once.
+//
+// Each core's current version is the one e evaluated (e.Selection). A
+// core e resolved to −1, opaque in a degraded evaluation, has no version
+// to replace and proposes nothing.
 func candidateSteps(f *core.Flow, e *core.Evaluation, lat latencyTables) []Step {
 	usage := pairUsage(e)
 	var out []Step
 	for _, c := range f.Chip.TestableCores() {
-		if c.Selected+1 >= len(c.Versions) {
+		v := e.Selection[c.Name]
+		if v < 0 || v+1 >= len(c.Versions) {
 			continue
 		}
-		cur := c.Versions[c.Selected].Area
-		next := c.Versions[c.Selected+1].Area
+		cur, next := c.Versions[v], c.Versions[v+1]
 		out = append(out, Step{
 			Core:      c.Name,
-			Version:   c.Selected + 1,
-			DeltaTAT:  latencyDelta(usage[c.Name], lat.of(c.Versions[c.Selected]), lat.of(c.Versions[c.Selected+1])),
-			DeltaArea: next.Cells() - cur.Cells(),
+			Version:   v + 1,
+			DeltaTAT:  latencyDelta(usage[c.Name], lat.of(cur), lat.of(next)),
+			DeltaArea: next.Area.Cells() - cur.Area.Cells(),
 		})
 	}
 	obs.C("explore.moves_proposed").Add(int64(len(out)))
@@ -493,7 +439,7 @@ func ImproveCtx(ctx context.Context, f *core.Flow, obj Objective, budget int, o 
 				return true, nil // nothing left to do
 			}
 			if ok {
-				e2, err := ev.EvaluateSelectionCtx(ctx, f.CurrentSelection())
+				e2, err := ev.EvaluateSelectionCtx(ctx, e.Selection)
 				if err != nil {
 					return true, err
 				}
@@ -519,7 +465,7 @@ func ImproveCtx(ctx context.Context, f *core.Flow, obj Objective, budget int, o 
 		// actually improves the TAT; the estimate is a heuristic, so a
 		// move that fails to improve is rejected, not applied.
 		for _, c := range cands {
-			trial := f.CurrentSelection()
+			trial := maps.Clone(e.Selection)
 			trial[c.Core] = c.Version
 			e2, err := ev.EvaluateSelectionCtx(ctx, trial)
 			if err != nil {

@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/ccg"
 	"repro/internal/core"
 	"repro/internal/flowcmd"
+	"repro/internal/resil"
 	"repro/internal/rtl"
 	"repro/internal/soc"
 	"repro/internal/socgen"
@@ -328,6 +330,39 @@ func TestTightBudgetKeepsMinArea(t *testing.T) {
 	}
 }
 
+// TestCandidatesSkipOpaqueCore: the degraded evaluation of System 1 with
+// an opaque CPU resolves the CPU to −1, so Candidates proposes no CPU
+// upgrade from the pristine ladder; the healthy cores still propose
+// theirs.
+func TestCandidatesSkipOpaqueCore(t *testing.T) {
+	f := flow(t)
+	faults, err := resil.ParseFaults(f.Chip, "opaque:CPU")
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged, err := resil.Inject(f.Chip, faults...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := f.Fork(damaged).EvaluateDegradedCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := dev.Evaluation
+	if v := e.Selection["CPU"]; v != -1 {
+		t.Fatalf("opaque CPU resolved to version %d, want -1", v)
+	}
+	cands := Candidates(f, e, Cost{W1: 1})
+	for _, c := range cands {
+		if c.Core == "CPU" {
+			t.Fatalf("proposed %+v for the opaque CPU", c)
+		}
+	}
+	if len(cands) == 0 {
+		t.Fatal("no candidates for the healthy cores")
+	}
+}
+
 func TestCandidatesCostOrdering(t *testing.T) {
 	f := flow(t)
 	e, err := f.Evaluate()
@@ -489,7 +524,8 @@ func TestEnumerateMaxPointsPrefix(t *testing.T) {
 
 func TestSelectionCountOverflowSafe(t *testing.T) {
 	// 64 cores x 4 versions each = 2^128 combinations: the capped count
-	// must return the cap instead of overflowing.
+	// must return the cap, and the uncapped one saturate at math.MaxInt,
+	// instead of overflowing.
 	mk := func(n int) []*soc.Core {
 		cores := make([]*soc.Core, n)
 		for i := range cores {
@@ -500,16 +536,59 @@ func TestSelectionCountOverflowSafe(t *testing.T) {
 	if got := selectionCount(mk(64), 1000); got != 1000 {
 		t.Fatalf("capped count = %d, want 1000", got)
 	}
+	if got := selectionCount(mk(64), 0); got != math.MaxInt {
+		t.Fatalf("uncapped 2^128 count = %d, want math.MaxInt", got)
+	}
 	if got := selectionCount(mk(3), 0); got != 64 {
 		t.Fatalf("uncapped count = %d, want 64", got)
 	}
 	if got := selectionCount(nil, 10); got != 1 {
 		t.Fatalf("no-core count = %d, want 1", got)
 	}
+	// An empty ladder past the cap still empties the space.
+	cores := mk(64)
+	cores[63].Versions = nil
+	if got := selectionCount(cores, 1000); got != 0 {
+		t.Fatalf("count with an empty ladder = %d, want 0", got)
+	}
+}
+
+// TestEnumerateRefusesUncountableSpace: the seed-1998 256-core dag chip
+// has about 3.3e52 design points, more than an int counts. Uncapped,
+// SelectionSpace and EnumerateCtx refuse it with an error naming
+// MaxPoints; capped, the space is the cap.
+func TestEnumerateRefusesUncountableSpace(t *testing.T) {
+	ch, err := socgen.Generate(socgen.Params{Seed: 1998, Cores: 256, Topology: socgen.RandomDAG})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := core.Prepare(ch, flowcmd.GenVectorOverride(ch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SelectionSpace(f, 0); err == nil || !strings.Contains(err.Error(), "MaxPoints") {
+		t.Fatalf("uncapped SelectionSpace error = %v, want one naming MaxPoints", err)
+	}
+	pts, err := EnumerateCtx(context.Background(), f, Options{})
+	if err == nil || !strings.Contains(err.Error(), "MaxPoints") || pts != nil {
+		t.Fatalf("uncapped EnumerateCtx: %d points, error %v; want none and an error naming MaxPoints", len(pts), err)
+	}
+	if n, err := SelectionSpace(f, 500); n != 500 || err != nil {
+		t.Fatalf("SelectionSpace capped at 500 = %d, %v", n, err)
+	}
+}
+
+// indexRange lists the global indices [lo, hi).
+func indexRange(lo, hi int) []int {
+	out := make([]int, 0, hi-lo)
+	for gi := lo; gi < hi; gi++ {
+		out = append(out, gi)
+	}
+	return out
 }
 
 // TestEnumerateWindowUnionMatchesFull splits the selection space into
-// contiguous windows with First/Count and checks the union reproduces
+// contiguous index windows, visits each, and checks the union reproduces
 // the full enumeration exactly — the property sharded sweeps rest on.
 func TestEnumerateWindowUnionMatchesFull(t *testing.T) {
 	f := flow(t)
@@ -517,9 +596,9 @@ func TestEnumerateWindowUnionMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	space := SelectionSpace(f, 0)
-	if space != len(full) {
-		t.Fatalf("SelectionSpace = %d, enumeration has %d points", space, len(full))
+	space, err := SelectionSpace(f, 0)
+	if err != nil || space != len(full) {
+		t.Fatalf("SelectionSpace = %d, %v; enumeration has %d points", space, err, len(full))
 	}
 	wantByLabel := map[string]Point{}
 	for _, p := range full {
@@ -530,18 +609,19 @@ func TestEnumerateWindowUnionMatchesFull(t *testing.T) {
 		for i := 0; i < parts; i++ {
 			lo := i * space / parts
 			hi := (i + 1) * space / parts
-			pts, err := EnumerateCtx(context.Background(), f, Options{First: lo, Count: hi - lo, Workers: 1})
+			n := 0
+			err := Visit(context.Background(), f, 1, indexRange(lo, hi), func(_ int, p Point) {
+				n++
+				if _, dup := got[p.Label()]; dup {
+					t.Errorf("windows overlap at %s", p.Label())
+				}
+				got[p.Label()] = p
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(pts) != hi-lo {
-				t.Fatalf("window [%d,%d): %d points", lo, hi, len(pts))
-			}
-			for _, p := range pts {
-				if _, dup := got[p.Label()]; dup {
-					t.Fatalf("windows overlap at %s", p.Label())
-				}
-				got[p.Label()] = p
+			if n != hi-lo {
+				t.Fatalf("window [%d,%d): %d points", lo, hi, n)
 			}
 		}
 		if len(got) != len(wantByLabel) {
@@ -557,62 +637,68 @@ func TestEnumerateWindowUnionMatchesFull(t *testing.T) {
 	}
 }
 
-// TestEnumerateWindowBounds: windows clamp to the space; a window
-// starting beyond it is empty, not an error.
+// TestEnumerateWindowBounds: Visit evaluates indices up to the last one
+// of the space; an index past it, or a negative one, is refused with an
+// error before any point is evaluated.
 func TestEnumerateWindowBounds(t *testing.T) {
 	f := flow(t)
-	space := SelectionSpace(f, 0)
-	pts, err := EnumerateCtx(context.Background(), f, Options{First: space + 10, Count: 5})
-	if err != nil || len(pts) != 0 {
-		t.Fatalf("beyond-space window: %d points, err %v", len(pts), err)
-	}
-	pts, err = EnumerateCtx(context.Background(), f, Options{First: space - 2, Count: 100})
-	if err != nil || len(pts) != 2 {
-		t.Fatalf("overhanging window: %d points, err %v", len(pts), err)
-	}
-	// Count <= 0 means "to the end".
-	pts, err = EnumerateCtx(context.Background(), f, Options{First: space - 3})
-	if err != nil || len(pts) != 3 {
-		t.Fatalf("open-ended window: %d points, err %v", len(pts), err)
-	}
-}
-
-// TestEnumerateSkipAndObserver: Skip removes indices from evaluation and
-// output; Observer sees every evaluated point with its global index.
-func TestEnumerateSkipAndObserver(t *testing.T) {
-	f := flow(t)
-	space := SelectionSpace(f, 0)
-	var mu sync.Mutex
-	seen := map[int]string{}
-	pts, err := EnumerateCtx(context.Background(), f, Options{
-		Skip: func(gi int) bool { return gi%2 == 1 },
-		Observer: func(gi int, p Point) {
-			mu.Lock()
-			seen[gi] = p.Label()
-			mu.Unlock()
-		},
-	})
+	space, err := SelectionSpace(f, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantN := (space + 1) / 2
-	if len(pts) != wantN || len(seen) != wantN {
-		t.Fatalf("skip-odd run: %d points, %d observed, want %d", len(pts), len(seen), wantN)
+	visited := 0
+	count := func(int, Point) { visited++ }
+	if err := Visit(context.Background(), f, 1, indexRange(space-2, space), count); err != nil || visited != 2 {
+		t.Fatalf("last two indices: %d points, err %v", visited, err)
+	}
+	for _, bad := range [][]int{{space - 1, space}, {space + 10}, {0, -1}} {
+		visited = 0
+		err := Visit(context.Background(), f, 1, bad, count)
+		want := fmt.Sprintf("index %d outside the %d-point design space", bad[len(bad)-1], space)
+		if err == nil || !strings.Contains(err.Error(), want) || visited != 0 {
+			t.Fatalf("indices %v: %d points, err %v; want none and %q", bad, visited, err, want)
+		}
+	}
+}
+
+// TestVisitSparseIndices: Visit over every even index evaluates exactly
+// those and hands fn each point with its global index; each point is the
+// one a one-index Visit at that index evaluates.
+func TestVisitSparseIndices(t *testing.T) {
+	f := flow(t)
+	space, err := SelectionSpace(f, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var even []int
+	for gi := 0; gi < space; gi += 2 {
+		even = append(even, gi)
+	}
+	var mu sync.Mutex
+	seen := map[int]string{}
+	if err := Visit(context.Background(), f, 0, even, func(gi int, p Point) {
+		mu.Lock()
+		seen[gi] = p.Label()
+		mu.Unlock()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != len(even) {
+		t.Fatalf("even-index run: %d points, want %d", len(seen), len(even))
 	}
 	for gi := range seen {
 		if gi%2 == 1 {
-			t.Fatalf("observer saw skipped index %d", gi)
+			t.Fatalf("fn saw odd index %d", gi)
 		}
 	}
-	// Spot-check attribution: each observed label must be the selection a
-	// one-point window at that global index evaluates.
+	// Spot-check attribution against one-index visits.
 	for _, gi := range []int{0, 2, (space - 1) / 2 * 2} {
-		one, err := EnumerateCtx(context.Background(), f, Options{First: gi, Count: 1, Workers: 1})
-		if err != nil || len(one) != 1 {
-			t.Fatalf("window [%d,%d): %d points, err %v", gi, gi+1, len(one), err)
+		var one []Point
+		if err := Visit(context.Background(), f, 1, []int{gi}, func(_ int, p Point) { one = append(one, p) }); err != nil || len(one) != 1 {
+			t.Fatalf("index %d: %d points, err %v", gi, len(one), err)
 		}
 		if seen[gi] != one[0].Label() {
-			t.Fatalf("index %d observed as %s, window says %s", gi, seen[gi], one[0].Label())
+			t.Fatalf("index %d seen as %s, a one-index visit says %s", gi, seen[gi], one[0].Label())
 		}
 	}
 }
@@ -716,34 +802,35 @@ func TestCandidateStepsMatchPerCoreReference(t *testing.T) {
 }
 
 // TestEnumerateReturnsLowestFailingIndex: when evaluations at two global
-// indices fail, EnumerateCtx returns the lower index's error at any
-// worker count, even when the higher one fails first in time. The
-// failures are Observer panics, which the evaluation recovers into an
-// error naming the selection.
+// indices fail, Visit returns the lower index's error at any worker
+// count, even when the higher one fails first in time. The failures are
+// panics in fn, which the evaluation recovers into an error naming the
+// selection.
 func TestEnumerateReturnsLowestFailingIndex(t *testing.T) {
 	f := flow(t)
 	const lo, hi = 5, 11
 	cores := f.Chip.TestableCores()
-	loSel := fmt.Sprint(selectionsAt(cores, lo, 1)[0])
-	hiSel := fmt.Sprint(selectionsAt(cores, hi, 1)[0])
+	loSel := fmt.Sprint(selectionAt(cores, lo))
+	hiSel := fmt.Sprint(selectionAt(cores, hi))
+	space, err := SelectionSpace(f, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		_, err := EnumerateCtx(context.Background(), f, Options{
-			Workers: workers,
-			Observer: func(gi int, p Point) {
-				switch gi {
-				case lo:
-					time.Sleep(20 * time.Millisecond)
-					panic("observer at the lower index")
-				case hi:
-					panic("observer at the higher index")
-				}
-			},
+		err := Visit(context.Background(), f, workers, indexRange(0, space), func(gi int, p Point) {
+			switch gi {
+			case lo:
+				time.Sleep(20 * time.Millisecond)
+				panic("fn at the lower index")
+			case hi:
+				panic("fn at the higher index")
+			}
 		})
 		if err == nil {
 			t.Fatalf("%d workers: no error", workers)
 		}
 		msg := err.Error()
-		if !strings.Contains(msg, "evaluating "+loSel+" panicked: observer at the lower index") {
+		if !strings.Contains(msg, "evaluating "+loSel+" panicked: fn at the lower index") {
 			t.Errorf("%d workers: error does not name index %d's selection %s:\n%.200s", workers, lo, loSel, msg)
 		}
 		if strings.Contains(msg, hiSel) {

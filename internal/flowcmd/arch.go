@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/testbus"
+	"repro/internal/wrap"
 )
 
 // Test-architecture selectors for the shared -arch CLI flag. SOCET is the
@@ -40,6 +41,9 @@ type ArchRow struct {
 	TAT      int
 	DFTCells int
 	Detail   string
+	// Wrapper is the wrapper row's evaluation, for its per-core chain
+	// balancing; nil on the other rows.
+	Wrapper *wrap.Result
 }
 
 // ArchRows evaluates the selected architecture(s) on a prepared flow.
@@ -60,7 +64,8 @@ func ArchRows(f *core.Flow, arch string, tamWidth int) ([]ArchRow, error) {
 		r := f.EvaluateWrapper(tamWidth, nil)
 		rows = append(rows, ArchRow{
 			Arch: ArchWrapper, TAT: r.ChipTAT, DFTCells: r.DFTCells(),
-			Detail: fmt.Sprintf("TAM width %d, %d buses", r.Width, r.NumBuses),
+			Detail:  fmt.Sprintf("TAM width %d, %d buses", r.Width, r.NumBuses),
+			Wrapper: r,
 		})
 	}
 	if arch == ArchBus || arch == ArchAll {

@@ -31,50 +31,42 @@ type Campaign struct {
 	// rides along in every RunRecord so a merged or resumed report keeps
 	// saying where its sets came from.
 	Seed int64
-	// Indices, when non-nil, restricts Execute to these run indices (in
-	// the given order; out-of-range entries are skipped). Outcome.Index
-	// stays the global index into Runs, so a resumed or sharded campaign
-	// reports the same attribution as a full one. Nil means every run.
-	Indices []int
-	// OnOutcome, when non-nil, is called after each completed run — the
-	// hook checkpointing campaign runners use to persist completion as it
-	// happens instead of only at the end.
-	OnOutcome func(Outcome)
 }
 
-// runIndices resolves Indices against Runs.
-func (c *Campaign) runIndices() []int {
-	if c.Indices == nil {
-		out := make([]int, len(c.Runs))
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	out := make([]int, 0, len(c.Indices))
-	for _, i := range c.Indices {
-		if i >= 0 && i < len(c.Runs) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Execute runs every selected fault set in order: clone the chip, inject,
-// fork the flow, evaluate degraded. Cancellation between runs (and inside
-// each evaluation) returns the outcomes so far with ctx.Err(). Per-run
-// flow errors do not stop the campaign; they land in the run's Outcome.
+// Execute runs every fault set in order and returns the outcomes: Visit
+// over every index of Runs. A cancelled campaign returns the outcomes so
+// far with ctx.Err().
 func (c *Campaign) Execute(ctx context.Context) ([]Outcome, error) {
+	indices := make([]int, len(c.Runs))
+	for i := range indices {
+		indices[i] = i
+	}
+	out := make([]Outcome, 0, len(c.Runs))
+	err := c.Visit(ctx, indices, func(o Outcome) { out = append(out, o) })
+	return out, err
+}
+
+// Visit runs the fault sets at the given indices of Runs, in the given
+// order, and hands each outcome to fn: clone the chip, inject, fork the
+// flow, evaluate degraded. Outcome.Index is the index into Runs, so a
+// resumed or sharded campaign reports the attribution of a full one. An
+// index outside Runs is refused before any set runs. Cancellation between
+// runs (and inside each evaluation) returns ctx.Err(). Per-run flow
+// errors do not stop the campaign; they land in the run's Outcome.
+func (c *Campaign) Visit(ctx context.Context, indices []int, fn func(Outcome)) error {
+	for _, i := range indices {
+		if i < 0 || i >= len(c.Runs) {
+			return fmt.Errorf("resil: fault set %d outside the campaign's %d sets", i, len(c.Runs))
+		}
+	}
 	root := obs.Start(nil, "resil/campaign")
 	defer root.End()
-	idxs := c.runIndices()
-	prog := progress.Start("resil/campaign", int64(len(idxs)),
+	prog := progress.Start("resil/campaign", int64(len(indices)),
 		"resil.faults_injected", "resil.run_errors")
 	defer prog.End()
-	out := make([]Outcome, 0, len(idxs))
-	for _, i := range idxs {
+	for _, i := range indices {
 		if err := ctx.Err(); err != nil {
-			return out, err
+			return err
 		}
 		faults := c.Runs[i]
 		o := Outcome{Index: i, Faults: faults}
@@ -88,18 +80,15 @@ func (c *Campaign) Execute(ctx context.Context) ([]Outcome, error) {
 		sp.End()
 		if o.Err != nil {
 			if ctx.Err() != nil {
-				return out, ctx.Err()
+				return ctx.Err()
 			}
 			obs.C("resil.run_errors").Inc()
 		}
 		obs.C("resil.runs").Inc()
 		prog.Step(1)
-		out = append(out, o)
-		if c.OnOutcome != nil {
-			c.OnOutcome(o)
-		}
+		fn(o)
 	}
-	return out, nil
+	return nil
 }
 
 // RunRecord is the compact, serializable completion record of one fault

@@ -378,15 +378,15 @@ func TestCampaignReportMergeAndMissing(t *testing.T) {
 	}
 }
 
-// TestCampaignIndicesRestrictExecution: Indices runs exactly the chosen
-// sets, preserves global index attribution, and skips out-of-range ones.
+// TestCampaignIndicesRestrictExecution: Visit runs exactly the listed
+// sets, in the listed order, with their global index attribution, and
+// refuses an index outside Runs before running anything.
 func TestCampaignIndicesRestrictExecution(t *testing.T) {
 	f := system1(t)
 	c := &Campaign{Flow: f, Runs: RandomSets(f.Chip, 4, 2, 3), Seed: 3}
-	sub := *c
-	sub.Indices = []int{3, 1, 99, -1}
-	outs, err := sub.Execute(context.Background())
-	if err != nil {
+	var outs []Outcome
+	collect := func(o Outcome) { outs = append(outs, o) }
+	if err := c.Visit(context.Background(), []int{3, 1}, collect); err != nil {
 		t.Fatal(err)
 	}
 	if len(outs) != 2 || outs[0].Index != 3 || outs[1].Index != 1 {
@@ -402,20 +402,34 @@ func TestCampaignIndicesRestrictExecution(t *testing.T) {
 			t.Fatalf("record %d differs:\n got %+v\nwant %+v", i, got, want)
 		}
 	}
+	for _, bad := range [][]int{{3, 99}, {-1}} {
+		outs = nil
+		err := c.Visit(context.Background(), bad, collect)
+		if err == nil || !strings.Contains(err.Error(), "outside the campaign's 4 sets") || len(outs) != 0 {
+			t.Fatalf("indices %v: %d outcomes, err %v; want none and a refusal", bad, len(outs), err)
+		}
+	}
 }
 
-// TestCampaignOnOutcomeHook: the hook fires once per completed run, in
-// execution order, with the outcome Execute appends.
-func TestCampaignOnOutcomeHook(t *testing.T) {
+// TestCampaignVisitHandsOutcomesInOrder: fn sees each run once, in the
+// listed order, with the outcome Execute returns for it.
+func TestCampaignVisitHandsOutcomesInOrder(t *testing.T) {
 	f := system1(t)
 	c := &Campaign{Flow: f, Runs: RandomSets(f.Chip, 3, 1, 5)}
-	var hooked []int
-	c.OnOutcome = func(o Outcome) { hooked = append(hooked, o.Index) }
+	var seen []Outcome
+	if err := c.Visit(context.Background(), []int{2, 0, 1}, func(o Outcome) { seen = append(seen, o) }); err != nil {
+		t.Fatal(err)
+	}
 	outs, err := c.Execute(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outs) != 3 || !reflect.DeepEqual(hooked, []int{0, 1, 2}) {
-		t.Fatalf("hook saw %v over %d outcomes", hooked, len(outs))
+	if len(seen) != 3 || len(outs) != 3 {
+		t.Fatalf("fn saw %d outcomes, Execute returned %d", len(seen), len(outs))
+	}
+	for k, i := range []int{2, 0, 1} {
+		if seen[k].Index != i || !reflect.DeepEqual(c.Record(seen[k]), c.Record(outs[i])) {
+			t.Fatalf("outcome %d: index %d, record %+v; want index %d, record %+v", k, seen[k].Index, c.Record(seen[k]), i, c.Record(outs[i]))
+		}
 	}
 }

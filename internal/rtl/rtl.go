@@ -7,6 +7,7 @@ package rtl
 
 import (
 	"fmt"
+	"maps"
 	"strconv"
 	"strings"
 )
@@ -205,12 +206,13 @@ type Core struct {
 	Units []Unit
 	Conns []Conn
 
-	index map[string]compRef // built by Freeze/Validate
+	index map[string]compRef // built by Build, Validate and Clone; else by the first Lookup
 }
 
-// Clone copies the core's component and connection lists, so the copy
-// can be extended or rewired without touching c. The copy builds its own
-// name index on first use.
+// Clone copies the core's component and connection lists and its name
+// index, so the copy can be extended or rewired without touching c, and
+// Lookup on the copy only reads. Validate indexes components added to
+// the copy.
 func (c *Core) Clone() *Core {
 	return &Core{
 		Name:  c.Name,
@@ -219,6 +221,7 @@ func (c *Core) Clone() *Core {
 		Muxes: append([]Mux(nil), c.Muxes...),
 		Units: append([]Unit(nil), c.Units...),
 		Conns: append([]Conn(nil), c.Conns...),
+		index: maps.Clone(c.index),
 	}
 }
 

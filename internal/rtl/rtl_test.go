@@ -55,6 +55,31 @@ func TestBuildAndValidate(t *testing.T) {
 	}
 }
 
+// TestCloneCarriesIndex: a clone of a built core has its own copy of the
+// name index, so Lookup on the clone reads without building, and
+// indexing a component added to the clone leaves the original's index
+// alone.
+func TestCloneCarriesIndex(t *testing.T) {
+	c := figure1Core(t)
+	nc := c.Clone()
+	if nc.index == nil {
+		t.Fatal("clone has no name index")
+	}
+	if k, i, ok := nc.Lookup("m1"); !ok || k != KindMux || i != 0 {
+		t.Fatalf("clone Lookup(m1) = %v %d %v", k, i, ok)
+	}
+	nc.Muxes = append(nc.Muxes, Mux{Name: "xm", Width: 16, NumIn: 2})
+	if err := nc.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := nc.Lookup("xm"); !ok {
+		t.Fatal("Validate did not index the clone's added mux")
+	}
+	if _, _, ok := c.Lookup("xm"); ok {
+		t.Fatal("the clone's added mux shows up in the original's index")
+	}
+}
+
 func TestDuplicateNameRejected(t *testing.T) {
 	_, err := NewCore("dup").In("x", 4).Reg("x", 4).Build()
 	if err == nil || !strings.Contains(err.Error(), "duplicate") {

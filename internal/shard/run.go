@@ -96,26 +96,27 @@ func newShardRun(o Options, kind string, fingerprint uint64, idx int, window Ran
 	return s, nil
 }
 
-// skip reports whether the loaded checkpoint already covers global index
-// gi. prior is fixed once the shard starts, so evaluation workers may
-// call skip concurrently without the lock.
-func (s *shardRun) skip(gi int) bool {
-	return inRanges(s.prior, int64(gi))
+// pending lists the indices of the shard's window that its loaded
+// checkpoint does not cover, in order: the work the shard still owes.
+func (s *shardRun) pending() []int {
+	var out []int
+	for _, r := range subtract(s.window, s.prior) {
+		for gi := r.Lo; gi < r.Hi; gi++ {
+			out = append(out, int(gi))
+		}
+	}
+	return out
 }
 
 // observePoint records one completed design point and checkpoints when
 // the throttle interval has passed. Called concurrently from workers.
 func (s *shardRun) observePoint(gi int, p explore.Point) {
-	s.observe(func() {
-		if _, ok := s.fresh[int64(gi)]; !ok && !inRanges(s.prior, int64(gi)) {
-			s.fresh[int64(gi)] = struct{}{}
-			s.pts = append(s.pts, FromPoint(p))
-			// Keep the buffer a front plus a bounded tail, so checkpoint
-			// frames stay O(front), not O(points completed).
-			if len(s.pts) > 256 {
-				s.pts = CanonFront(s.pts)
-			}
-			s.prog.Step(1)
+	s.observe(int64(gi), func() {
+		s.pts = append(s.pts, FromPoint(p))
+		// Keep the buffer a front plus a bounded tail, so checkpoint
+		// frames stay O(front), not O(points completed).
+		if len(s.pts) > 256 {
+			s.pts = CanonFront(s.pts)
 		}
 	})
 }
@@ -124,21 +125,16 @@ func (s *shardRun) observePoint(gi int, p explore.Point) {
 // is sequential per shard, but the same locking keeps the flush path
 // uniform.
 func (s *shardRun) observeOutcome(rec resil.RunRecord) {
-	s.observe(func() {
-		i := int64(rec.Index)
-		if _, ok := s.recs[i]; !ok {
-			s.recs[i] = rec
-			s.fresh[i] = struct{}{}
-			s.prog.Step(1)
-		}
-	})
+	s.observe(int64(rec.Index), func() { s.recs[int64(rec.Index)] = rec })
 }
 
-// observe runs record under the lock, checkpoints when the throttle
-// interval has passed, and beats the lease.
-func (s *shardRun) observe(record func()) {
+// observe marks index gi done and runs record under the lock,
+// checkpoints when the throttle interval has passed, and beats the lease.
+func (s *shardRun) observe(gi int64, record func()) {
 	s.mu.Lock()
+	s.fresh[gi] = struct{}{}
 	record()
+	s.prog.Step(1)
 	s.maybeFlushLocked()
 	s.mu.Unlock()
 	if s.beat != nil {
@@ -202,13 +198,13 @@ func (s *shardRun) front() []FrontPoint {
 	return s.pts
 }
 
-// run works through the shard's window under its progress task, then
-// checkpoints the terminal state — always, even on failure, so the next
-// resume starts from everything that completed — and attributes the
+// run hands the shard's pending indices to work under its progress task,
+// then checkpoints the terminal state — always, even on failure, so the
+// next resume starts from everything that completed — and attributes the
 // failure: context errors pass through untouched, any other error gets
 // the shard's name. The shard runs its window once; evaluations are
 // deterministic, so running it again would fail the same way.
-func (s *shardRun) run(ctx context.Context, work func(s *shardRun) error) error {
+func (s *shardRun) run(ctx context.Context, work func(s *shardRun, pending []int) error) error {
 	s.prog = progress.Start(fmt.Sprintf("shard/%s[%d/%d]", s.kind, s.idx, s.state.Shards), s.window.Len(),
 		"shard.checkpoints_written")
 	defer s.prog.End()
@@ -216,7 +212,7 @@ func (s *shardRun) run(ctx context.Context, work func(s *shardRun) error) error 
 	s.prog.Step(countRanges(s.prior))
 	s.lastFlush = time.Now()
 	s.mu.Unlock()
-	err := work(s)
+	err := work(s, s.pending())
 	if err != nil && ctx.Err() == nil {
 		err = fmt.Errorf("shard %d (%s): %w", s.idx, s.kind, err)
 	}
@@ -238,12 +234,12 @@ type tally struct {
 
 // runShards is the one loop over a sharded run's plan, shared by
 // RunExplore and RunCampaign: it runs every shard o selects of the
-// kind's total work items through work, which processes the shard's
-// window and takes its partial result, and tallies what completed. A
+// kind's total work items through work, which runs the shard's pending
+// indices and takes its partial result, and tallies what completed. A
 // shard whose checkpoint cannot be resumed refuses the whole run (nil
 // tally); a shard whose work fails degrades it, and the first such
 // error is returned with the tally of everything that completed.
-func runShards(ctx context.Context, o Options, kind string, fingerprint uint64, total int64, work func(s *shardRun) error) (*tally, error) {
+func runShards(ctx context.Context, o Options, kind string, fingerprint uint64, total int64, work func(s *shardRun, pending []int) error) (*tally, error) {
 	o = o.withDefaults()
 	if err := o.validate(); err != nil {
 		return nil, err
@@ -284,21 +280,20 @@ type ExploreResult struct {
 // RunExplore runs the selected shards of a sharded enumeration over f and
 // merges their fronts. With Options.Index == All and complete checkpoints
 // this is a pure merge: every shard resumes, finds nothing missing, and
-// contributes its checkpointed front. On error the returned result still
-// carries everything that completed, with the unfinished ranges
-// attributed in Incomplete.
+// contributes its checkpointed front. A space too large to count
+// without a MaxPoints cap is refused (nil result, explore.SelectionSpace's
+// error). On any other error the returned result still carries
+// everything that completed, with the unfinished ranges attributed in
+// Incomplete.
 func RunExplore(ctx context.Context, f *core.Flow, o Options) (*ExploreResult, error) {
-	total := int64(explore.SelectionSpace(f, o.MaxPoints))
+	space, err := explore.SelectionSpace(f, o.MaxPoints)
+	if err != nil {
+		return nil, err
+	}
+	total := int64(space)
 	var fronts [][]FrontPoint
-	t, err := runShards(ctx, o, "explore", f.Fingerprint(), total, func(s *shardRun) error {
-		_, err := explore.EnumerateCtx(ctx, f, explore.Options{
-			Workers:   o.Workers,
-			MaxPoints: o.MaxPoints,
-			First:     int(s.window.Lo),
-			Count:     int(s.window.Len()),
-			Skip:      s.skip,
-			Observer:  s.observePoint,
-		})
+	t, err := runShards(ctx, o, "explore", f.Fingerprint(), total, func(s *shardRun, pending []int) error {
+		err := explore.Visit(ctx, f, o.Workers, pending, s.observePoint)
 		fronts = append(fronts, s.front())
 		return err
 	})
@@ -325,20 +320,8 @@ type CampaignResult struct {
 func RunCampaign(ctx context.Context, c *resil.Campaign, o Options) (*CampaignResult, error) {
 	total := int64(len(c.Runs))
 	report := &resil.Report{Chip: c.Flow.Chip.Name, Seed: c.Seed, Total: int(total)}
-	t, err := runShards(ctx, o, "campaign", c.Flow.Fingerprint(), total, func(s *shardRun) error {
-		var pending []int
-		for gi := s.window.Lo; gi < s.window.Hi; gi++ {
-			if !s.skip(int(gi)) {
-				pending = append(pending, int(gi))
-			}
-		}
-		var err error
-		if len(pending) > 0 {
-			sub := *c
-			sub.Indices = pending
-			sub.OnOutcome = func(out resil.Outcome) { s.observeOutcome(c.Record(out)) }
-			_, err = sub.Execute(ctx)
-		}
+	t, err := runShards(ctx, o, "campaign", c.Flow.Fingerprint(), total, func(s *shardRun, pending []int) error {
+		err := c.Visit(ctx, pending, func(out resil.Outcome) { s.observeOutcome(c.Record(out)) })
 		s.mu.Lock()
 		report.Records = append(report.Records, s.records()...)
 		s.mu.Unlock()

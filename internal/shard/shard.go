@@ -1,5 +1,5 @@
 // Package shard scales the two long-running SOCET workloads —
-// explore.EnumerateCtx design-space sweeps and resil fault campaigns —
+// explore.Visit design-space sweeps and resil fault campaigns —
 // across processes and machines, crash-safely.
 //
 // The work of a run is a global index space (design points in the
@@ -99,23 +99,6 @@ func normalize(rs []Range) []Range {
 		out = append(out, r)
 	}
 	return out
-}
-
-// inRanges reports whether sorted disjoint rs contain i.
-func inRanges(rs []Range, i int64) bool {
-	lo, hi := 0, len(rs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case i < rs[mid].Lo:
-			hi = mid
-		case i >= rs[mid].Hi:
-			lo = mid + 1
-		default:
-			return true
-		}
-	}
-	return false
 }
 
 // subtract returns the parts of window not covered by sorted disjoint done.

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -46,13 +47,6 @@ func TestRangeOps(t *testing.T) {
 	want := []Range{{Lo: 1, Hi: 6}, {Lo: 7, Hi: 8}, {Lo: 9, Hi: 11}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("coalesce = %v, want %v", got, want)
-	}
-	for i := int64(0); i < 12; i++ {
-		_, fresh := done[i]
-		wantIn := fresh || (i >= 4 && i < 6)
-		if inRanges(got, i) != wantIn {
-			t.Fatalf("inRanges(%d) = %v", i, !wantIn)
-		}
 	}
 	missing := subtract(Range{Lo: 0, Hi: 12}, got)
 	wantMissing := []Range{{Lo: 0, Hi: 1}, {Lo: 6, Hi: 7}, {Lo: 8, Hi: 9}, {Lo: 11, Hi: 12}}
@@ -128,6 +122,16 @@ func generatedFlow(t testing.TB, seed uint64, cores int) *core.Flow {
 	return f
 }
 
+// selectionSpace is explore.SelectionSpace for a space known to count.
+func selectionSpace(t testing.TB, f *core.Flow, maxPoints int) int {
+	t.Helper()
+	n, err := explore.SelectionSpace(f, maxPoints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // singleProcessFront is the unsharded reference: the canonical front
 // over a plain EnumerateCtx of the whole (capped) space.
 func singleProcessFront(t *testing.T, f *core.Flow, maxPoints int) []FrontPoint {
@@ -144,7 +148,7 @@ func singleProcessFront(t *testing.T, f *core.Flow, maxPoints int) []FrontPoint 
 }
 
 // TestShardedFrontDeterminism is the partitioning gate: for random
-// seeds, the union of per-shard windowed enumerations must equal the
+// seeds, the union of per-shard window visits must equal the
 // single-process front at N ∈ {1, 2, 3, 7} shards.
 func TestShardedFrontDeterminism(t *testing.T) {
 	for _, seed := range []uint64{3, 11, 1998} {
@@ -154,21 +158,22 @@ func TestShardedFrontDeterminism(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("seed %d: empty reference front (vacuous test)", seed)
 		}
-		space := explore.SelectionSpace(f, maxPoints)
+		space := selectionSpace(t, f, maxPoints)
 		for _, n := range []int{1, 2, 3, 7} {
 			var fronts [][]FrontPoint
 			for _, win := range Plan(int64(space), n) {
-				pts, err := explore.EnumerateCtx(context.Background(), f, explore.Options{
-					MaxPoints: maxPoints,
-					First:     int(win.Lo),
-					Count:     int(win.Len()),
-				})
-				if err != nil {
-					t.Fatal(err)
+				var window []int
+				for gi := win.Lo; gi < win.Hi; gi++ {
+					window = append(window, int(gi))
 				}
-				comp := make([]FrontPoint, len(pts))
-				for j, p := range pts {
-					comp[j] = FromPoint(p)
+				var comp []FrontPoint
+				var mu sync.Mutex
+				if err := explore.Visit(context.Background(), f, 0, window, func(_ int, p explore.Point) {
+					mu.Lock()
+					comp = append(comp, FromPoint(p))
+					mu.Unlock()
+				}); err != nil {
+					t.Fatal(err)
 				}
 				fronts = append(fronts, CanonFront(comp))
 			}
@@ -177,6 +182,18 @@ func TestShardedFrontDeterminism(t *testing.T) {
 					seed, n, got, want)
 			}
 		}
+	}
+}
+
+// TestRunExploreRefusesUncountableSpace: uncapped, the seed-1998
+// 256-core dag chip has more design points than an int counts, and
+// RunExplore refuses it with an error naming MaxPoints before any shard
+// runs.
+func TestRunExploreRefusesUncountableSpace(t *testing.T) {
+	f := generatedFlow(t, 1998, 256)
+	res, err := RunExplore(context.Background(), f, Options{Shards: 2, Index: All})
+	if res != nil || err == nil || !strings.Contains(err.Error(), "MaxPoints") {
+		t.Fatalf("uncapped RunExplore = %+v, %v; want no result and an error naming MaxPoints", res, err)
 	}
 }
 
@@ -318,7 +335,7 @@ func TestRunExploreDegradesWithAttribution(t *testing.T) {
 	if res == nil || len(res.Front) == 0 || !reflect.DeepEqual(res.Front, shard0.Front) {
 		t.Fatalf("partial front = %v; want shard 0's front %v", res, shard0.Front)
 	}
-	space := int64(explore.SelectionSpace(f, maxPoints))
+	space := int64(selectionSpace(t, f, maxPoints))
 	wantMissing := Plan(space, 2)[1]
 	if len(res.Incomplete) != 1 || res.Incomplete[0] != wantMissing {
 		t.Fatalf("incomplete attribution = %v, want [%v]", res.Incomplete, wantMissing)
@@ -360,7 +377,7 @@ func TestRunExploreMergeUnderExpiredContext(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("merge under a cancelled context returned %v", err)
 	}
-	plan := Plan(int64(explore.SelectionSpace(f, maxPoints)), 2)
+	plan := Plan(int64(selectionSpace(t, f, maxPoints)), 2)
 	if res.Done != plan[1].Len() || !reflect.DeepEqual(res.Incomplete, []Range{plan[0]}) {
 		t.Fatalf("done=%d incomplete=%v; want done=%d incomplete=[%v]", res.Done, res.Incomplete, plan[1].Len(), plan[0])
 	}
@@ -443,15 +460,14 @@ func TestCampaignResumeFromReport(t *testing.T) {
 
 	// Cancel after 2 runs.
 	ctx, cancel := context.WithCancel(context.Background())
-	ran := 0
-	c2 := *c
-	c2.OnOutcome = func(resil.Outcome) {
-		ran++
-		if ran == 2 {
+	var outs []resil.Outcome
+	all := []int{0, 1, 2, 3, 4, 5}
+	err = c.Visit(ctx, all, func(o resil.Outcome) {
+		outs = append(outs, o)
+		if len(outs) == 2 {
 			cancel()
 		}
-	}
-	outs, err := c2.Execute(ctx)
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled campaign returned %v", err)
 	}
@@ -461,7 +477,7 @@ func TestCampaignResumeFromReport(t *testing.T) {
 		completed[rec.Index] = true
 	}
 	var missing []int
-	for i := range c.Runs {
+	for _, i := range all {
 		if !completed[i] {
 			missing = append(missing, i)
 		}
@@ -471,10 +487,8 @@ func TestCampaignResumeFromReport(t *testing.T) {
 	}
 
 	// Resume exactly the missing sets; merged report must equal the full.
-	c3 := *c
-	c3.Indices = missing
-	rest, err := c3.Execute(context.Background())
-	if err != nil {
+	var rest []resil.Outcome
+	if err := c.Visit(context.Background(), missing, func(o resil.Outcome) { rest = append(rest, o) }); err != nil {
 		t.Fatal(err)
 	}
 	got := resil.MergeReports(partial, c.Report(rest))

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Crash-resume smoke: run a sharded sweep, SIGKILL one shard mid-flight,
 # resume, and require the merged front to be byte-identical to the
-# unsharded golden. This drives the real binaries end to end — the
-# process-level complement of internal/shard's in-process crash harness.
+# golden, a one-shard run of the same sweep. This drives the real
+# binaries end to end — the process-level complement of internal/shard's
+# in-process crash harness.
 #
 # The workload (seed 9, 12 cores, 300-point cap) is the same one the
 # crash-harness tests use: big enough that a shard is reliably mid-flight
