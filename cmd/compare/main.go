@@ -106,7 +106,7 @@ func main() {
 			defer cancel()
 		}
 		if *campaign > 0 {
-			runCampaign(ctx, f, shardCfg, *campaign, *campaignSize, *campaignSeed)
+			runCampaign(ctx, f, shardCfg, *jobs, *campaign, *campaignSize, *campaignSeed)
 			continue
 		}
 		if archName != flowcmd.ArchSOCET {
@@ -172,9 +172,11 @@ func printArch(f *core.Flow, arch string, tamWidth int) {
 // is byte-identical to a single-process campaign, so golden diffs work
 // across any partitioning. Incomplete campaigns print what they have,
 // attribute the missing sets, and exit non-zero.
-func runCampaign(ctx context.Context, f *core.Flow, cfg *shard.Flags, n, size int, seed int64) {
+func runCampaign(ctx context.Context, f *core.Flow, cfg *shard.Flags, jobs, n, size int, seed int64) {
 	c := &resil.Campaign{Flow: f, Runs: resil.RandomSets(f.Chip, n, size, seed), Seed: seed}
-	res, err := shard.RunCampaign(ctx, c, cfg.Options())
+	opts := cfg.Options()
+	opts.Workers = jobs
+	res, err := shard.RunCampaign(ctx, c, opts)
 	if res == nil {
 		log.Fatal(err)
 	}

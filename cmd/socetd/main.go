@@ -1,13 +1,14 @@
 // Command socetd is the crash-tolerant evaluation daemon: an HTTP/JSON
 // API (internal/serve/api) over the journaled job manager
-// (internal/serve/job), running evaluate, campaign and explore jobs on
-// a lease-based worker pool.
+// (internal/serve/job), running evaluate, campaign and explore jobs.
+// At most -workers jobs run at once, each evaluating on -workers
+// goroutines; a campaign or explore job is the shard-runner call the
+// CLIs make, over every shard of the job, resumed from its checkpoints.
 //
 // Usage:
 //
 //	socetd -dir state/ [-addr 127.0.0.1:0] [-workers N] [-queue 8]
-//	       [-lease 30s] [-job-timeout 10m] [-drain-timeout 30s]
-//	       [-checkpoint-every 5s]
+//	       [-job-timeout 10m] [-drain-timeout 30s] [-checkpoint-every 5s]
 //	       [-trace out.ndjson] [-metrics out.json] [-obs 127.0.0.1:0]
 //
 // The state directory holds the job journal, every running job's shard
@@ -48,13 +49,11 @@ func main() {
 	log.SetPrefix("socetd: ")
 	addr := flag.String("addr", "127.0.0.1:0", "address to serve the API on (port 0 picks a free port)")
 	dir := flag.String("dir", "", "state directory for the job journal, shard checkpoints and stored test sets (required)")
-	workers := flag.Int("workers", 0, "worker pool width (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "jobs run at once, and evaluation goroutines per job (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 8, "max unfinished jobs before submissions get 429")
-	lease := flag.Duration("lease", 30*time.Second, "heartbeat lease TTL for shard work units")
 	jobTimeout := flag.Duration("job-timeout", 10*time.Minute, "default per-job deadline (a spec's timeout overrides it)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight jobs before checkpointing them for the next start")
 	every := flag.Duration("checkpoint-every", 0, "shard checkpoint interval (0 = the shard default)")
-	retries := flag.Int("retries", 0, "attempts per shard unit before its job fails (0 = default)")
 	obsCfg := obscli.AddFlags(flag.CommandLine)
 	flag.Parse()
 	if *dir == "" {
@@ -71,8 +70,6 @@ func main() {
 		Dir:        *dir,
 		Workers:    *workers,
 		QueueLimit: *queue,
-		LeaseTTL:   *lease,
-		Attempts:   *retries,
 		Timeout:    *jobTimeout,
 		Every:      *every,
 	})

@@ -93,11 +93,13 @@ func selectionAt(cores []*soc.Core, gi int) map[string]int {
 // SelectionSpace reports how many design points the flow's enumeration
 // covers under a MaxPoints cap (<= 0 means uncapped): the global indices
 // [0, space) that EnumerateCtx visits and shards partition. An uncapped
-// space that an int cannot count is an error; such a chip needs a cap.
+// space of more than math.MaxInt32 points is an error: at about a
+// millisecond per point that is weeks of work, and its index list would
+// not fit in memory. Such a chip needs a cap.
 func SelectionSpace(f *core.Flow, maxPoints int) (int, error) {
 	n := selectionCount(f.Chip.TestableCores(), maxPoints)
-	if maxPoints <= 0 && n == math.MaxInt {
-		return 0, fmt.Errorf("explore: %s has more design points than an int counts; set MaxPoints", f.Chip.Name)
+	if maxPoints <= 0 && n > math.MaxInt32 {
+		return 0, fmt.Errorf("explore: %s has more than %d design points, too many to enumerate; set MaxPoints", f.Chip.Name, math.MaxInt32)
 	}
 	return n, nil
 }

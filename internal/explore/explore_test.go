@@ -553,28 +553,31 @@ func TestSelectionCountOverflowSafe(t *testing.T) {
 	}
 }
 
-// TestEnumerateRefusesUncountableSpace: the seed-1998 256-core dag chip
-// has about 3.3e52 design points, more than an int counts. Uncapped,
-// SelectionSpace and EnumerateCtx refuse it with an error naming
-// MaxPoints; capped, the space is the cap.
+// TestEnumerateRefusesUncountableSpace: uncapped, the seed-1998 dag
+// chips refuse their design spaces with an error naming MaxPoints. At 64
+// cores the space (about 8.1e15 points) fits an int but not memory, and
+// EnumerateCtx panicked allocating its index list; at 256 cores (about
+// 3.3e52) an int cannot count it. Capped, the space is the cap.
 func TestEnumerateRefusesUncountableSpace(t *testing.T) {
-	ch, err := socgen.Generate(socgen.Params{Seed: 1998, Cores: 256, Topology: socgen.RandomDAG})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := core.Prepare(ch, flowcmd.GenVectorOverride(ch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SelectionSpace(f, 0); err == nil || !strings.Contains(err.Error(), "MaxPoints") {
-		t.Fatalf("uncapped SelectionSpace error = %v, want one naming MaxPoints", err)
-	}
-	pts, err := EnumerateCtx(context.Background(), f, Options{})
-	if err == nil || !strings.Contains(err.Error(), "MaxPoints") || pts != nil {
-		t.Fatalf("uncapped EnumerateCtx: %d points, error %v; want none and an error naming MaxPoints", len(pts), err)
-	}
-	if n, err := SelectionSpace(f, 500); n != 500 || err != nil {
-		t.Fatalf("SelectionSpace capped at 500 = %d, %v", n, err)
+	for _, cores := range []int{64, 256} {
+		ch, err := socgen.Generate(socgen.Params{Seed: 1998, Cores: cores, Topology: socgen.RandomDAG})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := core.Prepare(ch, flowcmd.GenVectorOverride(ch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := SelectionSpace(f, 0); err == nil || !strings.Contains(err.Error(), "MaxPoints") {
+			t.Fatalf("%d cores: uncapped SelectionSpace error = %v, want one naming MaxPoints", cores, err)
+		}
+		pts, err := EnumerateCtx(context.Background(), f, Options{})
+		if err == nil || !strings.Contains(err.Error(), "MaxPoints") || pts != nil {
+			t.Fatalf("%d cores: uncapped EnumerateCtx: %d points, error %v; want none and an error naming MaxPoints", cores, len(pts), err)
+		}
+		if n, err := SelectionSpace(f, 500); n != 500 || err != nil {
+			t.Fatalf("%d cores: SelectionSpace capped at 500 = %d, %v", cores, n, err)
+		}
 	}
 }
 

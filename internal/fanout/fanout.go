@@ -1,6 +1,8 @@
 // Package fanout runs an index-addressed loop on a bounded set of
-// goroutines: the one worker pool behind the explorer's enumeration and
-// the wrapper's per-core balancing.
+// goroutines: the one worker pool of the repository. Its callers are
+// explore.Visit (design points), resil.Campaign.Visit (fault-set runs),
+// wrap.Evaluate (per-core balancing), and ATPG's search rounds and
+// fault-simulation shares.
 package fanout
 
 import (

@@ -69,10 +69,6 @@ var KnownCounters = []string{
 	"serve.jobs_rejected",              // submissions refused (invalid spec, queue full, draining)
 	"serve.journal_write_errors",       // job journal snapshots that failed to persist
 	"serve.journal_writes",             // job journal snapshots persisted (temp+rename)
-	"serve.lease_retries",              // work-unit reassignments after failure or expiry (the only shard retries)
-	"serve.leases_expired",             // leases reclaimed after heartbeat silence past the TTL
-	"serve.leases_granted",             // work units leased to pool workers
-	"serve.worker_panics",              // pool attempts recovered from panic
 	"shard.checkpoints_written",        // shard checkpoint frames persisted (temp+rename)
 	"shard.frames_discarded",           // corrupt/torn checkpoint byte regions skipped on load
 	"shard.resumed_ranges",             // completed work ranges loaded from checkpoints on resume
@@ -87,9 +83,7 @@ var KnownGauges = []string{
 	"ccg.edges",                // CCG edge count of the last build
 	"ccg.nodes",                // CCG node count of the last build
 	"explore.parallel_workers", // worker-pool width of the last enumeration
-	"serve.active_leases",      // work units currently leased to pool workers
 	"serve.jobs_running",       // jobs currently executing
-	"serve.queue_depth",        // work units waiting for a pool worker
 }
 
 var knownSet = func() map[string]bool {

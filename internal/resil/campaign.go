@@ -4,10 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/fanout"
 	"repro/internal/obs"
 	"repro/internal/obs/progress"
 	"repro/internal/soc"
@@ -34,26 +37,30 @@ type Campaign struct {
 }
 
 // Execute runs every fault set in order and returns the outcomes: Visit
-// over every index of Runs. A cancelled campaign returns the outcomes so
-// far with ctx.Err().
+// over every index of Runs on one worker. A cancelled campaign returns
+// the outcomes so far with ctx.Err().
 func (c *Campaign) Execute(ctx context.Context) ([]Outcome, error) {
 	indices := make([]int, len(c.Runs))
 	for i := range indices {
 		indices[i] = i
 	}
 	out := make([]Outcome, 0, len(c.Runs))
-	err := c.Visit(ctx, indices, func(o Outcome) { out = append(out, o) })
+	err := c.Visit(ctx, 1, indices, func(o Outcome) { out = append(out, o) })
 	return out, err
 }
 
-// Visit runs the fault sets at the given indices of Runs, in the given
-// order, and hands each outcome to fn: clone the chip, inject, fork the
-// flow, evaluate degraded. Outcome.Index is the index into Runs, so a
-// resumed or sharded campaign reports the attribution of a full one. An
-// index outside Runs is refused before any set runs. Cancellation between
-// runs (and inside each evaluation) returns ctx.Err(). Per-run flow
-// errors do not stop the campaign; they land in the run's Outcome.
-func (c *Campaign) Visit(ctx context.Context, indices []int, fn func(Outcome)) error {
+// Visit runs the fault sets at the given indices of Runs and hands each
+// outcome to fn: clone the chip, inject, fork the flow, evaluate
+// degraded. Runs fan out over workers goroutines (<= 0 selects
+// runtime.GOMAXPROCS(0)), so fn may be called concurrently and in any
+// order. Outcome.Index is the index into Runs, so a resumed or sharded
+// campaign reports the attribution of a full one. An index outside Runs
+// is refused before any set runs. Per-run flow errors do not stop the
+// campaign; they land in the run's Outcome. A panicking run, fn
+// included, is recovered into an error, and the error is the one of the
+// earliest failing entry of indices at any worker count. Cancellation
+// between runs (and inside each evaluation) returns ctx.Err().
+func (c *Campaign) Visit(ctx context.Context, workers int, indices []int, fn func(Outcome)) error {
 	for _, i := range indices {
 		if i < 0 || i >= len(c.Runs) {
 			return fmt.Errorf("resil: fault set %d outside the campaign's %d sets", i, len(c.Runs))
@@ -64,15 +71,19 @@ func (c *Campaign) Visit(ctx context.Context, indices []int, fn func(Outcome)) e
 	prog := progress.Start("resil/campaign", int64(len(indices)),
 		"resil.faults_injected", "resil.run_errors")
 	defer prog.End()
-	for _, i := range indices {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		faults := c.Runs[i]
-		o := Outcome{Index: i, Faults: faults}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return fanout.Each(ctx, len(indices), workers, func(k int) (err error) {
+		i := indices[k]
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("resil: fault set %d panicked: %v\n%s", i, r, debug.Stack())
+			}
+		}()
+		o := Outcome{Index: i, Faults: c.Runs[i]}
 		sp := obs.Start(root, "resil/run")
-		ch, err := Inject(c.Flow.Chip, faults...)
-		if err != nil {
+		if ch, err := Inject(c.Flow.Chip, o.Faults...); err != nil {
 			o.Err = err
 		} else {
 			o.Eval, o.Err = c.Flow.Fork(ch).EvaluateDegradedCtx(ctx)
@@ -87,8 +98,8 @@ func (c *Campaign) Visit(ctx context.Context, indices []int, fn func(Outcome)) e
 		obs.C("resil.runs").Inc()
 		prog.Step(1)
 		fn(o)
-	}
-	return nil
+		return nil
+	})
 }
 
 // RunRecord is the compact, serializable completion record of one fault

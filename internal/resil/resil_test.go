@@ -3,8 +3,10 @@ package resil
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/atpg"
@@ -378,58 +380,85 @@ func TestCampaignReportMergeAndMissing(t *testing.T) {
 	}
 }
 
+// visit runs c.Visit over indices on workers goroutines and returns each
+// outcome's record by index, failing the test if fn sees an index twice.
+func visit(t *testing.T, c *Campaign, workers int, indices []int) map[int]RunRecord {
+	t.Helper()
+	var mu sync.Mutex
+	got := map[int]RunRecord{}
+	err := c.Visit(context.Background(), workers, indices, func(o Outcome) {
+		mu.Lock()
+		defer mu.Unlock()
+		if _, dup := got[o.Index]; dup {
+			t.Errorf("%d workers: fn saw fault set %d twice", workers, o.Index)
+		}
+		got[o.Index] = c.Record(o)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 // TestCampaignIndicesRestrictExecution: Visit runs exactly the listed
-// sets, in the listed order, with their global index attribution, and
-// refuses an index outside Runs before running anything.
+// sets, with their global index attribution, and refuses an index
+// outside Runs before running anything.
 func TestCampaignIndicesRestrictExecution(t *testing.T) {
 	f := system1(t)
 	c := &Campaign{Flow: f, Runs: RandomSets(f.Chip, 4, 2, 3), Seed: 3}
-	var outs []Outcome
-	collect := func(o Outcome) { outs = append(outs, o) }
-	if err := c.Visit(context.Background(), []int{3, 1}, collect); err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 2 || outs[0].Index != 3 || outs[1].Index != 1 {
-		t.Fatalf("indices run: %+v", outs)
-	}
 	// The records must equal the same sets from an unrestricted run.
 	all, err := c.Execute(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range []RunRecord{c.Record(all[3]), c.Record(all[1])} {
-		if got := c.Record(outs[i]); !reflect.DeepEqual(got, want) {
-			t.Fatalf("record %d differs:\n got %+v\nwant %+v", i, got, want)
-		}
+	want := map[int]RunRecord{3: c.Record(all[3]), 1: c.Record(all[1])}
+	if got := visit(t, c, 1, []int{3, 1}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("records differ:\n got %+v\nwant %+v", got, want)
 	}
 	for _, bad := range [][]int{{3, 99}, {-1}} {
-		outs = nil
-		err := c.Visit(context.Background(), bad, collect)
-		if err == nil || !strings.Contains(err.Error(), "outside the campaign's 4 sets") || len(outs) != 0 {
-			t.Fatalf("indices %v: %d outcomes, err %v; want none and a refusal", bad, len(outs), err)
+		ran := false
+		err := c.Visit(context.Background(), 4, bad, func(Outcome) { ran = true })
+		if err == nil || !strings.Contains(err.Error(), "outside the campaign's 4 sets") || ran {
+			t.Fatalf("indices %v: ran %v, err %v; want nothing run and a refusal", bad, ran, err)
 		}
 	}
 }
 
-// TestCampaignVisitHandsOutcomesInOrder: fn sees each run once, in the
-// listed order, with the outcome Execute returns for it.
-func TestCampaignVisitHandsOutcomesInOrder(t *testing.T) {
+// TestCampaignVisitRunsEachIndexOnce: at any worker count, fn sees each
+// listed run exactly once, with its index and the record Execute
+// returns for it.
+func TestCampaignVisitRunsEachIndexOnce(t *testing.T) {
 	f := system1(t)
-	c := &Campaign{Flow: f, Runs: RandomSets(f.Chip, 3, 1, 5)}
-	var seen []Outcome
-	if err := c.Visit(context.Background(), []int{2, 0, 1}, func(o Outcome) { seen = append(seen, o) }); err != nil {
-		t.Fatal(err)
-	}
+	c := &Campaign{Flow: f, Runs: RandomSets(f.Chip, 5, 1, 5)}
 	outs, err := c.Execute(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != 3 || len(outs) != 3 {
-		t.Fatalf("fn saw %d outcomes, Execute returned %d", len(seen), len(outs))
+	want := map[int]RunRecord{}
+	for _, i := range []int{4, 2, 0, 1} {
+		want[i] = c.Record(outs[i])
 	}
-	for k, i := range []int{2, 0, 1} {
-		if seen[k].Index != i || !reflect.DeepEqual(c.Record(seen[k]), c.Record(outs[i])) {
-			t.Fatalf("outcome %d: index %d, record %+v; want index %d, record %+v", k, seen[k].Index, c.Record(seen[k]), i, c.Record(outs[i]))
+	for _, w := range []int{1, 2, 4} {
+		if got := visit(t, c, w, []int{4, 2, 0, 1}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d workers: records differ:\n got %+v\nwant %+v", w, got, want)
+		}
+	}
+}
+
+// TestCampaignVisitReturnsLowestPanic: runs whose fn panics at two
+// entries come back as the earlier entry's error at 1 and at 4 workers,
+// and the process survives.
+func TestCampaignVisitReturnsLowestPanic(t *testing.T) {
+	f := system1(t)
+	c := &Campaign{Flow: f, Runs: RandomSets(f.Chip, 6, 1, 9)}
+	for _, w := range []int{1, 4} {
+		err := c.Visit(context.Background(), w, []int{0, 1, 2, 3, 4, 5}, func(o Outcome) {
+			if o.Index == 1 || o.Index == 4 {
+				panic(fmt.Sprintf("boom at %d", o.Index))
+			}
+		})
+		if err == nil || !strings.Contains(err.Error(), "fault set 1 panicked: boom at 1") {
+			t.Fatalf("%d workers: err %v; want fault set 1's panic", w, err)
 		}
 	}
 }

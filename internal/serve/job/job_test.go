@@ -25,10 +25,9 @@ func testChip() flowcmd.ChipSpec {
 
 func testOptions(dir string) Options {
 	return Options{
-		Dir:      dir,
-		Workers:  4,
-		LeaseTTL: 5 * time.Second,
-		Every:    time.Millisecond,
+		Dir:     dir,
+		Workers: 4,
+		Every:   time.Millisecond,
 	}
 }
 
@@ -175,13 +174,10 @@ func TestFullEvalKeyIgnored(t *testing.T) {
 	}
 }
 
-// TestFailingShardMakesRetryAttempts: the pool is the daemon's only
-// retrier. A shard whose every attempt fails is attempted exactly
-// Attempts times before its job fails.
-func TestFailingShardMakesRetryAttempts(t *testing.T) {
-	o := testOptions(t.TempDir())
-	o.Attempts = 3
-	m := newManager(t, o)
+// TestFailingShardRunsOnce: nothing retries a shard. A shard whose
+// evaluations fail runs once, and its job fails with the shard's error.
+func TestFailingShardRunsOnce(t *testing.T) {
+	m := newManager(t, testOptions(t.TempDir()))
 	spec := Spec{Type: TypeExplore, Chip: testChip(), MaxPoints: 4}
 	f, err := m.flow(spec.Chip)
 	if err != nil {
@@ -202,15 +198,77 @@ func TestFailingShardMakesRetryAttempts(t *testing.T) {
 	if got.State != StateFailed || !strings.Contains(got.Error, "forced mux on unknown port") {
 		t.Fatalf("job settled %q with error %q; want failed on the forced mux", got.State, got.Error)
 	}
-	// Each attempt of an explore shard is one enumeration.
-	attempts := 0
+	// Each run of an explore shard is one enumeration.
+	runs := 0
 	for _, r := range tr.Records() {
 		if r.Name == "explore/enumerate" {
-			attempts++
+			runs++
 		}
 	}
-	if attempts != o.Attempts {
-		t.Fatalf("the failing shard made %d attempts, want Attempts = %d", attempts, o.Attempts)
+	if runs != 1 {
+		t.Fatalf("the failing shard ran %d times, want once", runs)
+	}
+}
+
+// TestPanickingJobFailsAlone: a job whose evaluation panics settles
+// failed with the panic as its error, and the manager keeps serving: the
+// next job completes.
+func TestPanickingJobFailsAlone(t *testing.T) {
+	m := newManager(t, testOptions(t.TempDir()))
+	spec := Spec{Type: TypeEvaluate, Chip: testChip()}
+	f, err := m.flow(spec.Chip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Chip = nil // every evaluation of this flow dereferences a nil chip
+	rec := mustSubmit(t, m, spec)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	got, err := m.Wait(ctx, rec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != StateFailed || !strings.Contains(got.Error, "panic") {
+		t.Fatalf("job settled %q with error %q; want failed on a panic", got.State, got.Error)
+	}
+	other := flowcmd.ChipSpec{Gen: &flowcmd.GenSpec{Seed: 8, Cores: 5}}
+	waitDone(t, m, mustSubmit(t, m, Spec{Type: TypeEvaluate, Chip: other}).ID)
+}
+
+// TestOneWorkerRunsOneJobAtATime: with Workers 1, no two jobs are ever
+// running at once, and every job still completes.
+func TestOneWorkerRunsOneJobAtATime(t *testing.T) {
+	o := testOptions(t.TempDir())
+	o.Workers = 1
+	m := newManager(t, o)
+	const jobs = 3
+	for seed := int64(0); seed < jobs; seed++ {
+		mustSubmit(t, m, Spec{
+			Type: TypeCampaign, Chip: testChip(),
+			Shards: 2, Runs: 20, SetSize: 2, Seed: seed,
+		})
+	}
+	deadline := time.Now().Add(3 * time.Minute)
+	for done := 0; done < jobs; {
+		running := 0
+		done = 0
+		for _, rec := range m.List() {
+			switch rec.State {
+			case StateRunning:
+				running++
+			case StateDone:
+				done++
+			case StateFailed:
+				t.Fatalf("job %s failed: %s", rec.ID, rec.Error)
+			}
+		}
+		if running > 1 {
+			t.Fatalf("%d jobs were running at once with Workers 1", running)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d jobs done after 3 minutes", done, jobs)
+		}
+		runtime.Gosched()
 	}
 }
 
@@ -433,8 +491,7 @@ func TestDrainWaitsForJobs(t *testing.T) {
 }
 
 // TestCloseLeavesNoGoroutines is the leak gate: a manager that ran real
-// jobs and was closed must not strand pool workers, pulse tickers, or
-// job goroutines.
+// jobs and was closed must not strand a job goroutine.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	m, err := New(testOptions(t.TempDir()))

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -16,7 +16,6 @@ import (
 	"repro/internal/flowcmd"
 	"repro/internal/obs"
 	"repro/internal/resil"
-	"repro/internal/serve/pool"
 	"repro/internal/shard"
 )
 
@@ -33,18 +32,12 @@ type Options struct {
 	// Dir holds the journal, every job's shard checkpoints and, under
 	// testsets/, the ATPG test-set store every prepared flow shares.
 	Dir string
-	// Workers bounds the lease pool (default GOMAXPROCS).
+	// Workers bounds how many jobs run at once, and how many goroutines
+	// each running job evaluates on (default GOMAXPROCS).
 	Workers int
 	// QueueLimit bounds unfinished (queued + running) jobs; submissions
 	// beyond it get ErrBusy (default 8).
 	QueueLimit int
-	// LeaseTTL is the pool's heartbeat lease (default 30s).
-	LeaseTTL time.Duration
-	// Attempts caps how often the pool runs a failed or expired shard
-	// unit (default 3). The pool is the only code that retries a shard:
-	// a shard run makes one attempt, so a failing shard makes exactly
-	// Attempts attempts.
-	Attempts int
 	// Timeout is the default per-job deadline (0 = none); a spec's own
 	// timeout overrides it.
 	Timeout time.Duration
@@ -54,6 +47,9 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
+	if o.Workers < 1 {
+		o.Workers = runtime.GOMAXPROCS(0)
+	}
 	if o.QueueLimit < 1 {
 		o.QueueLimit = 8
 	}
@@ -77,7 +73,7 @@ type jobEntry struct {
 // Manager admits, journals, runs and serves jobs.
 type Manager struct {
 	opts    Options
-	pool    *pool.Pool
+	slots   chan struct{} // one token per running job, Workers deep
 	ctx     context.Context
 	cancel  context.CancelFunc
 	closing sync.Once
@@ -95,9 +91,9 @@ type Manager struct {
 }
 
 // New opens (or creates) the journal in o.Dir, recovers any unfinished
-// jobs it records, and starts accepting work. Recovered jobs re-run
-// immediately; their shard checkpoints make the re-run incremental and
-// their results byte-identical to an uninterrupted run.
+// jobs it records, and starts accepting work. Recovered jobs queue for a
+// slot like new ones; their shard checkpoints make the re-run
+// incremental and their results byte-identical to an uninterrupted run.
 func New(o Options) (*Manager, error) {
 	o = o.withDefaults()
 	if o.Dir == "" {
@@ -113,7 +109,7 @@ func New(o Options) (*Manager, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		opts:    o,
-		pool:    pool.New(pool.Options{Workers: o.Workers, LeaseTTL: o.LeaseTTL, Attempts: o.Attempts}),
+		slots:   make(chan struct{}, o.Workers),
 		ctx:     ctx,
 		cancel:  cancel,
 		journal: j,
@@ -151,8 +147,9 @@ func New(o Options) (*Manager, error) {
 	return m, nil
 }
 
-// Submit validates and admits a job, journals it, and starts it. The
-// returned record is the admission-time snapshot (state queued).
+// Submit validates and admits a job, journals it, and queues it for a
+// slot. The returned record is the admission-time snapshot (state
+// queued).
 func (m *Manager) Submit(spec Spec) (Record, error) {
 	if err := spec.Validate(); err != nil {
 		obs.C("serve.jobs_rejected").Inc()
@@ -253,8 +250,8 @@ func (m *Manager) Draining() bool {
 
 // Drain stops admission and waits for in-flight jobs to finish — or
 // for ctx to expire, at which point remaining jobs are cancelled (they
-// checkpoint what they have; a restart resumes them). Always closes
-// the pool; returns ctx's error when the deadline cut the drain short.
+// checkpoint what they have; a restart resumes them). Always closes the
+// manager; returns ctx's error when the deadline cut the drain short.
 func (m *Manager) Drain(ctx context.Context) error {
 	obs.C("serve.drains").Inc()
 	m.mu.Lock()
@@ -275,9 +272,9 @@ func (m *Manager) Drain(ctx context.Context) error {
 	return err
 }
 
-// Close cancels everything in flight and releases the pool. Jobs stop
-// at their next context check, having checkpointed; the journal keeps
-// them queued for the next start.
+// Close cancels everything in flight and waits for every job goroutine
+// to return. Jobs stop at their next context check, having checkpointed;
+// the journal keeps them queued for the next start.
 func (m *Manager) Close() { m.close() }
 
 func (m *Manager) close() {
@@ -287,7 +284,6 @@ func (m *Manager) close() {
 		m.mu.Unlock()
 		m.cancel()
 		m.running.Wait()
-		m.pool.Close()
 	})
 }
 
@@ -321,10 +317,20 @@ func (m *Manager) setState(e *jobEntry, state State, result, errText string) {
 	obs.G("serve.jobs_running").Set(int64(running))
 }
 
-// run executes one job to settlement.
+// run executes one job to settlement once it holds one of the Workers
+// slots. A shutdown while it waits for a slot leaves it queued in the
+// journal for the next start.
 func (m *Manager) run(e *jobEntry) {
 	defer m.running.Done()
 	defer close(e.done)
+	select {
+	case m.slots <- struct{}{}:
+		defer func() { <-m.slots }()
+	case <-m.ctx.Done():
+	}
+	if m.ctx.Err() != nil {
+		return
+	}
 	m.setState(e, StateRunning, "", "")
 	ctx := m.ctx
 	if d := e.rec.Spec.timeout(m.opts.Timeout); d > 0 {
@@ -362,6 +368,7 @@ func (m *Manager) flow(spec flowcmd.ChipSpec) (*core.Flow, error) {
 	}
 	m.flowMu.Unlock()
 	fe.once.Do(func() {
+		defer recoverInto(&fe.err)
 		ch, opts, err := spec.Build()
 		if err != nil {
 			fe.err = err
@@ -382,115 +389,60 @@ func (m *Manager) checkpointPrefix(id string) string {
 	return filepath.Join(m.opts.Dir, "job-"+id)
 }
 
-// shardOptions assembles the per-unit shard options for one shard of a
-// job: checkpointed, resumable, heartbeating into the unit's lease.
-func (m *Manager) shardOptions(id string, spec Spec, index int, beat func()) shard.Options {
-	return shard.Options{
-		Shards:     spec.Shards,
-		Index:      index,
-		Checkpoint: m.checkpointPrefix(id),
-		Resume:     true,
-		Every:      m.opts.Every,
-		MaxPoints:  spec.MaxPoints,
-		OnProgress: beat,
-	}
-}
-
-// execute dispatches one job. Campaign and explore jobs fan their
-// shards out as pool units, then merge by resuming every checkpoint in
-// this goroutine — the merge re-evaluates nothing and is byte-identical
-// regardless of which worker ran which shard how many times.
-func (m *Manager) execute(ctx context.Context, id string, spec Spec) (string, error) {
+// execute dispatches one job. Campaign and explore jobs make the one
+// call the CLIs make: every shard of the job in this goroutine, each
+// resumed from its checkpoint and evaluated on Workers goroutines. A
+// shard runs once; a deterministic shard that failed would fail the same
+// way again. A panic anywhere in the job becomes its error.
+func (m *Manager) execute(ctx context.Context, id string, spec Spec) (result string, err error) {
+	defer recoverInto(&err)
 	f, err := m.flow(spec.Chip)
 	if err != nil {
 		return "", err
 	}
+	if spec.Type == TypeEvaluate {
+		return evaluate(ctx, f, spec.Faults)
+	}
+	o := shard.Options{
+		Shards:     spec.Shards,
+		Index:      shard.All,
+		Checkpoint: m.checkpointPrefix(id),
+		Resume:     true,
+		Every:      m.opts.Every,
+		Workers:    m.opts.Workers,
+		MaxPoints:  spec.MaxPoints,
+	}
 	switch spec.Type {
-	case TypeEvaluate:
-		return m.runEvaluate(ctx, f, spec)
 	case TypeCampaign:
 		c := &resil.Campaign{
 			Flow: f,
 			Runs: resil.RandomSets(f.Chip, spec.Runs, spec.SetSize, spec.Seed),
 			Seed: spec.Seed,
 		}
-		err := m.runUnits(ctx, id, spec, func(uctx context.Context, i int, beat func()) error {
-			res, err := shard.RunCampaign(uctx, c, m.shardOptions(id, spec, i, beat))
-			return unitErr(res == nil, err, res != nil && len(res.Incomplete) > 0)
-		})
+		res, err := shard.RunCampaign(ctx, c, o)
 		if err != nil {
 			return "", err
 		}
-		opts := m.shardOptions(id, spec, shard.All, nil)
-		res, err := shard.RunCampaign(ctx, c, opts)
-		if err != nil {
-			return "", err
-		}
-		if len(res.Incomplete) > 0 {
-			return "", fmt.Errorf("job: campaign incomplete: %d/%d runs", res.Done, res.Total)
-		}
-		m.removeCheckpoints(id, spec.Shards)
-		return res.Report.Format(), nil
+		result = res.Report.Format()
 	case TypeExplore:
-		err := m.runUnits(ctx, id, spec, func(uctx context.Context, i int, beat func()) error {
-			res, err := shard.RunExplore(uctx, f, m.shardOptions(id, spec, i, beat))
-			return unitErr(res == nil, err, res != nil && len(res.Incomplete) > 0)
-		})
+		res, err := shard.RunExplore(ctx, f, o)
 		if err != nil {
 			return "", err
 		}
-		res, err := shard.RunExplore(ctx, f, m.shardOptions(id, spec, shard.All, nil))
-		if err != nil {
-			return "", err
-		}
-		if len(res.Incomplete) > 0 {
-			return "", fmt.Errorf("job: explore incomplete: %d/%d selections", res.Done, res.Total)
-		}
-		m.removeCheckpoints(id, spec.Shards)
-		return formatFront(res), nil
+		result = formatFront(res)
+	default:
+		return "", fmt.Errorf("job: unknown type %q", spec.Type)
 	}
-	return "", fmt.Errorf("job: unknown type %q", spec.Type)
+	m.removeCheckpoints(id, spec.Shards)
+	return result, nil
 }
 
-// runUnits fans one leased pool unit out per shard and collapses their
-// results. Unit failures surface as the job's error after the pool has
-// exhausted lease reassignment and backoff.
-func (m *Manager) runUnits(ctx context.Context, id string, spec Spec, run func(ctx context.Context, i int, beat func()) error) error {
-	units := make([]pool.Unit, spec.Shards)
-	for i := range units {
-		i := i
-		units[i] = pool.Unit{
-			ID:  fmt.Sprintf("%s/shard%d-of-%d", id, i, spec.Shards),
-			Run: func(uctx context.Context, beat func()) error { return run(uctx, i, beat) },
-		}
+// recoverInto turns a panic into *err, so the job that raised it fails
+// alone and the daemon keeps serving. Call it deferred.
+func recoverInto(err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("job: panic: %v", r)
 	}
-	var errs []string
-	for _, r := range m.pool.Do(ctx, units) {
-		if r.Err != nil {
-			errs = append(errs, fmt.Sprintf("%s: %v", r.ID, r.Err))
-		}
-	}
-	if len(errs) > 0 {
-		sort.Strings(errs)
-		return errors.New(strings.Join(errs, "; "))
-	}
-	return ctx.Err()
-}
-
-// unitErr normalizes a shard run outcome into a unit result: hard
-// failures and incomplete windows both fail the unit so the lease layer
-// retries it.
-func unitErr(fatal bool, err error, incomplete bool) error {
-	if err != nil {
-		return err
-	}
-	if fatal {
-		return errors.New("job: shard run produced no result")
-	}
-	if incomplete {
-		return errors.New("job: shard window incomplete")
-	}
-	return nil
 }
 
 // removeCheckpoints deletes a finished job's shard checkpoints — the
@@ -500,55 +452,6 @@ func (m *Manager) removeCheckpoints(id string, shards int) {
 	for i := 0; i < shards; i++ {
 		os.Remove(shard.CheckpointPath(m.checkpointPrefix(id), i, shards))
 	}
-}
-
-// runEvaluate runs a single (possibly fault-injected) evaluation. It
-// executes as one pool unit with a liveness pulse: an evaluation has no
-// natural progress stream, so the pulse keeps the lease alive and the
-// job deadline is its real bound.
-func (m *Manager) runEvaluate(ctx context.Context, f *core.Flow, spec Spec) (string, error) {
-	var result string
-	units := []pool.Unit{{
-		ID: "evaluate",
-		Run: func(uctx context.Context, beat func()) error {
-			stop := pulse(beat, m.opts.LeaseTTL)
-			defer stop()
-			var err error
-			result, err = evaluate(uctx, f, spec.Faults)
-			return err
-		},
-	}}
-	for _, r := range m.pool.Do(ctx, units) {
-		if r.Err != nil {
-			return "", r.Err
-		}
-	}
-	return result, nil
-}
-
-// pulse beats a lease on a timer until stopped — liveness only, for
-// units that cannot report granular progress.
-func pulse(beat func(), ttl time.Duration) (stop func()) {
-	if ttl <= 0 {
-		ttl = 30 * time.Second
-	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(ttl / 8)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				beat()
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() { close(done); wg.Wait() }
 }
 
 // evaluate is the evaluate-job body: deterministic text for the chip

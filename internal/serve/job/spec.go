@@ -1,8 +1,9 @@
 // Package job is socetd's job layer: the JSON wire format for submitted
 // work, the crash-safe journal that records every job's lifecycle, and
-// the manager that admits jobs, runs them on a lease-based worker pool
-// (internal/serve/pool) as checkpointed shard units, and merges their
-// results deterministically.
+// the manager that admits jobs and runs at most Workers of them at once.
+// A campaign or explore job is one shard.RunCampaign or shard.RunExplore
+// call over every shard of the job, resumed from its checkpoints, as the
+// CLIs make it; an evaluate job is one evaluation.
 //
 // The design invariant the whole package leans on: every job's result
 // is a pure function of its Spec. Chips resolve through
@@ -10,9 +11,10 @@
 // partitioned by shard.Plan, progress is checkpointed with the
 // length/CRC-framed atomic codec (internal/ckpt, via internal/shard),
 // and merges are canonical — so a job that is interrupted by SIGKILL,
-// resumed after restart, executed twice because a lease expired, or
-// split across any number of workers converges to the byte-identical
-// result text a single uninterrupted process would have produced.
+// resumed after restart, or evaluated on any number of workers converges
+// to the byte-identical result text a single uninterrupted process would
+// have produced. For the same reason nothing retries a job: run again,
+// a failed job would fail the same way.
 package job
 
 import (
@@ -43,9 +45,9 @@ type Spec struct {
 	Type string           `json:"type"`
 	Chip flowcmd.ChipSpec `json:"chip"`
 
-	// Shards partitions campaign and explore work into leased units
-	// (default 1). More shards mean finer-grained crash recovery and
-	// more parallelism, at more checkpoint files.
+	// Shards partitions campaign and explore work into checkpointed
+	// shards (default 1). More shards mean finer-grained crash recovery,
+	// at more checkpoint files; the daemon's Workers sets parallelism.
 	Shards int `json:"shards,omitempty"`
 
 	// Explore jobs.
@@ -65,8 +67,8 @@ type Spec struct {
 	Timeout string `json:"timeout,omitempty"`
 }
 
-// MaxShards bounds Spec.Shards: each shard is a checkpoint file and a
-// pool unit, so the partition width is an admission-controlled resource.
+// MaxShards bounds Spec.Shards: each shard is a checkpoint file, so the
+// partition width is an admission-controlled resource.
 const MaxShards = 64
 
 // DecodeSpec parses and validates a JSON job spec. It never panics on

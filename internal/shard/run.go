@@ -26,8 +26,6 @@ type shardRun struct {
 
 	state State // identity fields, reused for every frame
 
-	beat func() // optional lease heartbeat, from Options.OnProgress
-
 	mu        sync.Mutex
 	prior     []Range // sorted disjoint, from the loaded checkpoint
 	fresh     map[int64]struct{}
@@ -49,7 +47,6 @@ func newShardRun(o Options, kind string, fingerprint uint64, idx int, window Ran
 		idx:    idx,
 		window: window,
 		every:  o.Every,
-		beat:   o.OnProgress,
 		fresh:  map[int64]struct{}{},
 		recs:   map[int64]resil.RunRecord{},
 		state: State{
@@ -121,25 +118,21 @@ func (s *shardRun) observePoint(gi int, p explore.Point) {
 	})
 }
 
-// observeOutcome records one completed campaign run. Campaign execution
-// is sequential per shard, but the same locking keeps the flush path
-// uniform.
+// observeOutcome records one completed campaign run. Called concurrently
+// from workers.
 func (s *shardRun) observeOutcome(rec resil.RunRecord) {
 	s.observe(int64(rec.Index), func() { s.recs[int64(rec.Index)] = rec })
 }
 
-// observe marks index gi done and runs record under the lock,
-// checkpoints when the throttle interval has passed, and beats the lease.
+// observe marks index gi done and runs record under the lock, and
+// checkpoints when the throttle interval has passed.
 func (s *shardRun) observe(gi int64, record func()) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.fresh[gi] = struct{}{}
 	record()
 	s.prog.Step(1)
 	s.maybeFlushLocked()
-	s.mu.Unlock()
-	if s.beat != nil {
-		s.beat()
-	}
 }
 
 // maybeFlushLocked writes a periodic checkpoint when due. Errors are
@@ -321,7 +314,7 @@ func RunCampaign(ctx context.Context, c *resil.Campaign, o Options) (*CampaignRe
 	total := int64(len(c.Runs))
 	report := &resil.Report{Chip: c.Flow.Chip.Name, Seed: c.Seed, Total: int(total)}
 	t, err := runShards(ctx, o, "campaign", c.Flow.Fingerprint(), total, func(s *shardRun, pending []int) error {
-		err := c.Visit(ctx, pending, func(out resil.Outcome) { s.observeOutcome(c.Record(out)) })
+		err := c.Visit(ctx, o.Workers, pending, func(out resil.Outcome) { s.observeOutcome(c.Record(out)) })
 		s.mu.Lock()
 		report.Records = append(report.Records, s.records()...)
 		s.mu.Unlock()

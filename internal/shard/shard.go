@@ -12,11 +12,12 @@
 // checkpoint falls back to the last frame that checks out, or to an empty
 // shard — it is survived, never trusted. Both workloads run through one
 // loop over the plan; only the work a shard does and the merge differ.
-// Each shard runs its window once: evaluations are deterministic, so a
-// shard that fails would fail the same way again. A failed shard
-// degrades the run to a partial result whose unfinished ranges are
-// attributed explicitly; retrying is the caller's decision (socetd's
-// lease pool, internal/serve/pool, does it).
+// Each shard runs its window once, and nothing retries it: evaluations
+// are deterministic, so a shard that fails would fail the same way again.
+// A failed shard degrades the run to a partial result whose unfinished
+// ranges are attributed explicitly. The CLIs and socetd's jobs make the
+// same call: RunExplore or RunCampaign over every shard (Index All),
+// resuming from the checkpoints.
 //
 // Merging is deterministic and compositional: dominance filtering is
 // closed under partition (Pareto(A ∪ B) = Pareto(Pareto(A) ∪ Pareto(B))),
@@ -229,16 +230,13 @@ type Options struct {
 	// (default 5s). A final checkpoint is always written when the shard
 	// stops, however it stops.
 	Every time.Duration
-	// Workers bounds each shard's evaluation worker pool (explore only).
+	// Workers bounds each shard's evaluation workers, the goroutines of
+	// its explore.Visit or Campaign.Visit call (<= 0 selects GOMAXPROCS).
+	// The result is identical at any count.
 	Workers int
 	// MaxPoints caps the global enumeration space exactly as
 	// explore.Options.MaxPoints does (explore only).
 	MaxPoints int
-	// OnProgress, when non-nil, is called after every completed work
-	// item (design point or campaign run) — the lease heartbeat hook: a
-	// shard silent past its lease TTL is presumed dead by the daemon's
-	// coordinator. May be called concurrently from evaluation workers.
-	OnProgress func()
 }
 
 func (o Options) withDefaults() Options {

@@ -185,15 +185,17 @@ func TestShardedFrontDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunExploreRefusesUncountableSpace: uncapped, the seed-1998
-// 256-core dag chip has more design points than an int counts, and
-// RunExplore refuses it with an error naming MaxPoints before any shard
-// runs.
+// TestRunExploreRefusesUncountableSpace: uncapped, the seed-1998 dag
+// chips at 64 cores (about 8.1e15 design points, too many to list) and
+// 256 cores (more than an int counts) are refused with an error naming
+// MaxPoints before any shard runs.
 func TestRunExploreRefusesUncountableSpace(t *testing.T) {
-	f := generatedFlow(t, 1998, 256)
-	res, err := RunExplore(context.Background(), f, Options{Shards: 2, Index: All})
-	if res != nil || err == nil || !strings.Contains(err.Error(), "MaxPoints") {
-		t.Fatalf("uncapped RunExplore = %+v, %v; want no result and an error naming MaxPoints", res, err)
+	for _, cores := range []int{64, 256} {
+		f := generatedFlow(t, 1998, cores)
+		res, err := RunExplore(context.Background(), f, Options{Shards: 2, Index: All})
+		if res != nil || err == nil || !strings.Contains(err.Error(), "MaxPoints") {
+			t.Fatalf("%d cores: uncapped RunExplore = %+v, %v; want no result and an error naming MaxPoints", cores, res, err)
+		}
 	}
 }
 
@@ -413,7 +415,8 @@ func TestRunCampaignMergeUnderExpiredContext(t *testing.T) {
 }
 
 // TestRunCampaignMatchesSingleProcess: the sharded campaign report must
-// be bit-identical to the single-process Execute+Report, at several N.
+// be bit-identical to the single-process Execute+Report, at several N
+// and at 1, 2 and 4 workers.
 func TestRunCampaignMatchesSingleProcess(t *testing.T) {
 	f := campaignFlow(t)
 	const seed = 42
@@ -427,20 +430,23 @@ func TestRunCampaignMatchesSingleProcess(t *testing.T) {
 		t.Fatalf("reference report has %d records", len(want.Records))
 	}
 	for _, n := range []int{1, 2, 3, 7} {
-		res, err := RunCampaign(context.Background(), c, Options{
-			Shards: n, Index: All,
-			Checkpoint: filepath.Join(t.TempDir(), "ck"),
-			Every:      time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(res.Report, want) {
-			t.Fatalf("%d shards: campaign report differs from single-process:\n got %+v\nwant %+v",
-				n, res.Report, want)
-		}
-		if res.Report.Format() != want.Format() {
-			t.Fatalf("%d shards: formatted report differs", n)
+		for _, w := range []int{1, 2, 4} {
+			res, err := RunCampaign(context.Background(), c, Options{
+				Shards: n, Index: All,
+				Checkpoint: filepath.Join(t.TempDir(), "ck"),
+				Every:      time.Millisecond,
+				Workers:    w,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Report, want) {
+				t.Fatalf("%d shards, %d workers: campaign report differs from single-process:\n got %+v\nwant %+v",
+					n, w, res.Report, want)
+			}
+			if res.Report.Format() != want.Format() {
+				t.Fatalf("%d shards, %d workers: formatted report differs", n, w)
+			}
 		}
 	}
 }
@@ -462,7 +468,7 @@ func TestCampaignResumeFromReport(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var outs []resil.Outcome
 	all := []int{0, 1, 2, 3, 4, 5}
-	err = c.Visit(ctx, all, func(o resil.Outcome) {
+	err = c.Visit(ctx, 1, all, func(o resil.Outcome) {
 		outs = append(outs, o)
 		if len(outs) == 2 {
 			cancel()
@@ -488,7 +494,7 @@ func TestCampaignResumeFromReport(t *testing.T) {
 
 	// Resume exactly the missing sets; merged report must equal the full.
 	var rest []resil.Outcome
-	if err := c.Visit(context.Background(), missing, func(o resil.Outcome) { rest = append(rest, o) }); err != nil {
+	if err := c.Visit(context.Background(), 1, missing, func(o resil.Outcome) { rest = append(rest, o) }); err != nil {
 		t.Fatal(err)
 	}
 	got := resil.MergeReports(partial, c.Report(rest))

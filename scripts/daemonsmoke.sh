@@ -2,8 +2,10 @@
 # Daemon crash smoke: start socetd, submit a sharded campaign over HTTP,
 # SIGKILL the daemon mid-flight, restart it on the same state directory,
 # and require the recovered job's result to be byte-identical to the
-# single-process `compare -campaign` golden. Then evaluate System 1 on
-# the restarted daemon, finish with a SIGTERM drain, require a clean
+# single-process `compare -campaign` golden. The restarted daemon runs
+# on one slot (-workers 1), so the recovered campaign and the System 1
+# evaluate job share it end to end. Then evaluate System 1 on the
+# restarted daemon, finish with a SIGTERM drain, require a clean
 # exit, and require the restarted daemon's metrics to show that it took
 # System 1's test sets from the state directory's store instead of
 # running ATPG again. This is the end-to-end complement of the
@@ -84,8 +86,8 @@ wait "$DAEMON_PID" 2>/dev/null || true
 DAEMON_PID=""
 echo "    killed daemon ($(ls "$WORK/state" | wc -l | tr -d ' ') files in state dir)"
 
-echo "==> restart on the same state dir; fetch the recovered result"
-start_daemon -metrics "$WORK/metrics.json"
+echo "==> restart on the same state dir, on one slot; fetch the recovered result"
+start_daemon -workers 1 -metrics "$WORK/metrics.json"
 curl -sf "http://$ADDR/jobs/$JOB/result?wait=5m" > "$WORK/result.txt"
 
 echo "==> diff recovered result vs single-process golden"
