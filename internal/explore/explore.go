@@ -72,7 +72,8 @@ type Options struct {
 	// MaxPoints caps how many selections EnumerateCtx generates (<= 0 means
 	// every combination). Generation order is fixed, so a capped run
 	// evaluates a deterministic prefix of the full enumeration — the only
-	// way to sweep a chip whose |versions|^n product is astronomical.
+	// way to sweep a chip whose |versions|^n product is astronomical. A
+	// cap above math.MaxInt32 does not bound such a chip (SelectionSpace).
 	MaxPoints int
 }
 
@@ -92,16 +93,19 @@ func selectionAt(cores []*soc.Core, gi int) map[string]int {
 
 // SelectionSpace reports how many design points the flow's enumeration
 // covers under a MaxPoints cap (<= 0 means uncapped): the global indices
-// [0, space) that EnumerateCtx visits and shards partition. An uncapped
-// space of more than math.MaxInt32 points is an error: at about a
+// [0, space) that EnumerateCtx visits and shards partition. A space of
+// more than math.MaxInt32 points, capped or not, is an error: at about a
 // millisecond per point that is weeks of work, and its index list would
-// not fit in memory. Such a chip needs a cap.
+// not fit in memory. Such a chip needs a smaller cap.
 func SelectionSpace(f *core.Flow, maxPoints int) (int, error) {
 	n := selectionCount(f.Chip.TestableCores(), maxPoints)
-	if maxPoints <= 0 && n > math.MaxInt32 {
-		return 0, fmt.Errorf("explore: %s has more than %d design points, too many to enumerate; set MaxPoints", f.Chip.Name, math.MaxInt32)
+	if n <= math.MaxInt32 {
+		return n, nil
 	}
-	return n, nil
+	if maxPoints > 0 {
+		return 0, fmt.Errorf("explore: MaxPoints %d leaves %s more than %d design points, too many to enumerate; lower MaxPoints", maxPoints, f.Chip.Name, math.MaxInt32)
+	}
+	return 0, fmt.Errorf("explore: %s has more than %d design points, too many to enumerate; set MaxPoints", f.Chip.Name, math.MaxInt32)
 }
 
 // selectionCount returns the product of the cores' ladder lengths capped

@@ -557,7 +557,10 @@ func TestSelectionCountOverflowSafe(t *testing.T) {
 // chips refuse their design spaces with an error naming MaxPoints. At 64
 // cores the space (about 8.1e15 points) fits an int but not memory, and
 // EnumerateCtx panicked allocating its index list; at 256 cores (about
-// 3.3e52) an int cannot count it. Capped, the space is the cap.
+// 3.3e52) an int cannot count it. Capped, the space is the cap, unless
+// the cap itself is above math.MaxInt32. SelectionSpace must refuse such
+// a cap before EnumerateCtx is tried with it: past that check, a cap of
+// MaxInt32+1 would list 16 GB of indices.
 func TestEnumerateRefusesUncountableSpace(t *testing.T) {
 	for _, cores := range []int{64, 256} {
 		ch, err := socgen.Generate(socgen.Params{Seed: 1998, Cores: cores, Topology: socgen.RandomDAG})
@@ -577,6 +580,15 @@ func TestEnumerateRefusesUncountableSpace(t *testing.T) {
 		}
 		if n, err := SelectionSpace(f, 500); n != 500 || err != nil {
 			t.Fatalf("%d cores: SelectionSpace capped at 500 = %d, %v", cores, n, err)
+		}
+		for _, capped := range []int{1e14, math.MaxInt32 + 1} {
+			if _, err := SelectionSpace(f, capped); err == nil || !strings.Contains(err.Error(), "MaxPoints") {
+				t.Fatalf("%d cores: SelectionSpace capped at %d: error %v, want one naming MaxPoints", cores, capped, err)
+			}
+			pts, err := EnumerateCtx(context.Background(), f, Options{MaxPoints: capped})
+			if err == nil || !strings.Contains(err.Error(), "MaxPoints") || pts != nil {
+				t.Fatalf("%d cores: EnumerateCtx capped at %d: %d points, error %v; want none and an error naming MaxPoints", cores, capped, len(pts), err)
+			}
 		}
 	}
 }

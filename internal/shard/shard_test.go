@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -188,13 +189,28 @@ func TestShardedFrontDeterminism(t *testing.T) {
 // TestRunExploreRefusesUncountableSpace: uncapped, the seed-1998 dag
 // chips at 64 cores (about 8.1e15 design points, too many to list) and
 // 256 cores (more than an int counts) are refused with an error naming
-// MaxPoints before any shard runs.
+// MaxPoints before any shard runs, and so is the 64-core chip capped
+// above math.MaxInt32 points. SelectionSpace must refuse such a cap
+// before RunExplore is tried with it: past that check, the shards would
+// list the indices of their windows.
 func TestRunExploreRefusesUncountableSpace(t *testing.T) {
 	for _, cores := range []int{64, 256} {
 		f := generatedFlow(t, 1998, cores)
 		res, err := RunExplore(context.Background(), f, Options{Shards: 2, Index: All})
 		if res != nil || err == nil || !strings.Contains(err.Error(), "MaxPoints") {
 			t.Fatalf("%d cores: uncapped RunExplore = %+v, %v; want no result and an error naming MaxPoints", cores, res, err)
+		}
+		if cores != 64 {
+			continue
+		}
+		for _, capped := range []int{1e14, math.MaxInt32 + 1} {
+			if _, err := explore.SelectionSpace(f, capped); err == nil {
+				t.Fatalf("64 cores: SelectionSpace accepts a cap of %d", capped)
+			}
+			res, err := RunExplore(context.Background(), f, Options{Shards: 2, Index: All, MaxPoints: capped})
+			if res != nil || err == nil || !strings.Contains(err.Error(), "MaxPoints") {
+				t.Fatalf("64 cores: RunExplore capped at %d = %+v, %v; want no result and an error naming MaxPoints", capped, res, err)
+			}
 		}
 	}
 }

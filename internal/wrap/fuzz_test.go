@@ -9,13 +9,16 @@ import (
 // width with one wrapAllWidths call and checks the balancing invariants
 // that every caller relies on: full structural coverage of chains and
 // port bits, SI/SO consistency with the recorded items, TAT matching the
-// formula, monotonicity in the TAM width, and equality with the
-// from-scratch reference at each width.
+// formula, monotonicity in the TAM width, and equality of the bounded
+// search with the unbounded from-scratch reference at each width.
 func FuzzTAMAssign(f *testing.F) {
 	f.Add([]byte{2, 3, 4, 3, 2, 10, 5})
 	f.Add([]byte{1, 0, 0, 0})
 	f.Add([]byte{8, 5, 3, 3, 2, 2, 2, 40, 17})
 	f.Add([]byte{4, 12, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3, 9, 9})
+	// ExactMaxChains distinct loads and boundary bits at width 8: the
+	// deepest exact search the decoding reaches.
+	f.Add([]byte{7, ExactMaxChains, 32, 29, 26, 23, 19, 15, 11, 7, 3, 101, 58})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return

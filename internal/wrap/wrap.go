@@ -20,12 +20,14 @@
 // internal/hscan's depth model; boundary cells shift one bit per cycle.
 //
 // Chain balancing is exact for cores with at most ExactMaxChains internal
-// chains — every set partition of the chains is enumerated (deduplicated
-// by its multiset of register loads) and boundary cells are distributed by
-// waterfilling, so the reported core TAT is the true optimum of the model.
-// Larger cores fall back to LPT. Evaluating a core at width w takes the
-// best result over all chain counts m ≤ w, which makes the per-core TAT
-// monotonically non-increasing in w by construction.
+// chains — a bounded search over the set partitions of the chains
+// (deduplicated by their multiset of register loads, skipping every
+// grouping that cannot beat the best one found at fewer chains) with
+// boundary cells distributed by waterfilling, so the reported core TAT is
+// the true optimum of the model. Larger cores fall back to LPT.
+// Evaluating a core at width w takes the best result over all chain
+// counts m ≤ w, which makes the per-core TAT monotonically non-increasing
+// in w by construction.
 //
 // The chip-level scheduler splits the W TAM wires into b equal buses
 // (b = 1..W), assigns cores to buses by snaking the descending width-1
@@ -43,6 +45,7 @@ package wrap
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -200,8 +203,18 @@ func coreTAT(si, so, vectors int) int {
 // best over all chain counts ≤ m: the optimal (or LPT, for more than
 // ExactMaxChains internal chains) configuration at width m, and never
 // worse than the entry before it. A width that improves on nothing
-// shares the previous width's CoreResult.
+// shares the previous width's CoreResult. From m = 2 on, the search is
+// bounded by the incumbent's hi, which keeps every grouping that can
+// still win (see balance).
 func wrapAllWidths(c *soc.Core, w int) []*CoreResult {
+	return wrapWidths(c, w, func(best *candidate) int { return best.hi })
+}
+
+// wrapWidths is wrapAllWidths with the exact search at each chain count
+// m ≥ 2 bounded by bound(incumbent). wrapAllWidths passes the
+// incumbent's hi, which balance argues is sound; a test passes an
+// unsound bound to show that the reference comparison sees a wrong prune.
+func wrapWidths(c *soc.Core, w int, bound func(best *candidate) int) []*CoreResult {
 	in, out := c.RTL.InputBits(), c.RTL.OutputBits()
 	loads := chainLoads(c)
 	exact := len(loads) <= ExactMaxChains
@@ -210,7 +223,11 @@ func wrapAllWidths(c *soc.Core, w int) []*CoreResult {
 	var best *candidate
 	for m := 1; m <= w; m++ {
 		prev := best
-		for _, cand := range balance(loads, m, exact) {
+		limit := math.MaxInt
+		if best != nil {
+			limit = bound(best)
+		}
+		for _, cand := range balance(loads, m, exact, limit) {
 			cand.fill(in, out)
 			if best == nil || cand.better(best) {
 				cc := cand
@@ -318,9 +335,26 @@ func (c *candidate) chains(loads []int) []Chain {
 
 // balance enumerates groupings of the internal chains into exactly m
 // wrapper-chain slots (empty slots allowed; they host boundary cells
-// only). Exact mode yields every distinct partition by load multiset;
-// LPT mode yields the single longest-processing-time grouping.
-func balance(loads []int, m int, exact bool) []candidate {
+// only). Exact mode yields every distinct partition by load multiset
+// whose group loads all stay within bound (math.MaxInt: unbounded); LPT
+// mode yields the single longest-processing-time grouping, whatever the
+// bound.
+//
+// wrapAllWidths bounds chain count m by the hi of the incumbent, the
+// best candidate over the chain counts below m, and the bound cannot
+// change its result:
+//   - a candidate's hi is at least its largest group load, because
+//     waterfilling never lowers a slot, so a grouping with a group above
+//     the incumbent's hi has a larger hi than the incumbent;
+//   - better compares hi first, so such a grouping can neither win nor
+//     tie on hi;
+//   - group loads only grow as the recursion places chains, so a leaf is
+//     pruned exactly when its largest group exceeds the bound: whether it
+//     is pruned depends only on its load multiset. Every multiset that
+//     survives keeps the same first partition under the seen dedup, so
+//     the bounded search drops only candidates that cannot win, and the
+//     winner is the unbounded search's, chain members included.
+func balance(loads []int, m int, exact bool, bound int) []candidate {
 	if len(loads) == 0 || !exact {
 		return []candidate{lptCandidate(loads, m)}
 	}
@@ -353,8 +387,8 @@ func balance(loads []int, m int, exact bool) []candidate {
 		idx := order[i]
 		tried := map[int]bool{}
 		for g := 0; g < len(groups); g++ {
-			if tried[sums[g]] {
-				continue // placing into an equal-load group is symmetric
+			if tried[sums[g]] || sums[g]+loads[idx] > bound {
+				continue // an equal-load group is symmetric; past the bound nothing wins
 			}
 			tried[sums[g]] = true
 			groups[g] = append(groups[g], idx)
@@ -363,7 +397,7 @@ func balance(loads []int, m int, exact bool) []candidate {
 			sums[g] -= loads[idx]
 			groups[g] = groups[g][:len(groups[g])-1]
 		}
-		if len(groups) < m {
+		if len(groups) < m && loads[idx] <= bound {
 			groups = append(groups, []int{idx})
 			sums = append(sums, loads[idx])
 			rec(i + 1)

@@ -2,6 +2,7 @@ package wrap
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rtl"
 	"repro/internal/soc"
+	"repro/internal/socgen"
 )
 
 // testCore builds a synthetic wrapped-core fixture: in/out port bits, one
@@ -48,16 +50,16 @@ func testChip(cores ...*soc.Core) *soc.Chip {
 }
 
 // refWrapCore is the reference wrapAllWidths is checked against: it
-// balances the core from scratch at width w, keeping the best candidate
-// over every chain count m ≤ w (m ascending, strict better), and builds
-// that candidate's CoreResult.
+// balances the core from scratch at width w with the unbounded search,
+// keeping the best candidate over every chain count m ≤ w (m ascending,
+// strict better), and builds that candidate's CoreResult.
 func refWrapCore(c *soc.Core, w int) *CoreResult {
 	in, out := c.RTL.InputBits(), c.RTL.OutputBits()
 	loads := chainLoads(c)
 	exact := len(loads) <= ExactMaxChains
 	var best *candidate
 	for m := 1; m <= w; m++ {
-		for _, cand := range balance(loads, m, exact) {
+		for _, cand := range balance(loads, m, exact, math.MaxInt) {
 			cand.fill(in, out)
 			if best == nil || cand.better(best) {
 				cc := cand
@@ -79,21 +81,45 @@ func refWrapCore(c *soc.Core, w int) *CoreResult {
 	return cr
 }
 
+// referenceDiffs returns the widths at which one wrapAllWidths-shaped
+// result differs from the reference.
+func referenceDiffs(c *soc.Core, crs []*CoreResult) []int {
+	var diffs []int
+	for w := 1; w <= len(crs); w++ {
+		if !reflect.DeepEqual(crs[w-1], refWrapCore(c, w)) {
+			diffs = append(diffs, w)
+		}
+	}
+	return diffs
+}
+
 // checkAgainstReference requires every entry of one wrapAllWidths result
 // to equal the reference at its width.
 func checkAgainstReference(t *testing.T, c *soc.Core, crs []*CoreResult) {
 	t.Helper()
-	for w := 1; w <= len(crs); w++ {
-		if want := refWrapCore(c, w); !reflect.DeepEqual(crs[w-1], want) {
-			t.Fatalf("core %s width %d: got %+v, reference %+v", c.Name, w, crs[w-1], want)
-		}
+	if diffs := referenceDiffs(c, crs); len(diffs) > 0 {
+		w := diffs[0]
+		t.Fatalf("core %s width %d: got %+v, reference %+v", c.Name, w, crs[w-1], refWrapCore(c, w))
 	}
 }
 
+// referenceCores is the generated corpus the bounded search is checked
+// on: every core of the corpusSeeds chips, and the 256 cores of the
+// seed-1 RandomDAG chip. socgen's core i depends only on the seed and i,
+// so those are every distinct core of `compare -study`.
+func referenceCores(t testing.TB) []*soc.Core {
+	var cores []*soc.Core
+	for _, p := range append(corpusSeeds(), socgen.Params{Seed: 1, Cores: 256, Topology: socgen.RandomDAG}) {
+		cores = append(cores, corpusChip(t, p).TestableCores()...)
+	}
+	return cores
+}
+
 // TestWrapAllWidthsMatchesReference requires one wrapAllWidths call at
-// W=16 to equal the from-scratch reference at every width, on seeded
-// random core shapes (no chains, exact search, LPT fallback; with and
-// without boundary bits) and on every core of the generated corpus.
+// W=16, whose search is bounded, to equal the unbounded from-scratch
+// reference at every width, on seeded random core shapes (no chains,
+// exact search, LPT fallback; with and without boundary bits) and on
+// every core of referenceCores.
 func TestWrapAllWidthsMatchesReference(t *testing.T) {
 	const w = 16
 	rng := rand.New(rand.NewSource(1))
@@ -114,10 +140,28 @@ func TestWrapAllWidthsMatchesReference(t *testing.T) {
 	// The largest exact size once, with small loads: the reference
 	// enumerates up to 21147 partitions per chain count there.
 	check(ExactMaxChains, 4, 1+rng.Intn(40), 1+rng.Intn(40))
-	for _, p := range corpusSeeds() {
-		for _, c := range corpusChip(t, p).TestableCores() {
-			checkAgainstReference(t, c, wrapAllWidths(c, w))
-		}
+	for _, c := range referenceCores(t) {
+		checkAgainstReference(t, c, wrapAllWidths(c, w))
+	}
+}
+
+// TestUnsoundBoundFailsReference is the tamper twin of
+// TestWrapAllWidthsMatchesReference: bounded one register stage below
+// the incumbent's largest group, the search drops groupings that tie
+// that group and win with one more chain, and the same comparison must
+// catch it. (The incumbent's hi−1 would be no tamper: a grouping whose
+// largest group reaches hi has lo ≥ hi, so it cannot win either.)
+func TestUnsoundBoundFailsReference(t *testing.T) {
+	const w = 16
+	unsound := func(best *candidate) int { return best.ffs[0] - 1 }
+	changed, results := 0, 0
+	for _, c := range referenceCores(t) {
+		changed += len(referenceDiffs(c, wrapWidths(c, w, unsound)))
+		results += w
+	}
+	t.Logf("the unsound bound changed %d of %d (core, width) results", changed, results)
+	if changed == 0 {
+		t.Fatal("an unsound bound changed no result: the reference comparison cannot see a wrong prune")
 	}
 }
 

@@ -25,6 +25,9 @@ go test -race -count=1 -run TestGeneratedChips ./internal/proptest/ -proptest.n=
 echo "==> go test -race (wrapper corpus smoke: replay + tamper detection)"
 go test -race -count=1 -run 'TestWrappedChips|TestWrapReplayDetectsLies' ./internal/proptest/ -proptest.n=12
 
+echo "==> compare -study (all 16 chips) byte-identical to perfbench's reference rows"
+go run ./cmd/compare -study | cmp - perfbench/testdata/study-seed1.txt
+
 echo "==> go test -race ./..."
 go test -race ./...
 
