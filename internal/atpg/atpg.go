@@ -59,9 +59,9 @@ func (o *Options) withDefaults() Options {
 // Stats reports test generation results.
 type Stats struct {
 	Faults     int // total collapsed faults
-	Detected   int
+	Detected   int // detected by the final patterns
 	Untestable int // proven redundant
-	Aborted    int // backtrack limit exceeded
+	Aborted    int // backtrack limit exceeded, and no final pattern detects it
 	Vectors    int // patterns emitted (after compaction)
 }
 
@@ -122,6 +122,10 @@ func generateOn(n *gate.Netlist, faults []gate.Fault, o Options, workers int) (*
 	sim := sims[0] // also holds phase 2's loaded word
 	cBacktracks, cImplications, cGateEvals := obs.C("atpg.backtracks"), obs.C("atpg.implications"), obs.C("atpg.gate_evals")
 	res := &Result{Stats: Stats{Faults: len(faults)}}
+	// aborted lists the faults PODEM gave up on, refuted counts those the
+	// redundancy check proved untestable.
+	var aborted []gate.Fault
+	refuted := 0
 	// by[i] >= 0 once faults[i] is detected. Only the random pre-pass
 	// reads the value: the index of its pattern that detected the fault.
 	// After it, only the sign is read.
@@ -251,9 +255,13 @@ func generateOn(n *gate.Netlist, faults []gate.Fault, o Options, workers int) (*
 				if err != nil {
 					return nil, err
 				}
+			case outRefuted:
+				refuted++
+				res.Stats.Untestable++
 			case outUntestable:
 				res.Stats.Untestable++
 			case outAborted:
+				aborted = append(aborted, faults[s.fi])
 				res.Stats.Aborted++
 			}
 		}
@@ -264,10 +272,26 @@ func generateOn(n *gate.Netlist, faults []gate.Fault, o Options, workers int) (*
 			return nil, err
 		}
 	}
+	// An aborted fault met only the patterns made before its turn. The
+	// final patterns may detect it: compaction keeps a detector of every
+	// fault the full set detects, so recount the aborted ones against them.
+	if len(aborted) > 0 && len(res.Patterns) > 0 {
+		by := make([]int, len(aborted))
+		for i := range by {
+			by[i] = -1
+		}
+		found, err := detect(sims, res.Patterns, aborted, by)
+		if err != nil {
+			return nil, err
+		}
+		res.Stats.Detected += found
+		res.Stats.Aborted -= found
+	}
 	res.Stats.Vectors = len(res.Patterns)
 	obs.C("atpg.faults").Add(int64(res.Stats.Faults))
 	obs.C("atpg.detected").Add(int64(res.Stats.Detected))
 	obs.C("atpg.untestable").Add(int64(res.Stats.Untestable))
+	obs.C("atpg.refuted").Add(int64(refuted))
 	obs.C("atpg.aborted_faults").Add(int64(res.Stats.Aborted))
 	obs.C("atpg.vectors").Add(int64(res.Stats.Vectors))
 	return res, nil

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fsim"
 	"repro/internal/gate"
 	"repro/internal/obs"
 	"repro/internal/rtl"
@@ -66,7 +67,8 @@ func TestGoldenTestSets(t *testing.T) {
 
 // goldenLine runs default ATPG on one core with a fresh metrics registry
 // and formats its fingerprint, after round-tripping the result through
-// store.
+// store. Fault simulation of the final patterns must detect exactly the
+// faults Stats counts as detected.
 func goldenLine(t *testing.T, c *soc.Core, store *Store) string {
 	t.Helper()
 	sr, err := synth.Synthesize(c.RTL)
@@ -78,6 +80,14 @@ func goldenLine(t *testing.T, c *soc.Core, store *Store) string {
 	res, err := Generate(sr.Netlist, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", c.Name, err)
+	}
+	fr, err := fsim.Combinational(sr.Netlist, res.Patterns, sr.Netlist.Faults())
+	if err != nil {
+		t.Fatalf("%s: fault simulation: %v", c.Name, err)
+	}
+	if fr.Detected != res.Stats.Detected {
+		t.Errorf("%s: fault simulation of the final patterns detects %d faults, Stats.Detected is %d",
+			c.Name, fr.Detected, res.Stats.Detected)
 	}
 	store.Put(sr.Netlist, nil, res)
 	if got, ok := store.Get(sr.Netlist, nil); !ok || !reflect.DeepEqual(got, res) {
@@ -98,19 +108,56 @@ func goldenLine(t *testing.T, c *soc.Core, store *Store) string {
 var workerCounts = []int{1, 2, 3, 8}
 
 // TestGenerateDigest pins Generate on a wider corpus than the goldens:
-// the logic cores of Systems 1 and 2, the rtlgen cores of seeds 77 to
-// 136 and the logic cores of the 24-core socgen chips of seeds 3 and 11,
-// in that order, each at the default options and at a low backtrack limit with no random pre-pass,
-// which searches every fault. One SHA-256 covers each run's Stats, its
-// backtrack and implication counts and every pattern's bytes, so a
-// change to the search, the fault dropping or the compaction shows here
-// even where the goldens' cores do not exercise it. Every worker count
-// of workerCounts must give the same digest.
+// the 114 netlists of digestNetlists, each at both digestOptions. One
+// SHA-256 covers each run's Stats, its backtrack and implication counts
+// and every pattern's bytes, so a change to the search, the fault
+// dropping or the compaction shows here even where the goldens' cores do
+// not exercise it. Every worker count of workerCounts must give the same
+// digest.
 func TestGenerateDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs ATPG twice on 114 netlists")
 	}
-	const want = "2a6716aaa62e905c82dd530e9256721c6b964caa9d42cbe82f5336fa4f7685f7"
+	const want = "c37152825f090555aa32afa7c66e6279c3c4be7a7a741321b1855d7ee104fd09"
+	nets := digestNetlists(t)
+	hs := make([]hash.Hash, len(workerCounts))
+	for i := range hs {
+		hs[i] = sha256.New()
+	}
+	for _, n := range nets {
+		for _, o := range digestOptions {
+			for i, workers := range workerCounts {
+				_, m := obs.Enable(0)
+				res, err := generateOn(n, n.Faults(), o.withDefaults(), workers)
+				obs.Disable()
+				if err != nil {
+					t.Fatalf("%s, %d workers: %v", n.Name, workers, err)
+				}
+				fmt.Fprintf(hs[i], "%+v %d %d|", res.Stats,
+					m.Counter("atpg.backtracks").Value(), m.Counter("atpg.implications").Value())
+				for _, p := range res.Patterns {
+					hs[i].Write(p.PI)
+					hs[i].Write(p.State)
+				}
+			}
+		}
+	}
+	for i, workers := range workerCounts {
+		if got := fmt.Sprintf("%x", hs[i].Sum(nil)); got != want {
+			t.Errorf("%d netlists, %d workers: digest %s, want %s", len(nets), workers, got, want)
+		}
+	}
+}
+
+// digestOptions are TestGenerateDigest's option sets: the defaults, and a
+// low backtrack limit with no random pre-pass, which searches every fault.
+var digestOptions = []*Options{nil, {BacktrackLimit: 8, RandomPatterns: -1}}
+
+// digestNetlists synthesizes TestGenerateDigest's corpus: the logic cores
+// of Systems 1 and 2, the rtlgen cores of seeds 77 to 136 and the logic
+// cores of the 24-core socgen chips of seeds 3 and 11, in that order.
+func digestNetlists(t *testing.T) []*gate.Netlist {
+	t.Helper()
 	var cores []*rtl.Core
 	logic := func(ch *soc.Chip) {
 		for _, c := range ch.Cores {
@@ -129,45 +176,22 @@ func TestGenerateDigest(t *testing.T) {
 		}
 		logic(ch)
 	}
-	hs := make([]hash.Hash, len(workerCounts))
-	for i := range hs {
-		hs[i] = sha256.New()
-	}
-	for _, c := range cores {
+	nets := make([]*gate.Netlist, len(cores))
+	for i, c := range cores {
 		sr, err := synth.Synthesize(c)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
-		n := sr.Netlist
-		for _, o := range []*Options{nil, {BacktrackLimit: 8, RandomPatterns: -1}} {
-			for i, workers := range workerCounts {
-				_, m := obs.Enable(0)
-				res, err := generateOn(n, n.Faults(), o.withDefaults(), workers)
-				obs.Disable()
-				if err != nil {
-					t.Fatalf("%s, %d workers: %v", c.Name, workers, err)
-				}
-				fmt.Fprintf(hs[i], "%+v %d %d|", res.Stats,
-					m.Counter("atpg.backtracks").Value(), m.Counter("atpg.implications").Value())
-				for _, p := range res.Patterns {
-					hs[i].Write(p.PI)
-					hs[i].Write(p.State)
-				}
-			}
-		}
+		nets[i] = sr.Netlist
 	}
-	for i, workers := range workerCounts {
-		if got := fmt.Sprintf("%x", hs[i].Sum(nil)); got != want {
-			t.Errorf("%d netlists, %d workers: digest %s, want %s", len(cores), workers, got, want)
-		}
-	}
+	return nets
 }
 
 // TestWorkerCountsAgree runs ATPG on System 1's logic cores at every
 // worker count of workerCounts. Each core's Stats and pattern bytes and
-// its backtrack, implication and gate-evaluation counts must be those of
-// one worker, and the System 1 totals of the counts those that
-// `socet -system 1 -metrics` reports.
+// its backtrack, implication, gate-evaluation and refuted-fault counts
+// must be those of one worker, and the System 1 totals of the counts
+// those that `socet -system 1 -metrics` reports.
 func TestWorkerCountsAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs ATPG on System 1 once per worker count")
@@ -186,7 +210,7 @@ func TestWorkerCountsAgree(t *testing.T) {
 	var want []string
 	for _, workers := range workerCounts {
 		var got []string
-		var totals [3]int64
+		var totals [4]int64
 		for _, n := range nets {
 			_, m := obs.Enable(0)
 			res, err := generateOn(n, n.Faults(), (*Options)(nil).withDefaults(), workers)
@@ -194,7 +218,8 @@ func TestWorkerCountsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s, %d workers: %v", n.Name, workers, err)
 			}
-			counts := [3]int64{m.Counter("atpg.backtracks").Value(), m.Counter("atpg.implications").Value(), m.Counter("atpg.gate_evals").Value()}
+			counts := [4]int64{m.Counter("atpg.backtracks").Value(), m.Counter("atpg.implications").Value(),
+				m.Counter("atpg.gate_evals").Value(), m.Counter("atpg.refuted").Value()}
 			for i := range totals {
 				totals[i] += counts[i]
 			}
@@ -203,10 +228,10 @@ func TestWorkerCountsAgree(t *testing.T) {
 				h.Write(p.PI)
 				h.Write(p.State)
 			}
-			got = append(got, fmt.Sprintf("%s %+v backtracks, implications, gate evaluations %v sha256=%x", n.Name, res.Stats, counts, h.Sum(nil)))
+			got = append(got, fmt.Sprintf("%s %+v backtracks, implications, gate evaluations, refuted %v sha256=%x", n.Name, res.Stats, counts, h.Sum(nil)))
 		}
-		if pinned := [3]int64{29489, 77809, 7280693}; totals != pinned {
-			t.Errorf("%d workers: System 1 backtracks, implications, gate evaluations %v, want %v", workers, totals, pinned)
+		if pinned := [4]int64{9216, 35437, 3681656, 1310}; totals != pinned {
+			t.Errorf("%d workers: System 1 backtracks, implications, gate evaluations, refuted %v, want %v", workers, totals, pinned)
 		}
 		if want == nil {
 			want = got

@@ -312,7 +312,9 @@ func TestImplyMatchesFullPass(t *testing.T) {
 // GCD: each core's RTL synthesized, as core.Prepare does before ATPG.
 // Every sampled fault is searched with backtrack limits 0, 1, 2, … up to
 // the default, so each search stops right after one more flip than the
-// last; implying from there must equal the full pass. Each search also
+// last; implying from there must equal the full pass. The searches are
+// PODEM alone, without the redundancy check, so that the faults it
+// refutes still exercise PODEM's backtracks. Each search also
 // stays within the trail bound: along the search path, a line's values
 // change at most twice (DESIGN.md §11).
 func TestEveryBacktrackPoint(t *testing.T) {
@@ -328,7 +330,8 @@ func TestEveryBacktrackPoint(t *testing.T) {
 		searched, flips := map[outcome]int{}, 0
 		for _, f := range sampleKinds(n, 40) {
 			for bt := 0; ; bt++ {
-				out, _ := e.search(f, bt)
+				e.reset(f)
+				out, _ := e.podem(bt)
 				checkImply(t, e)
 				if len(e.trail) > 2*len(n.Gates) {
 					t.Fatalf("%s fault %v, limit %d: trail holds %d entries for %d lines",
@@ -404,8 +407,11 @@ func relevantLines(e *engine) []bool {
 // of the all-X state is poisoned with 3, a value outside {0, 1, X}: a
 // search that reads one, or evaluates a gate on one, ends differently or
 // fails on the truth table. Each search must end as on a clean engine,
-// with the same assignment and the same counts. The netlists are those
-// of TestEveryBacktrackPoint and the random netlists.
+// with the same assignment and the same counts. The search starts with
+// the redundancy check, which reads and writes the same values, so its
+// verdict, outRefuted or a PODEM run, must match too, and the sample must
+// hold faults of both. The netlists are those of TestEveryBacktrackPoint
+// and the random netlists.
 func TestSearchReadsOnlyRelevantLines(t *testing.T) {
 	const poison = 3
 	nets := coreNetlists(t)
@@ -425,7 +431,7 @@ func TestSearchReadsOnlyRelevantLines(t *testing.T) {
 		out, ef = e.search(f, limit)
 		return out, ef, nil
 	}
-	searched := 0
+	searched, refuted := 0, 0
 	for _, n := range nets {
 		clean, dirty := fresh(n), fresh(n)
 		allX := slices.Clone(dirty.gvX)
@@ -447,9 +453,15 @@ func TestSearchReadsOnlyRelevantLines(t *testing.T) {
 					n.Name, f, got, dirty.assign, gotEffort, want, clean.assign, wantEffort)
 			}
 			searched++
+			if got == outRefuted {
+				refuted++
+			}
 		}
 	}
-	t.Logf("%d searches on %d netlists read only relevant lines", searched, len(nets))
+	t.Logf("%d searches on %d netlists read only relevant lines; the check refuted %d of the faults", searched, len(nets), refuted)
+	if refuted == 0 || refuted == searched {
+		t.Errorf("the check refuted %d of %d faults: the sample needs refuted faults and PODEM runs", refuted, searched)
+	}
 }
 
 // FuzzImply checks incremental implication against the full pass on

@@ -14,6 +14,7 @@ const (
 	outDetected outcome = iota
 	outUntestable
 	outAborted
+	outRefuted // untestable, proven before any decision (see redundant)
 )
 
 // engine holds per-netlist PODEM state, reused across faults.
@@ -91,6 +92,12 @@ type engine struct {
 	dfs      []int
 	seen     []uint32
 	seenEp   uint32
+
+	// the redundancy check's buffers: the position of the immediate
+	// post-dominator of each cone gate, by position in order, and the
+	// lines whose required values await implication.
+	ipdom []int32
+	work  []int32
 }
 
 // change is one trail entry: a line and its values before it changed.
@@ -132,6 +139,7 @@ func newEngine(n *gate.Netlist) (*engine, error) {
 		relevant: make([]uint32, len(order)),
 		pending:  make([]uint64, (len(order)+63)/64),
 		seen:     make([]uint32, ng),
+		ipdom:    make([]int32, len(order)),
 	}
 	e.pendLo, e.pendHi = len(e.pending), -1
 	for i := range e.topoPos {
@@ -841,12 +849,21 @@ type decision struct {
 // and the gates they evaluated.
 type effort struct{ backtracks, implications, evals int64 }
 
-// search runs the PODEM search for fault f and returns how it ended and
-// what it cost. A detected fault's assignment is left in e.assign. The
-// outcome, the effort and the assignment depend on f alone: reset starts
-// every search from the all-X state.
+// search runs the search for fault f and returns how it ended and what
+// it cost. A fault the redundancy check refutes costs no PODEM effort;
+// every other one goes to PODEM. A detected fault's assignment is left in
+// e.assign. The outcome, the effort and the assignment depend on f alone:
+// reset starts every search from the all-X state.
 func (e *engine) search(f gate.Fault, backtrackLimit int) (outcome, effort) {
 	e.reset(f)
+	if e.redundant() {
+		return outRefuted, effort{}
+	}
+	return e.podem(backtrackLimit)
+}
+
+// podem runs PODEM on the fault reset last started.
+func (e *engine) podem(backtrackLimit int) (outcome, effort) {
 	e.stack = e.stack[:0]
 	var ef effort
 	for {

@@ -20,7 +20,7 @@ import (
 // re-blesses the golden and sets this to the new hash
 // (TestStoreVersionPinsGolden fails until it does), entries made by the
 // older code are never looked up again.
-const storeVersion = "2c9b20ca5f29145aea8768d2e26f7f064ac990a25a46e93287f7d9e2e7a142ab"
+const storeVersion = "0b9c74d7f366316e8f3245126c4ec3ab2434d138f13980939e85b37165e829f5"
 
 // Store is a content-addressed cache of generated test sets, one file per
 // entry in a directory. An entry's key is a SHA-256 over storeVersion,

@@ -11,12 +11,13 @@ package obs
 
 // KnownCounters lists every monotonic counter name.
 var KnownCounters = []string{
-	"atpg.aborted_faults",              // PODEM gave up on a fault (backtrack limit)
+	"atpg.aborted_faults",              // PODEM gave up on a fault (backtrack limit) that no final pattern detects
 	"atpg.backtracks",                  // PODEM decision reversals
 	"atpg.detected",                    // faults detected by generated or simulated vectors
 	"atpg.faults",                      // faults targeted by ATPG
 	"atpg.gate_evals",                  // gates PODEM evaluated during implication
 	"atpg.implications",                // PODEM implication steps
+	"atpg.refuted",                     // faults the redundancy check proved untestable before PODEM (counted in atpg.untestable too)
 	"atpg.store_errors",                // test-set store reads or writes that failed with an I/O error
 	"atpg.store_hits",                  // test sets served from the test-set store instead of ATPG
 	"atpg.store_rejects",               // test-set store entries that did not check out and were regenerated

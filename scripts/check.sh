@@ -60,6 +60,9 @@ go test -fuzz=FuzzTAMAssign -fuzztime=10s -run '^$' ./internal/wrap/
 echo "==> go test -fuzz=FuzzImply (10s smoke)"
 go test -fuzz=FuzzImply -fuzztime=10s -run '^$' ./internal/atpg/
 
+echo "==> go test -fuzz=FuzzRedundant (10s smoke)"
+go test -fuzz=FuzzRedundant -fuzztime=10s -run '^$' ./internal/atpg/
+
 echo "==> go test -fuzz=FuzzTestSetDecode (10s smoke)"
 go test -fuzz=FuzzTestSetDecode -fuzztime=10s -run '^$' ./internal/atpg/
 
